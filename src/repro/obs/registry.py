@@ -101,6 +101,10 @@ METRIC_CATALOG: dict[str, str] = {
     "netstore_client_requests_total": (
         "State-client requests issued, labelled by op"
     ),
+    "netstore_client_request_seconds": (
+        "State-client round trips in seconds, one per frame, labelled by op"
+    ),
+    "netstore_server_batch_ops": "Sub-requests per state-server multi frame",
     "netstore_client_retries_total": (
         "State-client retries after transport failures"
     ),

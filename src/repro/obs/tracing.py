@@ -137,6 +137,9 @@ class RequestTracer:
         request = _request_of(event)
         if request is None:
             return
+        # Events name a request only by object, so open spans are found
+        # by ``id(request)``; each open span holds its request, so that
+        # id cannot be handed to a later request while the span is open.
         key = id(request)
         span = self._active.get(key)
         stage = STAGE_BY_KIND[event.kind]
@@ -219,6 +222,7 @@ class RequestTracer:
             "stages": [{"stage": "accept", "at": request.timestamp,
                         "offset_ms": 0.0}],
             "_mono0": mono0,
+            "_request": request,
         }
 
     def _close(self, key: int, span: dict, outcome: str) -> None:
@@ -227,6 +231,7 @@ class RequestTracer:
 
     def _finish(self, span: dict, outcome: str) -> None:
         span.pop("_mono0", None)
+        span.pop("_request", None)
         span["outcome"] = outcome
         self.spans.append(span)
         if len(self.spans) > self.max_spans:

@@ -73,6 +73,7 @@ class ReplayCache:
             store = InMemoryStateStore()
         self.store = store
         self._seen = store.namespace(namespace)
+        self._head = ((namespace, "len"), (namespace, "first"))
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -86,19 +87,25 @@ class ReplayCache:
         so sharded deployments can route the entry with the client's
         other state when splitting snapshots.
         """
-        self._evict(now)
-        if seed in self._seen:
+        # Read set -> decide -> write: what the eviction rule needs (the
+        # table size and its oldest entry) and the verdict in one store
+        # call, the insert in a second.  Neither the read frame nor the
+        # absolute put changes its answer when a networked store
+        # re-sends it after a lost reply — a frame that read ``seed``
+        # and then wrote it would call its own first attempt a replay.
+        known = (self._seen.name, "contains", seed)
+        size, head, replayed = self.store.execute([*self._head, known])
+        cutoff = now - self.ttl
+        while head is not None and (
+            head[1][0] < cutoff or size >= self.max_entries
+        ):
+            _, size, head, replayed = self.store.execute(
+                [(self._seen.name, "delete", head[0]), *self._head, known]
+            )
+        if replayed:
             return False
         self._seen[seed] = [now, owner]
         return True
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.ttl
-        while self._seen:
-            seed, entry = next(iter(self._seen.items()))
-            if entry[0] >= cutoff and len(self._seen) < self.max_entries:
-                break
-            del self._seen[seed]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -73,6 +73,7 @@ class CachedModel:
         self.max_entries = max_entries
         self.store = store if store is not None else InMemoryStateStore()
         self._cache = self.store.namespace(namespace)
+        self._count = (namespace, "len")
         self.hits = 0
         self.misses = 0
         self._subscribe_offset_changes(inner)
@@ -153,34 +154,49 @@ class CachedModel:
         can fire mid-batch; when the batch could overflow
         ``max_entries`` the method falls back to the scalar loop so the
         two paths stay exactly equivalent under cache pressure too.
+
+        State access is *read set -> decide -> write set*: two
+        :meth:`~repro.state.AdmissionStateStore.execute` calls per
+        batch whatever its size, on every backend.
         """
-        if len(self._cache) + len(requests) > self.max_entries:
+        # Read set: the table size and every address's entry, one
+        # store call (one frame on a networked store).
+        name = self._cache.name
+        found = self.store.execute(
+            [*[(name, "get", request.client_ip) for request in requests],
+             self._count]
+        )
+        if found.pop() + len(requests) > self.max_entries:
             return np.array(
                 [self.score_request(request) for request in requests],
                 dtype=np.float64,
             )
         scores = np.empty(len(requests), dtype=np.float64)
+        writes: list[tuple] = []
         miss_indices: list[int] = []
         miss_waiters: list[list[int]] = []
         # ip -> (timestamp of the latest pending miss, its waiter list)
         pending: dict[str, tuple[float, list[int]]] = {}
-        for i, request in enumerate(requests):
+        rescored: set[int] = set()  # misses of an address already missed
+        for i, (request, entry) in enumerate(zip(requests, found)):
             now = request.timestamp
             ip = request.client_ip
             waiting = pending.get(ip)
-            if waiting is not None and now - waiting[0] <= self.ttl:
-                self.hits += 1
-                waiting[1].append(i)
-                continue
-            entry = self._cache.get(ip)
+            if waiting is not None:
+                if now - waiting[0] <= self.ttl:
+                    self.hits += 1
+                    waiting[1].append(i)
+                    continue
+                entry = None  # what was read is already replaced
+                rescored.add(i)
             if entry is not None:
                 cached_at, score = entry
                 if now - cached_at <= self.ttl:
-                    self._cache.move_to_end(ip)
+                    writes.append((name, "move_to_end", ip))
                     self.hits += 1
                     scores[i] = score
                     continue
-                del self._cache[ip]
+                writes.append((name, "delete", ip))
             self.misses += 1
             miss_indices.append(i)
             waiters: list[int] = []
@@ -192,14 +208,23 @@ class CachedModel:
             )
             for i, waiters, value in zip(miss_indices, miss_waiters, fresh):
                 request = requests[i]
+                ip = request.client_ip
                 score = float(value)
                 scores[i] = score
-                self._cache[request.client_ip] = [request.timestamp, score]
-                self._cache.move_to_end(request.client_ip)
-                while len(self._cache) > self.max_entries:
-                    self._cache.popitem(last=False)
+                writes.append((name, "put", ip, [request.timestamp, score]))
+                if i in rescored:
+                    # Overwriting keeps the old slot; the scalar loop
+                    # moves a re-scored address to the back.
+                    writes.append((name, "move_to_end", ip))
                 for j in waiters:
                     scores[j] = score
+        # Write set, in the order the scalar loop would have applied it.
+        if writes:
+            writes.append(self._count)
+            size = self.store.execute(writes)[-1]
+            while size > self.max_entries:  # another writer filled the table
+                self._cache.popitem(last=False)
+                size -= 1
         return scores
 
     def invalidate(self, client_ip: str | None = None) -> None:

@@ -126,6 +126,7 @@ class FeedbackReputationModel:
         self.max_tracked_ips = max_tracked_ips
         self.store = store if store is not None else InMemoryStateStore()
         self._states = self.store.namespace(namespace)
+        self._tracked = (namespace, "len")
         self._listeners: list[Callable[[str], None]] = []
 
     @property
@@ -153,12 +154,19 @@ class FeedbackReputationModel:
     def score_requests(
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
-        """Batch variant: base scores batched, offsets applied per IP."""
+        """Batch variant: base scores batched, offsets read in one call."""
         base = model_score_requests(self.base, requests)
+        name = self._states.name
+        states = self.store.execute(
+            [(name, "get", request.client_ip) for request in requests]
+        )
         scores = np.empty(len(base), dtype=np.float64)
-        for i, (request, value) in enumerate(zip(requests, base)):
-            offset = self.offset_for(
-                request.client_ip, now=request.timestamp
+        for i, (request, value, state) in enumerate(
+            zip(requests, base, states)
+        ):
+            offset = (
+                0.0 if state is None
+                else self._decayed(state, request.timestamp)
             )
             scores[i] = clamp_score(float(value) + offset)
         return scores
@@ -184,10 +192,9 @@ class FeedbackReputationModel:
         ip = response.decision.request.client_ip
         when = response.decision.request.timestamp if now is None else now
         state = self._states.get(ip)
-        if state is None:
-            if len(self._states) >= self.max_tracked_ips:
-                self._evict_smallest()
-            state = self._states.setdefault(ip, [0.0, when])
+        known = state is not None
+        if not known:
+            state = [0.0, when]
         current = self._decayed(state, when)
         changed = True
 
@@ -207,7 +214,16 @@ class FeedbackReputationModel:
         # namespace hands out deserialized copies, so mutating ``state``
         # would silently update nothing.  ``__setitem__`` on an existing
         # key keeps its position, so local behaviour is unchanged.
-        self._states[ip] = [current, when]
+        if known:
+            self._states[ip] = [current, when]
+        else:
+            # A new address: the same call that records it counts the
+            # table, and the cap evicts among the others.
+            _, tracked = self.store.execute(
+                [(self._states.name, "put", ip, [current, when]), self._tracked]
+            )
+            if tracked > self.max_tracked_ips:
+                self._evict_smallest(keep=ip)
         if changed:
             for listener in self._listeners:
                 listener(ip)
@@ -223,12 +239,13 @@ class FeedbackReputationModel:
         """
         self._listeners.append(listener)
 
-    def _evict_smallest(self) -> None:
-        """Drop the IP with the smallest |offset| (least information)."""
+    def _evict_smallest(self, keep: str) -> None:
+        """Drop the IP with the smallest |offset|, other than ``keep``."""
         # One pass over items() rather than a per-key lookup: against a
         # networked store the latter would cost a round trip per IP.
         victim = min(
-            self._states.items(), key=lambda entry: abs(entry[1][_OFFSET])
+            (entry for entry in self._states.items() if entry[0] != keep),
+            key=lambda entry: abs(entry[1][_OFFSET]),
         )[0]
         del self._states[victim]
 

@@ -3,11 +3,13 @@
 Three layers, all speaking :mod:`repro.state.protocol` frames:
 
 * :class:`StateServer` hosts any :class:`~repro.state.AdmissionStateStore`
-  behind a threaded TCP/AF_UNIX accept loop.  One lock serializes store
-  operations, so each wire op is atomic exactly like its in-process
-  counterpart; every response piggybacks the server's topology epoch.
+  behind a threaded TCP/AF_UNIX accept loop.  One lock serializes
+  frames, so each wire op — and each ``multi`` frame of them — is
+  atomic exactly like its in-process counterpart; every response
+  piggybacks the server's topology epoch.
 * :class:`RemoteStateStore` implements the full store/namespace surface
-  over one server connection: connect/request timeouts, bounded
+  over one server connection, and :meth:`~RemoteStateStore.execute` as
+  one ``multi`` frame: connect/request timeouts, bounded
   exponential-backoff retries on idempotent ops, loud
   :class:`ConnectionError` on non-idempotent ones (a retried ``popitem``
   could evict a second entry — the client refuses to guess).
@@ -47,9 +49,12 @@ from repro.state.snapshot import (
     split_snapshot,
 )
 from repro.state.store import (
+    KEYED_OPS,
     SNAPSHOT_FORMAT,
     AdmissionStateStore,
     InMemoryStateStore,
+    apply_op,
+    op_fields,
 )
 
 __all__ = [
@@ -79,12 +84,19 @@ class _DropConnection(Exception):
     """Raised by a test fault hook to sever the connection mid-request."""
 
 
-def _metrics_counters(registry):
+#: Round trips are 0.1-1 ms on loopback; retries and timeouts reach seconds.
+_SECONDS_BUCKETS = (
+    5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
+)
+_BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+
+
+def _instruments(registry):
     if registry is None:
         return None
     from repro.obs.registry import METRIC_CATALOG
 
-    return {
+    metrics = {
         name: registry.counter(name, METRIC_CATALOG[name], labels=labels)
         for name, labels in (
             ("netstore_server_requests_total", ("op",)),
@@ -94,6 +106,14 @@ def _metrics_counters(registry):
             ("netstore_handoff_bytes_total", ()),
         )
     }
+    for name, labels, buckets in (
+        ("netstore_client_request_seconds", ("op",), _SECONDS_BUCKETS),
+        ("netstore_server_batch_ops", (), _BATCH_BUCKETS),
+    ):
+        metrics[name] = registry.histogram(
+            name, METRIC_CATALOG[name], labels=labels, buckets=buckets
+        )
+    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +135,8 @@ class StateServer:
         server restart.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` for the
-        ``netstore_server_requests_total`` / handoff counters.
+        ``netstore_server_requests_total`` counter and the
+        ``netstore_server_batch_ops`` histogram.
     """
 
     def __init__(
@@ -130,7 +151,7 @@ class StateServer:
         self._requested_address = address
         self.address: str | None = None
         self.snapshot_path = snapshot_path
-        self._metrics = _metrics_counters(registry)
+        self._metrics = _instruments(registry)
         self._lock = threading.RLock()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -222,6 +243,11 @@ class StateServer:
                 break
             with self._conns_lock:
                 self._conns.add(conn)
+            # Forget connections that have ended, or a long-lived server
+            # behind reconnecting workers grows by one entry per accept.
+            self._conn_threads = [
+                thread for thread in self._conn_threads if thread.is_alive()
+            ]
             thread = threading.Thread(
                 target=self._serve_connection,
                 args=(conn,),
@@ -281,11 +307,26 @@ class StateServer:
             self._fault_hook(op, request)
         if self._metrics is not None:
             self._metrics["netstore_server_requests_total"].inc(op=op)
+        with self._lock:
+            return self._dispatch(request)
+
+    def _dispatch(self, request: dict) -> dict:
+        """Answer one request — a whole frame or one ``multi`` sub-request."""
+        op = request.get("op")
+        # ``len`` without a namespace is the store-level count below.
+        if op in KEYED_OPS and (op != "len" or "ns" in request):
+            args = []
+            for field in KEYED_OPS[op][0]:
+                if field not in request:
+                    break
+                args.append(request[field])
+            op_fields(op, len(args))  # a missing key or default is an answer
+            value = apply_op(self._table(request), op, args)
+            return {"ok": True, "value": value}
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             raise ValueError(f"unknown state-server op {op!r}")
-        with self._lock:
-            return handler(request)
+        return handler(request)
 
     def _table(self, request: dict):
         name = request.get("ns")
@@ -293,46 +334,30 @@ class StateServer:
             raise ValueError(f"op needs a namespace, got {name!r}")
         return self.store.namespace(name)
 
+    def _op_multi(self, request: dict) -> dict:
+        # One lock hold for the whole list (``_handle`` took it).  The
+        # first sub-request that raises ends the frame as that error:
+        # the ones before it stay applied, the ones after never run.
+        ops = request.get("ops")
+        if not isinstance(ops, list) or len(ops) > protocol.MAX_MULTI_OPS:
+            raise ValueError(
+                "multi needs an ops list of at most "
+                f"{protocol.MAX_MULTI_OPS} requests"
+            )
+        if self._metrics is not None:
+            self._metrics["netstore_server_batch_ops"].observe(len(ops))
+        values = []
+        for sub in ops:
+            if not isinstance(sub, dict) or sub.get("op") == "multi":
+                raise ValueError("multi takes request objects, never a multi")
+            values.append(self._dispatch(sub).get("value"))
+        return {"ok": True, "values": values}
+
     def _op_ping(self, request: dict) -> dict:
         return {"ok": True, "version": protocol.PROTOCOL_VERSION}
 
-    def _op_get(self, request: dict) -> dict:
-        table = self._table(request)
-        key = request["key"]
-        sentinel = object()
-        value = table.get(key, sentinel)
-        if value is sentinel:
-            return {"ok": True, "found": False}
-        return {"ok": True, "found": True, "value": value}
-
-    def _op_contains(self, request: dict) -> dict:
-        return {"ok": True, "found": request["key"] in self._table(request)}
-
-    def _op_put(self, request: dict) -> dict:
-        self._table(request)[request["key"]] = request["value"]
-        return {"ok": True}
-
-    def _op_delete(self, request: dict) -> dict:
-        # Remove-if-present: idempotent on the wire; the client decides
-        # whether a missing key is an error (see RemoteNamespace).
-        sentinel = object()
-        found = self._table(request).pop(request["key"], sentinel)
-        return {"ok": True, "found": found is not sentinel}
-
     def _op_pop(self, request: dict) -> dict:
         value = self._table(request).pop(request["key"])  # raises KeyError
-        return {"ok": True, "found": True, "value": value}
-
-    def _op_pop_default(self, request: dict) -> dict:
-        value = self._table(request).pop(
-            request["key"], request.get("default")
-        )
-        return {"ok": True, "value": value}
-
-    def _op_setdefault(self, request: dict) -> dict:
-        value = self._table(request).setdefault(
-            request["key"], request.get("default")
-        )
         return {"ok": True, "value": value}
 
     def _op_mutate(self, request: dict) -> dict:
@@ -348,18 +373,11 @@ class StateServer:
         table[key] = value
         return {"ok": True, "value": value}
 
-    def _op_move_to_end(self, request: dict) -> dict:
-        self._table(request).move_to_end(request["key"])  # raises KeyError
-        return {"ok": True}
-
     def _op_popitem(self, request: dict) -> dict:
         key, value = self._table(request).popitem(
             last=bool(request.get("last", True))
         )
-        return {"ok": True, "key": key, "value": value}
-
-    def _op_len_ns(self, request: dict) -> dict:
-        return {"ok": True, "value": len(self._table(request))}
+        return {"ok": True, "value": [key, value]}
 
     def _op_len(self, request: dict) -> dict:
         total = sum(
@@ -470,10 +488,17 @@ class StateServer:
 # ----------------------------------------------------------------------
 # Client
 # ----------------------------------------------------------------------
+def _encode(namespace: str, op: str, *args: Any) -> dict:
+    """One :data:`KEYED_OPS` op as a request object."""
+    fields = op_fields(op, len(args))
+    return {"op": op, "ns": namespace, **dict(zip(fields, args))}
+
+
 class RemoteNamespace:
     """Client-side :class:`~repro.state.StateNamespace` twin.
 
-    Every operation is one request (aggregate iteration batches);
+    A keyed operation is an :meth:`RemoteStateStore.execute` batch of
+    one, so it costs one request (aggregate iteration pages);
     iteration order is the server table's insertion order, matching the
     in-memory namespace exactly.
     """
@@ -487,34 +512,40 @@ class RemoteNamespace:
     def _request(self, op: str, **fields) -> tuple[dict, int]:
         return self._store._request(op, ns=self.name, **fields)
 
+    def _do(self, op: str, *args: Any) -> Any:
+        return self._store.execute([(self.name, op, *args)])[0]
+
     # -- mapping surface ----------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
-        response, _ = self._request("get", key=key)
-        return response["value"] if response["found"] else default
+        if default is None:
+            return self._do("get", key)
+        return self._do("get", key, default)
 
     def __getitem__(self, key: str) -> Any:
-        response, _ = self._request("get", key=key)
-        if not response["found"]:
+        found, value = self._store.execute(
+            [(self.name, "contains", key), (self.name, "get", key)]
+        )
+        if not found:
             raise KeyError(key)
-        return response["value"]
+        return value
 
     def __setitem__(self, key: str, value: Any) -> None:
-        self._request("put", key=key, value=value)
+        self._do("put", key, value)
 
     def __delitem__(self, key: str) -> None:
-        response, attempts = self._request("delete", key=key)
+        (found,), attempts = self._store._send(
+            [_encode(self.name, "delete", key)]
+        )
         # found=False on a retried delete usually means the lost first
         # attempt applied; only a clean first answer is a real miss.
-        if not response["found"] and attempts == 1:
+        if not found and attempts == 1:
             raise KeyError(key)
 
     def __contains__(self, key: str) -> bool:
-        response, _ = self._request("contains", key=key)
-        return response["found"]
+        return self._do("contains", key)
 
     def __len__(self) -> int:
-        response, _ = self._request("len_ns")
-        return int(response["value"])
+        return self._do("len")
 
     def __iter__(self) -> Iterator[str]:
         for key, _ in self.items():
@@ -537,27 +568,25 @@ class RemoteNamespace:
 
     def pop(self, key: str, *default: Any) -> Any:
         if default:
-            response, _ = self._request(
-                "pop_default", key=key, default=default[0]
-            )
-            return response["value"]
+            return self._do("pop_default", key, default[0])
         response, _ = self._request("pop", key=key)
         return response["value"]
 
     def setdefault(self, key: str, default: Any) -> Any:
-        response, _ = self._request("setdefault", key=key, default=default)
-        return response["value"]
+        return self._do("setdefault", key, default)
 
     def clear(self) -> None:
         self._request("clear_ns")
 
     # -- LRU primitives -----------------------------------------------
     def move_to_end(self, key: str) -> None:
-        self._request("move_to_end", key=key)
+        if not self._do("move_to_end", key):
+            raise KeyError(key)
 
     def popitem(self, last: bool = True) -> tuple[str, Any]:
         response, _ = self._request("popitem", last=last)
-        return response["key"], response["value"]
+        key, value = response["value"]
+        return key, value
 
     # -- snapshot plumbing --------------------------------------------
     def dump(self) -> list[list[Any]]:
@@ -580,8 +609,9 @@ class RemoteStateStore(AdmissionStateStore):
     *idempotent* ops are retried with bounded exponential backoff;
     non-idempotent ops (``pop`` without default, ``popitem``,
     ``mutate``) raise :class:`ConnectionError` immediately, because a
-    blind retry could apply them twice.  Logical errors from the server
-    (missing key, bad value) are answers, never retried.
+    blind retry could apply them twice.  A ``multi`` frame is retried
+    only when every sub-request is idempotent.  Logical errors from the
+    server (missing key, bad value) are answers, never retried.
     """
 
     def __init__(
@@ -606,7 +636,7 @@ class RemoteStateStore(AdmissionStateStore):
         self.retry_base = retry_base
         self.retry_cap = retry_cap
         self.batch_size = batch_size
-        self._metrics = _metrics_counters(registry)
+        self._metrics = _instruments(registry)
         self._lock = threading.RLock()
         self._sock: socket.socket | None = None
         self._namespaces: dict[str, RemoteNamespace] = {}
@@ -648,15 +678,20 @@ class RemoteStateStore(AdmissionStateStore):
 
     # -- request engine -----------------------------------------------
     def _request(self, op: str, **fields) -> tuple[dict, int]:
-        """One op on the wire; returns ``(response, attempts)``."""
-        retryable = op in protocol.IDEMPOTENT_OPS
+        """One frame on the wire; returns ``(response, attempts)``."""
         message = {"op": op, **fields}
+        # A multi frame is as safe to re-send as its least safe part.
+        retryable = all(
+            part.get("op") in protocol.IDEMPOTENT_OPS
+            for part in (message, *fields.get("ops", ()))
+        )
         attempts = 0
         last_error: Exception | None = None
         while True:
             attempts += 1
             if self._metrics is not None:
                 self._metrics["netstore_client_requests_total"].inc(op=op)
+                began = time.perf_counter()
             try:
                 with self._lock:
                     sock = self._connected()
@@ -691,6 +726,10 @@ class RemoteStateStore(AdmissionStateStore):
                 )
                 time.sleep(delay)
                 continue
+            if self._metrics is not None:
+                self._metrics["netstore_client_request_seconds"].observe(
+                    time.perf_counter() - began, op=op
+                )
             self._note_epoch(response.get("epoch"))
             if not response.get("ok"):
                 kind = response.get("kind")
@@ -714,6 +753,27 @@ class RemoteStateStore(AdmissionStateStore):
                 listener(epoch)
         else:
             self.epoch = epoch
+
+    def execute(self, ops) -> list[Any]:
+        """The whole op list as one ``multi`` frame, one lock hold."""
+        return self._send([_encode(*op) for op in ops])[0]
+
+    def _send(self, messages: list[dict]) -> tuple[list[Any], int]:
+        """Results of encoded keyed ops, and the most attempts a frame took."""
+        results: list[Any] = []
+        attempts = 1
+        # Over-long lists go out as several frames: order is kept, only
+        # the single lock hold is not.
+        for start in range(0, len(messages), protocol.MAX_MULTI_OPS):
+            frame = messages[start:start + protocol.MAX_MULTI_OPS]
+            if len(frame) == 1:
+                response, tries = self._request(**frame[0])
+                results.append(response.get("value"))
+            else:
+                response, tries = self._request("multi", ops=frame)
+                results.extend(response["values"])
+            attempts = max(attempts, tries)
+        return results, attempts
 
     # -- store surface -------------------------------------------------
     def ping(self) -> bool:
@@ -916,7 +976,7 @@ class MultiNodeStateStore(AdmissionStateStore):
         ]
         self.ring = HashRing(len(self.nodes), replicas=replicas)
         self._namespaces: dict[str, MultiNodeNamespace] = {}
-        self._metrics = _metrics_counters(registry)
+        self._metrics = _instruments(registry)
 
     # -- placement -----------------------------------------------------
     @property
@@ -949,6 +1009,36 @@ class MultiNodeStateStore(AdmissionStateStore):
             for name in node.namespaces():
                 names.setdefault(name)
         return tuple(names)
+
+    def execute(self, ops) -> list[Any]:
+        """One frame per owning node; ``len``/``first`` ask every node.
+
+        Ops on different nodes touch different keys and none can fail,
+        so grouping them by node (order kept within each) changes
+        nothing.  A malformed op is refused before any frame is sent.
+        """
+        messages = [_encode(*op) for op in ops]
+        batches: dict[int, list[int]] = {}  # node index -> op positions
+        for position, message in enumerate(messages):
+            owners = (
+                (self.ring.shard_for(message["key"]),) if "key" in message
+                else range(len(self.nodes))
+            )
+            for index in owners:
+                batches.setdefault(index, []).append(position)
+        results: list[Any] = [None] * len(messages)
+        for index in sorted(batches):
+            positions = batches[index]
+            values, _ = self.nodes[index]._send(
+                [messages[position] for position in positions]
+            )
+            for position, value in zip(positions, values):
+                if messages[position]["op"] == "len":
+                    value += results[position] or 0
+                elif results[position] is not None:
+                    continue  # a first: the lowest node with an entry wins
+                results[position] = value
+        return results
 
     def __len__(self) -> int:
         return sum(len(node) for node in self.nodes)

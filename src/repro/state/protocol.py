@@ -2,18 +2,37 @@
 
 One frame = a 4-byte big-endian unsigned length prefix followed by
 that many bytes of UTF-8 JSON.  Requests and responses are single
-JSON objects; there is no pipelining — each connection carries one
-request/response exchange at a time, which keeps both ends a loop
-over :func:`read_frame`/:func:`write_frame`.
+JSON objects and a connection carries one request/response exchange at
+a time (no pipelining), which keeps both ends a loop over
+:func:`read_frame`/:func:`write_frame`.  What a caller batches is the
+*content* of a frame: a ``multi`` request carries a whole read or
+write set and costs one round trip.
 
-Request shape::
+Request shapes::
 
-    {"op": "get", "ns": "feedback", "key": "10.0.0.9", ...}
+    {"op": "get", "ns": "feedback", "key": "10.0.0.9"}    # one keyed op
+    {"op": "multi", "ops": [{"op": "len", "ns": "replay"},
+                            {"op": "get", "ns": "replay", "key": "5f.."}]}
+    {"op": "snapshot"}                                     # store-level op
 
-Response shape::
+Response shapes::
 
-    {"ok": true, "epoch": 3, ...}                  # success
-    {"ok": false, "error": "...", "kind": "key"}   # logical failure
+    {"ok": true, "epoch": 3, "value": [0.5, 10.0]}   # keyed op
+    {"ok": true, "epoch": 3, "values": [7, null]}    # multi, one per sub-op
+    {"ok": false, "error": "...", "kind": "key"}     # logical failure
+
+The keyed ops (``get``/``put``/``delete``/``contains``/``setdefault``/
+``pop_default``/``move_to_end``/``len``/``first``) and their field
+names are :data:`repro.state.store.KEYED_OPS`; ``len`` without ``ns``
+counts the whole store.  A keyed op never fails on a well-formed
+request — ``delete`` and ``move_to_end`` answer whether the key was
+there — and one that lacks a required field is a ``value`` error.  A
+``multi`` frame holds up to :data:`MAX_MULTI_OPS` sub-requests (any
+op but ``multi``) which the server applies in order under one lock
+hold, stopping at the first that fails: the answer is then that
+sub-op's error, the earlier sub-ops stay applied and the later ones
+never ran — what the same requests sent one by one would have done,
+minus the interleaving.
 
 ``epoch`` piggybacks the server's current topology epoch on every
 response so clients learn about a reshard without polling; ``kind``
@@ -35,6 +54,7 @@ from typing import Any
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_MULTI_OPS",
     "ProtocolError",
     "FrameTooLarge",
     "read_frame",
@@ -48,18 +68,23 @@ __all__ = [
 ]
 
 #: Bumped when the frame layout or op envelope changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame; a full-store snapshot is the largest
 #: legitimate payload, and 256 MiB is far beyond any configured store.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: Upper bound on the sub-requests of one ``multi`` frame: a server
+#: holds its lock for the whole frame, so a frame must stay short.
+MAX_MULTI_OPS = 4096
 
 _LENGTH = struct.Struct(">I")
 
 #: Ops safe to retry after a lost response: re-applying them cannot
 #: change the outcome the caller observes (reads, absolute writes,
 #: deletes, and ``pop`` *with* a default — the caller tolerates
-#: "already gone").
+#: "already gone").  A ``multi`` frame is as safe as its sub-requests:
+#: the client retries it only when every one of them is listed here.
 IDEMPOTENT_OPS = frozenset(
     {
         "ping",
@@ -70,8 +95,9 @@ IDEMPOTENT_OPS = frozenset(
         "pop_default",
         "setdefault",
         "move_to_end",
-        "len_ns",
         "len",
+        "first",
+        "multi",
         "iter_batch",
         "load_ns",
         "namespaces",
@@ -116,13 +142,21 @@ def write_frame(sock: socket.socket, message: dict[str, Any]) -> int:
     return len(data)
 
 
+class _ClosedBeforeFirstByte(ConnectionError):
+    """The peer closed without sending any of the bytes asked for."""
+
+
 def _read_exact(sock: socket.socket, count: int) -> bytes:
     chunks = []
     remaining = count
     while remaining:
         chunk = sock.recv(min(remaining, 1 << 20))
         if not chunk:
-            raise ConnectionError(
+            kind = (
+                _ClosedBeforeFirstByte if remaining == count
+                else ConnectionError
+            )
+            raise kind(
                 f"peer closed mid-frame ({count - remaining}/{count} bytes)"
             )
         chunks.append(chunk)
@@ -134,10 +168,8 @@ def read_frame(sock: socket.socket) -> dict[str, Any] | None:
     """Read one message; ``None`` on a clean close between frames."""
     try:
         prefix = _read_exact(sock, _LENGTH.size)
-    except ConnectionError as exc:
-        if "0/" in str(exc):
-            return None  # clean close at a frame boundary
-        raise
+    except _ClosedBeforeFirstByte:
+        return None  # clean close at a frame boundary
     (length,) = _LENGTH.unpack(prefix)
     if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(

@@ -16,87 +16,145 @@ Contract
   place — a snapshot deep-copies, so later mutation never corrupts it.
 * Namespaces preserve insertion order and support the LRU primitives
   (``move_to_end``, ``popitem``) the caching components rely on.
+* :meth:`AdmissionStateStore.execute` applies a list of keyed ops
+  (:data:`KEYED_OPS`) in order and returns their results — the one
+  batch primitive: in process it is a loop, over the wire it is one
+  frame per node (:mod:`repro.state.net`), so components phrase each
+  step as *read set -> decide -> write set* and never pay per key.
 """
 
 from __future__ import annotations
 
 import copy
+import operator
 from collections import OrderedDict
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable
 
-__all__ = ["StateNamespace", "AdmissionStateStore", "InMemoryStateStore"]
+__all__ = [
+    "StateNamespace",
+    "AdmissionStateStore",
+    "InMemoryStateStore",
+    "KEYED_OPS",
+    "apply_op",
+    "op_fields",
+]
 
 #: Snapshot document version; bump when the layout changes.
 SNAPSHOT_FORMAT = 1
 
 
-class StateNamespace:
+def _delete(table, key: str) -> bool:
+    try:
+        del table[key]
+    except KeyError:
+        return False
+    return True
+
+
+def _touch(table, key: str) -> bool:
+    try:
+        table.move_to_end(key)
+    except KeyError:
+        return False
+    return True
+
+
+def _first(table) -> list | None:
+    for entry in table.items():
+        return list(entry)
+    return None
+
+
+#: The keyed-op vocabulary, defined once: op name -> (names of its
+#: arguments after the namespace, how many of them are required, how
+#: it is performed — a function of ``(table, *args)`` over the
+#: namespace surface, or the name of the namespace method that does
+#: exactly that).  :func:`apply_op` runs an entry, the state server's
+#: frame handler decodes the named fields into its arguments and the
+#: remote client encodes them — the wire has no second list.  No op
+#: fails on a well-formed request, so a batch can be regrouped by
+#: owning node and re-sent after a lost reply: ``delete`` and
+#: ``move_to_end`` answer whether the key was there, ``first`` the
+#: oldest ``[key, value]`` or ``None``.
+KEYED_OPS: dict[str, tuple[tuple[str, ...], int, str | Callable[..., Any]]] = {
+    "get": (("key", "default"), 1, "get"),
+    "put": (("key", "value"), 2, operator.setitem),
+    "delete": (("key",), 1, _delete),
+    "contains": (("key",), 1, operator.contains),
+    "setdefault": (("key", "default"), 2, "setdefault"),
+    "pop_default": (("key", "default"), 2, "pop"),
+    "move_to_end": (("key",), 1, _touch),
+    "len": ((), 0, len),
+    "first": ((), 0, _first),
+}
+
+
+def op_fields(op: str, count: int) -> tuple[str, ...]:
+    """Names of the ``count`` arguments given to ``op``; checks both."""
+    try:
+        fields, required, _ = KEYED_OPS[op]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown state op {op!r}") from None
+    if not required <= count <= len(fields):
+        raise ValueError(
+            f"state op {op!r} takes {required}..{len(fields)} of {fields}, "
+            f"got {count} arguments"
+        )
+    return fields[:count]
+
+
+_TABLE_OPS: dict[type, dict[str, Callable[..., Any]]] = {}
+
+
+def table_ops(table) -> dict[str, Callable[..., Any]]:
+    """:data:`KEYED_OPS` as plain ``f(table, *args)`` for ``table``'s type.
+
+    Methods are looked up on the type, once per type — as the
+    interpreter does for special methods — so running an op is one
+    plain call: a C call on the in-memory namespace.
+    """
+    kind = type(table)
+    ops = _TABLE_OPS.get(kind)
+    if ops is None:
+        ops = _TABLE_OPS[kind] = {
+            op: how if callable(how) else getattr(kind, how)
+            for op, (_, _, how) in KEYED_OPS.items()
+        }
+    return ops
+
+
+def apply_op(table, op: str, args) -> Any:
+    """Run one :data:`KEYED_OPS` op on a namespace; return its result."""
+    try:
+        run = table_ops(table)[op]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown state op {op!r}") from None
+    return run(table, *args)
+
+
+class StateNamespace(OrderedDict):
     """One ordered keyed table inside a store (e.g. ``feedback``).
 
-    Deliberately duck-typed like :class:`collections.OrderedDict` so
-    porting a component is a constructor change, not a rewrite.
+    An :class:`collections.OrderedDict` with a name and the snapshot
+    plumbing; the sharded, remote and multi-node namespaces duck-type
+    the same surface, so porting a component is a constructor change.
     """
 
-    __slots__ = ("name", "_entries")
+    __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
-        self._entries: OrderedDict[str, Any] = OrderedDict()
 
-    # -- mapping surface ----------------------------------------------
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._entries.get(key, default)
-
-    def __getitem__(self, key: str) -> Any:
-        return self._entries[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._entries[key] = value
-
-    def __delitem__(self, key: str) -> None:
-        del self._entries[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def keys(self):
-        return self._entries.keys()
-
-    def items(self):
-        return self._entries.items()
-
-    def pop(self, key: str, *default: Any) -> Any:
-        return self._entries.pop(key, *default)
-
-    def setdefault(self, key: str, default: Any) -> Any:
-        return self._entries.setdefault(key, default)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    # -- LRU primitives -----------------------------------------------
-    def move_to_end(self, key: str) -> None:
-        self._entries.move_to_end(key)
-
-    def popitem(self, last: bool = True) -> tuple[str, Any]:
-        return self._entries.popitem(last=last)
-
-    # -- snapshot plumbing --------------------------------------------
     def dump(self) -> list[list[Any]]:
         """Entries as an order-preserving, JSON-safe list of pairs."""
-        return [[key, copy.deepcopy(value)] for key, value in self._entries.items()]
+        return [[key, copy.deepcopy(value)] for key, value in self.items()]
 
     def load(self, entries) -> None:
         """Replace the table's content with :meth:`dump` output."""
-        self._entries.clear()
+        self.clear()
         for key, value in entries:
-            self._entries[str(key)] = copy.deepcopy(value)
+            self[str(key)] = copy.deepcopy(value)
 
 
 class AdmissionStateStore:
@@ -139,6 +197,43 @@ class AdmissionStateStore:
         value = fn(table.get(key, default))
         table[key] = value
         return value
+
+    # -- the batch primitive ------------------------------------------
+    def execute(self, ops: Iterable[tuple]) -> list[Any]:
+        """Apply ``(namespace, op, *args)`` ops in order; return results.
+
+        Ops come from :data:`KEYED_OPS`; none of them fails on
+        well-formed arguments.  A malformed op (unknown name, wrong
+        argument count) raises ``ValueError`` or ``TypeError`` like the
+        equivalent sequential calls would: ops before it may already be
+        applied, later ones never run.  This default uses only the
+        namespace surface, so it is correct for every backend;
+        networked backends override it to ship one frame per node.
+        """
+        results = []
+        name = table = run = None
+        for op in ops:
+            if op[0] != name:
+                name = op[0]
+                table = self.namespace(name)
+                run = table_ops(table)
+            try:
+                apply = run[op[1]]
+            except (KeyError, TypeError):
+                raise ValueError(f"unknown state op {op[1]!r}") from None
+            # Every component's state access runs through this loop, so
+            # the common arities are spelled out: a starred call costs
+            # twice a plain one.
+            arity = len(op)
+            if arity == 3:
+                results.append(apply(table, op[2]))
+            elif arity == 4:
+                results.append(apply(table, op[2], op[3]))
+            elif arity == 2:
+                results.append(apply(table))
+            else:
+                results.append(apply(table, *op[2:]))  # malformed: raises
+        return results
 
 
 class InMemoryStateStore(AdmissionStateStore):

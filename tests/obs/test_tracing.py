@@ -188,6 +188,24 @@ class TestDrainAndBounds:
         evicted = [s for s in tracer.spans if s["outcome"] == "unresolved"]
         assert [s["client_ip"] for s in evicted] == ["10.0.0.0"]
 
+    def test_abandoned_span_is_not_reentered_by_a_later_request(self):
+        # A flood client never answers: its span stays open.  CPython
+        # hands a freed object's id() to the next allocation of the same
+        # size, so a tracer that kept only the id would file the next
+        # request's stages under the abandoned span.
+        bus = EventBus()
+        tracer = RequestTracer(sample_every=1).attach(bus)
+        ips = [f"10.0.0.{i}" for i in range(50)]
+        for ip in ips:
+            request = make_request(ip)
+            emit_arrival(bus, request)
+            del request  # the caller drops it; nothing else holds it
+        spans = tracer.drain()
+        assert [s["client_ip"] for s in spans] == ips
+        for span in spans:
+            assert [r["stage"] for r in span["stages"]] == ["accept", "flush"]
+            assert "_request" not in span
+
     def test_registry_counts_outcomes(self):
         registry = MetricsRegistry()
         bus = EventBus()

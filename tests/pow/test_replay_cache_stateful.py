@@ -7,7 +7,7 @@ guarantee: within the TTL, a seed is accepted at most once.
 
 from __future__ import annotations
 
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -55,3 +55,56 @@ TestReplayCacheStateful = ReplayCacheMachine.TestCase
 TestReplayCacheStateful.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
 )
+
+
+class _ScalarReplayCache:
+    """The rule written one step at a time — what the cache must equal.
+
+    Evict from the front while the head is stale or the table is at the
+    cap, *then* look the seed up and record it.  :class:`ReplayCache`
+    reads the size, the head and the verdict in one store call so a
+    networked store answers in one frame; this is the order of effects
+    it must keep.
+    """
+
+    def __init__(self, ttl: float, max_entries: int) -> None:
+        self.ttl, self.max_entries = ttl, max_entries
+        self.seen: dict[str, list] = {}
+
+    def check_and_add(self, seed: str, now: float, owner=None) -> bool:
+        while self.seen:
+            head = next(iter(self.seen))
+            if (
+                self.seen[head][0] >= now - self.ttl
+                and len(self.seen) < self.max_entries
+            ):
+                break
+            del self.seen[head]
+        if seed in self.seen:
+            return False
+        self.seen[seed] = [now, owner]
+        return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([f"seed-{i}" for i in range(6)]),
+            st.floats(min_value=0.0, max_value=70.0),
+        ),
+        max_size=40,
+    ),
+    cap=st.integers(min_value=1, max_value=4),
+)
+def test_read_set_form_equals_the_step_by_step_rule(steps, cap):
+    """Same verdicts, same table, same order — TTL and cap both firing."""
+    cache = ReplayCache(ttl=TTL, max_entries=cap)
+    reference = _ScalarReplayCache(ttl=TTL, max_entries=cap)
+    now = 0.0
+    for seed, delta in steps:
+        now += delta
+        assert cache.check_and_add(seed, now, owner="ip") == (
+            reference.check_and_add(seed, now, owner="ip")
+        ), (seed, now)
+        assert list(cache._seen.items()) == list(reference.seen.items())

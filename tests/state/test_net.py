@@ -7,6 +7,7 @@ restarts, multi-node placement, and live resharding handoffs.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 
@@ -21,6 +22,7 @@ from repro.state import (
     ShardedStateStore,
     StateServer,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.state import protocol
 from repro.state.net import _DropConnection
 
@@ -108,6 +110,80 @@ class TestProtocol:
         }
         classified = protocol.IDEMPOTENT_OPS | protocol.NON_IDEMPOTENT_OPS
         assert ops <= classified
+
+
+class TestMultiFrame:
+    """``multi`` at the frame level, over a raw socket."""
+
+    @pytest.fixture()
+    def wire(self, server):
+        sock = protocol.connect(server.address, timeout=5.0)
+        yield sock
+        sock.close()
+
+    @staticmethod
+    def ask(sock, message):
+        protocol.write_frame(sock, message)
+        return protocol.read_frame(sock)
+
+    def test_sub_requests_apply_in_order_and_answer_in_order(self, wire):
+        answer = self.ask(wire, {"op": "multi", "ops": [
+            {"op": "put", "ns": "t", "key": "a", "value": [1, 2]},
+            {"op": "len", "ns": "t"},
+            {"op": "get", "ns": "t", "key": "a"},
+            {"op": "get", "ns": "t", "key": "zz", "default": "absent"},
+            {"op": "first", "ns": "t"},
+            {"op": "move_to_end", "ns": "t", "key": "a"},
+            {"op": "delete", "ns": "t", "key": "a"},
+            {"op": "delete", "ns": "t", "key": "a"},
+            {"op": "move_to_end", "ns": "t", "key": "a"},
+            {"op": "first", "ns": "t"},
+        ]})
+        assert answer["ok"] is True
+        assert answer["values"] == [
+            None, 1, [1, 2], "absent", ["a", [1, 2]],
+            True, True, False, False, None,
+        ]
+
+    def test_first_failing_sub_request_ends_the_frame(self, wire, server):
+        answer = self.ask(wire, {"op": "multi", "ops": [
+            {"op": "put", "ns": "t", "key": "a", "value": 1},
+            {"op": "pop", "ns": "t", "key": "missing"},
+            {"op": "put", "ns": "t", "key": "b", "value": 2},
+        ]})
+        assert (answer["ok"], answer["kind"]) == (False, "key")
+        assert dict(server.store.namespace("t").items()) == {"a": 1}
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [{"op": "multi", "ops": []}],
+            "not-a-list",
+            None,
+            [{"op": "get", "ns": "t", "key": "a"}, "not-a-request"],
+            [{"op": "frobnicate", "ns": "t"}],
+            [{"op": "len", "ns": "t"}] * (protocol.MAX_MULTI_OPS + 1),
+            [{"op": "get", "ns": "t", "default": "used-as-key?"}],
+            [{"op": "put", "ns": "t", "key": "a"}],
+            [{"op": "pop_default", "ns": "t", "key": "a"}],
+            [{"op": "setdefault", "ns": "t", "key": "a"}],
+            [{"op": "get", "key": "a"}],
+        ],
+        ids=["nested", "string", "missing", "non-object", "unknown-op",
+             "over-cap", "get-without-key", "put-without-value",
+             "pop-without-default", "setdefault-without-default",
+             "no-namespace"],
+    )
+    def test_malformed_multi_is_an_answer_not_a_hangup(self, wire, ops):
+        answer = self.ask(wire, {"op": "multi", "ops": ops})
+        assert (answer["ok"], answer["kind"]) == (False, "value")
+        # The connection still serves the next frame.
+        assert self.ask(wire, {"op": "ping"})["ok"] is True
+
+    def test_a_full_frame_of_sub_requests_is_accepted(self, wire):
+        ops = [{"op": "len", "ns": "t"}] * protocol.MAX_MULTI_OPS
+        answer = self.ask(wire, {"op": "multi", "ops": ops})
+        assert answer["values"] == [0] * protocol.MAX_MULTI_OPS
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +363,87 @@ class TestClientFaults:
         # The op never reached the store a second time.
         assert server.store.get("cache", "a") == 1.0
 
+    def test_idempotent_batch_survives_one_dropped_connection(
+        self, client, server
+    ):
+        server.store.put("feedback", "ip", [1.0, 2.0])
+        frames = []
+
+        def hook(op, request):
+            frames.append(op)
+            if len(frames) == 1:
+                raise _DropConnection()
+
+        server._fault_hook = hook
+        results = client.execute([
+            ("feedback", "get", "ip"),
+            ("feedback", "put", "other", [0.5, 3.0]),
+            ("feedback", "delete", "ip"),
+            ("feedback", "len"),
+        ])
+        assert results == [[1.0, 2.0], None, True, 1]
+        assert frames == ["multi", "multi"]
+
+    @pytest.mark.parametrize(
+        "unsafe",
+        [
+            {"op": "pop", "ns": "cache", "key": "a"},
+            {"op": "mutate", "ns": "cache", "key": "n", "fn": "add",
+             "arg": 1},
+        ],
+        ids=["pop", "mutate"],
+    )
+    def test_batch_with_a_non_idempotent_op_refuses_to_retry(
+        self, client, server, unsafe
+    ):
+        server.store.put("cache", "a", 1.0)
+        frames = []
+
+        def hook(op, request):
+            frames.append(op)
+            raise _DropConnection()
+
+        server._fault_hook = hook
+        with pytest.raises(ConnectionError, match="not\\s+idempotent"):
+            client._request(
+                "multi",
+                ops=[{"op": "get", "ns": "cache", "key": "a"}, unsafe],
+            )
+        assert frames == ["multi"]  # sent once, never again
+        assert server.store.get("cache", "a") == 1.0
+
+    def test_replay_verdict_survives_replies_lost_after_they_applied(
+        self, client, server
+    ):
+        # The reply to every distinct frame is lost once *after* the
+        # server applied it, so each frame of check_and_add is applied
+        # twice.  A first-time seed must still be accepted: a frame
+        # that read the seed and then wrote it would, on the re-send,
+        # take its own first attempt for a replay.
+        from repro.pow.verifier import ReplayCache
+
+        apply = server._handle
+        lost = []
+
+        def handle(request):
+            response = apply(request)
+            if request not in lost:
+                lost.append(request)
+                raise _DropConnection()
+            return response
+
+        server._handle = handle
+        cache = ReplayCache(ttl=5.0, store=client)
+        assert cache.check_and_add("seed-1", 10.0, owner="10.0.0.1") is True
+        assert [frame["op"] for frame in lost] == ["multi", "put"]
+        assert cache.check_and_add("seed-1", 11.0, owner="10.0.0.1") is False
+        # seed-1 has aged out: the eviction frame is applied twice too.
+        assert cache.check_and_add("seed-2", 100.0, owner="10.0.0.2") is True
+        assert [frame["op"] for frame in lost[2:]] == ["multi", "multi", "put"]
+        assert server.store.namespace("replay").dump() == [
+            ["seed-2", [100.0, "10.0.0.2"]]
+        ]
+
     def test_timeout_then_retry_succeeds(self, server):
         client = RemoteStateStore(
             server.address,
@@ -320,6 +477,144 @@ class TestClientFaults:
         server._fault_hook = hook
         with pytest.raises(ConnectionError, match="after 3 attempts"):
             len(client)
+
+
+# ----------------------------------------------------------------------
+# Frame budget: what one admission step costs on the wire
+# ----------------------------------------------------------------------
+class TestFrameBudget:
+    """Frames written per admission step over a raw ``RemoteStateStore``.
+
+    The budget is the point of ``execute``: a ``challenge_batch`` flush
+    reads and writes its whole set in three frames whatever its size
+    (81 before the batch primitive for 16 unseen addresses, 49 for 16
+    cached ones), a first-time honest ``redeem`` in four (was up to 9:
+    the replay cache and feedback each read in one frame and write in
+    another) and a bogus one in two (was 4).
+    """
+
+    @pytest.fixture()
+    def rig(self, server):
+        import math
+
+        from repro.core.records import ClientRequest
+        from repro.core.spec import FrameworkSpec
+        from repro.reputation.features import FEATURE_NAMES
+
+        features = dict.fromkeys(FEATURE_NAMES, 0.5)
+        registry = MetricsRegistry()
+        store = RemoteStateStore(server.address, registry=registry)
+        framework = FrameworkSpec(
+            policy="policy-1", feedback_half_life=math.inf
+        ).build(store=store)
+        counter = registry.get("netstore_client_requests_total")
+
+        def frames(step):
+            before = counter.total()
+            result = step()
+            return result, counter.total() - before
+
+        def requests(at):
+            return [
+                ClientRequest(
+                    client_ip=f"198.51.100.{i + 1}", resource="/index.html",
+                    timestamp=at, features=features,
+                )
+                for i in range(16)
+            ]
+
+        yield framework, frames, requests, counter
+        store.close()
+
+    def test_challenge_batch_is_three_frames(self, rig):
+        framework, frames, requests, counter = rig
+        unseen = requests(1_000.0)
+        _, cold = frames(lambda: framework.challenge_batch(unseen, now=1_000.0))
+        assert cold <= 3
+        cached = requests(1_001.0)
+        _, warm = frames(lambda: framework.challenge_batch(cached, now=1_001.0))
+        assert warm <= 3
+        # One increment per frame written; batches count as "multi".
+        assert counter.value(op="multi") == cold + warm
+
+    def test_redeem_is_four_frames_honest_two_bogus(self, rig):
+        from repro.core.errors import SolutionInvalidError
+        from repro.core.records import ResponseStatus
+        from repro.pow.puzzle import Solution
+        from repro.pow.solver import HashSolver
+        from repro.pow.verifier import PuzzleVerifier
+
+        framework, frames, requests, _ = rig
+        batch = requests(1_000.0)
+        honest, bogus = framework.challenge_batch(batch, now=1_000.0)[:2]
+
+        solution = HashSolver().solve(
+            honest.puzzle, honest.decision.request.client_ip
+        )
+        response, spent = frames(
+            lambda: framework.redeem(honest, solution, now=1_000.5)
+        )
+        assert response.status is ResponseStatus.SERVED
+        assert spent <= 4
+
+        # A well-formed answer whose digest misses the target: rejected
+        # before the replay cache is consulted, so only feedback pays.
+        checker = PuzzleVerifier(framework.config.pow)  # no replay cache
+        ip = bogus.decision.request.client_ip
+        for nonce in range(1 << 16):
+            wrong = Solution(
+                puzzle_seed=bogus.puzzle.seed, nonce=nonce, attempts=1
+            )
+            try:
+                checker.verify(bogus.puzzle, wrong, ip, now=1_000.5)
+            except SolutionInvalidError:
+                break
+        response, spent = frames(
+            lambda: framework.redeem(bogus, wrong, now=1_000.5)
+        )
+        assert response.status is ResponseStatus.REJECTED
+        assert spent <= 2
+
+
+class TestInstrumentation:
+    def test_round_trips_and_batch_sizes_are_observed(self):
+        registry = MetricsRegistry()
+        with StateServer(registry=registry) as server:
+            store = RemoteStateStore(server.address, registry=registry)
+            try:
+                store.execute(
+                    [("t", "put", "a", 1), ("t", "get", "a"), ("t", "len")]
+                )
+                assert store.namespace("t").get("a") == 1
+            finally:
+                store.close()
+        seconds = registry.get("netstore_client_request_seconds")
+        assert seconds.labels(op="multi").count == 1
+        assert seconds.labels(op="get").count == 1
+        assert 0 < seconds.labels(op="multi").sum < 5.0
+        batch = registry.get("netstore_server_batch_ops")
+        assert (batch.labels().count, batch.labels().sum) == (1, 3)
+
+    def test_without_a_registry_nothing_is_recorded(self, server, client):
+        assert server._metrics is None and client._metrics is None
+        assert client.execute([("t", "len"), ("t", "first")]) == [0, None]
+
+
+# ----------------------------------------------------------------------
+# Server lifecycle
+# ----------------------------------------------------------------------
+class TestServerLifecycle:
+    def test_finished_connections_are_forgotten(self, server):
+        # A long-lived server behind reconnecting workers must not keep
+        # one thread object per connection it ever accepted.
+        for _ in range(300):
+            sock = protocol.connect(server.address, timeout=5.0)
+            protocol.write_frame(sock, {"op": "ping"})
+            assert protocol.read_frame(sock)["ok"] is True
+            sock.close()
+        # Pruning happens on accept, so the list holds the threads that
+        # were still winding down at the last one — never hundreds.
+        assert len(server._conn_threads) < 30
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +660,54 @@ _OPS = st.lists(
 )
 
 
+_MORE_KEYS = st.sampled_from(list("abcdefgh"))  # spread over three nodes
+_EXECUTE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _MORE_KEYS, _VALUES),
+        st.tuples(st.just("get"), _MORE_KEYS),
+        st.tuples(st.just("get"), _MORE_KEYS, st.just("absent")),
+        st.tuples(st.just("delete"), _MORE_KEYS),
+        st.tuples(st.just("pop_default"), _MORE_KEYS, st.just("absent")),
+        st.tuples(st.just("setdefault"), _MORE_KEYS, _VALUES),
+        st.tuples(st.just("contains"), _MORE_KEYS),
+        st.tuples(st.just("move_to_end"), _MORE_KEYS),
+        st.tuples(st.just("len"),),
+        st.tuples(st.just("first"),),
+    ),
+    max_size=30,
+)
+
+_GONE = object()
+
+
+def _reference(table, op):
+    """One ``execute`` op as the classic namespace call it stands for."""
+    kind, args = op[0], op[1:]
+    if kind == "put":
+        table[args[0]] = args[1]
+        return None
+    if kind == "get":
+        return table.get(*args)
+    if kind == "delete":
+        return table.pop(args[0], _GONE) is not _GONE
+    if kind == "pop_default":
+        return table.pop(*args)
+    if kind == "setdefault":
+        return table.setdefault(*args)
+    if kind == "contains":
+        return args[0] in table
+    if kind == "move_to_end":
+        if args[0] not in table:
+            return False
+        table.move_to_end(args[0])
+        return True
+    if kind == "len":
+        return len(table)
+    if kind == "first":
+        return next(([key, value] for key, value in table.items()), None)
+    raise AssertionError(f"unhandled op {kind}")
+
+
 def _apply(table, op):
     """Run one op; return an observable (value or raised-KeyError mark)."""
     kind, args = op[0], op[1:]
@@ -399,7 +742,7 @@ class TestBackendEquivalence:
     def test_op_sequences_agree_across_backends(self, ops):
         # One server for the whole test run, cleared per example: the
         # remote store must behave like a dict over the wire.
-        server = _shared_server()
+        server = _shared_servers()[0]
         server.store.clear()
         remote = RemoteStateStore(server.address)
         backends = {
@@ -434,21 +777,137 @@ class TestBackendEquivalence:
         finally:
             remote.close()
 
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_EXECUTE_OPS)
+    def test_execute_matches_one_call_at_a_time(self, ops):
+        """One ``execute`` == the same ops as separate namespace calls.
 
-_SHARED_SERVER: list[StateServer] = []
+        Same results and the same final table on every backend.
+        """
+        reference = InMemoryStateStore().namespace("ns")
+        expected, firsts = [], {}
+        for index, op in enumerate(ops):
+            if op[0] == "first":
+                firsts[index] = [[k, v] for k, v in reference.items()]
+            expected.append(_reference(reference, op))
+        batch = [("ns", *op) for op in ops]
+        with _execute_backends() as backends:
+            for name, store in backends.items():
+                results = store.execute(batch)
+                if name in ("sharded", "multinode"):
+                    # "Oldest" spans partitions in partition order,
+                    # not insertion order: any live entry is right.
+                    for index, entries in firsts.items():
+                        got = results[index]
+                        assert (got in entries) if entries else (
+                            got is None
+                        ), (name, index, got)
+                        results[index] = expected[index]
+                assert results == expected, name
+                final = dict(store.namespace("ns").items())
+                assert final == dict(reference.items()), name
+            # The two partitioned backends share one ring, so they agree
+            # with each other exactly, ``first`` included.
+            for store in (backends["sharded"], backends["multinode"]):
+                store.namespace("ns").clear()
+            assert backends["sharded"].execute(batch) == (
+                backends["multinode"].execute(batch)
+            )
+
+    def test_no_keyed_op_fails_so_a_batch_is_one_frame_per_node(self):
+        # A touch of a key that is gone answers False (another worker
+        # may have evicted it since the read set) and the batch runs on.
+        batch = [
+            ("ns", "put", "a", 1), ("ns", "put", "b", 2), ("ns", "put", "c", 3),
+            ("ns", "put", "d", 4), ("ns", "move_to_end", "a"),
+            ("ns", "move_to_end", "missing"),
+            ("ns", "put", "e", 5), ("ns", "put", "a", 6), ("ns", "delete", "b"),
+            ("ns", "len"),
+        ]
+        with _execute_backends() as backends:
+            for name, store in backends.items():
+                assert store.execute(batch) == [
+                    None, None, None, None, True, False, None, None, True, 4,
+                ], name
+                assert dict(store.namespace("ns").items()) == {
+                    "a": 6, "c": 3, "d": 4, "e": 5,
+                }, name
+        registry = MetricsRegistry()
+        store = MultiNodeStateStore(
+            [srv.address for srv in _shared_servers()[1:]], registry=registry
+        )
+        try:
+            store.execute(batch)
+            frames = registry.get("netstore_client_requests_total")
+            assert frames.total() == 3
+        finally:
+            store.close()
+
+    def test_a_malformed_op_is_refused_before_any_frame_is_sent(self):
+        batch = [("ns", "put", "a", 1), ("ns", "get"), ("ns", "put", "b", 2)]
+        with _execute_backends() as backends:
+            for name in ("remote", "multinode"):
+                with pytest.raises(ValueError, match="takes 1..2"):
+                    backends[name].execute(batch)
+                assert len(backends[name].namespace("ns")) == 0, name
+
+    def test_unknown_op_is_a_value_error_everywhere(self):
+        with _execute_backends() as backends:
+            for name, store in backends.items():
+                with pytest.raises(ValueError, match="unknown state op"):
+                    store.execute([("ns", "frobnicate", "a")])
+
+    def test_over_long_batches_go_out_as_several_frames(self, server):
+        registry = MetricsRegistry()
+        store = RemoteStateStore(server.address, registry=registry)
+        try:
+            count = protocol.MAX_MULTI_OPS + 5
+            results = store.execute(
+                [("ns", "put", f"k{i}", i) for i in range(count)]
+                + [("ns", "len")]
+            )
+            assert results[-1] == count
+            frames = registry.get("netstore_client_requests_total")
+            assert frames.total() == 2
+        finally:
+            store.close()
 
 
-def _shared_server() -> StateServer:
-    if not _SHARED_SERVER:
-        _SHARED_SERVER.append(StateServer().start())
-    return _SHARED_SERVER[0]
+@contextlib.contextmanager
+def _execute_backends():
+    """The four backends ``execute`` must agree on, each empty."""
+    servers = _shared_servers()
+    for server in servers:
+        server.store.clear()
+    remote = RemoteStateStore(servers[0].address)
+    multinode = MultiNodeStateStore([srv.address for srv in servers[1:]])
+    try:
+        yield {
+            "memory": InMemoryStateStore(),
+            "sharded": ShardedStateStore(3),
+            "remote": remote,
+            "multinode": multinode,
+        }
+    finally:
+        remote.close()
+        multinode.close()
+
+
+_SHARED_SERVERS: list[StateServer] = []
+
+
+def _shared_servers() -> list[StateServer]:
+    """One plain server plus a three-node ring, shared by all examples."""
+    if not _SHARED_SERVERS:
+        _SHARED_SERVERS.extend(StateServer().start() for _ in range(4))
+    return _SHARED_SERVERS
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _stop_shared_server():
+def _stop_shared_servers():
     yield
-    while _SHARED_SERVER:
-        _SHARED_SERVER.pop().stop()
+    while _SHARED_SERVERS:
+        _SHARED_SERVERS.pop().stop()
 
 
 # ----------------------------------------------------------------------
