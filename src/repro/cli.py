@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.002, metavar="SECONDS",
-        help="gateway: max time a batch waits for company (default 2 ms)",
+        help="gateway: upper bound on how long a batch stays open; it "
+             "normally closes as soon as arrivals stop (default 2 ms)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=64,

@@ -135,20 +135,29 @@ class MetricsCollector:
 #: cluster (the exact-mode series retains raw samples regardless, so
 #: summary statistics never depend on the bucketing).
 _GATEWAY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+#: A request waits a few loop passes (tens of microseconds) when the
+#: gateway is idle and up to ``batch_window`` or a flush or two under load.
+_WAIT_BUCKETS = (
+    2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0,
+)
 
 
 class GatewayMetrics:
     """Serving-tier measurements for the admission gateway.
 
-    The gateway reports every flush (:meth:`observe_flush`) and every
-    shed decision (:meth:`observe_shed`); alternatively
+    The gateway reports every flush (:meth:`observe_flush`), every
+    shed decision (:meth:`observe_shed`) and every connection that
+    ended without its terminal reply
+    (:meth:`observe_connection_error`); alternatively
     :meth:`attach` subscribes the shed side to ``REQUEST_SHED`` events
     so any bus observer sees the same stream the metrics do.
 
     Backed by :class:`~repro.obs.registry.MetricsRegistry` instruments
     (``gateway_admitted_total``, ``gateway_shed_total{reason}``,
     ``gateway_flushes_total``, ``gateway_batch_size``,
-    ``gateway_queue_depth``) so one ``/metrics`` scrape sees the same
+    ``gateway_queue_depth``, ``gateway_admission_wait_seconds``,
+    ``gateway_connection_errors_total{kind}``) so one ``/metrics``
+    scrape sees the same
     numbers :meth:`summary` ships; pass a shared ``registry`` to expose
     them, or omit it for a private one (isolated, as before).  The
     size/depth series run in exact mode, so :meth:`summary` output is
@@ -186,6 +195,16 @@ class GatewayMetrics:
             buckets=_GATEWAY_BUCKETS,
             exact=True,
         ).labels()
+        self.admission_waits = registry.histogram(
+            "gateway_admission_wait_seconds",
+            METRIC_CATALOG["gateway_admission_wait_seconds"],
+            buckets=_WAIT_BUCKETS,
+        ).labels()
+        self._connection_errors = registry.counter(
+            "gateway_connection_errors_total",
+            METRIC_CATALOG["gateway_connection_errors_total"],
+            labels=("kind",),
+        )
 
     @property
     def admitted_count(self) -> int:
@@ -221,18 +240,29 @@ class GatewayMetrics:
         batch_size: int,
         queue_depth: int,
         admitted: int | None = None,
+        waits: Sequence[float] = (),
     ) -> None:
         """Record one admission batch and the depth it drained from.
 
         ``admitted`` is the number of requests that actually received a
         challenge; it defaults to ``batch_size`` but callers whose
         batches can partially fail (the gateway's scalar fallback)
-        pass the true count.
+        pass the true count.  ``waits`` is the seconds each request of
+        the batch spent queued before this flush took it.
         """
         self.batch_sizes.add(batch_size)
         self.queue_depths.add(queue_depth)
         self._flushes.inc()
         self._admitted.inc(batch_size if admitted is None else admitted)
+        self.admission_waits.observe_array(waits)
+
+    def observe_connection_error(self, kind: str) -> None:
+        """Record one connection closed without its terminal reply.
+
+        ``kind``: ``protocol`` (malformed line), ``oversize``,
+        ``timeout``, or ``reset`` (the peer left first).
+        """
+        self._connection_errors.inc(kind=kind)
 
     def observe_shed(
         self, reason: str, queue_depth: int | float | None = None

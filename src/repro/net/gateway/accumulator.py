@@ -4,12 +4,18 @@ Concurrent ``REQUEST`` arrivals are individually cheap to *receive* but
 expensive to *admit* (score → policy → puzzle issuance).  The
 accumulator turns the per-request admission cost into a per-batch one:
 arrivals queue as :class:`~repro.net.gateway.shedding.PendingAdmission`
-entries, a single dispatcher coroutine coalesces them — flushing when
-``max_batch`` requests have gathered or when ``batch_window`` seconds
-have passed since the batch opened, whichever comes first — and the
-whole batch is admitted through one ``admit_batch`` call (the gateway
-wires this to :meth:`AIPoWFramework.challenge_batch`, whose decisions
-are bit-identical to the scalar path).
+entries, a single dispatcher coroutine coalesces them — flushing as
+soon as one event-loop pass adds nothing to the queue, when
+``max_batch`` requests have gathered, or when the batch has been open
+for ``batch_window`` seconds, whichever comes first — and the whole
+batch is admitted through one ``admit_batch`` call (the gateway wires
+this to :meth:`AIPoWFramework.challenge_batch`, whose decisions are
+bit-identical to the scalar path).
+
+Nothing waits on a timer: a lone request is admitted a couple of loop
+passes after it arrives, and batches form by themselves under load,
+because every request that arrived while the previous ``admit_batch``
+held the loop is enqueued in the passes that follow it.
 
 Overload is explicit, not accidental: the queue is bounded at
 ``queue_limit`` and a pluggable :class:`ShedPolicy` picks the victim
@@ -41,8 +47,9 @@ __all__ = ["MicroBatcher"]
 AdmitBatch = Callable[[Sequence[ClientRequest]], Sequence[object]]
 #: on_shed: (pending, reason, queue_depth) -> None
 ShedHook = Callable[[PendingAdmission, str, int], None]
-#: on_flush: (batch_size, queue_depth_before_flush, results) -> None
-FlushHook = Callable[[int, int, Sequence[object]], None]
+#: on_flush: (batch_size, queue_depth_before_flush, results,
+#: seconds each request of the batch waited in the queue) -> None
+FlushHook = Callable[[int, int, Sequence[object], Sequence[float]], None]
 
 
 class MicroBatcher:
@@ -57,9 +64,11 @@ class MicroBatcher:
     max_batch:
         Flush as soon as this many requests are waiting.
     batch_window:
-        Maximum seconds a batch stays open waiting for company after
-        its first request arrives.  ``0`` disables coalescing delay:
-        every flush takes whatever is queued right now.
+        Maximum seconds a batch stays open after its first request
+        arrives.  A batch normally closes sooner — at the first loop
+        pass that brings no new arrival — so this only cuts a trickle
+        that would otherwise keep it open one request per pass.  ``0``
+        flushes whatever is queued when the dispatcher wakes.
     queue_limit:
         Bound on requests waiting for admission; beyond it the shed
         policy picks a victim.
@@ -187,30 +196,22 @@ class MicroBatcher:
             )
 
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             await self._arrival.wait()
             self._arrival.clear()
-            if not self._pending:
-                continue
-            await self._gather_window()
+            # Hold the batch open while arrivals keep coming: yield one
+            # loop pass at a time and flush once a pass added nothing.
+            deadline = loop.time() + self.batch_window
+            seen = 0
+            while (
+                seen < len(self._pending) < self.max_batch
+                and loop.time() < deadline
+            ):
+                seen = len(self._pending)
+                await asyncio.sleep(0)
             while self._pending:
                 self.flush_once()
-
-    async def _gather_window(self) -> None:
-        """Hold the batch open for stragglers, up to ``batch_window``."""
-        if self.batch_window <= 0:
-            return
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.batch_window
-        while len(self._pending) < self.max_batch:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                return
-            self._arrival.clear()
-            try:
-                await asyncio.wait_for(self._arrival.wait(), remaining)
-            except asyncio.TimeoutError:
-                return
 
     def flush_once(self) -> int:
         """Admit one batch of up to ``max_batch`` queued requests.
@@ -226,6 +227,10 @@ class MicroBatcher:
         depth_before = len(self._pending)
         size = min(depth_before, self.max_batch)
         batch = [self._pending.popleft() for _ in range(size)]
+        waits: Sequence[float] = ()
+        if self.on_flush is not None:
+            now = asyncio.get_running_loop().time()
+            waits = [now - pending.enqueued_at for pending in batch]
         try:
             results = self.admit_batch([p.request for p in batch])
         except Exception as exc:  # noqa: BLE001 - fail the whole batch
@@ -248,5 +253,5 @@ class MicroBatcher:
         self.admitted_count += size
         self.flush_count += 1
         if self.on_flush is not None:
-            self.on_flush(size, depth_before, results)
+            self.on_flush(size, depth_before, results, waits)
         return size

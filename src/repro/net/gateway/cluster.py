@@ -47,13 +47,12 @@ import threading
 
 from repro.core.spec import FrameworkSpec
 from repro.metrics.collector import GatewayMetrics, aggregate_gateway_summaries
-from repro.net.gateway.server import GatewayServer
+from repro.net.gateway.server import LISTEN_BACKLOG, GatewayServer
 from repro.net.gateway.shedding import (
     DropByGlobalReputation,
     DropByReputationPrior,
     DropNewest,
 )
-from repro.net.live import protocol
 from repro.state import (
     HashRing,
     InMemoryStateStore,
@@ -300,26 +299,21 @@ class ShardWorker:
                 stop.set()
                 return
             for fd in fds:
-                loop.create_task(self._serve_connection(fd))
+                self._adopt(loop, fd)
             if msg.startswith(_QUIT):
                 stop.set()
                 return
 
-    async def _serve_connection(self, fd: int) -> None:
+    def _adopt(self, loop, fd: int) -> None:
+        """Serve an accepted socket through the gateway's own Protocol."""
         try:
             sock = socket.socket(fileno=fd)
         except OSError:  # pragma: no cover - defensive
             os.close(fd)
             return
-        sock.setblocking(False)
-        try:
-            reader, writer = await asyncio.open_connection(
-                sock=sock, limit=protocol.MAX_LINE_BYTES + 1
-            )
-        except OSError:  # pragma: no cover - peer vanished already
-            sock.close()
-            return
-        await self.gateway.handle_connection(reader, writer)
+        loop.create_task(
+            loop.connect_accepted_socket(self.gateway.connection, sock)
+        )
 
     def _ship_metrics(self) -> None:
         summary = self.metrics.summary()
@@ -611,7 +605,7 @@ class GatewayCluster:
                 )
         ctx = multiprocessing.get_context(self.start_method)
         listener = socket.create_server(
-            (self.host, self.port), backlog=512, reuse_port=False
+            (self.host, self.port), backlog=LISTEN_BACKLOG, reuse_port=False
         )
         self._listener = listener
         self._address = listener.getsockname()[:2]

@@ -76,6 +76,12 @@ METRIC_CATALOG: dict[str, str] = {
     "gateway_flushes_total": "Admission batch flushes",
     "gateway_batch_size": "Achieved admission batch sizes",
     "gateway_queue_depth": "Admission queue depth at flush and shed",
+    "gateway_admission_wait_seconds": (
+        "Seconds a request waited in the admission queue before its flush"
+    ),
+    "gateway_connection_errors_total": (
+        "Connections closed without a terminal reply, labelled by kind"
+    ),
     "pipeline_responses_total": (
         "Completed exchanges, labelled by terminal status"
     ),

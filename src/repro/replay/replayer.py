@@ -221,9 +221,12 @@ class TraceReplayer:
 
         ``inproc`` coalesces same-timestamp arrivals (the simulator's
         behaviour); ``gateway`` applies the accumulator's size/window
-        rules to the recorded timestamps; ``cluster`` admits per
-        request (each worker batches independently in production, and
-        decisions are batch-invariant anyway).
+        rules to the recorded timestamps — an upper bound on the live
+        gateway's batches, which also close as soon as arrivals stop,
+        something recorded timestamps cannot show; ``cluster`` admits
+        per request (each worker batches independently in production).
+        Decisions are batch-invariant, so the grouping changes how the
+        replay is driven, never what it decides.
         """
         if self.kind == "gateway":
             batch: list[TraceEntry] = []

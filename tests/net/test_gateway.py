@@ -45,7 +45,7 @@ class TestMicroBatcher:
 
         async def scenario():
             batcher = MicroBatcher(lambda reqs: list(reqs))
-            batcher.on_flush = lambda size, depth, results: batches.append(size)
+            batcher.on_flush = lambda size, depth, results, waits: batches.append(size)
             assert batcher.flush_once() == 0
 
         run(scenario())
@@ -58,7 +58,7 @@ class TestMicroBatcher:
                 lambda reqs: list(reqs),
                 max_batch=64,
                 batch_window=0.01,
-                on_flush=lambda size, depth, results: batches.append(size),
+                on_flush=lambda size, depth, results, waits: batches.append(size),
             )
             batcher.start()
             result = await batcher.submit(request_from("1.2.3.4"))
@@ -78,7 +78,7 @@ class TestMicroBatcher:
                 lambda reqs: list(reqs),
                 max_batch=4,
                 batch_window=60.0,  # would time out the test if waited on
-                on_flush=lambda size, depth, results: batches.append(size),
+                on_flush=lambda size, depth, results, waits: batches.append(size),
             )
             batcher.start()
             futures = [
@@ -105,7 +105,7 @@ class TestMicroBatcher:
                 max_batch=4,
                 batch_window=0.005,
                 queue_limit=100,
-                on_flush=lambda size, depth, results: batches.append(size),
+                on_flush=lambda size, depth, results, waits: batches.append(size),
             )
             batcher.start()
             futures = [
@@ -217,6 +217,157 @@ class TestMicroBatcher:
             await batcher.stop()
 
         run(scenario())
+
+    def test_lone_submit_does_not_wait_for_the_window(self):
+        """No company arrives, so the batch closes after a few passes."""
+
+        async def scenario():
+            batcher = MicroBatcher(
+                lambda reqs: list(reqs), max_batch=64, batch_window=60.0
+            )
+            batcher.start()
+            future = batcher.submit(request_from("1.2.3.4"))
+            passes = 0
+            while not future.done() and passes < 50:
+                await asyncio.sleep(0)
+                passes += 1
+            await batcher.stop()
+            return future.done(), passes
+
+        done, passes = run(scenario())
+        assert done
+        assert passes <= 4
+
+    def test_submits_of_one_pass_flush_as_one_batch(self):
+        async def scenario():
+            batches = []
+            batcher = MicroBatcher(
+                lambda reqs: list(reqs),
+                max_batch=64,
+                batch_window=60.0,
+                on_flush=lambda size, depth, results, waits: batches.append(
+                    (size, len(waits))
+                ),
+            )
+            batcher.start()
+            futures = [
+                batcher.submit(request_from(f"10.0.2.{i}")) for i in range(9)
+            ]
+            await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
+            await batcher.stop()
+            return batches
+
+        assert run(scenario()) == [(9, 9)]
+
+    def test_arrivals_during_a_flush_form_the_next_batch(self):
+        """What piled up while admit_batch held the loop goes out together."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batches, late = [], []
+
+            def slow_admit(requests):
+                if not batches:
+                    # Like reads that became ready during the flush:
+                    # their callbacks run in the pass after it.
+                    for i in range(5):
+                        loop.call_soon(
+                            lambda i=i: late.append(
+                                batcher.submit(request_from(f"10.0.3.{i}"))
+                            )
+                        )
+                batches.append(len(requests))
+                return list(requests)
+
+            batcher = MicroBatcher(
+                slow_admit, max_batch=64, batch_window=60.0
+            )
+            batcher.start()
+            await asyncio.wait_for(
+                batcher.submit(request_from("10.0.3.99")), timeout=5.0
+            )
+            await asyncio.sleep(0)
+            await asyncio.wait_for(asyncio.gather(*late), timeout=5.0)
+            await batcher.stop()
+            return batches
+
+        assert run(scenario()) == [1, 5]
+
+    @staticmethod
+    async def trickle_first_batch(batcher: MicroBatcher) -> tuple[int, float]:
+        """One more request every loop pass until the first flush."""
+        loop = asyncio.get_running_loop()
+        sizes = []
+        batcher.on_flush = lambda size, depth, results, waits: sizes.append(
+            size
+        )
+        futures = []
+
+        def arrive():
+            if not sizes:
+                futures.append(
+                    batcher.submit(request_from(f"10.9.{len(futures)}.1"))
+                )
+                loop.call_soon(arrive)
+
+        batcher.start()
+        began = loop.time()
+        arrive()
+        await asyncio.wait_for(futures[0], timeout=5.0)
+        took = loop.time() - began
+        await batcher.stop()
+        assert all(future.done() for future in futures)
+        return sizes[0], took
+
+    def test_trickle_is_cut_at_max_batch(self):
+        batcher = MicroBatcher(
+            lambda reqs: list(reqs), max_batch=8, batch_window=60.0
+        )
+        size, _ = run(self.trickle_first_batch(batcher))
+        assert size == 8
+
+    def test_trickle_is_cut_at_batch_window(self):
+        batcher = MicroBatcher(
+            lambda reqs: list(reqs),
+            max_batch=1_000_000,
+            batch_window=0.02,
+            queue_limit=1_000_000,
+        )
+        size, took = run(self.trickle_first_batch(batcher))
+        assert size > 1  # it did stay open for company...
+        assert 0.02 <= took < 2.0  # ...but only for the window
+
+    def test_stop_mid_batch_resolves_everything_exactly_once(self):
+        async def scenario():
+            resolutions = []
+            batcher = MicroBatcher(
+                lambda reqs: list(reqs),
+                max_batch=64,
+                batch_window=60.0,
+                on_shed=lambda pending, reason, depth: resolutions.append(
+                    pending.request.client_ip
+                ),
+            )
+            batcher.start()
+            futures = [batcher.submit(request_from("10.0.4.0"))]
+            # Keep the batch open: one more arrival per pass.
+            for i in range(1, 6):
+                await asyncio.sleep(0)
+                futures.append(batcher.submit(request_from(f"10.0.4.{i}")))
+            await batcher.stop()
+            late = batcher.submit(request_from("10.0.4.99"))
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*futures, late), timeout=5.0
+            )
+            return batcher, resolutions, outcomes
+
+        batcher, resolutions, outcomes = run(scenario())
+        assert all(isinstance(o, ShedOutcome) for o in outcomes)
+        assert sorted(resolutions) == sorted(
+            [f"10.0.4.{i}" for i in range(6)] + ["10.0.4.99"]
+        )
+        assert batcher.admitted_count == 0
+        assert batcher.shed_count == 7
 
     def test_validation(self):
         async def scenario():
@@ -337,6 +488,30 @@ class TestGatewayServer:
                 reply = read_line(sock)
             assert reply.startswith("ERR admission:")
         assert control.dropped_count >= 1
+
+    def test_connection_errors_and_queue_wait_reach_the_exposition(self):
+        from repro.obs.registry import render_prometheus
+
+        framework = AIPoWFramework(ConstantModel(0.0), policy_1())
+        metrics = GatewayMetrics()
+        with GatewayServer(
+            framework, io_timeout=0.2, metrics=metrics
+        ) as server:
+            assert LiveClient(server.address).fetch("/fine", {}).ok
+            with socket.create_connection(server.address, timeout=5) as sock:
+                send_line(sock, "GIBBERISH")
+                assert read_line(sock).startswith("ERR")
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(b"REQUEST /never-finished")
+                assert sock.recv(1) == b""  # closed at the deadline
+            with socket.create_connection(server.address, timeout=5) as sock:
+                send_line(sock, "REQUEST /abandoned {}")
+                read_line(sock)  # takes the puzzle, never answers
+        counted = metrics.registry.get("gateway_connection_errors_total")
+        assert counted.as_dict() == {"protocol": 1, "timeout": 1, "reset": 1}
+        text = render_prometheus(metrics.registry.snapshot())
+        assert 'gateway_connection_errors_total{kind="timeout"} 1' in text
+        assert "gateway_admission_wait_seconds_count 2" in text
 
     def test_start_twice_rejected(self):
         framework = AIPoWFramework(ConstantModel(0.0), policy_1())
