@@ -1,4 +1,11 @@
-"""Discrete-event simulation of the framework's network environment."""
+"""Discrete-event simulation of the framework's network environment.
+
+The engine is chosen by class.  :class:`Simulation` (open-loop traces)
+and :class:`ClosedLoopSimulation` (sessions) are the callback reference
+engines over :class:`EventEngine`; :class:`FastSimulation` is the same
+model over struct-of-arrays cohorts, takes the same constructor
+arguments, and its ``run`` / ``run_sessions`` are drop-ins for theirs.
+"""
 
 from repro.net.sim.agents import AgentPopulation
 from repro.net.sim.calendar import CalendarQueue

@@ -89,7 +89,14 @@ class ClosedLoopReport:
 
 
 class ClosedLoopSimulation:
-    """Session-driven simulation sharing the open-loop server model."""
+    """Session-driven simulation sharing the open-loop server model.
+
+    The callback *reference* engine for closed-loop runs; the
+    vectorized spelling of the same model is
+    :meth:`FastSimulation.run_sessions
+    <repro.net.sim.fastsim.FastSimulation.run_sessions>`, a drop-in for
+    :meth:`run`.
+    """
 
     def __init__(
         self,
@@ -99,13 +106,8 @@ class ClosedLoopSimulation:
         seed: int = 4321,
         hash_rates: Mapping[str, float] | None = None,
         recorder=None,
-        engine: str = "callback",
         links=None,
     ) -> None:
-        if engine not in ("callback", "fast"):
-            raise ValueError(
-                f"engine must be 'callback' or 'fast', got {engine!r}"
-            )
         if links is not None and not links.delay_only:
             # Closed-loop exchanges have no request identity to key
             # loss hashes on and no give-up semantics; only the
@@ -117,24 +119,8 @@ class ClosedLoopSimulation:
             )
         self.framework = framework
         self.recorder = recorder
-        self.engine_kind = engine
         self.links = links
-        self._link_base: dict[tuple[str, str], float] = {}
-        self._fast = None
-        if engine == "fast":
-            from repro.net.sim.fastsim import FastSimulation
-
-            # The fast core owns the recorder attachment in this mode.
-            self._fast = FastSimulation(
-                framework,
-                channel=channel,
-                server_model=server_model,
-                seed=seed,
-                hash_rates=dict(hash_rates or {}),
-                recorder=recorder,
-                links=links,
-            )
-        elif recorder is not None:
+        if recorder is not None:
             recorder.attach(framework.events)
         timing = framework.config.timing
         self.channel = channel or FixedDelayChannel(timing.network_overhead / 4)
@@ -164,34 +150,11 @@ class ClosedLoopSimulation:
         return max(0.0, self.channel.one_way_delay(self.rng))
 
     def _base_of(self, session: SessionSpec) -> float:
-        """The session's per-agent link propagation delay (0 = no link).
-
-        Same hash kernel as the fast engine, evaluated on one-element
-        arrays, so both engines add bit-identical delays per leg.
-        """
+        """The session's per-agent link propagation delay (0 = no link)."""
         if self.links is None:
             return 0.0
-        key = (session.client.profile.name, session.client.ip)
-        hit = self._link_base.get(key)
-        if hit is None:
-            import ipaddress
-
-            import numpy as np
-
-            qid = int(self.links.queue_ids([key[0]])[0])
-            hit = 0.0
-            if qid >= 0:
-                hit = float(
-                    self.links.base_delays(
-                        np.array(
-                            [int(ipaddress.ip_address(key[1]))],
-                            dtype=np.int64,
-                        ),
-                        np.array([qid], dtype=np.int64),
-                    )[0]
-                )
-            self._link_base[key] = hit
-        return hit
+        client = session.client
+        return self.links.link_of(client.profile.name, client.ip)[1]
 
     def _server_complete(self, arrival: float, cost: float) -> float:
         start = max(arrival, self._server_busy_until)
@@ -201,12 +164,6 @@ class ClosedLoopSimulation:
     # ------------------------------------------------------------------
     def add_session(self, session: SessionSpec) -> None:
         """Register a session; its first request fires at ``session.start``."""
-        if self._fast is not None:
-            raise ValueError(
-                "engine='fast' consumes the whole session list passed "
-                "to run(); pre-added sessions would be silently "
-                "dropped — include them in the run() argument instead"
-            )
         self._profiles[session.client.ip] = session.client.profile.name
         if self.recorder is not None:
             self.recorder.register_source(
@@ -349,13 +306,6 @@ class ClosedLoopSimulation:
         """Drive ``sessions`` to completion (or ``until``)."""
         if not sessions:
             raise ValueError("need at least one session")
-        if self._fast is not None:
-            report = self._fast.run_sessions(sessions, until=until)
-            self.metrics = report.metrics
-            self._completed = report.completed_exchanges
-            self.admission_batches = self._fast.admission_batches
-            self.largest_admission_batch = self._fast.largest_admission_batch
-            return report
         for session in sessions:
             self.add_session(session)
         self.engine.run(until=until)

@@ -23,7 +23,9 @@ same network/server/solve model re-expressed over arrays:
 * **solving** is vectorised geometric sampling (the numpy counterpart
   of :func:`repro.pow.solver.sample_attempts`).
 
-No per-request Python closure exists on the hot path.
+No per-request Python closure exists on the hot path: one cohort loop
+(:meth:`FastSimulation.step`) dispatches every event kind through a
+handler table over one run-state struct (DESIGN.md §1.5).
 
 Fidelity contract
 -----------------
@@ -288,31 +290,44 @@ class FastFeedback:
 
 
 @dataclasses.dataclass
-class _OpenLoopState:
-    """Run-long open-loop context, carried across :meth:`~FastSimulation.step` calls.
+class _RunState:
+    """Run-long context: every handler reads it, :meth:`~FastSimulation.step` keeps it.
 
-    Everything that used to live as locals of the monolithic open-loop
-    driver; hoisting it onto the engine is what lets the parallel
-    driver (:mod:`repro.net.sim.parsim`) advance a run in bounded time
-    epochs with barriers in between.
+    Living on the engine (not in a driver's locals or a handler's
+    arguments) is what lets the parallel driver
+    (:mod:`repro.net.sim.parsim`) advance a run in bounded time epochs
+    with barriers in between.
+
+    Rows are *requests* in open-loop runs and *sessions* in closed-loop
+    runs.  A session has one exchange in flight at a time, so the begin
+    time of its current exchange (``ts``) and its exchanges left
+    (``remaining``) are per-session state here, not event payload —
+    which is what lets both loops share admission and terminal
+    recording: a latency is always ``finish - ts[idx]``.
     """
 
+    #: Submit instant per request / begin of the session's current exchange.
     ts: np.ndarray
     class_names: Sequence[str]
     class_ids: np.ndarray
-    agent_ids: np.ndarray
-    cpu_free: np.ndarray
+    #: Indexed by class id in open-loop runs, by session in closed-loop.
     hash_rate: np.ndarray
     patience: np.ndarray
+    #: ``(idx, at) -> scores`` under array admission, else ``None`` and
+    #: ``requests_of(idx)`` materialises requests for the framework.
     get_scores: object
     requests_of: object
     until: float | None
-    feedback: "FastFeedback | None"
-    link_qids: np.ndarray | None
-    link_base: np.ndarray | float
-    n: int
-    model: ServerModel
-    ttl: float
+    link_base: np.ndarray | float = 0.0  # broadcasts as "no extra propagation"
+    # Open loop only.
+    agent_ids: np.ndarray | None = None
+    cpu_free: np.ndarray | None = None
+    feedback: "FastFeedback | None" = None
+    link_qids: np.ndarray | None = None
+    # Closed loop only.
+    think: np.ndarray | None = None
+    remaining: np.ndarray | None = None
+    completed: int = 0
 
 
 class FastSimulation:
@@ -328,6 +343,15 @@ class FastSimulation:
     * :meth:`run_sessions` — closed-loop sessions, API-compatible with
       :meth:`ClosedLoopSimulation.run`.
 
+    All three build one :class:`_RunState` (``self._open``) and drain
+    the calendar queue through the one cohort loop, :meth:`step`, which
+    looks each event kind up in a ``{kind: handler}`` table and calls
+    ``handler(when, payload)``; handlers read the run state instead of
+    receiving it.  Three helpers carry what the handlers share:
+    :meth:`_admit` (score + decide one arrival cohort),
+    :meth:`_terminal` (record one terminal-outcome cohort) and
+    :meth:`_cross` (one uplink crossing per transmission queue).
+
     Parameters mirror :class:`~repro.net.sim.simulation.Simulation`;
     the additions are ``tick`` (cohort quantization grid, ``None`` for
     exact times), ``admission`` (``"auto"``/``"framework"``/
@@ -338,10 +362,10 @@ class FastSimulation:
     cohort counts and item counts per event kind — ``arrive``,
     ``xmit``, ``xmitsol``, ``solve``, plus the nested ``fifo``
     sub-phase; ``None`` keeps the hot loop to a single no-op check
-    per cohort) and ``decision_log`` (when True, every open-loop
-    admission cohort appends ``(when, idx, scores, difficulties)`` to
-    :attr:`decisions` — the bitwise decision-stream probe the parallel
-    driver's parity tests compare; off by default, zero hot-path cost).
+    per cohort) and ``decision_log`` (when True, every admission cohort
+    appends ``(when, idx, scores, difficulties)`` to :attr:`decisions`
+    — the bitwise decision-stream probe the parallel driver's parity
+    tests compare; off by default, zero hot-path cost).
     """
 
     def __init__(
@@ -394,28 +418,25 @@ class FastSimulation:
         self._pyrng = random.Random(seed ^ 0x5A17)
         if recorder is not None:
             recorder.attach(framework.events)
-
-        #: Mirrors of the callback simulators' batching telemetry.
-        self.arrival_batches = 0
-        self.largest_arrival_batch = 0
-        self.events_processed = 0
         self._reset()
-
-    # Closed-loop spellings of the batching telemetry, mirroring
-    # ``ClosedLoopSimulation``'s attribute names.
-    @property
-    def admission_batches(self) -> int:
-        return self.arrival_batches
-
-    @property
-    def largest_admission_batch(self) -> int:
-        return self.largest_arrival_batch
 
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------
     def _reset(self, observe_load: bool = True) -> None:
         self._queue = CalendarQueue(tick=self.tick)
+        #: The open-loop event kinds; :meth:`run_sessions` registers its
+        #: own two for the run it starts, so they never outlive it.
+        #: Plain functions, called ``handler(self, when, payload)``: bound
+        #: methods here would tie the engine into a reference cycle, and
+        #: a finished run's arrays would wait for the cycle collector.
+        kinds = type(self)
+        self._handlers = {
+            "arrive": kinds._process_arrivals,
+            "xmit": kinds._process_xmit,
+            "xmitsol": kinds._process_xmitsol,
+            "solve": kinds._process_solutions,
+        }
         self._busy_until = 0.0
         self._now = 0.0
         self._buffers = _OutcomeBuffers()
@@ -424,7 +445,7 @@ class FastSimulation:
         self.decisions: list[tuple] | None = (
             [] if self._decision_log else None
         )
-        self._open: _OpenLoopState | None = None
+        self._open: _RunState | None = None
         self._observe_load = observe_load
         self._link_session = (
             self.links.session() if self.links is not None else None
@@ -434,6 +455,7 @@ class FastSimulation:
         self.link_stats = (
             self._link_session.stats if self._link_session else None
         )
+        #: Mirrors of the callback simulators' batching telemetry.
         self.arrival_batches = 0
         self.largest_arrival_batch = 0
         self.events_processed = 0
@@ -457,8 +479,7 @@ class FastSimulation:
         # Stateful scorers (behavioural feedback) update from
         # RESPONSE_SERVED events, which this engine never emits —
         # their offsets would silently freeze mid-run regardless of
-        # admission mode, so reject loudly (mirroring the timeline
-        # rejection in Simulation.__init__).
+        # admission mode, so reject loudly.
         if self._stateful_scoring():
             raise ValueError(
                 "the model's scores react to response outcomes, which "
@@ -520,6 +541,15 @@ class FastSimulation:
         # Channel contract backstop: a negative delay would schedule
         # an event before its cause.
         return np.maximum(0.0, drawn)
+
+    def _base(self, idx: np.ndarray) -> np.ndarray | float:
+        """Per-row link propagation delay, added to every leg.
+
+        Server->client legs add it too but are modelled lossless (the
+        uplink is the constrained direction).
+        """
+        base = self._open.link_base
+        return base[idx] if isinstance(base, np.ndarray) else base
 
     def _fifo(self, at: float, costs: np.ndarray | float, count: int) -> np.ndarray:
         """FIFO completion times for ``count`` arrivals at ``at``.
@@ -603,24 +633,100 @@ class FastSimulation:
                 cpu_free[agent] = e
         return solve_end, abandoned
 
-    def _admit_framework(
-        self, requests, now
+    def _admit(
+        self, idx: np.ndarray, when: float, issue_times: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Framework-mode cohort admission: ``(scores, difficulties)``.
+        """Admit one arrival cohort: ``(scores, difficulties)``.
 
-        One :meth:`AIPoWFramework.challenge_batch` call (full
-        per-request events for recorders) with the decisions pulled
-        back into arrays — the single extraction point for every
-        framework-admission branch.
+        The single admission point of every run shape, so it also keeps
+        the batching telemetry (``arrival_batches`` and friends).  Array
+        mode is a score gather plus the policy's array kernel;
+        framework mode is one :meth:`AIPoWFramework.challenge_batch`
+        call (full per-request events for recorders), each puzzle
+        stamped with its own FIFO-derived issue time
+        (``issue_times=None``: the PoW-off baseline issues none, so the
+        cohort instant stands in), with the decisions pulled back into
+        arrays.
+
+        Callers charge the cohort's FIFO costs — which feed a
+        load-adaptive policy's signal — *before* admitting, as the
+        callback engine does, or the two decision streams drift apart.
         """
-        challenges = self.framework.challenge_batch(requests, now=now)
-        scores = np.array(
-            [c.decision.reputation_score for c in challenges]
-        )
-        difficulties = np.array(
-            [c.decision.difficulty for c in challenges], dtype=np.float64
-        )
+        k = int(idx.size)
+        self.arrival_batches += 1
+        self.largest_arrival_batch = max(self.largest_arrival_batch, k)
+        self.events_processed += k + 1  # arrivals + the drain
+        st = self._open
+        if st.get_scores is not None:
+            scores = st.get_scores(idx, when)
+            difficulties = self.framework.difficulties_for_scores(
+                scores
+            ).astype(np.float64)
+        else:
+            challenges = self.framework.challenge_batch(
+                st.requests_of(idx),
+                now=(
+                    when
+                    if issue_times is None
+                    else [float(t) for t in issue_times]
+                ),
+            )
+            scores = np.array(
+                [c.decision.reputation_score for c in challenges]
+            )
+            difficulties = np.array(
+                [c.decision.difficulty for c in challenges], dtype=np.float64
+            )
+        if self.decisions is not None:
+            self.decisions.append(
+                (when, idx.copy(), scores.copy(), difficulties.copy())
+            )
         return scores, difficulties
+
+    def _terminal(
+        self,
+        idx: np.ndarray,
+        finish: np.ndarray,
+        status: ResponseStatus | np.ndarray,
+        scores: np.ndarray,
+        difficulties: np.ndarray,
+        attempts: np.ndarray,
+        redeemed_at: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Record one terminal-outcome cohort; returns the recorded ``(idx, finish)``.
+
+        Terminals past the run's ``until`` are dropped (their events
+        would not fire), the clock advances to the latest one kept, and
+        the cohort lands in the outcome buffers with latency ``finish -
+        ts[idx]``.  ``redeemed_at`` is set by the solution handler
+        only: behavioural feedback rewards served *exchanges*, observed
+        at the instant the solutions were redeemed.
+        """
+        st = self._open
+        if st.until is not None:
+            keep = finish <= st.until
+            idx, finish, scores, difficulties, attempts = (
+                a[keep]
+                for a in (idx, finish, scores, difficulties, attempts)
+            )
+            if isinstance(status, np.ndarray):
+                status = status[keep]
+        if finish.size:
+            self._now = max(self._now, float(finish.max()))
+        self._buffers.record(
+            st.class_names,
+            st.class_ids[idx],
+            status,
+            np.maximum(0.0, finish - st.ts[idx]),
+            scores,
+            difficulties,
+            attempts,
+        )
+        if redeemed_at is not None and st.feedback is not None:
+            st.feedback.observe_served(
+                st.agent_ids[idx][status == _SERVED], redeemed_at
+            )
+        return idx, finish
 
     def _decide_solve(
         self,
@@ -641,25 +747,6 @@ class FastSimulation:
             mask = class_ids == cid
             solve[mask] = decide_batch(decider, difficulties[mask])
         return solve
-
-    def _mask_until(
-        self, until: float | None, finish: np.ndarray, *arrays: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        """Drop terminals past ``until`` (their events would not fire)."""
-        if until is None:
-            return (finish, *arrays)
-        keep = finish <= until
-        return (finish[keep], *(a[keep] for a in arrays))
-
-    def _touch(self, *times) -> None:
-        for value in times:
-            if np.isscalar(value):
-                if value > self._now:
-                    self._now = float(value)
-            elif getattr(value, "size", 0):
-                peak = float(np.max(value))
-                if peak > self._now:
-                    self._now = peak
 
     # ------------------------------------------------------------------
     # Open-loop: traces and fire schedules
@@ -700,32 +787,32 @@ class FastSimulation:
                 class_names, class_ids, packed
             )
 
-        mode = self._admission_mode()
-        scores = None
-        if mode == "array" and n:
+        get_scores = requests_of = None
+        if self._admission_mode() != "array":
+            requests_of = lambda idx: [  # noqa: E731
+                entries[i].request for i in idx.tolist()
+            ]
+        elif n:
             from repro.reputation.base import model_score_requests
 
             scores = model_score_requests(
                 self.framework.model, [e.request for e in entries]
             )
-
-        requests_of = (
-            None
-            if mode == "array"
-            else (lambda idx: [entries[i].request for i in idx.tolist()])
-        )
-        return self._run_open_loop(
+            get_scores = lambda idx, at: scores[idx]  # noqa: E731
+        self._start_open_loop(
             ts=ts,
             class_names=class_names,
             class_ids=class_ids,
             agent_ids=agent_ids,
             n_agents=len(agent_index),
-            scores=scores,
+            get_scores=get_scores,
             requests_of=requests_of,
             until=until,
             link_qids=link_qids,
             link_base=link_base,
         )
+        self.step(None)
+        return self.finish()
 
     def run_fires(
         self,
@@ -742,11 +829,9 @@ class FastSimulation:
         ``feedback`` threads a :class:`FastFeedback` offset table into
         scoring and outcome observation.
         """
-        return self._run_open_loop(
-            **self._fires_kwargs(
-                population, fire_times, fire_agents, until, feedback
-            )
-        )
+        self.start_fires(population, fire_times, fire_agents, until, feedback)
+        self.step(None)
+        return self.finish()
 
     # ------------------------------------------------------------------
     # Stepped execution (the parallel driver's epoch API)
@@ -768,39 +853,6 @@ class FastSimulation:
         order — see :meth:`CalendarQueue.drain_until` — so the two
         spellings produce bit-identical decision streams and reports.
         """
-        self._start_open_loop(
-            **self._fires_kwargs(
-                population, fire_times, fire_agents, until, feedback
-            )
-        )
-
-    def step(self, bound: float | None) -> bool:
-        """Process every cohort with quantized time ``<= bound``.
-
-        Returns True while events remain past ``bound`` (the caller
-        should step again with a later bound), False once the run is
-        over — queue drained, or every remaining cohort lies beyond
-        the run's ``until`` horizon.  ``bound=None`` runs to the end.
-        """
-        if self._open is None:
-            raise ValueError("step() before start_fires()")
-        return self._step_open_loop(bound)
-
-    def finish(self) -> SimulationReport:
-        """The report of a stepped run (after :meth:`step` returned False)."""
-        if self._open is None:
-            raise ValueError("finish() before start_fires()")
-        return self._finish_open_loop()
-
-    def _fires_kwargs(
-        self,
-        population: AgentPopulation,
-        fire_times: np.ndarray,
-        fire_agents: np.ndarray,
-        until: float | None,
-        feedback: FastFeedback | None,
-    ) -> dict:
-        """The open-loop engine arguments for a SoA fire schedule."""
         fire_agents = np.asarray(fire_agents, dtype=np.int64)
         fire_times = np.asarray(fire_times, dtype=np.float64)
         mode = self._admission_mode()
@@ -811,19 +863,6 @@ class FastSimulation:
                 "admission (recorder/subscribers attached), where the "
                 "offsets would update but never influence a decision"
             )
-        base_scores = None
-        if mode == "array":
-            schema = _scoring_schema(self.framework.model)
-            if schema.names != population.schema.names:
-                raise ValueError(
-                    "population schema does not match the scoring "
-                    f"model's: {population.schema.names} vs "
-                    f"{schema.names}"
-                )
-            base_scores = population.score_with(
-                _innermost_batch_scorer(self.framework.model)
-            )
-        class_ids = population.profile_id[fire_agents].astype(np.int32)
         link_qids = link_base = None
         if self.links is not None:
             # Per-agent link state is SoA: one hash-derived base delay
@@ -835,19 +874,30 @@ class FastSimulation:
             )
             link_qids = agent_qids[fire_agents]
             link_base = agent_base[fire_agents]
-        per_fire_scores = None
-        if base_scores is not None and feedback is None:
-            per_fire_scores = base_scores[fire_agents]
 
-        def score_hook(idx: np.ndarray, at: float) -> np.ndarray:
-            gathered = base_scores[fire_agents[idx]]
+        get_scores = requests_of = None
+        if mode == "array":
+            schema = _scoring_schema(self.framework.model)
+            if schema.names != population.schema.names:
+                raise ValueError(
+                    "population schema does not match the scoring "
+                    f"model's: {population.schema.names} vs "
+                    f"{schema.names}"
+                )
+            base_scores = population.score_with(
+                _innermost_batch_scorer(self.framework.model)
+            )
             if feedback is None:
-                return gathered
-            offsets = feedback.offsets_for(fire_agents[idx], at)
-            return np.clip(gathered + offsets, 0.0, 10.0)
+                per_fire_scores = base_scores[fire_agents]
+                get_scores = lambda idx, at: per_fire_scores[idx]  # noqa: E731
+            else:
 
-        requests_of = None
-        if mode == "framework":
+                def get_scores(idx: np.ndarray, at: float) -> np.ndarray:
+                    agents = fire_agents[idx]
+                    offsets = feedback.offsets_for(agents, at)
+                    return np.clip(base_scores[agents] + offsets, 0.0, 10.0)
+
+        else:
             from repro.core.records import ClientRequest
 
             names = population.schema.names
@@ -865,7 +915,7 @@ class FastSimulation:
                         float(true[agent]),
                     )
 
-            def requests_of(idx: np.ndarray):  # noqa: F811 - mode-specific
+            def requests_of(idx: np.ndarray):
                 agents = fire_agents[idx]
                 ips = population.ip_strings(agents)
                 return [
@@ -880,26 +930,19 @@ class FastSimulation:
                     for i, agent, ip in zip(idx.tolist(), agents.tolist(), ips)
                 ]
 
-        return dict(
+        self._start_open_loop(
             ts=fire_times,
             class_names=list(population.profile_names),
-            class_ids=class_ids,
+            class_ids=population.profile_id[fire_agents].astype(np.int32),
             agent_ids=fire_agents,
             n_agents=len(population),
-            scores=per_fire_scores,
-            score_hook=None if per_fire_scores is not None or mode != "array" else score_hook,
+            get_scores=get_scores,
             requests_of=requests_of,
             until=until,
             feedback=feedback,
             link_qids=link_qids,
             link_base=link_base,
         )
-
-    def _run_open_loop(self, **kwargs) -> SimulationReport:
-        """The shared open-loop engine behind :meth:`run`/:meth:`run_fires`."""
-        self._start_open_loop(**kwargs)
-        self._step_open_loop(None)
-        return self._finish_open_loop()
 
     def _start_open_loop(
         self,
@@ -909,79 +952,65 @@ class FastSimulation:
         class_ids: np.ndarray,
         agent_ids: np.ndarray,
         n_agents: int,
-        scores: np.ndarray | None,
+        get_scores,
         requests_of,
         until: float | None,
-        score_hook=None,
         feedback: FastFeedback | None = None,
         link_qids: np.ndarray | None = None,
         link_base: np.ndarray | None = None,
     ) -> None:
-        """Reset run state and push the initial arrival schedule."""
+        """Reset, build the run state and push the arrival schedule."""
         self._reset()
-        n = int(ts.size)
-        cpu_free = np.zeros(n_agents)
-        hash_rate = self._per_class(class_names, self.hash_rates, self.default_hash_rate)
-        patience = self._per_class(class_names, self.patiences, 30.0)
-        if link_base is None:
-            link_base = 0.0  # broadcasts as "no extra propagation"
-
+        self._open = _RunState(
+            ts=ts,
+            class_names=class_names,
+            class_ids=class_ids,
+            hash_rate=self._per_class(
+                class_names, self.hash_rates, self.default_hash_rate
+            ),
+            patience=self._per_class(class_names, self.patiences, 30.0),
+            get_scores=get_scores,
+            requests_of=requests_of,
+            until=until,
+            link_base=0.0 if link_base is None else link_base,
+            agent_ids=agent_ids,
+            cpu_free=np.zeros(n_agents),
+            feedback=feedback,
+            link_qids=link_qids,
+        )
         # Arrival times: one channel crossing per submitted request.
         # _push_grouped stable-sorts them, so equal-instant arrivals
         # keep trace order — the exact cohorts the callback engine's
         # arrival batching forms.  Linked requests instead enter their
         # uplink at the submit instant ("xmit"); the crossing decides
         # when — and whether — they arrive.
-        if n:
-            all_idx = np.arange(n, dtype=np.int64)
-            if self._link_session is not None:
-                linked = link_qids >= 0
-                plain = all_idx[~linked]
-                if plain.size:
-                    self._push_grouped(
-                        ts[plain] + self._delays(int(plain.size)),
-                        "arrive",
-                        (plain,),
-                    )
-                wired = all_idx[linked]
-                if wired.size:
-                    self._push_grouped(
-                        ts[wired],
-                        "xmit",
-                        (wired, np.ones(wired.size, dtype=np.int64)),
-                    )
-            else:
-                self._push_grouped(
-                    ts + self._delays(n), "arrive", (all_idx,)
-                )
+        plain = np.arange(int(ts.size), dtype=np.int64)
+        wired = plain[:0]
+        if self._link_session is not None:
+            linked = link_qids >= 0
+            plain, wired = plain[~linked], plain[linked]
+        if plain.size:
+            self._push_grouped(
+                ts[plain] + self._delays(int(plain.size)), "arrive", (plain,)
+            )
+        if wired.size:
+            self._push_grouped(
+                ts[wired], "xmit", (wired, np.ones(wired.size, dtype=np.int64))
+            )
 
-        get_scores = score_hook
-        if get_scores is None and scores is not None:
-            get_scores = lambda idx, at: scores[idx]  # noqa: E731
+    def step(self, bound: float | None) -> bool:
+        """Process every cohort with quantized time ``<= bound``.
 
-        self._open = _OpenLoopState(
-            ts=ts,
-            class_names=class_names,
-            class_ids=class_ids,
-            agent_ids=agent_ids,
-            cpu_free=cpu_free,
-            hash_rate=hash_rate,
-            patience=patience,
-            get_scores=get_scores,
-            requests_of=requests_of,
-            until=until,
-            feedback=feedback,
-            link_qids=link_qids,
-            link_base=link_base,
-            n=n,
-            model=self.server_model,
-            ttl=self.framework.config.pow.ttl,
-        )
-
-    def _step_open_loop(self, bound: float | None) -> bool:
-        """Drain cohorts up to ``bound``; True while events remain."""
-        st = self._open
-        until = st.until
+        The engine's one cohort loop: every run shape drains through
+        it.  Returns True while events remain past ``bound`` (the
+        caller should step again with a later bound), False once the
+        run is over — queue drained, or every remaining cohort lies
+        beyond the run's ``until`` horizon.  ``bound=None`` runs to the
+        end.
+        """
+        if self._open is None:
+            raise ValueError("step() before start_fires()")
+        until = self._open.until
         timer = self.phase_timer
         while self._queue:
             peek = self._queue.peek_time()
@@ -990,226 +1019,96 @@ class FastSimulation:
             if bound is not None and peek > bound:
                 return True
             when, segments = self._queue.pop_cohort()
-            self._touch(when)
+            self._now = max(self._now, when)
             for kind, payload in _merge_segments(segments):
+                handler = self._handlers.get(kind)
+                if handler is None:
+                    raise ValueError(
+                        f"no handler for event kind {kind!r} in this run "
+                        f"(known: {', '.join(self._handlers)})"
+                    )
                 started = time.perf_counter() if timer is not None else 0.0
-                if kind == "arrive":
-                    self._process_arrivals(
-                        when,
-                        payload,
-                        ts=st.ts,
-                        class_names=st.class_names,
-                        class_ids=st.class_ids,
-                        agent_ids=st.agent_ids,
-                        cpu_free=st.cpu_free,
-                        hash_rate=st.hash_rate,
-                        patience=st.patience,
-                        get_scores=st.get_scores,
-                        requests_of=st.requests_of,
-                        until=until,
-                        link_qids=st.link_qids,
-                        link_base=st.link_base,
-                    )
-                elif kind == "xmit":
-                    self._process_xmit(
-                        when,
-                        payload,
-                        ts=st.ts,
-                        class_ids=st.class_ids,
-                        patience=st.patience,
-                        link_qids=st.link_qids,
-                        link_base=st.link_base,
-                    )
-                elif kind == "xmitsol":
-                    self._process_xmitsol(
-                        when,
-                        payload,
-                        ts=st.ts,
-                        class_ids=st.class_ids,
-                        class_names=st.class_names,
-                        link_qids=st.link_qids,
-                        link_base=st.link_base,
-                    )
-                else:  # solution
-                    self._process_solutions(
-                        when,
-                        payload,
-                        ts=st.ts,
-                        class_ids=st.class_ids,
-                        class_names=st.class_names,
-                        agent_ids=st.agent_ids,
-                        ttl=st.ttl,
-                        model=st.model,
-                        until=until,
-                        feedback=st.feedback,
-                        link_base=st.link_base,
-                    )
+                handler(self, when, payload)
                 if timer is not None:
-                    items = (
-                        payload.size
-                        if isinstance(payload, np.ndarray)
-                        else payload[0].size
-                    )
                     timer.observe(
                         kind,
                         time.perf_counter() - started,
-                        items=int(items),
+                        items=int(payload[0].size),
                     )
         return False
 
-    def _finish_open_loop(self) -> SimulationReport:
+    def finish(self) -> SimulationReport:
+        """The report of a stepped run (after :meth:`step` returned False)."""
         st = self._open
-        duration = st.until if st.until is not None else self._now
+        if st is None:
+            raise ValueError("finish() before start_fires()")
         return SimulationReport(
             metrics=collector_from_buffers(self._buffers),
-            duration=duration,
-            requests=st.n,
+            duration=st.until if st.until is not None else self._now,
+            requests=int(st.ts.size),
             events_processed=self.events_processed,
             link_stats=self.link_stats,
         )
 
-    def _process_arrivals(
-        self,
-        when: float,
-        idx: np.ndarray,
-        *,
-        ts: np.ndarray,
-        class_names: Sequence[str],
-        class_ids: np.ndarray,
-        agent_ids: np.ndarray,
-        cpu_free: np.ndarray,
-        hash_rate: np.ndarray,
-        patience: np.ndarray,
-        get_scores,
-        requests_of,
-        until: float | None,
-        link_qids: np.ndarray | None = None,
-        link_base: np.ndarray | float = 0.0,
-    ) -> None:
+    def _process_arrivals(self, when: float, payload: tuple) -> None:
+        (idx,) = payload
+        st = self._open
         k = int(idx.size)
-        self.arrival_batches += 1
-        self.largest_arrival_batch = max(self.largest_arrival_batch, k)
-        self.events_processed += k + 1  # arrivals + the drain
-        cids = class_ids[idx]
         model = self.server_model
-        # Server->client legs add the agent's propagation delay but are
-        # modelled lossless (the uplink is the constrained direction).
-        base = link_base[idx] if isinstance(link_base, np.ndarray) else 0.0
-
-        # Decision order matters for stateful (load-adaptive) policies:
-        # the callback engine charges the cohort's FIFO costs — which
-        # feed the policy's load signal — *before* the batch admission,
-        # so the array kernel must too, or the two engines' decision
-        # streams drift apart.
         if not self.pow_enabled:
             dones = self._fifo(when, model.resource_cost, k)
-            if get_scores is not None:
-                cohort_scores = get_scores(idx, when)
-                difficulties = self.framework.difficulties_for_scores(
-                    cohort_scores
-                ).astype(np.float64)
-            else:
-                cohort_scores, difficulties = self._admit_framework(
-                    requests_of(idx), now=when
-                )
-            if self.decisions is not None:
-                self.decisions.append(
-                    (when, idx.copy(), cohort_scores.copy(),
-                     difficulties.copy())
-                )
-            finish = dones + self._delays(k) + base
+            scores, difficulties = self._admit(idx, when, None)
+            finish = dones + self._delays(k) + self._base(idx)
             self.events_processed += k
-            out = self._mask_until(
-                until, finish, cids, cohort_scores, difficulties, ts[idx]
-            )
-            finish, cids_m, scores_m, diffs_m, ts_m = out
-            self._touch(finish)
-            self._buffers.record(
-                class_names,
-                cids_m,
+            self._terminal(
+                idx,
+                finish,
                 ResponseStatus.SERVED,
-                np.maximum(0.0, finish - ts_m),
-                scores_m,
-                diffs_m,
-                np.zeros(finish.size),
+                scores,
+                difficulties,
+                np.zeros(k),
             )
             return
 
         issue = self._fifo(when, model.challenge_cost, k)
-        if get_scores is not None:
-            cohort_scores = get_scores(idx, when)
-            difficulties = self.framework.difficulties_for_scores(
-                cohort_scores
-            ).astype(np.float64)
-        else:
-            cohort_scores, difficulties = self._admit_framework(
-                requests_of(idx), now=[float(t) for t in issue]
-            )
-        if self.decisions is not None:
-            self.decisions.append(
-                (when, idx.copy(), cohort_scores.copy(), difficulties.copy())
-            )
-
-        receipt = issue + self._delays(k) + base
+        scores, difficulties = self._admit(idx, when, issue)
+        receipt = issue + self._delays(k) + self._base(idx)
         self.events_processed += k  # puzzle deliveries
-        solve = self._decide_solve(class_names, cids, difficulties)
+        cids = st.class_ids[idx]
+        solve = self._decide_solve(st.class_names, cids, difficulties)
 
         refused = ~solve
         if refused.any():
-            out = self._mask_until(
-                until,
+            self._terminal(
+                idx[refused],
                 receipt[refused],
-                cids[refused],
-                cohort_scores[refused],
-                difficulties[refused],
-                ts[idx][refused],
-            )
-            finish, cids_m, scores_m, diffs_m, ts_m = out
-            self._touch(finish)
-            self._buffers.record(
-                class_names,
-                cids_m,
                 ResponseStatus.ABANDONED,
-                np.maximum(0.0, finish - ts_m),
-                scores_m,
-                diffs_m,
-                np.zeros(finish.size),
+                scores[refused],
+                difficulties[refused],
+                np.zeros(int(refused.sum())),
             )
-
         if not solve.any():
             return
         s_idx = idx[solve]
         s_receipt = receipt[solve]
         s_diff = difficulties[solve]
-        s_scores = cohort_scores[solve]
+        s_scores = scores[solve]
         s_cids = cids[solve]
+        s_patience = st.patience[s_cids]
         attempts = sample_attempts_array(s_diff, self.rng)
-        seconds = attempts / hash_rate[s_cids]
+        seconds = attempts / st.hash_rate[s_cids]
         solve_end, abandoned = self._solve_schedule(
-            agent_ids[s_idx], cpu_free, s_receipt, seconds, patience[s_cids]
+            st.agent_ids[s_idx], st.cpu_free, s_receipt, seconds, s_patience
         )
 
         if abandoned.any():
-            give_up = s_receipt[abandoned] + patience[s_cids][abandoned]
-            out = self._mask_until(
-                until,
-                give_up,
-                s_cids[abandoned],
+            self._terminal(
+                s_idx[abandoned],
+                s_receipt[abandoned] + s_patience[abandoned],
+                ResponseStatus.ABANDONED,
                 s_scores[abandoned],
                 s_diff[abandoned],
-                ts[s_idx][abandoned],
                 attempts[abandoned],
-            )
-            finish, cids_m, scores_m, diffs_m, ts_m, attempts_m = out
-            self._touch(finish)
-            self._buffers.record(
-                class_names,
-                cids_m,
-                ResponseStatus.ABANDONED,
-                np.maximum(0.0, finish - ts_m),
-                scores_m,
-                diffs_m,
-                attempts_m,
             )
 
         solving = ~abandoned
@@ -1222,103 +1121,117 @@ class FastSimulation:
             s_diff[solving],
             s_scores[solving],
         )
+        solve_end = solve_end[solving]
         if self._link_session is not None:
             # Linked agents enter their uplink the instant solving
             # ends; the crossing (loss, queue) decides the submit time.
-            on_link = link_qids[payload[0]] >= 0
+            on_link = st.link_qids[payload[0]] >= 0
             if on_link.any():
                 self._push_grouped(
-                    solve_end[solving][on_link],
+                    solve_end[on_link],
                     "xmitsol",
                     tuple(col[on_link] for col in payload)
                     + (np.ones(int(on_link.sum()), dtype=np.int64),),
                 )
             off_link = ~on_link
-            if off_link.any():
-                submit = (
-                    solve_end[solving][off_link]
-                    + self._delays(int(off_link.sum()))
-                )
-                self._push_grouped(
-                    submit,
-                    "solve",
-                    tuple(col[off_link] for col in payload),
-                )
-            return
-        submit = solve_end[solving] + self._delays(int(solving.sum()))
-        self._push_grouped(submit, "solve", payload)
+            if not off_link.any():
+                return
+            payload = tuple(col[off_link] for col in payload)
+            solve_end = solve_end[off_link]
+        self._push_grouped(
+            solve_end + self._delays(int(solve_end.size)), "solve", payload
+        )
 
-    def _process_solutions(
-        self,
-        when: float,
-        payload: tuple,
-        *,
-        ts: np.ndarray,
-        class_ids: np.ndarray,
-        class_names: Sequence[str],
-        agent_ids: np.ndarray,
-        ttl: float,
-        model: ServerModel,
-        until: float | None,
-        feedback: FastFeedback | None,
-        link_base: np.ndarray | float = 0.0,
-    ) -> None:
+    def _process_solutions(self, when: float, payload: tuple) -> None:
         idx, issued_at, attempts, difficulties, scores = payload
         k = int(idx.size)
         self.events_processed += k
-        expired = kernels.ttl_mask(when, issued_at, ttl)
+        model = self.server_model
+        expired = kernels.ttl_mask(
+            when, issued_at, self.framework.config.pow.ttl
+        )
         costs = model.verify_cost + np.where(
             expired, 0.0, model.resource_cost
         )
         dones = self._fifo(when, costs, k)
-        base = link_base[idx] if isinstance(link_base, np.ndarray) else 0.0
-        finish = dones + self._delays(k) + base
+        finish = dones + self._delays(k) + self._base(idx)
         self.events_processed += k  # terminal responses
         status_codes = np.where(
             expired,
             _STATUS_CODES.index(ResponseStatus.EXPIRED),
             _SERVED,
         ).astype(np.int8)
-        cids = class_ids[idx]
-        out = self._mask_until(
-            until,
+        self._terminal(
+            idx,
             finish,
-            cids,
+            status_codes,
             scores,
             difficulties,
-            ts[idx],
             attempts,
-            status_codes,
-            agent_ids[idx],
+            redeemed_at=when,
         )
-        finish, cids_m, scores_m, diffs_m, ts_m, attempts_m, codes_m, agents_m = out
-        self._touch(finish)
-        self._buffers.record(
-            class_names,
-            cids_m,
-            codes_m,
-            np.maximum(0.0, finish - ts_m),
-            scores_m,
-            diffs_m,
-            attempts_m,
-        )
-        if feedback is not None:
-            feedback.observe_served(agents_m[codes_m == _SERVED], when)
 
     # ------------------------------------------------------------------
     # Link crossings
     # ------------------------------------------------------------------
-    def _process_xmit(
-        self,
-        when: float,
-        payload: tuple,
-        *,
-        ts: np.ndarray,
-        class_ids: np.ndarray,
-        patience: np.ndarray,
-        link_qids: np.ndarray,
-        link_base: np.ndarray,
-    ) -> None:
+    def _cross(
+        self, when: float, idx: np.ndarray, attempt: np.ndarray, leg: int
+    ):
+        """One uplink crossing of a cohort, transmission queue by queue.
+
+        The step both legs share: the counter-hash loss draw, the
+        queue's FIFO/tail-drop recurrence, and the backoff schedule of
+        whatever failed.  Yields, per queue, ``(delivered, arrive,
+        failed, retry_at, can_retry)``: positions (into ``idx``) that
+        crossed and their server-side arrival times, then the positions
+        that did not — lost + tail-dropped, in original crossing order
+        (a same-instant retry cohort re-enters the queue in the order
+        the callback engine would process it) — with their next attempt
+        time and whether ``max_retries`` still allows one.  What to do
+        with a crossing that succeeded, and when to give up, is the
+        leg's.
+        """
+        st = self._open
+        session = self._link_session
+        stats = session.stats
+        self.events_processed += int(idx.size)
+        stats.crossings += int(idx.size)
+        qids = st.link_qids[idx]
+        for qid in np.unique(qids):
+            pos = np.nonzero(qids == qid)[0]
+            profile = self.links.profile_of_queue(int(qid))
+            lost = self.links.crossing_lost(
+                idx[pos], attempt[pos], leg=leg, loss_rate=profile.loss_rate
+            )
+            stats.lost += int(lost.sum())
+            surv = pos[~lost]
+            exits, accepted = session.cross(int(qid), when, int(surv.size))
+            stats.queue_dropped += int(surv.size) - accepted
+            deliv = surv[:accepted]
+            arrive = None
+            if deliv.size:
+                arrive = (
+                    exits
+                    + self._base(idx[deliv])
+                    + self._delays(int(deliv.size))
+                )
+            failed = np.zeros(pos.size, dtype=bool)
+            failed[np.nonzero(lost)[0]] = True
+            failed[np.nonzero(~lost)[0][accepted:]] = True
+            f_pos = pos[failed]
+            f_att = attempt[f_pos]
+            retry_at = when + profile.backoff * 2.0 ** (
+                f_att.astype(np.float64) - 1.0
+            )
+            yield (
+                deliv,
+                arrive,
+                f_pos,
+                retry_at,
+                f_att < 1 + profile.max_retries,
+            )
+
+    def _process_xmit(self, when: float, payload: tuple) -> None:
         """Request-leg uplink crossings: loss, queueing, retry, give-up.
 
         Requests the network swallows here were never admitted — they
@@ -1328,157 +1241,78 @@ class FastSimulation:
         retransmits a page request they have stopped waiting for.
         """
         idx, attempt = payload
-        k = int(idx.size)
-        self.events_processed += k
-        session = self._link_session
-        stats = session.stats
-        stats.crossings += k
-        qids = link_qids[idx]
-        for qid in np.unique(qids):
-            pos = np.nonzero(qids == qid)[0]
-            profile = self.links.profile_of_queue(int(qid))
-            lost = self.links.crossing_lost(
-                idx[pos], attempt[pos], leg=0, loss_rate=profile.loss_rate
-            )
-            stats.lost += int(lost.sum())
-            surv = pos[~lost]
-            exits, accepted = session.cross(
-                int(qid), when, int(surv.size)
-            )
-            stats.queue_dropped += int(surv.size) - accepted
-            deliv = idx[surv[:accepted]]
+        st = self._open
+        stats = self._link_session.stats
+        for deliv, arrive, failed, retry_at, can in self._cross(
+            when, idx, attempt, leg=0
+        ):
             if deliv.size:
-                self._push_grouped(
-                    exits + link_base[deliv] + self._delays(int(deliv.size)),
-                    "arrive",
-                    (deliv,),
-                )
-            # Failed = lost + tail-dropped, in original crossing order
-            # (a same-instant retry cohort re-enters the queue in the
-            # order the callback engine would process it).
-            failed = np.zeros(pos.size, dtype=bool)
-            failed[np.nonzero(lost)[0]] = True
-            failed[np.nonzero(~lost)[0][accepted:]] = True
-            if not failed.any():
+                self._push_grouped(arrive, "arrive", (idx[deliv],))
+            if not failed.size:
                 continue
-            f_pos = pos[failed]
-            f_idx = idx[f_pos]
-            f_att = attempt[f_pos]
-            retry_at = when + profile.backoff * 2.0 ** (
-                f_att.astype(np.float64) - 1.0
-            )
-            can = (f_att < 1 + profile.max_retries) & (
-                (retry_at - ts[f_idx]) <= patience[class_ids[f_idx]]
-            )
+            f_idx = idx[failed]
+            can &= (retry_at - st.ts[f_idx]) <= st.patience[
+                st.class_ids[f_idx]
+            ]
             stats.retries += int(can.sum())
             stats.request_give_ups += int((~can).sum())
-            if can.any():
-                self._push_grouped(
-                    retry_at[can], "xmit", (f_idx[can], f_att[can] + 1)
-                )
+            self._push_grouped(
+                retry_at[can], "xmit", (f_idx[can], attempt[failed][can] + 1)
+            )
 
-    def _process_xmitsol(
-        self,
-        when: float,
-        payload: tuple,
-        *,
-        ts: np.ndarray,
-        class_ids: np.ndarray,
-        class_names: Sequence[str],
-        link_qids: np.ndarray,
-        link_base: np.ndarray,
-    ) -> None:
+    def _process_xmitsol(self, when: float, payload: tuple) -> None:
         """Solution-leg uplink crossings.
 
-        Same loss/queue/retry mechanics as the request leg, with two
-        differences: the client already sank the solving work, so it
-        retries until ``max_retries`` regardless of patience (TTL
-        expiry — not impatience — punishes lateness), and a final
-        give-up *is* recorded in the metrics as ABANDONED: the puzzle
-        was issued and solved, so scores and difficulties exist.
+        Same crossing step as the request leg, with two differences:
+        the client already sank the solving work, so it retries until
+        ``max_retries`` regardless of patience (TTL expiry — not
+        impatience — punishes lateness), and a final give-up *is*
+        recorded in the metrics as ABANDONED: the puzzle was issued and
+        solved, so scores and difficulties exist.
         """
-        idx, issued_at, attempts, difficulties, scores, attempt = payload
-        k = int(idx.size)
-        self.events_processed += k
-        session = self._link_session
-        stats = session.stats
-        stats.crossings += k
-        qids = link_qids[idx]
-        for qid in np.unique(qids):
-            pos = np.nonzero(qids == qid)[0]
-            profile = self.links.profile_of_queue(int(qid))
-            lost = self.links.crossing_lost(
-                idx[pos], attempt[pos], leg=1, loss_rate=profile.loss_rate
-            )
-            stats.lost += int(lost.sum())
-            surv = pos[~lost]
-            exits, accepted = session.cross(
-                int(qid), when, int(surv.size)
-            )
-            stats.queue_dropped += int(surv.size) - accepted
-            deliv = surv[:accepted]
+        *solution, attempt = payload
+        idx, _issued_at, attempts, difficulties, scores = solution
+        stats = self._link_session.stats
+        for deliv, arrive, failed, retry_at, can in self._cross(
+            when, idx, attempt, leg=1
+        ):
             if deliv.size:
-                submit = (
-                    exits
-                    + link_base[idx[deliv]]
-                    + self._delays(int(deliv.size))
-                )
                 self._push_grouped(
-                    submit,
-                    "solve",
-                    (
-                        idx[deliv],
-                        issued_at[deliv],
-                        attempts[deliv],
-                        difficulties[deliv],
-                        scores[deliv],
-                    ),
+                    arrive, "solve", tuple(col[deliv] for col in solution)
                 )
-            failed = np.zeros(pos.size, dtype=bool)
-            failed[np.nonzero(lost)[0]] = True
-            failed[np.nonzero(~lost)[0][accepted:]] = True
-            if not failed.any():
+            if not failed.size:
                 continue
-            f_pos = pos[failed]
-            f_att = attempt[f_pos]
-            can = f_att < 1 + profile.max_retries
             stats.retries += int(can.sum())
-            give_up = f_pos[~can]
+            give_up = failed[~can]
             if give_up.size:
                 stats.solution_give_ups += int(give_up.size)
-                self._touch(when)
-                self._buffers.record(
-                    class_names,
-                    class_ids[idx[give_up]],
+                self._terminal(
+                    idx[give_up],
+                    np.full(give_up.size, when),
                     ResponseStatus.ABANDONED,
-                    np.maximum(0.0, when - ts[idx[give_up]]),
                     scores[give_up],
                     difficulties[give_up],
                     attempts[give_up],
                 )
-            retry = f_pos[can]
-            if retry.size:
-                retry_at = when + profile.backoff * 2.0 ** (
-                    attempt[retry].astype(np.float64) - 1.0
-                )
-                self._push_grouped(
-                    retry_at,
-                    "xmitsol",
-                    (
-                        idx[retry],
-                        issued_at[retry],
-                        attempts[retry],
-                        difficulties[retry],
-                        scores[retry],
-                        attempt[retry] + 1,
-                    ),
-                )
+            retry = failed[can]
+            self._push_grouped(
+                retry_at[can],
+                "xmitsol",
+                tuple(col[retry] for col in solution)
+                + (attempt[retry] + 1,),
+            )
 
     # ------------------------------------------------------------------
     # Closed loop
     # ------------------------------------------------------------------
     def run_sessions(self, sessions, until: float | None = None):
-        """Drive closed-loop sessions; drop-in for ``ClosedLoopSimulation.run``."""
+        """Drive closed-loop sessions; drop-in for ``ClosedLoopSimulation.run``.
+
+        A fire-schedule mode of the same engine: the sessions' first
+        exchanges are pushed as ``cl_arrive`` cohorts, two more handlers
+        are registered for this run, and :meth:`step` drains them; a
+        terminal outcome re-fires its session (:meth:`_finish_sessions`).
+        """
         from repro.net.sim.closedloop import ClosedLoopReport
 
         sessions = list(sessions)
@@ -1493,14 +1327,13 @@ class FastSimulation:
                 "lossy or bandwidth-capped links need the open-loop "
                 "engines (run/run_fires)"
             )
-        # The callback closed-loop server model has no load signal, so
-        # the fast engine must not feed one either.
-        self._reset(observe_load=False)
         m = len(sessions)
         class_names: list[str] = []
         class_index: dict[str, int] = {}
         cids = np.empty(m, dtype=np.int32)
-        start = np.empty(m)
+        #: Begin time of each session's exchange in flight (the run
+        #: state's ``ts``; the framework-mode request builder reads it live).
+        begin = np.empty(m)
         think = np.empty(m)
         exchanges = np.empty(m, dtype=np.int64)
         rate = np.empty(m)
@@ -1511,7 +1344,7 @@ class FastSimulation:
             if cid == len(class_names):
                 class_names.append(profile.name)
             cids[i] = cid
-            start[i] = session.start
+            begin[i] = session.start
             think[i] = session.think_time
             exchanges[i] = session.exchanges
             rate[i] = self.hash_rates.get(profile.name, profile.hash_rate)
@@ -1523,7 +1356,7 @@ class FastSimulation:
                     session.client.true_score,
                 )
 
-        base = np.zeros(m)
+        base = 0.0
         if self.links is not None:
             import ipaddress
 
@@ -1531,13 +1364,10 @@ class FastSimulation:
                 [int(ipaddress.ip_address(s.client.ip)) for s in sessions],
                 dtype=np.int64,
             )
-            qids = self.links.queue_ids(class_names)[cids]
-            base = self.links.base_delays(packed, qids)
+            _, base = self._bind_links(class_names, cids, packed)
 
-        mode = self._admission_mode()
-        scores = None
-        requests = None
-        if mode == "array":
+        get_scores = requests_of = None
+        if self._admission_mode() == "array":
             # The schema must be the *scoring* model's — a transparent
             # wrapper (score cache) declares none, and falling back to
             # the default would vectorize features in the wrong column
@@ -1550,192 +1380,146 @@ class FastSimulation:
             scores = np.asarray(
                 scorer.score_batch(matrix), dtype=np.float64
             )
+            get_scores = lambda idx, at: scores[idx]  # noqa: E731
         else:
             from repro.core.records import ClientRequest
 
-            def requests(idx: np.ndarray, begin_ts: np.ndarray):
+            def requests_of(idx: np.ndarray):
                 return [
                     ClientRequest(
                         client_ip=sessions[i].client.ip,
                         resource="/session",
-                        timestamp=float(t),
+                        timestamp=t,
                         features=sessions[i].client.features,
                     )
-                    for i, t in zip(idx.tolist(), begin_ts.tolist())
+                    for i, t in zip(idx.tolist(), begin[idx].tolist())
                 ]
 
-        completed = 0
-        model = self.server_model
-
-        # First exchange of every session.
-        begin = start.copy()
-        arrive = begin + self._delays(m) + base
-        remaining = exchanges.copy()
-        self._push_grouped(
-            arrive,
-            "cl_arrive",
-            (np.arange(m, dtype=np.int64), begin, remaining),
+        # The callback closed-loop server model has no load signal, so
+        # the fast engine must not feed one either.
+        self._reset(observe_load=False)
+        self._handlers.update(
+            cl_arrive=type(self)._process_session_arrivals,
+            cl_redeem=type(self)._process_redemptions,
         )
-
-        while self._queue:
-            peek = self._queue.peek_time()
-            if until is not None and peek > until:
-                break
-            when, segments = self._queue.pop_cohort()
-            self._touch(when)
-            for kind, payload in _merge_segments(segments):
-                if kind == "cl_arrive":
-                    idx, begin_ts, rem = payload
-                    k = int(idx.size)
-                    self.arrival_batches += 1
-                    self.largest_arrival_batch = max(
-                        self.largest_arrival_batch, k
-                    )
-                    self.events_processed += k + 1
-                    issue = self._fifo(when, model.challenge_cost, k)
-                    if scores is not None:
-                        cohort_scores = scores[idx]
-                        difficulties = self.framework.difficulties_for_scores(
-                            cohort_scores
-                        ).astype(np.float64)
-                    else:
-                        cohort_scores, difficulties = self._admit_framework(
-                            requests(idx, begin_ts),
-                            now=[float(t) for t in issue],
-                        )
-                    receipt = issue + self._delays(k) + base[idx]
-                    self.events_processed += k
-                    attempts = sample_attempts_array(difficulties, self.rng)
-                    seconds = attempts / rate[idx]
-                    # Closed-loop clients abandon on expected grind time
-                    # alone (their CPU is otherwise idle): sample
-                    # exceeding patience ends the exchange at
-                    # receipt + patience.
-                    abandoned = seconds > patience[idx]
-                    if abandoned.any():
-                        finish = receipt[abandoned] + patience[idx][abandoned]
-                        completed += self._finish_sessions(
-                            when,
-                            class_names,
-                            cids,
-                            idx[abandoned],
-                            begin_ts[abandoned],
-                            rem[abandoned],
-                            ResponseStatus.ABANDONED,
-                            finish,
-                            cohort_scores[abandoned],
-                            difficulties[abandoned],
-                            attempts[abandoned],
-                            think,
-                            until,
-                            base,
-                        )
-                    solving = ~abandoned
-                    if solving.any():
-                        submit = (
-                            receipt[solving]
-                            + seconds[solving]
-                            + self._delays(int(solving.sum()))
-                            + base[idx[solving]]
-                        )
-                        self._push_grouped(
-                            submit,
-                            "cl_redeem",
-                            (
-                                idx[solving],
-                                begin_ts[solving],
-                                rem[solving],
-                                attempts[solving],
-                                cohort_scores[solving],
-                                difficulties[solving],
-                            ),
-                        )
-                else:  # cl_redeem
-                    idx, begin_ts, rem, attempts, cohort_scores, difficulties = payload
-                    k = int(idx.size)
-                    self.events_processed += k
-                    dones = self._fifo(
-                        when,
-                        model.verify_cost + model.resource_cost,
-                        k,
-                    )
-                    finish = dones + self._delays(k) + base[idx]
-                    completed += self._finish_sessions(
-                        when,
-                        class_names,
-                        cids,
-                        idx,
-                        begin_ts,
-                        rem,
-                        ResponseStatus.SERVED,
-                        finish,
-                        cohort_scores,
-                        difficulties,
-                        attempts,
-                        think,
-                        until,
-                        base,
-                    )
-
-        duration = until if until is not None else self._now
+        self._open = state = _RunState(
+            ts=begin,
+            class_names=class_names,
+            class_ids=cids,
+            hash_rate=rate,
+            patience=patience,
+            get_scores=get_scores,
+            requests_of=requests_of,
+            until=until,
+            link_base=base,
+            think=think,
+            remaining=exchanges,
+        )
+        # First exchange of every session.
+        everyone = np.arange(m, dtype=np.int64)
+        self._push_grouped(
+            state.ts + self._delays(m) + self._base(everyone),
+            "cl_arrive",
+            (everyone,),
+        )
+        self.step(None)
         return ClosedLoopReport(
             metrics=collector_from_buffers(self._buffers),
-            duration=duration,
+            duration=until if until is not None else self._now,
             sessions=m,
-            completed_exchanges=completed,
+            completed_exchanges=state.completed,
         )
 
-    def _finish_sessions(
-        self,
-        when: float,
-        class_names: Sequence[str],
-        cids: np.ndarray,
-        idx: np.ndarray,
-        begin_ts: np.ndarray,
-        rem: np.ndarray,
-        status: ResponseStatus,
-        finish: np.ndarray,
-        scores: np.ndarray,
-        difficulties: np.ndarray,
-        attempts: np.ndarray,
-        think: np.ndarray,
-        until: float | None,
-        base: np.ndarray,
-    ) -> int:
-        out = self._mask_until(
-            until, finish, idx, begin_ts, rem, scores, difficulties, attempts
-        )
-        finish, idx, begin_ts, rem, scores, difficulties, attempts = out
-        self._touch(finish)
-        self.events_processed += int(finish.size)
-        self._buffers.record(
-            class_names,
-            cids[idx],
-            status,
-            np.maximum(0.0, finish - begin_ts),
+    def _process_session_arrivals(self, when: float, payload: tuple) -> None:
+        (idx,) = payload
+        st = self._open
+        k = int(idx.size)
+        issue = self._fifo(when, self.server_model.challenge_cost, k)
+        scores, difficulties = self._admit(idx, when, issue)
+        receipt = issue + self._delays(k) + self._base(idx)
+        self.events_processed += k
+        attempts = sample_attempts_array(difficulties, self.rng)
+        seconds = attempts / st.hash_rate[idx]
+        # Closed-loop clients abandon on expected grind time alone
+        # (their CPU is otherwise idle): a sample exceeding patience
+        # ends the exchange at receipt + patience.
+        abandoned = seconds > st.patience[idx]
+        if abandoned.any():
+            self._finish_sessions(
+                idx[abandoned],
+                receipt[abandoned] + st.patience[idx][abandoned],
+                ResponseStatus.ABANDONED,
+                scores[abandoned],
+                difficulties[abandoned],
+                attempts[abandoned],
+            )
+        solving = ~abandoned
+        if solving.any():
+            submit = (
+                receipt[solving]
+                + seconds[solving]
+                + self._delays(int(solving.sum()))
+                + self._base(idx[solving])
+            )
+            self._push_grouped(
+                submit,
+                "cl_redeem",
+                (
+                    idx[solving],
+                    attempts[solving],
+                    scores[solving],
+                    difficulties[solving],
+                ),
+            )
+
+    def _process_redemptions(self, when: float, payload: tuple) -> None:
+        idx, attempts, scores, difficulties = payload
+        k = int(idx.size)
+        self.events_processed += k
+        model = self.server_model
+        dones = self._fifo(when, model.verify_cost + model.resource_cost, k)
+        self._finish_sessions(
+            idx,
+            dones + self._delays(k) + self._base(idx),
+            ResponseStatus.SERVED,
             scores,
             difficulties,
             attempts,
         )
-        again = rem - 1 > 0
-        if again.any():
-            pauses = np.where(
-                think[idx[again]] > 0,
-                self.rng.exponential(np.maximum(think[idx[again]], 1e-300)),
-                0.0,
-            )
-            next_begin = finish[again] + pauses
-            arrive = (
-                next_begin
-                + self._delays(int(again.sum()))
-                + base[idx[again]]
-            )
-            self._push_grouped(
-                arrive,
-                "cl_arrive",
-                (idx[again], next_begin, rem[again] - 1),
-            )
-        return int(finish.size)
+
+    def _finish_sessions(
+        self,
+        idx: np.ndarray,
+        finish: np.ndarray,
+        status: ResponseStatus,
+        scores: np.ndarray,
+        difficulties: np.ndarray,
+        attempts: np.ndarray,
+    ) -> None:
+        """The closed-loop terminal: record, then re-fire what has exchanges left."""
+        st = self._open
+        idx, finish = self._terminal(
+            idx, finish, status, scores, difficulties, attempts
+        )
+        self.events_processed += int(idx.size)
+        st.completed += int(idx.size)
+        again = st.remaining[idx] > 1
+        if not again.any():
+            return
+        idx = idx[again]
+        think = st.think[idx]
+        pauses = np.where(
+            think > 0,
+            self.rng.exponential(np.maximum(think, 1e-300)),
+            0.0,
+        )
+        st.ts[idx] = finish[again] + pauses
+        st.remaining[idx] -= 1
+        self._push_grouped(
+            st.ts[idx] + self._delays(int(idx.size)) + self._base(idx),
+            "cl_arrive",
+            (idx,),
+        )
 
     # ------------------------------------------------------------------
     # Helpers
@@ -1763,17 +1547,11 @@ class FastSimulation:
         boundaries = np.nonzero(np.diff(keyed))[0] + 1
         starts = np.concatenate([[0], boundaries])
         ends = np.concatenate([boundaries, [times.size]])
-        if kind == "arrive":
-            # The only single-column event kind; everything else
-            # ("solve", "xmit*", "cl_*") carries a tuple payload.
-            for lo, hi in zip(starts, ends):
-                self._queue.push(float(times[lo]), (kind, payload[0][lo:hi]))
-        else:
-            for lo, hi in zip(starts, ends):
-                self._queue.push(
-                    float(times[lo]),
-                    (kind, tuple(col[lo:hi] for col in payload)),
-                )
+        for lo, hi in zip(starts, ends):
+            self._queue.push(
+                float(times[lo]),
+                (kind, tuple(col[lo:hi] for col in payload)),
+            )
 
     @staticmethod
     def _per_class(
@@ -1796,17 +1574,13 @@ def _merge_segments(segments: list) -> list:
     merged: list = []
     for kind, payload in segments:
         if merged and merged[-1][0] == kind:
-            prev = merged[-1][1]
-            if isinstance(prev, tuple):
-                merged[-1] = (
-                    kind,
-                    tuple(
-                        np.concatenate([a, b])
-                        for a, b in zip(prev, payload)
-                    ),
-                )
-            else:
-                merged[-1] = (kind, np.concatenate([prev, payload]))
+            merged[-1] = (
+                kind,
+                tuple(
+                    np.concatenate([a, b])
+                    for a, b in zip(merged[-1][1], payload)
+                ),
+            )
         else:
             merged.append((kind, payload))
     return merged

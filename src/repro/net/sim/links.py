@@ -384,6 +384,7 @@ class LinkSet:
                 self._queue_profiles.append(resolved)
             self.assignments[population] = resolved
             self._queue_of[population] = tokens[token]
+        self._scalar_links: dict[tuple[str, str], tuple[int, float]] = {}
 
     # -- catalogue ----------------------------------------------------
     @property
@@ -433,6 +434,26 @@ class LinkSet:
                 profile.rtt_sigma * _norm_ppf(u)
             )
         return delays
+
+    def link_of(self, profile: str, ip: str) -> tuple[int, float]:
+        """``(queue_id, base_delay)`` of one client — the scalar engines' lookup.
+
+        Evaluates :meth:`queue_ids` and :meth:`base_delays` on
+        one-element arrays, so a callback engine's per-client delay is
+        bit-identical to the SoA path's by construction.  Cached: the
+        assignment is immutable and the delay depends only on (seed,
+        address, profile).
+        """
+        key = (profile, ip)
+        hit = self._scalar_links.get(key)
+        if hit is None:
+            import ipaddress
+
+            qids = self.queue_ids([profile])
+            packed = np.array([int(ipaddress.ip_address(ip))], dtype=np.int64)
+            hit = (int(qids[0]), float(self.base_delays(packed, qids)[0]))
+            self._scalar_links[key] = hit
+        return hit
 
     def crossing_lost(
         self,

@@ -148,20 +148,6 @@ class Simulation:
         framework's event bus; submitted trace entries register their
         profile and ground-truth score with it, so the recorded v2
         trace carries the same metadata as the input workload.
-    engine:
-        ``"callback"`` (default) runs the reference
-        :class:`EventEngine` loop; ``"fast"`` delegates the whole run
-        to the vectorized cohort core
-        (:class:`~repro.net.sim.fastsim.FastSimulation`) behind this
-        same API.  Decision streams are bit-identical between the two
-        (except load-adaptive policies under solving traffic, whose
-        decisions depend on queue timing and so inherit the timing
-        stream's seed-sensitivity); timing randomness is drawn from a
-        different (numpy) stream, so latency samples agree
-        statistically rather than bit for bit.
-        The callback engine remains the reference implementation and
-        is required for ``timeline`` collection (it emits per-response
-        events).
     links:
         Optional :class:`~repro.net.sim.links.LinkSet` assigning
         per-population access links (per-agent RTT, loss, shared
@@ -169,6 +155,18 @@ class Simulation:
         the same link kernels, so decision parity holds under links
         exactly as documented in DESIGN.md §1.6; network-layer
         outcomes land in :attr:`SimulationReport.link_stats`.
+
+    This class is the callback *reference* engine and nothing else: it
+    emits per-response events (which ``timeline`` collection and
+    behavioural feedback consume).  The vectorized engine is its own
+    class, :class:`~repro.net.sim.fastsim.FastSimulation`, whose
+    constructor mirrors this one and whose :meth:`~FastSimulation.run`
+    is a drop-in for :meth:`run`.  Decision streams are bit-identical
+    between the two (except load-adaptive policies under solving
+    traffic, whose decisions depend on queue timing and so inherit the
+    timing stream's seed-sensitivity); timing randomness is drawn from
+    a different (numpy) stream there, so latency samples agree
+    statistically rather than bit for bit.
     """
 
     def __init__(
@@ -184,21 +182,11 @@ class Simulation:
         timeline: TimelineCollector | None = None,
         load_reference: float = 0.1,
         recorder=None,
-        engine: str = "callback",
         links: LinkSet | None = None,
     ) -> None:
         if load_reference <= 0:
             raise ValueError(
                 f"load_reference must be > 0, got {load_reference}"
-            )
-        if engine not in ("callback", "fast"):
-            raise ValueError(
-                f"engine must be 'callback' or 'fast', got {engine!r}"
-            )
-        if engine == "fast" and timeline is not None:
-            raise ValueError(
-                "timeline collection needs the callback engine "
-                "(per-response events); use engine='callback'"
             )
         self.framework = framework
         timing = framework.config.timing
@@ -206,7 +194,6 @@ class Simulation:
         self.server_model = server_model or ServerModel()
         self.solve_time = SolveTimeModel(timing)
         self.engine = EventEngine()
-        self.engine_kind = engine
         self.rng = random.Random(seed)
         self.pow_enabled = pow_enabled
         self.solve_deciders = dict(solve_deciders or {})
@@ -217,29 +204,9 @@ class Simulation:
         self.recorder = recorder
         self.links = links
         self._link_session = links.session() if links is not None else None
-        self._link_cache: dict[tuple[str, str], tuple[int, float]] = {}
         self._entry_rids: dict[int, int] = {}
         self._next_rid = 0
-        self._fast = None
-        if engine == "fast":
-            from repro.net.sim.fastsim import FastSimulation
-
-            # The fast core owns the recorder attachment in this mode;
-            # attaching here too would double-capture every decision.
-            self._fast = FastSimulation(
-                framework,
-                channel=self.channel,
-                server_model=self.server_model,
-                seed=seed,
-                pow_enabled=pow_enabled,
-                solve_deciders=self.solve_deciders,
-                hash_rates=self.hash_rates,
-                patiences=self.patiences,
-                load_reference=load_reference,
-                recorder=recorder,
-                links=links,
-            )
-        elif recorder is not None:
+        if recorder is not None:
             recorder.attach(framework.events)
 
         self._server_busy_until = 0.0
@@ -279,35 +246,10 @@ class Simulation:
         return max(0.0, self.channel.one_way_delay(self.rng))
 
     def _link_of(self, profile: str, ip: str) -> tuple[int, float]:
-        """``(queue_id, base_delay)`` of one client under :attr:`links`.
-
-        Calls the same vectorized hash kernels as the fast engine on
-        one-element arrays, so the scalar reference's delays are
-        bit-identical to the SoA path's by construction.
-        """
+        """``(queue_id, base_delay)`` of one client (``-1, 0.0`` = no link)."""
         if self.links is None:
             return -1, 0.0
-        key = (profile, ip)
-        hit = self._link_cache.get(key)
-        if hit is None:
-            import ipaddress
-
-            import numpy as np
-
-            qid = int(self.links.queue_ids([profile])[0])
-            base = 0.0
-            if qid >= 0:
-                base = float(
-                    self.links.base_delays(
-                        np.array(
-                            [int(ipaddress.ip_address(ip))], dtype=np.int64
-                        ),
-                        np.array([qid], dtype=np.int64),
-                    )[0]
-                )
-            hit = (qid, base)
-            self._link_cache[key] = hit
-        return hit
+        return self.links.link_of(profile, ip)
 
     def _finish(
         self,
@@ -343,12 +285,6 @@ class Simulation:
     # ------------------------------------------------------------------
     def submit(self, entry: TraceEntry) -> None:
         """Schedule one trace entry's arrival at its request timestamp."""
-        if self._fast is not None:
-            raise ValueError(
-                "engine='fast' consumes the whole trace passed to "
-                "run(); pre-submitted entries would be silently "
-                "dropped — include them in the trace instead"
-            )
         self._profiles[entry.request.client_ip] = entry.profile
         if self.recorder is not None:
             self.recorder.register_source(
@@ -618,13 +554,6 @@ class Simulation:
     # ------------------------------------------------------------------
     def run(self, trace: Trace, until: float | None = None) -> SimulationReport:
         """Replay ``trace`` to completion (or ``until``) and report."""
-        if self._fast is not None:
-            report = self._fast.run(trace, until=until)
-            self.metrics = report.metrics
-            self._requests = report.requests
-            self.arrival_batches = self._fast.arrival_batches
-            self.largest_arrival_batch = self._fast.largest_arrival_batch
-            return report
         for entry in trace:
             self.submit(entry)
         self.engine.run(until=until)

@@ -590,7 +590,14 @@ def run_campaign(
                 "vectorized engine emits no per-request events for a "
                 "tracer to sample"
             )
-        return _run_mega_campaign(campaign, snapshot_path=snapshot_path)
+        if snapshot_path is not None and campaign.scale.procs > 1:
+            raise ValueError(
+                f"campaign {campaign.name!r} runs {campaign.scale.procs} "
+                "worker processes: the periodic snapshot writer samples "
+                "the in-process engine, which a parallel run never "
+                "builds — use --procs 1 for live snapshots"
+            )
+        return _run_scale_campaign(campaign, snapshot_path=snapshot_path)
     if snapshot_path is not None:
         raise ValueError(
             f"campaign {campaign.name!r} is not large-scale: metric "
@@ -652,17 +659,6 @@ def run_campaign(
     if record_path is not None:
         trace.dump_jsonl(record_path)
 
-    rows = []
-    for cls in report.metrics.class_names():
-        metrics = report.metrics.for_class(cls)
-        rows.append(
-            [
-                cls,
-                metrics.total,
-                metrics.goodput_fraction,
-                metrics.difficulties.mean,
-            ]
-        )
     notes = [
         f"{report.requests} requests over {campaign.duration:g}s, "
         f"{len(trace)} decisions recorded",
@@ -678,7 +674,7 @@ def run_campaign(
         experiment_id=f"campaign:{campaign.name}",
         title=f"Campaign {campaign.name!r} - {campaign.description}",
         headers=["class", "requests", "goodput", "mean_difficulty"],
-        rows=rows,
+        rows=_class_rows(report),
         notes=notes,
         extra={
             "requests": report.requests,
@@ -760,15 +756,41 @@ def _build_fires(campaign: CampaignSpec, population, rng):
     return pat.merge_schedules(*schedules)
 
 
-def _run_mega_campaign(
+@dataclasses.dataclass
+class _ScaleOutcome:
+    """What either scale engine hands :func:`_run_scale_campaign`.
+
+    ``wall`` is the engine's own run time (what surrounds it in
+    ``run_campaign`` is set-up).  ``parallel`` holds what only a
+    sharded run has — ``procs``, ``epoch``, ``shard_requests`` — and is
+    ``None`` in process; it is also what names the engine in the notes.
+    """
+
+    report: object
+    wall: float
+    phase_timings: dict
+    metrics_snapshot: dict
+    feedback_offsets: object
+    arrival_batches: int
+    largest_arrival_batch: int
+    parallel: dict | None = None
+
+
+def _run_scale_campaign(
     campaign: CampaignSpec, snapshot_path=None
 ) -> CampaignRun:
-    """Run a ``scale`` campaign through the vectorized engine."""
+    """Run a ``scale`` campaign through the vectorized engine.
+
+    One runner: the workload is minted once, the engine recipe is
+    written once (the picklable form the parallel driver ships to its
+    workers), ``scale.procs`` picks between running it as one
+    in-process engine or as that many worker shards, and the result is
+    built from their common :class:`_ScaleOutcome`.
+    """
     import numpy as np
 
     from repro.net.sim.agents import AgentPopulation
-    from repro.net.sim.fastsim import FastFeedback, FastSimulation
-    from repro.net.sim.simulation import ServerModel
+    from repro.net.sim.parsim import ParallelSimulation, render_phase_summary
 
     scale = campaign.scale
     population = AgentPopulation.make(
@@ -779,101 +801,65 @@ def _run_mega_campaign(
         seed=campaign.seed,
     )
     rng = np.random.default_rng(campaign.seed ^ 0x3AB)
-    fire_times, fire_agents = _build_fires(campaign, population, rng)
-
-    if scale.procs > 1:
-        return _run_mega_parallel(
-            campaign, population, fire_times, fire_agents,
-            snapshot_path=snapshot_path,
-        )
-
-    framework = campaign.spec.build()
-    solve_deciders = {
-        profile_name: make_attacker(attacker_spec)
-        for profile_name, attacker_spec in campaign.attackers.items()
-    }
-    server_model = (
-        ServerModel(*scale.server) if scale.server is not None else None
-    )
-    links = None
-    if scale.links:
-        from repro.net.sim.links import LinkSet
-
-        links = LinkSet(scale.links, seed=campaign.seed ^ 0x11AB)
-    from repro.obs.registry import MetricsRegistry, PhaseTimer
-
-    registry = MetricsRegistry()
-    phase_timer = PhaseTimer()
-    simulation = FastSimulation(
-        framework,
-        server_model=server_model,
+    fires = _build_fires(campaign, population, rng)
+    recipe = ParallelSimulation(
+        campaign.spec,
+        procs=scale.procs,
         seed=campaign.seed ^ 0x5CE4,
-        solve_deciders=solve_deciders,
+        server=scale.server,
+        attacker_specs=campaign.attackers,
         hash_rates={p.name: p.hash_rate for p in population.profiles},
         patiences={p.name: p.patience for p in population.profiles},
         tick=scale.tick,
-        links=links,
-        phase_timer=phase_timer,
+        links=scale.links,
+        links_seed=campaign.seed ^ 0x11AB,
+        feedback=scale.feedback,
     )
-    feedback = (
-        FastFeedback(len(population)) if scale.feedback else None
-    )
+    if scale.procs > 1:
+        outcome = _scale_parallel(recipe, population, fires)
+    else:
+        outcome = _scale_in_process(recipe, population, fires, snapshot_path)
 
-    def _live_snapshot() -> dict:
-        # The run mutates phase_timer and the link stats in place;
-        # publishing them into a throwaway registry per snapshot gives
-        # the writer monotone counters without double-counting the
-        # run-end publish below.
-        live = MetricsRegistry()
-        phase_timer.publish(live)
-        if simulation.link_stats is not None:
-            simulation.link_stats.publish(live)
-        return live.snapshot()
-
-    writer = None
-    if snapshot_path is not None:
-        from repro.obs.http import SnapshotWriter
-
-        writer = SnapshotWriter(snapshot_path, _live_snapshot).start()
-    started = time.perf_counter()
-    try:
-        report = simulation.run_fires(
-            population, fire_times, fire_agents, feedback=feedback
-        )
-    finally:
-        wall = time.perf_counter() - started
-        if writer is not None:
-            writer.close()
-    phase_timer.publish(registry)
-    if report.link_stats is not None:
-        report.link_stats.publish(registry)
-
-    rows = _mega_rows(report)
+    report, wall, parallel = outcome.report, outcome.wall, outcome.parallel
     events_per_second = (
         report.events_processed / wall if wall > 0 else 0.0
     )
+    engine, workers, phases = "vectorized engine", "", "phase timing"
+    if parallel is not None:
+        engine, phases = "parallel engine", "phase timing (all workers)"
+        workers = (
+            f"{parallel['procs']} workers x {parallel['epoch']:g}s epochs, "
+        )
     notes = [
         f"{campaign.agents:,} agents, {report.requests:,} requests over "
         f"{campaign.duration:g}s simulated",
-        f"vectorized engine: {wall:.2f}s wall, "
-        f"{events_per_second:,.0f} events/s, "
-        f"{simulation.arrival_batches} arrival cohorts "
-        f"(largest {simulation.largest_arrival_batch:,}), "
+        f"{engine}: {wall:.2f}s wall, "
+        f"{events_per_second:,.0f} events/s, {workers}"
+        f"{outcome.arrival_batches} arrival cohorts "
+        f"(largest {outcome.largest_arrival_batch:,}), "
         f"tick {scale.tick:g}s",
         f"framework recipe hash {spec_hash(campaign.spec)}",
-        f"phase timing: {phase_timer.render()}",
+        f"{phases}: {render_phase_summary(outcome.phase_timings)}",
     ]
+    if parallel is not None:
+        notes.insert(
+            2,
+            "shard requests: "
+            + ", ".join(f"{n:,}" for n in parallel["shard_requests"]),
+        )
     if report.link_stats is not None:
         notes.append(f"network: {report.link_stats.summary()}")
-    if feedback is not None:
-        farming = _farming_note(campaign, population, feedback.offset)
+    if outcome.feedback_offsets is not None:
+        farming = _farming_note(
+            campaign, population, outcome.feedback_offsets
+        )
         if farming is not None:
             notes.append(farming)
     result = ExperimentResult(
         experiment_id=f"campaign:{campaign.name}",
         title=f"Campaign {campaign.name!r} - {campaign.description}",
         headers=["class", "requests", "goodput", "mean_difficulty"],
-        rows=rows,
+        rows=_class_rows(report),
         notes=notes,
         extra={
             "agents": campaign.agents,
@@ -882,8 +868,9 @@ def _run_mega_campaign(
             "events": report.events_processed,
             "wall_seconds": wall,
             "events_per_second": events_per_second,
-            "phase_timings": phase_timer.summary(),
-            "metrics_snapshot": registry.snapshot(),
+            **(parallel or {}),
+            "phase_timings": outcome.phase_timings,
+            "metrics_snapshot": outcome.metrics_snapshot,
             **(
                 {"link_stats": report.link_stats.as_dict()}
                 if report.link_stats is not None
@@ -896,8 +883,75 @@ def _run_mega_campaign(
     )
 
 
-def _mega_rows(report) -> list[list]:
-    """Per-class result rows shared by both scale-campaign engines."""
+def _scale_in_process(
+    recipe, population, fires, snapshot_path
+) -> _ScaleOutcome:
+    """The recipe as one engine over the whole population (its only shard)."""
+    from repro.net.sim.fastsim import FastFeedback
+    from repro.net.sim.parsim import build_shard_simulation
+    from repro.obs.registry import MetricsRegistry
+
+    simulation = build_shard_simulation(recipe, seed=recipe.seed)
+    phase_timer = simulation.phase_timer
+    feedback = FastFeedback(len(population)) if recipe.feedback else None
+
+    def _snapshot() -> dict:
+        # The run mutates phase_timer and the link stats in place;
+        # publishing them into a fresh registry per snapshot gives the
+        # writer monotone counters without double-counting — and the
+        # run-end snapshot is the same call.
+        live = MetricsRegistry()
+        phase_timer.publish(live)
+        if simulation.link_stats is not None:
+            simulation.link_stats.publish(live)
+        return live.snapshot()
+
+    writer = None
+    if snapshot_path is not None:
+        from repro.obs.http import SnapshotWriter
+
+        writer = SnapshotWriter(snapshot_path, _snapshot).start()
+    started = time.perf_counter()
+    try:
+        report = simulation.run_fires(population, *fires, feedback=feedback)
+    finally:
+        wall = time.perf_counter() - started
+        if writer is not None:
+            writer.close()
+    return _ScaleOutcome(
+        report=report,
+        wall=wall,
+        phase_timings=phase_timer.summary(),
+        metrics_snapshot=_snapshot(),
+        feedback_offsets=None if feedback is None else feedback.offset,
+        arrival_batches=simulation.arrival_batches,
+        largest_arrival_batch=simulation.largest_arrival_batch,
+    )
+
+
+def _scale_parallel(recipe, population, fires) -> _ScaleOutcome:
+    """The recipe hash-sharded across ``recipe.procs`` worker engines."""
+    started = time.perf_counter()
+    outcome = recipe.run_fires(population, *fires)
+    wall = time.perf_counter() - started
+    return _ScaleOutcome(
+        report=outcome.report,
+        wall=wall,
+        phase_timings=outcome.phase_summary(),
+        metrics_snapshot=outcome.metrics_snapshot,
+        feedback_offsets=outcome.feedback_offsets,
+        arrival_batches=outcome.arrival_batches,
+        largest_arrival_batch=outcome.largest_arrival_batch,
+        parallel={
+            "procs": recipe.procs,
+            "epoch": outcome.epoch,
+            "shard_requests": list(outcome.shard_requests),
+        },
+    )
+
+
+def _class_rows(report) -> list[list]:
+    """Per-class result rows, shared by every campaign engine."""
     rows = []
     for cls in report.metrics.class_names():
         metrics = report.metrics.for_class(cls)
@@ -936,103 +990,6 @@ def _farming_note(campaign, population, offsets) -> str | None:
         f"{attacker_offsets.size:,} attacking clients "
         f"(attacker mean offset {float(attacker_offsets.mean()):+.3f}, "
         f"population mean {float(offsets.mean()):+.3f})"
-    )
-
-
-def _run_mega_parallel(
-    campaign: CampaignSpec,
-    population,
-    fire_times,
-    fire_agents,
-    snapshot_path=None,
-) -> CampaignRun:
-    """Run a ``scale`` campaign through the process-parallel driver."""
-    from repro.net.sim.parsim import (
-        ParallelSimulation,
-        render_phase_summary,
-    )
-
-    scale = campaign.scale
-    if snapshot_path is not None:
-        raise ValueError(
-            f"campaign {campaign.name!r} runs {scale.procs} worker "
-            "processes: the periodic snapshot writer samples the "
-            "in-process engine, which a parallel run never builds — "
-            "use --procs 1 for live snapshots"
-        )
-    simulation = ParallelSimulation(
-        campaign.spec,
-        procs=scale.procs,
-        seed=campaign.seed ^ 0x5CE4,
-        server=scale.server,
-        attacker_specs=campaign.attackers,
-        hash_rates={p.name: p.hash_rate for p in population.profiles},
-        patiences={p.name: p.patience for p in population.profiles},
-        tick=scale.tick,
-        links=scale.links,
-        links_seed=campaign.seed ^ 0x11AB,
-        feedback=scale.feedback,
-    )
-    started = time.perf_counter()
-    outcome = simulation.run_fires(population, fire_times, fire_agents)
-    wall = time.perf_counter() - started
-    report = outcome.report
-
-    rows = _mega_rows(report)
-    events_per_second = (
-        report.events_processed / wall if wall > 0 else 0.0
-    )
-    phase_timings = outcome.phase_summary()
-    notes = [
-        f"{campaign.agents:,} agents, {report.requests:,} requests over "
-        f"{campaign.duration:g}s simulated",
-        f"parallel engine: {wall:.2f}s wall, "
-        f"{events_per_second:,.0f} events/s, "
-        f"{scale.procs} workers x {outcome.epoch:g}s epochs, "
-        f"{outcome.arrival_batches} arrival cohorts "
-        f"(largest {outcome.largest_arrival_batch:,}), "
-        f"tick {scale.tick:g}s",
-        "shard requests: "
-        + ", ".join(f"{n:,}" for n in outcome.shard_requests),
-        f"framework recipe hash {spec_hash(campaign.spec)}",
-        f"phase timing (all workers): "
-        f"{render_phase_summary(phase_timings)}",
-    ]
-    if report.link_stats is not None:
-        notes.append(f"network: {report.link_stats.summary()}")
-    if outcome.feedback_offsets is not None:
-        farming = _farming_note(
-            campaign, population, outcome.feedback_offsets
-        )
-        if farming is not None:
-            notes.append(farming)
-    result = ExperimentResult(
-        experiment_id=f"campaign:{campaign.name}",
-        title=f"Campaign {campaign.name!r} - {campaign.description}",
-        headers=["class", "requests", "goodput", "mean_difficulty"],
-        rows=rows,
-        notes=notes,
-        extra={
-            "agents": campaign.agents,
-            "requests": report.requests,
-            "served": report.served,
-            "events": report.events_processed,
-            "wall_seconds": wall,
-            "events_per_second": events_per_second,
-            "procs": scale.procs,
-            "epoch": outcome.epoch,
-            "shard_requests": list(outcome.shard_requests),
-            "phase_timings": phase_timings,
-            "metrics_snapshot": outcome.metrics_snapshot,
-            **(
-                {"link_stats": report.link_stats.as_dict()}
-                if report.link_stats is not None
-                else {}
-            ),
-        },
-    )
-    return CampaignRun(
-        spec=campaign, trace=None, result=result, probe_outcome=None
     )
 
 

@@ -130,12 +130,11 @@ class TestChannelContract:
             [(BENIGN_PROFILE, 20)], duration=3.0
         )
         assert workload, "clamp test needs a non-empty workload"
-        for engine in ("callback", "fast"):
-            report = Simulation(
+        for engine in (Simulation, FastSimulation):
+            report = engine(
                 AIPoWFramework(ConstantModel(0.0), FixedPolicy(1)),
                 channel=NegativeDelayChannel(),
                 seed=6,
-                engine=engine,
             ).run(workload)
             served = report.metrics.overall
             assert served.total == len(workload)

@@ -3,8 +3,9 @@
 The decision-stream bit-parity claim is gated by
 ``tests/replay/test_fastsim_parity.py``; these tests cover the rest of
 the model: outcome semantics (abandonment, TTL expiry, PoW-off), the
-SoA population/pattern layers, per-address CPU serialisation, and the
-``engine="fast"`` rebasing of both simulators.
+SoA population/pattern layers, per-address CPU serialisation, the one
+cohort loop's handler table, and the engine run against the callback
+reference classes (``Simulation`` / ``ClosedLoopSimulation``).
 """
 
 from __future__ import annotations
@@ -42,32 +43,20 @@ def fixed_framework(difficulty=4):
     return AIPoWFramework(ConstantModel(0.0), FixedPolicy(difficulty))
 
 
+def run_closed_loop(engine, framework, sessions, **kwargs):
+    """One closed-loop run on the callback reference or the fast engine."""
+    if engine == "callback":
+        return ClosedLoopSimulation(framework, **kwargs).run(sessions)
+    return FastSimulation(framework, **kwargs).run_sessions(sessions)
+
+
 class TestEngineRebase:
-    """Simulation/ClosedLoopSimulation drive the fast core unchanged."""
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Simulation(fixed_framework(), engine="warp")
-        with pytest.raises(ValueError):
-            ClosedLoopSimulation(fixed_framework(), engine="warp")
-
-    def test_timeline_requires_callback_engine(self):
-        from repro.metrics.timeseries import TimelineCollector
-
-        with pytest.raises(ValueError):
-            Simulation(
-                fixed_framework(),
-                timeline=TimelineCollector(),
-                engine="fast",
-            )
+    """FastSimulation is a drop-in for the callback reference classes."""
 
     def test_fast_run_matches_callback_totals(self):
         trace, _ = make_trace()
-        reports = {}
-        for engine in ("callback", "fast"):
-            sim = Simulation(fixed_framework(), seed=1, engine=engine)
-            reports[engine] = sim.run(trace)
-        cb, fast = reports["callback"], reports["fast"]
+        cb = Simulation(fixed_framework(), seed=1).run(trace)
+        fast = FastSimulation(fixed_framework(), seed=1).run(trace)
         assert fast.requests == cb.requests
         assert fast.metrics.overall.total == cb.metrics.overall.total
         assert fast.metrics.overall.served == cb.metrics.overall.served
@@ -85,9 +74,7 @@ class TestEngineRebase:
     def test_fast_engine_deterministic_per_seed(self):
         def run():
             trace, _ = make_trace()
-            report = Simulation(
-                fixed_framework(8), seed=9, engine="fast"
-            ).run(trace)
+            report = FastSimulation(fixed_framework(8), seed=9).run(trace)
             overall = report.metrics.overall
             return (
                 overall.total,
@@ -99,9 +86,7 @@ class TestEngineRebase:
 
     def test_events_processed_exceeds_requests(self):
         trace, _ = make_trace()
-        report = Simulation(fixed_framework(), seed=2, engine="fast").run(
-            trace
-        )
+        report = FastSimulation(fixed_framework(), seed=2).run(trace)
         assert report.events_processed > report.requests
 
     def test_closed_loop_fast_engine_ignores_load_signal(self):
@@ -121,9 +106,7 @@ class TestEngineRebase:
                 ConstantModel(0.0),
                 LoadAdaptivePolicy(FixedPolicy(2), max_surcharge=8),
             )
-            report = ClosedLoopSimulation(
-                framework, seed=3, engine=engine
-            ).run(sessions)
+            report = run_closed_loop(engine, framework, sessions, seed=3)
             assert report.metrics.overall.difficulties.max == 2, engine
 
     def test_closed_loop_custom_schema_through_cache_wrapper(self):
@@ -153,9 +136,7 @@ class TestEngineRebase:
                 CachedModel(DAbRModel(schema=reordered).fit(train), ttl=60.0),
                 policy_2(),
             )
-            report = ClosedLoopSimulation(
-                framework, seed=3, engine=engine
-            ).run(sessions)
+            report = run_closed_loop(engine, framework, sessions, seed=3)
             means[engine] = report.metrics.overall.scores.mean
         assert means["fast"] == pytest.approx(means["callback"])
 
@@ -166,14 +147,15 @@ class TestEngineRebase:
             SessionSpec(client=c, exchanges=4, think_time=0.3)
             for c in clients
         ]
-        reports = {}
-        for engine in ("callback", "fast"):
-            sim = ClosedLoopSimulation(
+        reports = {
+            engine: run_closed_loop(
+                engine,
                 AIPoWFramework(ConstantModel(2.0), policy_2()),
+                sessions,
                 seed=3,
-                engine=engine,
             )
-            reports[engine] = sim.run(sessions)
+            for engine in ("callback", "fast")
+        }
         cb, fast = reports["callback"], reports["fast"]
         assert fast.sessions == cb.sessions
         assert fast.completed_exchanges == cb.completed_exchanges
@@ -183,11 +165,10 @@ class TestEngineRebase:
 class TestOutcomeSemantics:
     def test_refusing_decider_abandons(self):
         trace, _ = make_trace()
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(6),
             seed=7,
             solve_deciders={"malicious": lambda d: False},
-            engine="fast",
         ).run(trace)
         malicious = report.metrics.for_class("malicious")
         assert (
@@ -197,11 +178,10 @@ class TestOutcomeSemantics:
 
     def test_impatient_clients_abandon(self):
         trace, _ = make_trace()
-        report = Simulation(
+        report = FastSimulation(
             fixed_framework(18),
             seed=8,
             patiences={"benign": 0.001, "malicious": 0.001},
-            engine="fast",
         ).run(trace)
         assert (
             report.metrics.overall.outcomes[ResponseStatus.ABANDONED] > 0
@@ -209,8 +189,8 @@ class TestOutcomeSemantics:
 
     def test_pow_disabled_serves_everything(self):
         trace, _ = make_trace()
-        report = Simulation(
-            fixed_framework(20), seed=4, pow_enabled=False, engine="fast"
+        report = FastSimulation(
+            fixed_framework(20), seed=4, pow_enabled=False
         ).run(trace)
         overall = report.metrics.overall
         assert overall.goodput_fraction == 1.0
@@ -224,28 +204,25 @@ class TestOutcomeSemantics:
             ConstantModel(0.0), FixedPolicy(16), config
         )
         trace, _ = make_trace()
-        report = Simulation(
+        report = FastSimulation(
             framework,
             seed=11,
             hash_rates={"benign": 2_000.0, "malicious": 2_000.0},
             patiences={"benign": 1e6, "malicious": 1e6},
-            engine="fast",
         ).run(trace)
         assert report.metrics.overall.outcomes[ResponseStatus.EXPIRED] > 0
 
     def test_latency_floor_is_network_overhead(self):
         trace, _ = make_trace()
         framework = fixed_framework(0)
-        report = Simulation(framework, seed=3, engine="fast").run(trace)
+        report = FastSimulation(framework, seed=3).run(trace)
         floor = framework.config.timing.network_overhead
         assert report.metrics.overall.latencies.min() >= floor * 0.9
 
     def test_until_truncates_run(self):
         trace, _ = make_trace(duration=10.0)
-        full = Simulation(fixed_framework(), seed=5, engine="fast").run(
-            trace
-        )
-        half = Simulation(fixed_framework(), seed=5, engine="fast").run(
+        full = FastSimulation(fixed_framework(), seed=5).run(trace)
+        half = FastSimulation(fixed_framework(), seed=5).run(
             trace, until=2.0
         )
         assert half.duration == 2.0
@@ -279,11 +256,8 @@ class TestChannels:
                 )
 
         trace, _ = make_trace(duration=2.0)
-        report = Simulation(
-            fixed_framework(4),
-            channel=NoScalarDraws(),
-            seed=6,
-            engine="fast",
+        report = FastSimulation(
+            fixed_framework(4), channel=NoScalarDraws(), seed=6
         ).run(trace)
         assert report.metrics.overall.total == report.requests
 
@@ -314,7 +288,7 @@ class TestChannels:
         popped: dict[int, float] = {}
         while sim._queue:
             when, segments = sim._queue.pop_cohort()
-            for _, idx in segments:
+            for _, (idx,) in segments:
                 for i in idx.tolist():
                     popped[i] = when
         for i, true_time in enumerate(times.tolist()):
@@ -351,25 +325,12 @@ class TestAdmissionRouting:
         with pytest.raises(ValueError, match="response outcomes"):
             FastSimulation(framework).run(trace)
         with pytest.raises(ValueError, match="response outcomes"):
-            Simulation(
+            FastSimulation(
                 AIPoWFramework(
                     FeedbackReputationModel(ConstantModel(2.0)),
                     FixedPolicy(4),
                 ),
-                engine="fast",
             ).run(trace)
-
-    def test_fast_engine_rejects_presubmitted_work(self):
-        """submit()/add_session() would be silently dropped — reject."""
-        trace, _ = make_trace(duration=1.0)
-        simulation = Simulation(fixed_framework(), engine="fast")
-        with pytest.raises(ValueError, match="run\\(\\)"):
-            simulation.submit(trace[0])
-        generator = WorkloadGenerator(seed=7)
-        client = generator.population(BENIGN_PROFILE, 1)[0]
-        closed = ClosedLoopSimulation(fixed_framework(), engine="fast")
-        with pytest.raises(ValueError, match="run\\(\\)"):
-            closed.add_session(SessionSpec(client=client))
 
     def test_run_fires_recorder_registers_sources(self):
         """Fire-schedule recordings carry real profiles/ground truth."""
@@ -427,6 +388,133 @@ class TestAdmissionRouting:
             busy = start + cost
             reference.append(busy)
         assert dones.tolist() == reference
+
+
+class TestOneLoop:
+    """Every run shape drains through ``step`` and its handler table."""
+
+    def _primed(self, requests=50):
+        population = AgentPopulation.make([(BENIGN_PROFILE, requests)], seed=1)
+        sim = FastSimulation(fixed_framework(2), seed=2)
+        sim.start_fires(
+            population, np.linspace(0.0, 1.0, requests), np.arange(requests)
+        )
+        return sim
+
+    def test_unknown_event_kind_raises_naming_it(self):
+        """An unknown kind used to be served as a solution cohort."""
+        sim = self._primed()
+        two = np.arange(2)
+        solution_shaped = (two, np.zeros(2), np.ones(2), np.ones(2), np.zeros(2))
+        sim._queue.push(0.5, ("bogus", solution_shaped))
+        with pytest.raises(ValueError, match="'bogus'"):
+            sim.step(None)
+
+    def test_closed_loop_kinds_do_not_outlive_their_run(self):
+        client = WorkloadGenerator(seed=7).population(BENIGN_PROFILE, 1)[0]
+        sim = self._primed()
+        sim.run_sessions([SessionSpec(client=client, exchanges=1)])
+        population = AgentPopulation.make([(BENIGN_PROFILE, 5)], seed=1)
+        sim.start_fires(population, np.zeros(5), np.arange(5))
+        sim._queue.push(0.5, ("cl_arrive", (np.arange(2),)))
+        with pytest.raises(ValueError, match="'cl_arrive'"):
+            sim.step(None)
+
+    def test_finished_engine_is_freed_without_the_cycle_collector(self):
+        """A run's arrays must not outlive the engine until a gc pass.
+
+        Repeated campaigns in one process (perfbench, sweeps) otherwise
+        stack finished runs' buffers into peak RSS.
+        """
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            sim = self._primed()
+            sim.step(None)
+            sim.finish()
+            client = WorkloadGenerator(seed=7).population(BENIGN_PROFILE, 1)[0]
+            framework = fixed_framework(2)
+            framework.events.subscribe(lambda event: None)  # framework admission
+            closed = FastSimulation(framework, seed=2)
+            closed.run_sessions([SessionSpec(client=client, exchanges=2)])
+            refs = [weakref.ref(sim), weakref.ref(closed)]
+            del sim, closed
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_stepped_run_equals_run_fires(self):
+        """start_fires + step(bounds) + finish == run_fires, bit for bit.
+
+        In process, on a linked, feedback-carrying schedule — the path
+        the parallel driver's workers take, without the workers.
+        """
+        from repro.net.sim.links import BandwidthTrace, LinkProfile, LinkSet
+        from repro.net.sim.simulation import ServerModel
+
+        population = AgentPopulation.make(
+            [(BENIGN_PROFILE, 300), (MALICIOUS_PROFILE, 100)], seed=11
+        )
+        rng = np.random.default_rng(3)
+        fire_agents = rng.integers(0, len(population), 1500)
+        fire_times = np.sort(rng.uniform(0.0, 3.0, 1500))
+        uplink = LinkProfile(
+            rtt_median=0.02,
+            rtt_sigma=0.35,
+            loss_rate=0.05,
+            bandwidth=BandwidthTrace.constant(300.0),
+            queue_seconds=0.1,
+            max_retries=2,
+            backoff=0.1,
+        )
+
+        def outcome(drive):
+            sim = FastSimulation(
+                AIPoWFramework(ConstantModel(4.0), policy_2()),
+                server_model=ServerModel(1e-4, 5e-5, 5e-4),
+                seed=5,
+                tick=0.01,
+                links=LinkSet({"benign": uplink, "malicious": uplink}, seed=3),
+                decision_log=True,
+            )
+            feedback = FastFeedback(len(population))
+            report = drive(sim, feedback)
+            return (
+                sim._buffers.export_rows(list(population.profile_names)),
+                report.events_processed,
+                report.link_stats.as_dict(),
+                sim.decisions,
+                feedback.offset,
+            )
+
+        def stepped(sim, feedback):
+            sim.start_fires(
+                population, fire_times, fire_agents, feedback=feedback
+            )
+            for bound in (0.25, 0.5, 1.1, 2.0):
+                assert sim.step(bound) is True
+            assert sim.step(None) is False
+            return sim.finish()
+
+        rows, events, links, decisions, offsets = outcome(
+            lambda sim, feedback: sim.run_fires(
+                population, fire_times, fire_agents, feedback=feedback
+            )
+        )
+        s_rows, s_events, s_links, s_decisions, s_offsets = outcome(stepped)
+        assert rows[0].size > 0 and links["retries"] > 0 and offsets.any()
+        for whole, sliced in zip(rows, s_rows):
+            assert whole.tolist() == sliced.tolist()
+        assert (events, links) == (s_events, s_links)
+        assert offsets.tolist() == s_offsets.tolist()
+        assert len(decisions) == len(s_decisions)
+        for whole, sliced in zip(decisions, s_decisions):
+            assert whole[0] == sliced[0]
+            for a, b in zip(whole[1:], sliced[1:]):
+                assert a.tolist() == b.tolist()
 
 
 class TestCpuSerialisation:

@@ -319,11 +319,16 @@ class TestCampaignIntegration:
         with pytest.raises(ValueError, match="procs"):
             ScaleSpec(procs=0)
 
-    def test_parallel_campaign_rejects_snapshot_writer(self):
+    def test_parallel_campaign_rejects_snapshot_writer(self, monkeypatch):
+        """Refused with the other argument checks, before any minting."""
         import dataclasses
 
         from repro.replay.campaign import CAMPAIGNS, run_campaign
 
+        def minted(*args, **kwargs):
+            raise AssertionError("population built before the refusal")
+
+        monkeypatch.setattr(AgentPopulation, "make", minted)
         campaign = CAMPAIGNS["mobile-flash-crowd"]
         campaign = dataclasses.replace(
             campaign,

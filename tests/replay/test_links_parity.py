@@ -23,6 +23,7 @@ from repro.attacks import make_attacker
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
 from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
+from repro.net.sim.fastsim import FastSimulation
 from repro.net.sim.links import BandwidthTrace, LinkProfile, LinkSet
 from repro.net.sim.simulation import ServerModel, Simulation
 from repro.policies.linear import policy_2
@@ -45,8 +46,19 @@ LOSSY_CAPPED = LinkProfile(
 )
 
 
+#: The engine under test is chosen by class: the callback reference
+#: or the vectorized engine, whose constructor mirrors it.
+ENGINES = {"callback": Simulation, "fast": FastSimulation}
+
+
 def _framework(config=None):
     return AIPoWFramework(ConstantModel(2.0), policy_2(), config)
+
+
+def _run_sessions(engine, sessions, **kwargs):
+    if engine == "callback":
+        return ClosedLoopSimulation(_framework(), **kwargs).run(sessions)
+    return FastSimulation(_framework(), **kwargs).run_sessions(sessions)
 
 
 def _run(engine, links, *, deciders=None, framework=None, seed=9):
@@ -58,13 +70,12 @@ def _run(engine, links, *, deciders=None, framework=None, seed=9):
     recorder = TraceRecorder(
         sources={c.ip: (c.profile.name, c.true_score) for c in clients}
     )
-    simulation = Simulation(
+    simulation = ENGINES[engine](
         framework or _framework(),
         server_model=ServerModel(challenge_cost=0.002),
         seed=seed,
         solve_deciders=deciders or {},
         recorder=recorder,
-        engine=engine,
         links=links,
     )
     report = simulation.run(workload)
@@ -206,13 +217,10 @@ class TestClosedLoopLinks:
     def test_delay_only_links_supported_on_both_engines(self):
         sessions = self._sessions()
         links = LinkSet({"benign": "datacenter"}, seed=4)
-        reports = {}
-        for engine in ("callback", "fast"):
-            simulation = ClosedLoopSimulation(
-                _framework(), seed=3, engine=engine, links=links
-            )
-            reports[engine] = simulation.run(sessions)
-        cb, fast = reports["callback"], reports["fast"]
+        cb, fast = (
+            _run_sessions(engine, sessions, seed=3, links=links)
+            for engine in ("callback", "fast")
+        )
         assert cb.completed_exchanges == len(sessions) * 3
         assert fast.completed_exchanges == cb.completed_exchanges
         assert fast.metrics.overall.served == cb.metrics.overall.served
@@ -220,15 +228,13 @@ class TestClosedLoopLinks:
     @pytest.mark.parametrize("engine", ("callback", "fast"))
     def test_lossy_links_rejected_loudly(self, engine):
         with pytest.raises(ValueError, match="delay-only"):
-            ClosedLoopSimulation(
-                _framework(),
-                engine=engine,
+            _run_sessions(
+                engine,
+                self._sessions(),
                 links=LinkSet({"benign": "lossy-mobile"}),
             )
 
     def test_fast_run_sessions_rejects_lossy_links_directly(self):
-        from repro.net.sim.fastsim import FastSimulation
-
         simulation = FastSimulation(
             _framework(), links=LinkSet({"benign": "lossy-mobile"})
         )

@@ -34,6 +34,20 @@ def test_readme_quickstart():
     assert response.decision.difficulty >= 5
 
 
+def test_fast_engine_is_chosen_by_class_with_the_same_arguments():
+    """DESIGN §1.5: ``FastSimulation`` mirrors the reference constructors."""
+    import inspect
+
+    from repro.net.sim import ClosedLoopSimulation, FastSimulation, Simulation
+
+    fast = set(inspect.signature(FastSimulation).parameters)
+    # ``timeline`` needs per-response events, which only the callback
+    # reference engine emits.
+    assert set(inspect.signature(Simulation).parameters) - fast == {"timeline"}
+    assert set(inspect.signature(ClosedLoopSimulation).parameters) <= fast
+    assert "engine" not in fast
+
+
 def test_module_docstring_doctest():
     import doctest
 
