@@ -37,7 +37,7 @@ def feedback_escalation() -> None:
         [0.031, 0.031, 0.04, 0.05, 0.07, 0.1, 0.15, 0.25, 0.4, 0.65, 1.0]
     )
     framework = AIPoWFramework(model, policy)
-    model.attach(framework.events)
+    model.attach(framework)
 
     ip = "110.8.8.8"
     rows = []

@@ -35,12 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.config import FrameworkConfig
-from repro.core.errors import (
-    PuzzleError,
-    PuzzleExpiredError,
-    ReplayedSolutionError,
-    SolutionInvalidError,
-)
+from repro.core.errors import PuzzleError, PuzzleExpiredError
 from repro.core.events import EventBus, EventKind
 from repro.core.interfaces import Policy, PuzzleSolver, ReputationModel
 from repro.core.records import (
@@ -123,9 +118,11 @@ class AIPoWFramework:
         self.store = store if store is not None else InMemoryStateStore()
         self._rng = rng or random.Random(self.config.policy_seed)
         self._generator = PuzzleGenerator(self.config.pow)
-        self._verifier = PuzzleVerifier(
-            self.config.pow, replay_cache=ReplayCache(store=self.store)
-        )
+        self._verifier = PuzzleVerifier(self.config.pow)
+        self._replay = ReplayCache(store=self.store)
+        #: The one writer of outcomes into admission state, set by
+        #: ``FeedbackReputationModel.attach`` (None: nothing learns).
+        self.feedback = None
         # Stateful policies (the load-adaptive wrapper, possibly nested
         # inside other wrappers) re-home their state into the
         # framework's store so snapshot()/restore() covers them even
@@ -375,51 +372,72 @@ class AIPoWFramework:
         This is steps (5)–(7) of the paper's Figure 1.  ``request_sent_at``
         lets the caller attribute end-to-end latency; when omitted, the
         original request timestamp is used.
+
+        After the stateless check, two store calls whatever the outcome
+        (plus one per eviction): the replay read set (when the digest
+        passed) with the client's feedback entry, then the seed (when
+        served) with the folded offset.  Neither reads and writes one
+        key, so either is safe to re-send; outcome events follow both.
         """
         now = time.time() if now is None else now
         decision = challenge.decision
+        puzzle = challenge.puzzle
+        ip = decision.request.client_ip
         sent_at = (
             decision.request.timestamp
             if request_sent_at is None
             else request_sent_at
         )
         latency = max(0.0, now - sent_at)
-        self.events.emit(
-            EventKind.SOLUTION_RECEIVED, now, decision=decision, solution=solution
-        )
+        events = self.events
+        if events.has_subscribers(EventKind.SOLUTION_RECEIVED):
+            events.emit(EventKind.SOLUTION_RECEIVED, now,
+                        decision=decision, solution=solution)
 
+        status = None
         try:
-            self._verifier.verify(
-                challenge.puzzle, solution, decision.request.client_ip, now=now
-            )
+            self._verifier.check(puzzle, solution, ip, now)
         except PuzzleExpiredError:
             status = ResponseStatus.EXPIRED
-        except ReplayedSolutionError:
-            status = ResponseStatus.REPLAYED
-        except (SolutionInvalidError, PuzzleError):
+        except PuzzleError:
             status = ResponseStatus.REJECTED
-        else:
-            status = ResponseStatus.SERVED
+        reads = self._replay.read_ops(puzzle.seed) if status is None else []
+        checked = len(reads)
+        feedback = self.feedback
+        if feedback is not None:
+            reads += feedback.read_ops(ip)
+        results = self.store.execute(reads)
+        writes = []
+        if status is None:
+            writes = self._replay.decide(results[:checked], puzzle.seed, now, ip)
+            if writes is None:
+                status, writes = ResponseStatus.REPLAYED, []
+            else:
+                status = ResponseStatus.SERVED
+        recorded = len(writes)
+        if feedback is not None:
+            writes += feedback.fold(results[checked], status, ip, now)
+        results = self.store.execute(writes)
+        if feedback is not None:
+            feedback.folded(ip, status, results[recorded:])
 
-        if status is ResponseStatus.SERVED:
-            self.events.emit(
-                EventKind.SOLUTION_VERIFIED, now, decision=decision
-            )
-            body = f"resource:{decision.request.resource}"
-        else:
-            self.events.emit(
+        served = status is ResponseStatus.SERVED
+        if served:
+            if events.has_subscribers(EventKind.SOLUTION_VERIFIED):
+                events.emit(EventKind.SOLUTION_VERIFIED, now, decision=decision)
+        elif events.has_subscribers(EventKind.SOLUTION_REJECTED):
+            events.emit(
                 EventKind.SOLUTION_REJECTED, now, decision=decision, status=status
             )
-            body = ""
-
         response = ServedResponse(
             decision=decision,
             status=status,
             latency=latency,
             solve_attempts=solution.attempts,
-            body=body,
+            body=f"resource:{decision.request.resource}" if served else "",
         )
-        self.events.emit(EventKind.RESPONSE_SERVED, now, response=response)
+        if events.has_subscribers(EventKind.RESPONSE_SERVED):
+            events.emit(EventKind.RESPONSE_SERVED, now, response=response)
         return response
 
     # ------------------------------------------------------------------
@@ -455,8 +473,8 @@ class AIPoWFramework:
         """Run full exchanges for many requests, batching the admission.
 
         Challenges are issued through :meth:`challenge_batch`; solving
-        and redemption are inherently per-solution (each verification
-        hashes a distinct nonce) and run sequentially in request order.
+        and :meth:`redeem` run per solution in request order — only the
+        hash is inherently per-solution, not the state ops or events.
         """
         challenges = self.challenge_batch(requests, now=clock())
         responses: list[ServedResponse] = []
@@ -493,5 +511,16 @@ class AIPoWFramework:
             latency=latency,
             solve_attempts=attempts,
         )
-        self.events.emit(EventKind.RESPONSE_SERVED, now, response=response)
+        return self.settle(response, now)
+
+    def settle(self, response: ServedResponse, now: float) -> ServedResponse:
+        """Fold an outcome decided outside :meth:`redeem`, then announce it.
+
+        Feedback learns it before ``RESPONSE_SERVED`` goes out, so
+        subscribers only observe; the simulators settle through here.
+        """
+        if self.feedback is not None:
+            self.feedback.observe(response, now=now)
+        if self.events.has_subscribers(EventKind.RESPONSE_SERVED):
+            self.events.emit(EventKind.RESPONSE_SERVED, now, response=response)
         return response

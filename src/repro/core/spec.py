@@ -40,8 +40,8 @@ class FrameworkSpec:
     feedback:
         Wrap the model with behavioural feedback
         (:class:`~repro.reputation.feedback.FeedbackReputationModel`),
-        attached to the framework's event bus so outcomes feed back
-        automatically.
+        attached to the framework so every outcome it settles feeds
+        back.
     cache_ttl:
         Per-IP score-cache TTL in seconds; ``None`` disables caching.
     cache_max_entries / max_tracked_ips:
@@ -104,5 +104,5 @@ class FrameworkSpec:
             model, POLICY_REGISTRY.create(self.policy), store=store
         )
         if feedback is not None:
-            feedback.attach(framework.events)
+            feedback.attach(framework)
         return framework

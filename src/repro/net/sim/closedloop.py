@@ -28,7 +28,6 @@ import dataclasses
 import random
 from typing import Mapping, Sequence
 
-from repro.core.events import EventKind
 from repro.core.framework import AIPoWFramework, Challenge
 from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
@@ -284,9 +283,7 @@ class ClosedLoopSimulation:
             solve_attempts=attempts,
         )
         self.metrics.observe(response)
-        self.framework.events.emit(
-            EventKind.RESPONSE_SERVED, now, response=response
-        )
+        self.framework.settle(response, now)
         self._completed += 1
         if remaining - 1 > 0:
             think = (

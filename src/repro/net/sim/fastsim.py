@@ -476,10 +476,10 @@ class FastSimulation:
         return qids, self.links.base_delays(packed_ips, qids)
 
     def _admission_mode(self) -> str:
-        # Stateful scorers (behavioural feedback) update from
-        # RESPONSE_SERVED events, which this engine never emits —
-        # their offsets would silently freeze mid-run regardless of
-        # admission mode, so reject loudly.
+        # Stateful scorers (behavioural feedback) learn each outcome
+        # the framework settles, and this engine records outcomes in
+        # arrays without settling them — their offsets would silently
+        # freeze mid-run regardless of admission mode, so reject loudly.
         if self._stateful_scoring():
             raise ValueError(
                 "the model's scores react to response outcomes, which "

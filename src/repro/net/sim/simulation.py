@@ -45,7 +45,6 @@ import dataclasses
 import random
 from typing import Callable, Mapping
 
-from repro.core.events import EventKind
 from repro.core.framework import AIPoWFramework, Challenge
 from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
@@ -258,7 +257,7 @@ class Simulation:
         now: float,
         attempts: int = 0,
     ) -> None:
-        """Emit a terminal outcome for one request."""
+        """Settle a terminal outcome for one request."""
         response = ServedResponse(
             decision=challenge.decision,
             status=status,
@@ -276,9 +275,7 @@ class Simulation:
                 challenge.decision.request.client_ip, "unknown"
             )
             self.timeline.observe(profile, response, at=now)
-        self.framework.events.emit(
-            EventKind.RESPONSE_SERVED, now, response=response
-        )
+        self.framework.settle(response, now)
 
     # ------------------------------------------------------------------
     # Request lifecycle

@@ -87,25 +87,43 @@ class ReplayCache:
         so sharded deployments can route the entry with the client's
         other state when splitting snapshots.
         """
-        # Read set -> decide -> write: what the eviction rule needs (the
-        # table size and its oldest entry) and the verdict in one store
-        # call, the insert in a second.  Neither the read frame nor the
-        # absolute put changes its answer when a networked store
-        # re-sends it after a lost reply — a frame that read ``seed``
-        # and then wrote it would call its own first attempt a replay.
-        known = (self._seen.name, "contains", seed)
-        size, head, replayed = self.store.execute([*self._head, known])
+        writes = self.decide(
+            self.store.execute(self.read_ops(seed)), seed, now, owner
+        )
+        if writes is None:
+            return False
+        self.store.execute(writes)
+        return True
+
+    # Read set -> decide -> write set: what the eviction rule needs (the
+    # table size and its oldest entry) and the verdict in one store call,
+    # the insert in a second (``redeem`` shares both with feedback).
+    # Neither changes its answer when re-sent after a lost reply — a
+    # frame that read ``seed`` and then wrote it would call its own first
+    # attempt a replay.
+    def read_ops(self, seed: str) -> list[tuple]:
+        """The read set for ``seed``: ``[len, first, contains(seed)]``."""
+        return [*self._head, (self._seen.name, "contains", seed)]
+
+    def decide(
+        self, reads: list, seed: str, now: float, owner: str | None = None
+    ) -> list[tuple] | None:
+        """The write set recording ``seed``, or None when it is a replay.
+
+        Evicts from the head first (stale, or at the cap): a store call
+        per evicted entry, the only calls made here.
+        """
+        size, head, replayed = reads
         cutoff = now - self.ttl
         while head is not None and (
             head[1][0] < cutoff or size >= self.max_entries
         ):
             _, size, head, replayed = self.store.execute(
-                [(self._seen.name, "delete", head[0]), *self._head, known]
+                [(self._seen.name, "delete", head[0]), *self.read_ops(seed)]
             )
         if replayed:
-            return False
-        self._seen[seed] = [now, owner]
-        return True
+            return None
+        return [(self._seen.name, "put", seed, [now, owner])]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -162,18 +180,36 @@ class PuzzleVerifier:
             The seed was already redeemed.
         """
         try:
-            return self._verify(puzzle, solution, client_ip, now)
+            digest = self.check(puzzle, solution, client_ip, now)
+            if self.replay_cache is not None:
+                if not self.replay_cache.check_and_add(
+                    puzzle.seed, now, owner=client_ip
+                ):
+                    raise ReplayedSolutionError(
+                        f"seed {puzzle.seed} already redeemed"
+                    )
         except Exception:
             self.rejected_count += 1
             raise
+        self.accepted_count += 1
+        return VerificationResult(
+            puzzle_seed=puzzle.seed,
+            difficulty=puzzle.difficulty,
+            zero_bits=count_leading_zero_bits(digest),
+        )
 
-    def _verify(
+    def check(
         self,
         puzzle: Puzzle,
         solution: Solution,
         client_ip: str,
         now: float,
-    ) -> VerificationResult:
+    ) -> bytes:
+        """The stateless part of :meth:`verify`; returns the digest.
+
+        Seed match, tag, TTL and digest, raised alike — no replay step
+        (``AIPoWFramework.redeem`` runs it itself), no counters.
+        """
         if solution.puzzle_seed != puzzle.seed:
             raise PuzzleIntegrityError(
                 "solution references a different puzzle seed"
@@ -199,18 +235,4 @@ class PuzzleVerifier:
                 f"digest has {count_leading_zero_bits(digest)} leading zero "
                 f"bits, needs {puzzle.difficulty}"
             )
-
-        if self.replay_cache is not None:
-            if not self.replay_cache.check_and_add(
-                puzzle.seed, now, owner=client_ip
-            ):
-                raise ReplayedSolutionError(
-                    f"seed {puzzle.seed} already redeemed"
-                )
-
-        self.accepted_count += 1
-        return VerificationResult(
-            puzzle_seed=puzzle.seed,
-            difficulty=puzzle.difficulty,
-            zero_bits=count_leading_zero_bits(digest),
-        )
+        return digest

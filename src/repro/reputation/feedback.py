@@ -18,8 +18,8 @@ behavioural offset:
 * offsets decay exponentially with a half-life, so stale history fades.
 
 The wrapper satisfies the :class:`~repro.core.interfaces.ReputationModel`
-protocol and can observe outcomes automatically via the framework's
-event bus (:meth:`attach`).
+protocol and learns every outcome a framework settles once attached to
+it (:meth:`attach`).
 
 State lives in an :class:`~repro.state.AdmissionStateStore` namespace
 (``feedback``, entries ``ip -> [offset, updated_at]``), so a warmed
@@ -32,12 +32,12 @@ can invalidate the affected IP instead of serving a stale score.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.events import EventBus, EventKind, FrameworkEvent
 from repro.core.interfaces import ReputationModel
 from repro.core.records import ClientRequest, ResponseStatus, ServedResponse
 from repro.reputation.base import clamp_score, model_score_requests
@@ -77,8 +77,12 @@ class FeedbackConfig:
             raise ValueError(f"half_life must be > 0, got {self.half_life}")
 
 
-# Per-IP state is a JSON-safe two-slot list, mutated in place:
+# Per-IP state is a JSON-safe two-slot list, written back whole:
 _OFFSET, _UPDATED_AT = 0, 1
+
+#: Oldest addresses the cap eviction ranks (within one page of a
+#: remote namespace's default ``batch_size`` of 128).
+EVICTION_PAGE = 64
 
 
 class FeedbackReputationModel:
@@ -91,7 +95,9 @@ class FeedbackReputationModel:
     config:
         Feedback tuning; defaults to :class:`FeedbackConfig`.
     max_tracked_ips:
-        Capacity bound on the offset table.
+        Capacity bound on the offset table.  Past it, each new address
+        evicts the smallest |offset| among the :data:`EVICTION_PAGE`
+        oldest others.
     store:
         Admission state store holding the offset table; a private
         in-memory store is created when omitted.
@@ -191,42 +197,48 @@ class FeedbackReputationModel:
         """Fold one terminal outcome into the client's offset."""
         ip = response.decision.request.client_ip
         when = response.decision.request.timestamp if now is None else now
-        state = self._states.get(ip)
-        known = state is not None
-        if not known:
-            state = [0.0, when]
-        current = self._decayed(state, when)
-        changed = True
+        (state,) = self.store.execute(self.read_ops(ip))
+        writes = self.fold(state, response.status, ip, when)
+        self.folded(ip, response.status, self.store.execute(writes))
 
-        if response.status in self._BAD:
+    # Read set -> decide -> write set, split so ``redeem`` sends these
+    # ops in the same two store calls as the replay cache's.
+    def read_ops(self, client_ip: str) -> list[tuple]:
+        """The read set for one outcome: the address's offset entry."""
+        return [(self._states.name, "get", client_ip)]
+
+    def fold(
+        self, state, status: ResponseStatus, client_ip: str, now: float
+    ) -> list[tuple]:
+        """The write set folding ``status`` into ``state`` (read at ``now``).
+
+        An absolute put of ``[offset, now]`` (re-stamped even when
+        neutral), plus the table's ``len`` for a new address.
+        """
+        current = 0.0 if state is None else self._decayed(state, now)
+        if status in self._BAD:
             current = min(
                 current + self.config.penalty_step, self.config.max_penalty
             )
-        elif response.status is ResponseStatus.SERVED:
+        elif status is ResponseStatus.SERVED:
             current = max(
                 current - self.config.reward_step, -self.config.max_reward
             )
-        else:
-            # ABANDONED / EXPIRED are ambiguous (patience, network) — neutral.
-            changed = False
+        writes = [(self._states.name, "put", client_ip, [current, now])]
+        if state is None:
+            writes.append(self._tracked)
+        return writes
 
-        # Explicit write-back instead of in-place list mutation: a remote
-        # namespace hands out deserialized copies, so mutating ``state``
-        # would silently update nothing.  ``__setitem__`` on an existing
-        # key keeps its position, so local behaviour is unchanged.
-        if known:
-            self._states[ip] = [current, when]
-        else:
-            # A new address: the same call that records it counts the
-            # table, and the cap evicts among the others.
-            _, tracked = self.store.execute(
-                [(self._states.name, "put", ip, [current, when]), self._tracked]
-            )
-            if tracked > self.max_tracked_ips:
-                self._evict_smallest(keep=ip)
-        if changed:
+    def folded(
+        self, client_ip: str, status: ResponseStatus, results: list
+    ) -> None:
+        """Cap the table and tell listeners, given :meth:`fold`'s results."""
+        if len(results) > 1 and results[1] > self.max_tracked_ips:
+            self._evict_smallest(keep=client_ip)
+        # ABANDONED / EXPIRED are ambiguous (patience, network) — neutral.
+        if status in self._BAD or status is ResponseStatus.SERVED:
             for listener in self._listeners:
-                listener(ip)
+                listener(client_ip)
 
     def subscribe_offset_changes(
         self, listener: Callable[[str], None]
@@ -240,21 +252,34 @@ class FeedbackReputationModel:
         self._listeners.append(listener)
 
     def _evict_smallest(self, keep: str) -> None:
-        """Drop the IP with the smallest |offset|, other than ``keep``."""
-        # One pass over items() rather than a per-key lookup: against a
-        # networked store the latter would cost a round trip per IP.
-        victim = min(
+        """Drop the smallest |offset| among the table's oldest addresses.
+
+        Candidates: the first :data:`EVICTION_PAGE` entries in insertion
+        order, ``keep`` excluded; ties go to the oldest.  That is one
+        ``iter_batch`` frame over the wire, not a scan of the table per
+        new address, and the same victim on every backend.
+        """
+        page = itertools.islice(
             (entry for entry in self._states.items() if entry[0] != keep),
-            key=lambda entry: abs(entry[1][_OFFSET]),
-        )[0]
+            EVICTION_PAGE,
+        )
+        victim = min(page, key=lambda entry: abs(entry[1][_OFFSET]))[0]
         del self._states[victim]
 
-    def attach(self, bus: EventBus) -> "FeedbackReputationModel":
-        """Observe outcomes automatically from a framework's bus."""
-        bus.subscribe(self._on_event, kinds=[EventKind.RESPONSE_SERVED])
-        return self
+    def attach(self, framework) -> "FeedbackReputationModel":
+        """Learn every outcome ``framework`` settles, before its bus does.
 
-    def _on_event(self, event: FrameworkEvent) -> None:
-        response = event.payload.get("response")
-        if isinstance(response, ServedResponse):
-            self.observe(response, now=event.timestamp)
+        The offset table moves into the framework's store (entries
+        already there win), as stateful policies do, so ``redeem``
+        shares its store calls and ``snapshot()`` covers it.
+        """
+        if self.store is not framework.store:
+            entries = self._states.dump()
+            self.store = framework.store
+            self._states = self.store.namespace(self._states.name)
+            self.store.execute(
+                [(self._states.name, "setdefault", ip, state)
+                 for ip, state in entries]
+            )
+        framework.feedback = self
+        return self

@@ -104,6 +104,54 @@ class TestEviction:
             )
         assert model.tracked_ips <= 10
 
+    def test_eviction_reads_one_page_and_agrees_across_backends(self):
+        # Past the cap, a new address ranks only the oldest page: a
+        # bounded frame count per new address over the wire whatever
+        # the table size, and the same victim as the in-memory store.
+        from repro.obs.registry import MetricsRegistry
+        from repro.reputation.feedback import EVICTION_PAGE
+        from repro.state import (
+            InMemoryStateStore,
+            RemoteStateStore,
+            StateServer,
+        )
+
+        cap = 3 * EVICTION_PAGE  # more than one remote page
+        outcomes = (
+            ResponseStatus.REJECTED,
+            ResponseStatus.SERVED,
+            ResponseStatus.ABANDONED,
+        )
+        registry = MetricsRegistry()
+        with StateServer() as server:
+            remote = RemoteStateStore(server.address, registry=registry)
+            try:
+                stores = (InMemoryStateStore(), remote)
+                models = [
+                    FeedbackReputationModel(
+                        ConstantModel(5.0), max_tracked_ips=cap, store=store
+                    )
+                    for store in stores
+                ]
+                frames = registry.get("netstore_client_requests_total")
+                for i in range(cap + 40):
+                    response = response_with(
+                        outcomes[i % 3], t=float(i),
+                        ip=f"110.0.{i // 250}.{i % 250 + 1}",
+                    )
+                    before = frames.total()
+                    for model in models:
+                        model.observe(response)
+                    # get; put + len; one page; delete.
+                    assert frames.total() - before <= 4
+                    local, wired = (
+                        store.namespace("feedback").dump() for store in stores
+                    )
+                    assert wired == local, i
+                assert [model.tracked_ips for model in models] == [cap, cap]
+            finally:
+                remote.close()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FeedbackReputationModel(ConstantModel(1.0), max_tracked_ips=0)
@@ -120,7 +168,7 @@ class TestFrameworkIntegration:
             ConstantModel(4.0), FeedbackConfig(penalty_step=2.0)
         )
         framework = AIPoWFramework(model, policy_1())
-        model.attach(framework.events)
+        model.attach(framework)
 
         difficulties = []
         for i in range(4):
@@ -138,7 +186,7 @@ class TestFrameworkIntegration:
             ConstantModel(4.0), FeedbackConfig(reward_step=0.5)
         )
         framework = AIPoWFramework(model, policy_1())
-        model.attach(framework.events)
+        model.attach(framework)
         solver = HashSolver()
 
         difficulties = []
@@ -150,6 +198,16 @@ class TestFrameworkIntegration:
             framework.redeem(challenge, solution, now=float(i) + 0.1)
 
         assert difficulties[-1] <= difficulties[0]
+
+    def test_attach_moves_the_offset_table_into_the_framework_store(self):
+        model = FeedbackReputationModel(ConstantModel(4.0))
+        model.observe(response_with(ResponseStatus.REJECTED, t=0.0))
+        framework = AIPoWFramework(model, policy_1())
+        assert model.attach(framework) is model
+        assert framework.feedback is model
+        assert model.store is framework.store
+        assert model.offset_for(IP, now=0.0) == pytest.approx(1.0)
+        assert [ip for ip, _ in framework.store.namespace("feedback").dump()] == [IP]
 
     def test_name_composes(self):
         model = FeedbackReputationModel(ConstantModel(1.0))
