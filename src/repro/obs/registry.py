@@ -102,7 +102,7 @@ METRIC_CATALOG: dict[str, str] = {
     "sim_phase_items_total": "Items (events) processed per engine phase",
     "trace_spans_total": "Completed trace spans, labelled by outcome",
     "netstore_server_requests_total": (
-        "State-server requests handled, labelled by op"
+        "State-server requests handled, labelled by op (unknown ones as unknown)"
     ),
     "netstore_client_requests_total": (
         "State-client requests issued, labelled by op"
@@ -110,7 +110,7 @@ METRIC_CATALOG: dict[str, str] = {
     "netstore_client_request_seconds": (
         "State-client round trips in seconds, one per frame, labelled by op"
     ),
-    "netstore_server_batch_ops": "Sub-requests per state-server multi frame",
+    "netstore_server_batch_ops": "Keyed ops per state-server multi frame",
     "netstore_client_retries_total": (
         "State-client retries after transport failures"
     ),

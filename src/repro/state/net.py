@@ -4,13 +4,14 @@ Three layers, all speaking :mod:`repro.state.protocol` frames:
 
 * :class:`StateServer` hosts any :class:`~repro.state.AdmissionStateStore`
   behind a threaded TCP/AF_UNIX accept loop.  One lock serializes
-  frames, so each wire op — and each ``multi`` frame of them — is
-  atomic exactly like its in-process counterpart; every response
-  piggybacks the server's topology epoch.
+  frames, so each wire op — and each ``multi`` frame of keyed ops,
+  which the hosted store's own ``execute`` applies — is atomic exactly
+  like its in-process counterpart; every response piggybacks the
+  server's topology epoch.
 * :class:`RemoteStateStore` implements the full store/namespace surface
   over one server connection, and :meth:`~RemoteStateStore.execute` as
-  one ``multi`` frame: connect/request timeouts, bounded
-  exponential-backoff retries on idempotent ops, loud
+  one ``multi`` frame of the caller's op arrays: connect/request
+  timeouts, bounded exponential-backoff retries on idempotent ops, loud
   :class:`ConnectionError` on non-idempotent ones (a retried ``popitem``
   could evict a second entry — the client refuses to guess).
 * :class:`MultiNodeStateStore` places keys over N servers with the same
@@ -34,6 +35,7 @@ ring would not find it once :meth:`apply_topology` returns.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import pathlib
 import socket
 import threading
@@ -49,12 +51,10 @@ from repro.state.snapshot import (
     split_snapshot,
 )
 from repro.state.store import (
-    KEYED_OPS,
     SNAPSHOT_FORMAT,
     AdmissionStateStore,
     InMemoryStateStore,
-    apply_op,
-    op_fields,
+    check_ops,
 )
 
 __all__ = [
@@ -160,6 +160,11 @@ class StateServer:
         self._conns_lock = threading.Lock()
         self._stopping = threading.Event()
         self._topology: dict = {"epoch": 0, "nodes": [], "replicas": 64}
+        self._handlers: dict[str, Callable[[dict], dict]] = {
+            name[len("_op_"):]: getattr(self, name)
+            for name in dir(self)
+            if name.startswith("_op_")
+        }
         #: Test hook: ``hook(op, request)`` runs before each op and may
         #: raise ``_DropConnection`` or sleep to inject faults.
         self._fault_hook: Callable[[str, dict], None] | None = None
@@ -305,28 +310,17 @@ class StateServer:
             raise ValueError(f"request needs a string op, got {op!r}")
         if self._fault_hook is not None:
             self._fault_hook(op, request)
+        handler = self._handlers.get(op)
         if self._metrics is not None:
-            self._metrics["netstore_server_requests_total"].inc(op=op)
-        with self._lock:
-            return self._dispatch(request)
-
-    def _dispatch(self, request: dict) -> dict:
-        """Answer one request — a whole frame or one ``multi`` sub-request."""
-        op = request.get("op")
-        # ``len`` without a namespace is the store-level count below.
-        if op in KEYED_OPS and (op != "len" or "ns" in request):
-            args = []
-            for field in KEYED_OPS[op][0]:
-                if field not in request:
-                    break
-                args.append(request[field])
-            op_fields(op, len(args))  # a missing key or default is an answer
-            value = apply_op(self._table(request), op, args)
-            return {"ok": True, "value": value}
-        handler = getattr(self, f"_op_{op}", None)
+            # Label by the op the server knows, never by what the peer
+            # sent, or junk op names grow the series without bound.
+            self._metrics["netstore_server_requests_total"].inc(
+                op=op if handler is not None else "unknown"
+            )
         if handler is None:
             raise ValueError(f"unknown state-server op {op!r}")
-        return handler(request)
+        with self._lock:
+            return handler(request)
 
     def _table(self, request: dict):
         name = request.get("ns")
@@ -335,23 +329,19 @@ class StateServer:
         return self.store.namespace(name)
 
     def _op_multi(self, request: dict) -> dict:
-        # One lock hold for the whole list (``_handle`` took it).  The
-        # first sub-request that raises ends the frame as that error:
-        # the ones before it stay applied, the ones after never run.
+        # One lock hold for the whole list (``_handle`` took it).  Every
+        # op is checked before any runs, and a checked keyed op cannot
+        # fail, so a frame applies whole or — malformed — not at all.
         ops = request.get("ops")
         if not isinstance(ops, list) or len(ops) > protocol.MAX_MULTI_OPS:
             raise ValueError(
                 "multi needs an ops list of at most "
-                f"{protocol.MAX_MULTI_OPS} requests"
+                f"{protocol.MAX_MULTI_OPS} keyed ops"
             )
+        check_ops(ops)
         if self._metrics is not None:
             self._metrics["netstore_server_batch_ops"].observe(len(ops))
-        values = []
-        for sub in ops:
-            if not isinstance(sub, dict) or sub.get("op") == "multi":
-                raise ValueError("multi takes request objects, never a multi")
-            values.append(self._dispatch(sub).get("value"))
-        return {"ok": True, "values": values}
+        return {"ok": True, "values": self.store.execute(ops)}
 
     def _op_ping(self, request: dict) -> dict:
         return {"ok": True, "version": protocol.PROTOCOL_VERSION}
@@ -380,6 +370,8 @@ class StateServer:
         return {"ok": True, "value": [key, value]}
 
     def _op_len(self, request: dict) -> dict:
+        if "ns" in request:  # a table's len is a keyed op, in a multi
+            raise ValueError("len counts the whole store and takes no ns")
         total = sum(
             len(self.store.namespace(name))
             for name in self.store.namespaces()
@@ -392,16 +384,18 @@ class StateServer:
         # caveat as iterating any dict you are mutating, documented in
         # DESIGN §1.9; admission consumers only iterate tables they own.
         table = self._table(request)
-        start = int(request.get("start", 0))
+        start = max(0, int(request.get("start", 0)))
         count = max(1, int(request.get("count", 128)))
-        items = []
-        for index, (key, value) in enumerate(table.items()):
-            if index < start:
-                continue
-            if len(items) >= count:
-                return {"ok": True, "items": items, "done": False}
-            items.append([key, value])
-        return {"ok": True, "items": items, "done": True}
+        # One entry past the page tells whether another page follows.
+        items = [
+            [key, value]
+            for key, value in itertools.islice(
+                table.items(), start, start + count + 1
+            )
+        ]
+        return {
+            "ok": True, "items": items[:count], "done": len(items) <= count
+        }
 
     def _op_load_ns(self, request: dict) -> dict:
         self._table(request).load(request.get("entries", []))
@@ -488,12 +482,6 @@ class StateServer:
 # ----------------------------------------------------------------------
 # Client
 # ----------------------------------------------------------------------
-def _encode(namespace: str, op: str, *args: Any) -> dict:
-    """One :data:`KEYED_OPS` op as a request object."""
-    fields = op_fields(op, len(args))
-    return {"op": op, "ns": namespace, **dict(zip(fields, args))}
-
-
 class RemoteNamespace:
     """Client-side :class:`~repro.state.StateNamespace` twin.
 
@@ -533,9 +521,7 @@ class RemoteNamespace:
         self._do("put", key, value)
 
     def __delitem__(self, key: str) -> None:
-        (found,), attempts = self._store._send(
-            [_encode(self.name, "delete", key)]
-        )
+        (found,), attempts = self._store._send([(self.name, "delete", key)])
         # found=False on a retried delete usually means the lost first
         # attempt applied; only a clean first answer is a real miss.
         if not found and attempts == 1:
@@ -609,9 +595,10 @@ class RemoteStateStore(AdmissionStateStore):
     *idempotent* ops are retried with bounded exponential backoff;
     non-idempotent ops (``pop`` without default, ``popitem``,
     ``mutate``) raise :class:`ConnectionError` immediately, because a
-    blind retry could apply them twice.  A ``multi`` frame is retried
-    only when every sub-request is idempotent.  Logical errors from the
-    server (missing key, bad value) are answers, never retried.
+    blind retry could apply them twice.  A ``multi`` frame carries
+    keyed ops only, all idempotent, so it is always retried.  Logical
+    errors from the server (missing key, bad value) are answers, never
+    retried.
     """
 
     def __init__(
@@ -680,11 +667,7 @@ class RemoteStateStore(AdmissionStateStore):
     def _request(self, op: str, **fields) -> tuple[dict, int]:
         """One frame on the wire; returns ``(response, attempts)``."""
         message = {"op": op, **fields}
-        # A multi frame is as safe to re-send as its least safe part.
-        retryable = all(
-            part.get("op") in protocol.IDEMPOTENT_OPS
-            for part in (message, *fields.get("ops", ()))
-        )
+        retryable = op in protocol.IDEMPOTENT_OPS
         attempts = 0
         last_error: Exception | None = None
         while True:
@@ -756,22 +739,25 @@ class RemoteStateStore(AdmissionStateStore):
 
     def execute(self, ops) -> list[Any]:
         """The whole op list as one ``multi`` frame, one lock hold."""
-        return self._send([_encode(*op) for op in ops])[0]
+        return self._send(ops)[0]
 
-    def _send(self, messages: list[dict]) -> tuple[list[Any], int]:
-        """Results of encoded keyed ops, and the most attempts a frame took."""
+    def _send(self, ops) -> tuple[list[Any], int]:
+        """Results of keyed ops, and the most attempts a frame took.
+
+        Checked ops go into the frame as they are: JSON writes a tuple
+        as an array.
+        """
+        ops = list(ops)
+        check_ops(ops)
         results: list[Any] = []
         attempts = 1
         # Over-long lists go out as several frames: order is kept, only
         # the single lock hold is not.
-        for start in range(0, len(messages), protocol.MAX_MULTI_OPS):
-            frame = messages[start:start + protocol.MAX_MULTI_OPS]
-            if len(frame) == 1:
-                response, tries = self._request(**frame[0])
-                results.append(response.get("value"))
-            else:
-                response, tries = self._request("multi", ops=frame)
-                results.extend(response["values"])
+        for start in range(0, len(ops), protocol.MAX_MULTI_OPS):
+            response, tries = self._request(
+                "multi", ops=ops[start:start + protocol.MAX_MULTI_OPS]
+            )
+            results.extend(response["values"])
             attempts = max(attempts, tries)
         return results, attempts
 
@@ -1017,23 +1003,24 @@ class MultiNodeStateStore(AdmissionStateStore):
         so grouping them by node (order kept within each) changes
         nothing.  A malformed op is refused before any frame is sent.
         """
-        messages = [_encode(*op) for op in ops]
+        ops = list(ops)
+        check_ops(ops)
         batches: dict[int, list[int]] = {}  # node index -> op positions
-        for position, message in enumerate(messages):
+        for position, op in enumerate(ops):
             owners = (
-                (self.ring.shard_for(message["key"]),) if "key" in message
+                (self.ring.shard_for(op[2]),) if len(op) > 2  # keyed
                 else range(len(self.nodes))
             )
             for index in owners:
                 batches.setdefault(index, []).append(position)
-        results: list[Any] = [None] * len(messages)
+        results: list[Any] = [None] * len(ops)
         for index in sorted(batches):
             positions = batches[index]
             values, _ = self.nodes[index]._send(
-                [messages[position] for position in positions]
+                [ops[position] for position in positions]
             )
             for position, value in zip(positions, values):
-                if messages[position]["op"] == "len":
+                if ops[position][1] == "len":
                     value += results[position] or 0
                 elif results[position] is not None:
                     continue  # a first: the lowest node with an entry wins

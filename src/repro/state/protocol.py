@@ -10,29 +10,34 @@ write set and costs one round trip.
 
 Request shapes::
 
-    {"op": "get", "ns": "feedback", "key": "10.0.0.9"}    # one keyed op
-    {"op": "multi", "ops": [{"op": "len", "ns": "replay"},
-                            {"op": "get", "ns": "replay", "key": "5f.."}]}
-    {"op": "snapshot"}                                     # store-level op
+    {"op": "multi", "ops": [["replay", "len"],            # keyed ops
+                            ["replay", "get", "5f.."],
+                            ["feedback", "put", "10.0.0.9", [0.5, 10.0]]]}
+    {"op": "pop", "ns": "replay", "key": "5f.."}          # namespace op
+    {"op": "snapshot"}                                    # store-level op
 
 Response shapes::
 
-    {"ok": true, "epoch": 3, "value": [0.5, 10.0]}   # keyed op
-    {"ok": true, "epoch": 3, "values": [7, null]}    # multi, one per sub-op
-    {"ok": false, "error": "...", "kind": "key"}     # logical failure
+    {"ok": true, "epoch": 3, "values": [7, null, null]}  # multi, one per op
+    {"ok": true, "epoch": 3, "value": [0.5, 10.0]}       # pop
+    {"ok": false, "error": "...", "kind": "key"}         # logical failure
 
-The keyed ops (``get``/``put``/``delete``/``contains``/``setdefault``/
-``pop_default``/``move_to_end``/``len``/``first``) and their field
-names are :data:`repro.state.store.KEYED_OPS`; ``len`` without ``ns``
-counts the whole store.  A keyed op never fails on a well-formed
-request — ``delete`` and ``move_to_end`` answer whether the key was
-there — and one that lacks a required field is a ``value`` error.  A
-``multi`` frame holds up to :data:`MAX_MULTI_OPS` sub-requests (any
-op but ``multi``) which the server applies in order under one lock
-hold, stopping at the first that fails: the answer is then that
-sub-op's error, the earlier sub-ops stay applied and the later ones
-never ran — what the same requests sent one by one would have done,
-minus the interleaving.
+Keyed ops travel only inside ``multi``, each as the array
+``[namespace, op, *args]`` that :meth:`AdmissionStateStore.execute
+<repro.state.store.AdmissionStateStore.execute>` takes in process; the
+ops and their arities are :data:`repro.state.store.KEYED_OPS`
+(``get``/``put``/``delete``/``contains``/``setdefault``/
+``pop_default``/``move_to_end``/``len``/``first``).  A top-level keyed
+op is an unknown op, and a top-level ``len`` counts the whole store
+and takes no ``ns``.  A ``multi`` frame holds up to
+:data:`MAX_MULTI_OPS` ops.  The server checks every one first — a list
+whose entries are each a non-empty string namespace, a keyed op name,
+a legal number of arguments and a string key — and answers a
+malformed frame with a ``value`` error that **applies nothing**.  A
+well-formed frame is handed to the hosted store's own ``execute``
+under one lock hold, and cannot fail part way: no keyed op fails on a
+well-formed request (``delete`` and ``move_to_end`` answer whether the
+key was there).
 
 ``epoch`` piggybacks the server's current topology epoch on every
 response so clients learn about a reshard without polling; ``kind``
@@ -68,35 +73,30 @@ __all__ = [
 ]
 
 #: Bumped when the frame layout or op envelope changes incompatibly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame; a full-store snapshot is the largest
 #: legitimate payload, and 256 MiB is far beyond any configured store.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: Upper bound on the sub-requests of one ``multi`` frame: a server
-#: holds its lock for the whole frame, so a frame must stay short.
+#: Upper bound on the keyed ops of one ``multi`` frame: a server holds
+#: its lock for the whole frame, so a frame must stay short.
 MAX_MULTI_OPS = 4096
 
 _LENGTH = struct.Struct(">I")
 
-#: Ops safe to retry after a lost response: re-applying them cannot
-#: change the outcome the caller observes (reads, absolute writes,
-#: deletes, and ``pop`` *with* a default — the caller tolerates
-#: "already gone").  A ``multi`` frame is as safe as its sub-requests:
-#: the client retries it only when every one of them is listed here.
+#: One encoder for every frame: ``json.dumps`` with ``separators``
+#: would build a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: Frame ops safe to retry after a lost response: re-applying them
+#: cannot change the outcome the caller observes.  ``multi`` is one of
+#: them because every keyed op is (reads, absolute writes, deletes,
+#: and ``pop_default`` — the caller tolerates "already gone").
 IDEMPOTENT_OPS = frozenset(
     {
         "ping",
-        "get",
-        "contains",
-        "put",
-        "delete",
-        "pop_default",
-        "setdefault",
-        "move_to_end",
         "len",
-        "first",
         "multi",
         "iter_batch",
         "load_ns",
@@ -127,7 +127,7 @@ class FrameTooLarge(ProtocolError):
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """One message as length-prefixed wire bytes."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _ENCODER.encode(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameTooLarge(
             f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}"

@@ -35,8 +35,7 @@ __all__ = [
     "AdmissionStateStore",
     "InMemoryStateStore",
     "KEYED_OPS",
-    "apply_op",
-    "op_fields",
+    "check_ops",
 ]
 
 #: Snapshot document version; bump when the layout changes.
@@ -69,12 +68,11 @@ def _first(table) -> list | None:
 #: arguments after the namespace, how many of them are required, how
 #: it is performed — a function of ``(table, *args)`` over the
 #: namespace surface, or the name of the namespace method that does
-#: exactly that).  :func:`apply_op` runs an entry, the state server's
-#: frame handler decodes the named fields into its arguments and the
-#: remote client encodes them — the wire has no second list.  No op
-#: fails on a well-formed request, so a batch can be regrouped by
-#: owning node and re-sent after a lost reply: ``delete`` and
-#: ``move_to_end`` answer whether the key was there, ``first`` the
+#: exactly that).  An op is the array ``(namespace, op, *args)`` in
+#: process and on the wire alike; :func:`check_ops` is its one
+#: validator.  No op fails on a well-formed request, so a batch can be
+#: regrouped by owning node and re-sent after a lost reply: ``delete``
+#: and ``move_to_end`` answer whether the key was there, ``first`` the
 #: oldest ``[key, value]`` or ``None``.
 KEYED_OPS: dict[str, tuple[tuple[str, ...], int, str | Callable[..., Any]]] = {
     "get": (("key", "default"), 1, "get"),
@@ -89,18 +87,34 @@ KEYED_OPS: dict[str, tuple[tuple[str, ...], int, str | Callable[..., Any]]] = {
 }
 
 
-def op_fields(op: str, count: int) -> tuple[str, ...]:
-    """Names of the ``count`` arguments given to ``op``; checks both."""
-    try:
-        fields, required, _ = KEYED_OPS[op]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown state op {op!r}") from None
-    if not required <= count <= len(fields):
-        raise ValueError(
-            f"state op {op!r} takes {required}..{len(fields)} of {fields}, "
-            f"got {count} arguments"
-        )
-    return fields[:count]
+def check_ops(ops) -> None:
+    """Raise ``ValueError`` unless every op is a well-formed keyed op.
+
+    Well-formed is ``(namespace, op, *args)`` as a list or tuple: a
+    non-empty string namespace, a :data:`KEYED_OPS` name, a legal
+    number of arguments and a string key.  No such op can fail, so a
+    checked batch applies whole: the wire client checks before it
+    sends and the state server before it applies anything.
+    """
+    for op in ops:
+        if not isinstance(op, (list, tuple)) or len(op) < 2:
+            raise ValueError(
+                f"a state op is a [namespace, op, *args] array, got {op!r}"
+            )
+        if type(op[0]) is not str or not op[0]:
+            raise ValueError(f"op needs a namespace, got {op[0]!r}")
+        try:
+            fields, required, _ = KEYED_OPS[op[1]]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown state op {op[1]!r}") from None
+        if not required <= len(op) - 2 <= len(fields):
+            raise ValueError(
+                f"state op {op[1]!r} takes {required}..{len(fields)} of "
+                f"{fields}, got {len(op) - 2} arguments"
+            )
+        # Every op that takes arguments takes the key first.
+        if fields and type(op[2]) is not str:
+            raise ValueError(f"state op {op[1]!r} needs a string key")
 
 
 _TABLE_OPS: dict[type, dict[str, Callable[..., Any]]] = {}
@@ -121,15 +135,6 @@ def table_ops(table) -> dict[str, Callable[..., Any]]:
             for op, (_, _, how) in KEYED_OPS.items()
         }
     return ops
-
-
-def apply_op(table, op: str, args) -> Any:
-    """Run one :data:`KEYED_OPS` op on a namespace; return its result."""
-    try:
-        run = table_ops(table)[op]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown state op {op!r}") from None
-    return run(table, *args)
 
 
 class StateNamespace(OrderedDict):

@@ -42,6 +42,19 @@ def client(server):
     store.close()
 
 
+@pytest.fixture()
+def wire(server):
+    """A raw socket to the server, for frames no client would send."""
+    sock = protocol.connect(server.address, timeout=5.0)
+    yield sock
+    sock.close()
+
+
+def _ask(sock, message):
+    protocol.write_frame(sock, message)
+    return protocol.read_frame(sock)
+
+
 # ----------------------------------------------------------------------
 # Protocol framing
 # ----------------------------------------------------------------------
@@ -49,7 +62,10 @@ class TestProtocol:
     def test_frame_roundtrip(self):
         left, right = socket.socketpair()
         try:
-            message = {"op": "put", "ns": "feedback", "value": [1.5, 2.0]}
+            message = {
+                "op": "multi",
+                "ops": [["feedback", "put", "10.0.0.9", [1.5, 2.0]]],
+            }
             protocol.write_frame(left, message)
             assert protocol.read_frame(right) == message
         finally:
@@ -110,34 +126,110 @@ class TestProtocol:
         }
         classified = protocol.IDEMPOTENT_OPS | protocol.NON_IDEMPOTENT_OPS
         assert ops <= classified
+        # ... and nothing else is: keyed ops are not frame ops.
+        assert classified <= ops
+
+
+def _seeded_snapshot() -> dict:
+    store = InMemoryStateStore()
+    store.put("t", "a", 1)
+    store.put("t", "b", [2, 3])
+    store.put("u", "c", "x")
+    return store.snapshot()
+
+
+_SEEDED = _seeded_snapshot()
+_WIRE_KEYS = st.sampled_from(["a", "b", "c"])
+_GOOD_OPS = st.tuples(
+    st.sampled_from(["t", "u", "fresh"]),
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["get", "contains", "delete", "move_to_end"]),
+            _WIRE_KEYS,
+        ),
+        st.tuples(
+            st.sampled_from(["put", "setdefault", "pop_default", "get"]),
+            _WIRE_KEYS,
+            st.integers(-3, 3),
+        ),
+        st.tuples(st.sampled_from(["len", "first"])),
+    ),
+).map(lambda parts: [parts[0], *parts[1]])
+_BAD_OPS = st.one_of(
+    # not an array
+    st.sampled_from(
+        ["not-an-op", 7, None, {"op": "get", "ns": "t", "key": "a"}]
+    ),
+    st.sampled_from([[], ["t"]]),  # too short
+    # no usable namespace
+    st.sampled_from([None, 7, "", ["t"]]).map(lambda ns: [ns, "get", "a"]),
+    # not a keyed op: unknown, a frame op, or not even a name
+    st.sampled_from(
+        ["frobnicate", "pop", "popitem", "mutate", "snapshot", None, 3,
+         ["get"]]
+    ).map(lambda op: ["t", op, "a"]),
+    # a nested multi
+    st.sampled_from(
+        [["t", "multi", [["t", "len"]]], {"op": "multi", "ops": []}]
+    ),
+    # a wrong number of arguments
+    st.sampled_from([
+        ["t", "get"], ["t", "get", "a", 1, 2], ["t", "put", "a"],
+        ["t", "delete"], ["t", "len", "a"], ["t", "first", "a"],
+        ["t", "setdefault", "a"], ["t", "pop_default", "a"],
+    ]),
+    # a key no table can hold
+    st.sampled_from([
+        ["t", "put", 5, 1], ["t", "contains", ["a"]], ["t", "get", None],
+        ["t", "delete", {"k": 1}],
+    ]),
+)
+_BAD_FRAMES = st.one_of(
+    # one malformed op among good ones, anywhere in the frame
+    st.tuples(
+        st.lists(_GOOD_OPS, max_size=6),
+        _BAD_OPS,
+        st.lists(_GOOD_OPS, max_size=6),
+    ).map(
+        lambda parts: {"op": "multi", "ops": [*parts[0], parts[1], *parts[2]]}
+    ),
+    # good ops, one more than a frame may carry
+    st.lists(_GOOD_OPS, min_size=1, max_size=3).map(
+        lambda ops: {
+            "op": "multi",
+            "ops": ops * (protocol.MAX_MULTI_OPS // len(ops) + 1),
+        }
+    ),
+    st.sampled_from(
+        [{"op": "multi"}, {"op": "multi", "ops": "x"},
+         {"op": "multi", "ops": {"t": "len"}}]
+    ),
+    # a keyed op outside multi
+    st.sampled_from([
+        {"op": "get", "ns": "t", "key": "a"},
+        {"op": "put", "ns": "t", "key": "a", "value": 9},
+        {"op": "delete", "ns": "t", "key": "a"},
+        {"op": "len", "ns": "t"},
+        {"op": "first", "ns": "t"},
+    ]),
+)
 
 
 class TestMultiFrame:
     """``multi`` at the frame level, over a raw socket."""
 
-    @pytest.fixture()
-    def wire(self, server):
-        sock = protocol.connect(server.address, timeout=5.0)
-        yield sock
-        sock.close()
-
-    @staticmethod
-    def ask(sock, message):
-        protocol.write_frame(sock, message)
-        return protocol.read_frame(sock)
-
     def test_sub_requests_apply_in_order_and_answer_in_order(self, wire):
-        answer = self.ask(wire, {"op": "multi", "ops": [
-            {"op": "put", "ns": "t", "key": "a", "value": [1, 2]},
-            {"op": "len", "ns": "t"},
-            {"op": "get", "ns": "t", "key": "a"},
-            {"op": "get", "ns": "t", "key": "zz", "default": "absent"},
-            {"op": "first", "ns": "t"},
-            {"op": "move_to_end", "ns": "t", "key": "a"},
-            {"op": "delete", "ns": "t", "key": "a"},
-            {"op": "delete", "ns": "t", "key": "a"},
-            {"op": "move_to_end", "ns": "t", "key": "a"},
-            {"op": "first", "ns": "t"},
+        answer = _ask(wire, {"op": "multi", "ops": [
+            ["t", "put", "a", [1, 2]],
+            ["t", "len"],
+            ["t", "get", "a"],
+            ["t", "get", "zz", "absent"],
+            ["t", "first"],
+            ["t", "move_to_end", "a"],
+            ["t", "delete", "a"],
+            ["t", "delete", "a"],
+            ["t", "move_to_end", "a"],
+            ["t", "first"],
         ]})
         assert answer["ok"] is True
         assert answer["values"] == [
@@ -145,14 +237,17 @@ class TestMultiFrame:
             True, True, False, False, None,
         ]
 
-    def test_first_failing_sub_request_ends_the_frame(self, wire, server):
-        answer = self.ask(wire, {"op": "multi", "ops": [
-            {"op": "put", "ns": "t", "key": "a", "value": 1},
-            {"op": "pop", "ns": "t", "key": "missing"},
-            {"op": "put", "ns": "t", "key": "b", "value": 2},
+    def test_a_refused_frame_applies_nothing(self, wire, server):
+        # ``pop`` is a frame op, not a keyed one: inside a multi it is
+        # refused with the whole frame, the put before it included.
+        server.store.put("t", "missing", 0)
+        answer = _ask(wire, {"op": "multi", "ops": [
+            ["t", "put", "a", 1],
+            ["t", "pop", "missing"],
+            ["t", "put", "b", 2],
         ]})
-        assert (answer["ok"], answer["kind"]) == (False, "key")
-        assert dict(server.store.namespace("t").items()) == {"a": 1}
+        assert (answer["ok"], answer["kind"]) == (False, "value")
+        assert dict(server.store.namespace("t").items()) == {"missing": 0}
 
     @pytest.mark.parametrize(
         "ops",
@@ -160,30 +255,101 @@ class TestMultiFrame:
             [{"op": "multi", "ops": []}],
             "not-a-list",
             None,
-            [{"op": "get", "ns": "t", "key": "a"}, "not-a-request"],
-            [{"op": "frobnicate", "ns": "t"}],
-            [{"op": "len", "ns": "t"}] * (protocol.MAX_MULTI_OPS + 1),
-            [{"op": "get", "ns": "t", "default": "used-as-key?"}],
-            [{"op": "put", "ns": "t", "key": "a"}],
-            [{"op": "pop_default", "ns": "t", "key": "a"}],
-            [{"op": "setdefault", "ns": "t", "key": "a"}],
-            [{"op": "get", "key": "a"}],
+            [["t", "get", "a"], "not-an-op"],
+            [["t", "frobnicate"]],
+            [["t", "len"]] * (protocol.MAX_MULTI_OPS + 1),
+            [["t", "get"]],
+            [["t", "put", "a"]],
+            [["t", "pop_default", "a"]],
+            [["t", "setdefault", "a"]],
+            [[None, "get", "a"]],
+            [["", "get", "a"]],
+            [["t"]],
+            [["t", "len", "a"]],
+            [["t", "put", 7, "non-string key"]],
+            [["t", "pop", "a"]],
+            [["t", "mutate", "a", "add", 1]],
+            [["t", "multi", [["t", "len"]]]],
         ],
         ids=["nested", "string", "missing", "non-object", "unknown-op",
              "over-cap", "get-without-key", "put-without-value",
              "pop-without-default", "setdefault-without-default",
-             "no-namespace"],
+             "no-namespace", "empty-namespace", "short-array",
+             "len-with-a-key", "non-string-key", "pop-inside",
+             "mutate-inside", "nested-array"],
     )
-    def test_malformed_multi_is_an_answer_not_a_hangup(self, wire, ops):
-        answer = self.ask(wire, {"op": "multi", "ops": ops})
+    def test_malformed_multi_is_an_answer_not_a_hangup(
+        self, wire, server, ops
+    ):
+        server.store.put("t", "a", 1)
+        before = server.store.snapshot()
+        answer = _ask(wire, {"op": "multi", "ops": ops})
         assert (answer["ok"], answer["kind"]) == (False, "value")
+        assert server.store.snapshot() == before
         # The connection still serves the next frame.
-        assert self.ask(wire, {"op": "ping"})["ok"] is True
+        assert _ask(wire, {"op": "ping"})["ok"] is True
 
     def test_a_full_frame_of_sub_requests_is_accepted(self, wire):
-        ops = [{"op": "len", "ns": "t"}] * protocol.MAX_MULTI_OPS
-        answer = self.ask(wire, {"op": "multi", "ops": ops})
+        ops = [["t", "len"]] * protocol.MAX_MULTI_OPS
+        answer = _ask(wire, {"op": "multi", "ops": ops})
         assert answer["values"] == [0] * protocol.MAX_MULTI_OPS
+
+    def test_keyed_ops_never_travel_outside_multi(self, wire, server):
+        server.store.put("t", "a", 1)
+        server.store.put("u", "b", 2)
+        for frame in (
+            {"op": "get", "ns": "t", "key": "a"},
+            {"op": "put", "ns": "t", "key": "a", "value": 3},
+            {"op": "len", "ns": "t"},  # not the whole store's 2
+        ):
+            answer = _ask(wire, frame)
+            assert (answer["ok"], answer["kind"]) == (False, "value"), frame
+        assert _ask(wire, {"op": "len"})["value"] == 2
+        assert server.store.get("t", "a") == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame=_BAD_FRAMES)
+    def test_a_malformed_frame_applies_nothing_and_keeps_the_connection(
+        self, frame
+    ):
+        server = _shared_servers()[0]
+        server.store.restore(_SEEDED)
+        before = protocol.encode_frame(server.store.snapshot())
+        sock = protocol.connect(server.address, timeout=5.0)
+        try:
+            answer = _ask(sock, frame)
+            assert (answer["ok"], answer["kind"]) == (False, "value")
+            after = protocol.encode_frame(server.store.snapshot())
+            assert after == before
+            assert _ask(sock, {"op": "ping"})["ok"] is True
+        finally:
+            sock.close()
+
+    def test_pages_concatenate_to_the_table_in_order(self, wire, server):
+        table = server.store.namespace("t")
+        for i in range(23):
+            table[f"k{i:02d}"] = i
+        expected = [[key, value] for key, value in table.items()]
+
+        def page(start, count):
+            return _ask(wire, {
+                "op": "iter_batch", "ns": "t", "start": start, "count": count,
+            })
+
+        for count in (1, 5, 22, 23, 100):
+            pages, start = [], 0
+            while True:
+                answer = page(start, count)
+                pages.extend(answer["items"])
+                if answer["done"]:
+                    break
+                start += len(answer["items"])
+            assert pages == expected, count
+        assert page(50, 5) == {
+            "ok": True, "items": [], "done": True, "epoch": 0,
+        }
+        assert page(0, 1000)["items"] == expected
+        assert page(0, 1000)["done"] is True
 
 
 # ----------------------------------------------------------------------
@@ -338,17 +504,17 @@ class TestClientFaults:
         dropped = []
 
         def hook(op, request):
-            if op == "get" and not dropped:
+            if op == "multi" and not dropped:
                 dropped.append(op)
                 raise _DropConnection()
 
         server._fault_hook = hook
         response, attempts = client._request(
-            "get", ns="feedback", key="ip"
+            "multi", ops=[["feedback", "get", "ip"]]
         )
-        assert response["value"] == [1.0, 2.0]
+        assert response["values"] == [[1.0, 2.0]]
         assert attempts == 2
-        assert dropped == ["get"]
+        assert dropped == ["multi"]
 
     def test_non_idempotent_op_refuses_to_retry(self, client, server):
         server.store.put("cache", "a", 1.0)
@@ -386,29 +552,27 @@ class TestClientFaults:
 
     @pytest.mark.parametrize(
         "unsafe",
-        [
-            {"op": "pop", "ns": "cache", "key": "a"},
-            {"op": "mutate", "ns": "cache", "key": "n", "fn": "add",
-             "arg": 1},
-        ],
+        [["cache", "pop", "a"], ["cache", "mutate", "n", "add", 1]],
         ids=["pop", "mutate"],
     )
     def test_batch_with_a_non_idempotent_op_refuses_to_retry(
         self, client, server, unsafe
     ):
+        # A multi carries keyed ops only, so a non-idempotent op in one
+        # is refused whole — by the client before sending, by the
+        # server before applying — and there is nothing to retry.
         server.store.put("cache", "a", 1.0)
         frames = []
 
         def hook(op, request):
             frames.append(op)
-            raise _DropConnection()
 
         server._fault_hook = hook
-        with pytest.raises(ConnectionError, match="not\\s+idempotent"):
-            client._request(
-                "multi",
-                ops=[{"op": "get", "ns": "cache", "key": "a"}, unsafe],
-            )
+        with pytest.raises(ValueError, match="unknown state op"):
+            client.execute([("cache", "get", "a"), tuple(unsafe)])
+        assert frames == []
+        with pytest.raises(ValueError, match="unknown state op"):
+            client._request("multi", ops=[["cache", "get", "a"], unsafe])
         assert frames == ["multi"]  # sent once, never again
         assert server.store.get("cache", "a") == 1.0
 
@@ -435,11 +599,11 @@ class TestClientFaults:
         server._handle = handle
         cache = ReplayCache(ttl=5.0, store=client)
         assert cache.check_and_add("seed-1", 10.0, owner="10.0.0.1") is True
-        assert [frame["op"] for frame in lost] == ["multi", "put"]
+        assert [frame["op"] for frame in lost] == ["multi", "multi"]
         assert cache.check_and_add("seed-1", 11.0, owner="10.0.0.1") is False
         # seed-1 has aged out: the eviction frame is applied twice too.
         assert cache.check_and_add("seed-2", 100.0, owner="10.0.0.2") is True
-        assert [frame["op"] for frame in lost[2:]] == ["multi", "multi", "put"]
+        assert [frame["op"] for frame in lost[2:]] == ["multi"] * 3
         assert server.store.namespace("replay").dump() == [
             ["seed-2", [100.0, "10.0.0.2"]]
         ]
@@ -500,8 +664,8 @@ class TestClientFaults:
         stalls = []
 
         def hook(op, request):
-            if op == "contains" and not stalls:
-                stalls.append(op)
+            if op == "multi" and not stalls:
+                stalls.append(request["ops"][0][1])
                 import time
 
                 time.sleep(0.4)  # > request_timeout: client gives up
@@ -675,11 +839,29 @@ class TestInstrumentation:
             finally:
                 store.close()
         seconds = registry.get("netstore_client_request_seconds")
-        assert seconds.labels(op="multi").count == 1
-        assert seconds.labels(op="get").count == 1
+        # The single get is a multi frame of one: no keyed op is a frame.
+        assert seconds.labels(op="multi").count == 2
+        assert seconds.labels(op="get").count == 0
         assert 0 < seconds.labels(op="multi").sum < 5.0
         batch = registry.get("netstore_server_batch_ops")
-        assert (batch.labels().count, batch.labels().sum) == (1, 3)
+        assert (batch.labels().count, batch.labels().sum) == (2, 4)
+
+    def test_junk_op_names_share_one_series(self):
+        # Labels come from the server's op table, not from the peer.
+        registry = MetricsRegistry()
+        with StateServer(registry=registry) as server:
+            known = len(server._handlers)
+            sock = protocol.connect(server.address, timeout=5.0)
+            try:
+                for index in range(500):
+                    answer = _ask(sock, {"op": f"junk-{index}"})
+                    assert answer["kind"] == "value"
+                assert _ask(sock, {"op": "ping"})["ok"] is True
+            finally:
+                sock.close()
+        series = registry.get("netstore_server_requests_total").as_dict()
+        assert len(series) <= known + 1
+        assert series == {"unknown": 500, "ping": 1}
 
     def test_without_a_registry_nothing_is_recorded(self, server, client):
         assert server._metrics is None and client._metrics is None
@@ -910,14 +1092,17 @@ class TestBackendEquivalence:
             ("ns", "put", "e", 5), ("ns", "put", "a", 6), ("ns", "delete", "b"),
             ("ns", "len"),
         ]
-        with _execute_backends() as backends:
-            for name, store in backends.items():
-                assert store.execute(batch) == [
-                    None, None, None, None, True, False, None, None, True, 4,
-                ], name
-                assert dict(store.namespace("ns").items()) == {
-                    "a": 6, "c": 3, "d": 4, "e": 5,
-                }, name
+        # Tuples in process, the same ops as arrays off the wire.
+        for form in (tuple, list):
+            with _execute_backends() as backends:
+                for name, store in backends.items():
+                    assert store.execute([form(op) for op in batch]) == [
+                        None, None, None, None, True, False, None, None,
+                        True, 4,
+                    ], (name, form)
+                    assert dict(store.namespace("ns").items()) == {
+                        "a": 6, "c": 3, "d": 4, "e": 5,
+                    }, (name, form)
         registry = MetricsRegistry()
         store = MultiNodeStateStore(
             [srv.address for srv in _shared_servers()[1:]], registry=registry
