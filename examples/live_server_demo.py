@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Live demo: the framework over real TCP sockets with real hashing.
 
-Starts a LiveServer (DAbR + Policy 1) on a loopback port, then issues
+Starts a GatewayServer (DAbR + Policy 1) on a loopback port, then issues
 requests whose features span the trust spectrum and times each full
 REQUEST → PUZZLE → SOLUTION → OK exchange, wall-clock.
 
@@ -14,7 +14,8 @@ import random
 
 from repro import AIPoWFramework, DAbRModel, generate_corpus, policy_1
 from repro.metrics.reporting import render_table
-from repro.net.live import LiveClient, LiveServer
+from repro.net.gateway import GatewayServer
+from repro.net.live import LiveClient
 from repro.reputation.dataset import synthesize_features
 
 
@@ -25,7 +26,7 @@ def main() -> None:
 
     rng = random.Random(11)
     rows = []
-    with LiveServer(framework) as server:
+    with GatewayServer(framework) as server:
         host, port = server.address
         print(f"serving on {host}:{port}\n")
         client = LiveClient(server.address)

@@ -64,12 +64,6 @@ def _batch_throughput_result() -> ExperimentResult:
     return run_batch_throughput()
 
 
-def _live_throughput_result() -> ExperimentResult:
-    from repro.bench.live import run_live_throughput
-
-    return run_live_throughput()
-
-
 def _shard_throughput_result() -> ExperimentResult:
     from repro.bench.shard import run_shard_throughput
 
@@ -115,7 +109,6 @@ def _kernels_result() -> ExperimentResult:
 EXPERIMENTS["throttle"] = _throttle_result
 EXPERIMENTS["onset"] = _onset_result
 EXPERIMENTS["thr-batch"] = _batch_throughput_result
-EXPERIMENTS["thr-live"] = _live_throughput_result
 EXPERIMENTS["thr-shard"] = _shard_throughput_result
 EXPERIMENTS["thr-replay"] = _replay_throughput_result
 EXPERIMENTS["thr-netshard"] = _netstore_throughput_result

@@ -1,7 +1,6 @@
 """Experiment `thr-shard`: gateway throughput scaling across workers.
 
-`thr-live` showed what micro-batching buys over threads in one
-process; this experiment shows what sharding buys over one process.
+This experiment shows what sharding the gateway buys over one process.
 The same admission load — multiple client *processes*, each driving
 many concurrent connections from distinct loopback source IPs — is
 pushed through a 1-worker and an N-worker

@@ -9,9 +9,9 @@ interactive modes:
 * ``throttle``  — the three-setup throttling comparison;
 * ``ablations`` — the policy/epsilon/economics ablation tables;
 * ``demo``      — one full challenge/solve/verify exchange, verbosely;
-* ``serve``     — run the live TCP server in the foreground (one
-  process, or ``--workers N`` gateway worker processes sharded by
-  client-IP hash; SIGTERM drains gracefully either way);
+* ``serve``     — run the micro-batching admission gateway in the
+  foreground (one process, or ``--workers N`` gateway worker processes
+  sharded by client-IP hash; SIGTERM drains gracefully either way);
 * ``state``     — admission-state tooling: merge a serve
   ``--state-dir`` into one snapshot file, re-split a snapshot for a
   different worker count, inspect either, host a store over the
@@ -89,14 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--policy", default="policy-2",
                       help="policy registry name (policy-1/2/3, ...)")
 
-    serve = sub.add_parser("serve", help="run the live TCP server")
+    serve = sub.add_parser(
+        "serve", help="run the micro-batching admission gateway"
+    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8377)
     serve.add_argument("--policy", default="policy-2")
+    # The gateway is the only server; the old mode flag is still
+    # accepted so existing command lines keep working.
     serve.add_argument(
-        "--gateway", action="store_true",
-        help="serve through the async micro-batching admission gateway "
-             "instead of one thread per connection",
+        "--gateway", action="store_true", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.002, metavar="SECONDS",
@@ -123,12 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="gateway worker processes, each owning one admission-state "
-             "shard routed by client-IP hash (N > 1 implies --gateway)",
+             "shard routed by client-IP hash (1 serves in this process)",
     )
     serve.add_argument(
         "--state-dir", default=None, metavar="DIR",
         help="restore admission state from DIR's shard snapshots at boot "
-             "and rewrite them at graceful shutdown (gateway modes only)",
+             "and rewrite them at graceful shutdown",
     )
     serve.add_argument(
         "--state-server", default=None, metavar="ADDR[,ADDR...]",
@@ -540,9 +542,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}")
         return 2
-    if args.state_dir and args.workers == 1 and not args.gateway:
-        print("--state-dir requires --gateway or --workers > 1")
-        return 2
     if args.state_server and args.workers == 1:
         print("--state-server requires --workers > 1 (cluster mode)")
         return 2
@@ -594,7 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             recorder = TraceRecorder()
 
-    registry = None
     tracer = None
     if args.workers > 1:
         from repro.net.gateway.cluster import GatewayCluster
@@ -628,8 +626,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             + ")"
         )
-        metrics = None
-    elif args.gateway:
+    else:
         from repro.metrics.collector import GatewayMetrics
         from repro.net.gateway.cluster import make_shed_policy
         from repro.net.gateway.server import GatewayServer
@@ -645,12 +642,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if snapshot is not None:
                 framework.restore(snapshot)
         metrics = GatewayMetrics()
-        registry = metrics.registry
         if args.trace_out:
             from repro.obs.tracing import RequestTracer
 
             tracer = RequestTracer(
-                sample_every=args.trace_every, registry=registry
+                sample_every=args.trace_every, registry=metrics.registry
             )
         server = GatewayServer(
             framework,
@@ -669,38 +665,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"window {args.batch_window * 1000:g} ms, "
             f"queue<={args.queue_limit}, {args.shed_policy})"
         )
-    else:
-        from repro.core.events import EventKind
-        from repro.net.live.server import LiveServer
-        from repro.obs.registry import METRIC_CATALOG, MetricsRegistry
-
-        metrics = None
-        framework = spec.build()
-        if recorder is not None:
-            recorder.attach(framework.events)
-        registry = MetricsRegistry()
-        responses = registry.counter(
-            "pipeline_responses_total",
-            METRIC_CATALOG["pipeline_responses_total"],
-            labels=("status",),
-        )
-
-        def _count_response(event) -> None:
-            response = event.payload.get("response")
-            if response is not None:
-                responses.inc(status=response.status.value)
-
-        framework.events.subscribe(
-            _count_response, kinds=[EventKind.RESPONSE_SERVED]
-        )
-        if args.trace_out:
-            from repro.obs.tracing import RequestTracer
-
-            tracer = RequestTracer(
-                sample_every=args.trace_every, registry=registry
-            ).attach(framework.events)
-        server = LiveServer(framework, host=args.host, port=args.port)
-        mode = "thread-per-connection"
 
     shutdown = _install_shutdown_signals()
     try:
@@ -708,6 +672,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # e.g. a state directory split for a different worker count.
         print(exc)
+        return 2
+    except (OSError, RuntimeError) as exc:
+        # The cluster's listener raises the bind error itself; the
+        # in-process gateway reports it as the cause of its own error.
+        reason = exc if isinstance(exc, OSError) else exc.__cause__
+        if not isinstance(reason, OSError):
+            raise
+        print(f"cannot listen on {args.host}:{args.port}: "
+              f"{os.strerror(reason.errno) if reason.errno else reason}")
         return 2
     metrics_server = None
     snapshot_writer = None
@@ -723,7 +696,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.obs.http import MetricsHTTPServer
 
             metrics_server = MetricsHTTPServer(
-                registry.snapshot, host=args.host, port=args.metrics_port
+                metrics.registry.snapshot,
+                host=args.host,
+                port=args.metrics_port,
             ).start()
             metrics_url = metrics_server.url
         if metrics_url is not None:
@@ -734,7 +709,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             provider = (
                 server.metrics_snapshot
                 if args.workers > 1
-                else registry.snapshot
+                else metrics.registry.snapshot
             )
             snapshot_writer = SnapshotWriter(
                 args.metrics_snapshots, provider
@@ -775,14 +750,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if any(code not in (0, None) for code in server.exit_codes):
             print(f"worker exit codes: {server.exit_codes}")
             return 1
-    elif metrics is not None:
+    else:
         print(
             f"admitted {metrics.admitted_count} in "
             f"{len(metrics.batch_sizes)} batches "
             f"(mean size {metrics.mean_batch_size:.1f}), "
             f"shed {metrics.shed_count}"
         )
-        if args.gateway and args.state_dir:
+        if args.state_dir:
             write_shard_file(
                 args.state_dir, 0, 1, server.framework.snapshot()
             )
@@ -801,7 +776,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             },
         )
         print(f"recorded {len(recorder)} decisions -> {args.record}")
-    if tracer is not None and args.workers == 1:
+    if tracer is not None:
         tracer.dump(
             args.trace_out,
             meta={"recorder": "serve", "sample_every": args.trace_every},

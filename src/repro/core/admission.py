@@ -10,7 +10,7 @@ cheap stateful pre-filter in front of the framework:
   (infrastructure that must never be puzzled or dropped) and a global
   bucket bounding total challenge throughput.
 
-Placement: transport → admission → framework.  The live server and the
+Placement: transport → admission → framework.  The gateway and the
 WSGI middleware both accept an optional controller.  Dropping at
 admission is deliberately crude (no puzzle, no response) — its job is
 to bound the *cost* of abuse, not to be fair; fairness is the

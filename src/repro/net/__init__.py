@@ -1,14 +1,14 @@
-"""Network substrates: the simulator, the live server, and the gateway.
+"""Network substrates: the simulator and the live gateway.
 
 ``repro.net.sim`` provides the deterministic environment used for every
-paper experiment; ``repro.net.live`` provides a real TCP server/client
-pair exercising the same framework code path with real hashing;
-``repro.net.gateway`` provides the asyncio micro-batching front-end
-that serves the same protocol through ``challenge_batch``.
+paper experiment; ``repro.net.live`` provides the line protocol and a
+real TCP client exercising the same framework code path with real
+hashing; ``repro.net.gateway`` provides the asyncio micro-batching
+server that speaks that protocol through ``challenge_batch``.
 """
 
 from repro.net.gateway import GatewayServer, LoadGenerator
-from repro.net.live import LiveClient, LiveServer
+from repro.net.live import LiveClient
 from repro.net.sim import (
     EventEngine,
     FixedDelayChannel,
@@ -25,7 +25,6 @@ __all__ = [
     "ServerModel",
     "SolveTimeModel",
     "FixedDelayChannel",
-    "LiveServer",
     "LiveClient",
     "GatewayServer",
     "LoadGenerator",

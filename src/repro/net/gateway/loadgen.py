@@ -1,9 +1,9 @@
 """Multi-connection async load generator for the live protocol.
 
-The measurement client behind the ``thr-live`` experiment: opens many
-concurrent connections against any live-protocol front-end (the
-threaded :class:`~repro.net.live.server.LiveServer` or the
-:class:`~repro.net.gateway.server.GatewayServer`), runs full
+The measurement client behind the ``thr-shard`` experiment and the
+gateway stress tests: opens many concurrent connections against a
+:class:`~repro.net.gateway.server.GatewayServer` or a
+:class:`~repro.net.gateway.cluster.GatewayCluster`, runs full
 request → puzzle → solve → redeem exchanges on each, and reports
 admission throughput plus latency quantiles.  Shed and
 admission-dropped replies (``ERR shed: ...`` / ``ERR admission: ...``)
@@ -11,9 +11,8 @@ are counted separately from protocol errors so overload experiments
 can assert *graceful* degradation, not just degradation.
 
 One event loop drives every connection, so the generator's own
-overhead is the same no matter which server is under test — the
-difference in a comparison run is the server architecture, not the
-client.
+overhead is the same no matter which configuration is under test —
+the difference in a comparison run is the server, not the client.
 """
 
 from __future__ import annotations

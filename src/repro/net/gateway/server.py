@@ -1,9 +1,9 @@
 """Asyncio admission gateway: micro-batched serving of the live protocol.
 
-:class:`GatewayServer` is the event-loop replacement for the
-thread-per-connection :class:`~repro.net.live.server.LiveServer`.  It
-speaks the identical line protocol — an unmodified
-:class:`~repro.net.live.client.LiveClient` works against either — but
+:class:`GatewayServer` is the one server of the live line protocol
+(:mod:`repro.net.live.protocol`, spoken by
+:class:`~repro.net.live.client.LiveClient`); ``repro serve`` runs it in
+process, and ``repro serve --workers N`` runs one per worker.  It
 admits concurrent arrivals through the
 :class:`~repro.net.gateway.accumulator.MicroBatcher`: requests that
 arrive together — in the same loop passes, or while the previous batch
@@ -29,11 +29,9 @@ terminal reply affects only itself: its connection is closed and
 counted by kind, never left to pin a slot.
 
 Threading model: :meth:`start` runs the event loop on one background
-thread and all framework calls happen on that thread, so — unlike the
-threaded server — the shared replay cache and RNG need no lock.  The
-public facade (``start``/``stop``/context manager/``address``) matches
-``LiveServer`` so the two front-ends are drop-in interchangeable in
-tests, benchmarks, and the CLI.
+thread and all framework calls happen on that thread, so the shared
+replay cache and RNG need no lock.  The public facade is
+``start``/``stop``, the context manager and ``address``.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ LISTEN_BACKLOG = 512
 class GatewayServer:
     """Micro-batching TCP front-end for the framework.
 
-    Use exactly like :class:`~repro.net.live.server.LiveServer`::
+    Use as a context manager in tests and examples::
 
         with GatewayServer(framework, max_batch=64) as server:
             body = LiveClient(server.address).fetch("/index.html", {})
@@ -85,8 +83,8 @@ class GatewayServer:
         :class:`~repro.net.gateway.accumulator.MicroBatcher`.
     admission:
         Optional :class:`~repro.core.admission.AdmissionControl`
-        pre-filter, checked before enqueueing — same semantics and
-        ``ERR admission: ...`` reply as the threaded server.
+        pre-filter, checked before enqueueing; requests it drops get an
+        ``ERR admission: ...`` reply before any scoring happens.
     io_timeout:
         Seconds a connection may take to deliver each line, counted
         from when the server starts waiting for it.
@@ -279,9 +277,9 @@ class GatewayServer:
         if self._startup_error is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-            raise RuntimeError("gateway failed to start") from (
-                self._startup_error
-            )
+            raise RuntimeError(
+                f"gateway failed to start: {self._startup_error}"
+            ) from self._startup_error
         if self._address is None:
             raise RuntimeError("gateway did not come up within 10s")
         return self
@@ -420,8 +418,7 @@ class _Connection(asyncio.Protocol):
             self.transport.close()
             raise
         if isinstance(outcome, ReproError):
-            # This request failed admission; same reply the threaded
-            # server gives, and only the offender pays it.
+            # This request failed admission; only the offender pays it.
             self._finish(protocol.encode_err(f"challenge: {outcome}"))
         elif isinstance(outcome, ShedOutcome):
             self._finish(protocol.encode_err(f"shed: {outcome.reason}"))

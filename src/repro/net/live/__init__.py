@@ -1,4 +1,7 @@
-"""Live TCP substrate: real sockets, real hashing, real latency."""
+"""The live line protocol and its blocking client.
+
+The server side is :class:`~repro.net.gateway.server.GatewayServer`.
+"""
 
 from repro.net.live.client import FetchResult, LiveClient
 from repro.net.live.protocol import (
@@ -11,10 +14,8 @@ from repro.net.live.protocol import (
     read_line,
     send_line,
 )
-from repro.net.live.server import LiveServer
 
 __all__ = [
-    "LiveServer",
     "LiveClient",
     "FetchResult",
     "MAX_LINE_BYTES",

@@ -39,7 +39,8 @@ class LiveClient:
     Parameters
     ----------
     address:
-        (host, port) of a :class:`~repro.net.live.server.LiveServer`.
+        (host, port) of a :class:`~repro.net.gateway.server.GatewayServer`
+        or of a :class:`~repro.net.gateway.cluster.GatewayCluster`.
     solver:
         Nonce grinder; defaults to a fresh 32-bit :class:`HashSolver`.
     timeout:

@@ -161,15 +161,6 @@ def phase_summary_from_snapshot(snapshot: Mapping) -> dict[str, dict]:
     return dict(sorted(out.items()))
 
 
-def render_phase_summary(summary: Mapping[str, Mapping]) -> str:
-    """One-line phase rendering, mirroring :meth:`PhaseTimer.render`."""
-    parts = [
-        f"{phase} {stats['seconds']:.2f}s/{stats['cohorts']:,} cohorts"
-        for phase, stats in summary.items()
-    ]
-    return ", ".join(parts) if parts else "(no phases timed)"
-
-
 # ----------------------------------------------------------------------
 # Shared-memory plumbing
 # ----------------------------------------------------------------------

@@ -10,9 +10,9 @@ Design points:
 
 * **Instruments are cheap and thread-safe.**  Each metric guards its
   label→series map with one lock; scalar updates are a dict lookup plus
-  an add under the lock.  The gateway's event-loop thread, the threaded
-  live server's handler threads and a scraping HTTP thread can all
-  touch the same registry.
+  an add under the lock.  The gateway's event-loop thread, the state
+  server's handler threads and a scraping HTTP thread can all touch
+  the same registry.
 * **Bulk observation.**  :meth:`Histogram.observe_array` folds a whole
   numpy cohort in O(1) numpy ops (``searchsorted`` + ``bincount``), so
   the vectorized simulator can record a million samples without a
@@ -49,6 +49,7 @@ __all__ = [
     "MetricsRegistry",
     "PhaseTimer",
     "merge_snapshots",
+    "render_phase_summary",
     "render_prometheus",
     "validate_exposition",
 ]
@@ -81,9 +82,6 @@ METRIC_CATALOG: dict[str, str] = {
     ),
     "gateway_connection_errors_total": (
         "Connections closed without a terminal reply, labelled by kind"
-    ),
-    "pipeline_responses_total": (
-        "Completed exchanges, labelled by terminal status"
     ),
     "link_crossings_total": "Link-layer crossings attempted",
     "link_lost_total": "Link crossings lost to random loss",
@@ -742,13 +740,20 @@ class PhaseTimer:
 
     def render(self) -> str:
         """One-line summary for campaign notes."""
-        parts = []
-        for phase, stats in self.summary().items():
-            parts.append(
-                f"{phase} {stats['seconds']:.2f}s"
-                f"/{stats['cohorts']:,} cohorts"
-            )
-        return ", ".join(parts) if parts else "(no phases timed)"
+        return render_phase_summary(self.summary())
+
+
+def render_phase_summary(summary: Mapping[str, Mapping]) -> str:
+    """One-line rendering of a :meth:`PhaseTimer.summary`-shaped mapping.
+
+    A free function because totals merged from several workers'
+    snapshots arrive as such a mapping, not as a timer.
+    """
+    parts = [
+        f"{phase} {stats['seconds']:.2f}s/{stats['cohorts']:,} cohorts"
+        for phase, stats in summary.items()
+    ]
+    return ", ".join(parts) if parts else "(no phases timed)"
 
 
 def dump_snapshot_line(snapshot: Mapping, at: float | None = None) -> str:

@@ -790,7 +790,8 @@ def _run_scale_campaign(
     import numpy as np
 
     from repro.net.sim.agents import AgentPopulation
-    from repro.net.sim.parsim import ParallelSimulation, render_phase_summary
+    from repro.net.sim.parsim import ParallelSimulation
+    from repro.obs.registry import render_phase_summary
 
     scale = campaign.scale
     population = AgentPopulation.make(

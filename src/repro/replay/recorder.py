@@ -10,8 +10,7 @@ into a :class:`~repro.traffic.trace.TraceEntry` carrying its
 * ``REQUEST_SHED``   → verdict ``"shed"`` with the shed reason.
 
 Because it hangs off the event bus, the same recorder works against
-every serving path — the in-process framework, the threaded
-:class:`~repro.net.live.server.LiveServer`, the async
+every serving path — the in-process framework, the async
 :class:`~repro.net.gateway.server.GatewayServer`, each worker of a
 :class:`~repro.net.gateway.cluster.GatewayCluster`, and both
 simulators — and costs nothing when not attached (the framework skips

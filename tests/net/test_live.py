@@ -1,4 +1,4 @@
-"""Integration tests for the live TCP server and client."""
+"""The live line protocol, and LiveClient exchanges against the gateway."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.errors import ProtocolError
 from repro.core.framework import AIPoWFramework
+from repro.net.gateway.server import GatewayServer
 from repro.net.live.client import LiveClient
 from repro.net.live.protocol import (
     encode_err,
@@ -18,16 +19,15 @@ from repro.net.live.protocol import (
     read_line,
     send_line,
 )
-from repro.net.live.server import LiveServer
 from repro.policies.linear import policy_1
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 
 
 @pytest.fixture()
-def live_server():
+def gateway():
     framework = AIPoWFramework(ConstantModel(0.0), policy_1())
-    with LiveServer(framework, io_timeout=10.0) as server:
+    with GatewayServer(framework, io_timeout=10.0) as server:
         yield server
 
 
@@ -100,8 +100,8 @@ class TestProtocolFrames:
 
 
 class TestLiveExchange:
-    def test_fetch_solves_and_serves(self, live_server):
-        client = LiveClient(live_server.address)
+    def test_fetch_solves_and_serves(self, gateway):
+        client = LiveClient(gateway.address)
         result = client.fetch("/index.html", {})
         assert result.ok
         assert result.body == "resource:/index.html"
@@ -109,15 +109,15 @@ class TestLiveExchange:
         assert result.attempts >= 1
         assert result.latency > 0
 
-    def test_multiple_sequential_fetches(self, live_server):
-        client = LiveClient(live_server.address)
+    def test_multiple_sequential_fetches(self, gateway):
+        client = LiveClient(gateway.address)
         results = [client.fetch("/r", {}) for _ in range(5)]
         assert all(r.ok for r in results)
 
-    def test_concurrent_fetches(self, live_server):
+    def test_concurrent_fetches(self, gateway):
         import concurrent.futures
 
-        client = LiveClient(live_server.address)
+        client = LiveClient(gateway.address)
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             futures = [
                 pool.submit(client.fetch, "/c", {}) for _ in range(8)
@@ -127,14 +127,13 @@ class TestLiveExchange:
 
     def test_score_drives_difficulty_live(self):
         framework = AIPoWFramework(ConstantModel(7.0), policy_1())
-        with LiveServer(framework) as server:
+        with GatewayServer(framework) as server:
             result = LiveClient(server.address).fetch("/x", {})
             assert result.difficulty == 8  # ceil(7) + 1
 
-    def test_bad_solution_rejected(self, live_server):
-        client = LiveClient(live_server.address)
+    def test_bad_solution_rejected(self):
         framework = AIPoWFramework(ConstantModel(9.0), FixedPolicy(18))
-        with LiveServer(framework) as hard_server:
+        with GatewayServer(framework) as hard_server:
             hard_client = LiveClient(hard_server.address)
             ok, reason = hard_client.fetch_raw(
                 "/x", {}, "SOLUTION 00 12345 1"
@@ -143,52 +142,8 @@ class TestLiveExchange:
             # Either integrity (wrong seed) or invalid-solution rejection.
             assert reason
 
-    def test_malformed_request_gets_err(self, live_server):
-        host, port = live_server.address
-        with socket.create_connection((host, port), timeout=5) as sock:
-            send_line(sock, "GIBBERISH")
-            reply = read_line(sock)
-        assert reply.startswith("ERR")
-
-    def test_server_records_responses(self, live_server):
-        client = LiveClient(live_server.address)
-        client.fetch("/log-me", {})
-        assert any(
-            r.decision.request.resource == "/log-me"
-            for r in live_server.responses
-        )
-
-    def test_start_twice_rejected(self):
-        framework = AIPoWFramework(ConstantModel(0.0), policy_1())
-        with LiveServer(framework) as server:
-            with pytest.raises(RuntimeError):
-                server.start()
-
-    def test_stop_idempotent(self):
-        framework = AIPoWFramework(ConstantModel(0.0), policy_1())
-        server = LiveServer(framework).start()
-        server.stop()
-        server.stop()
-
 
 class TestAdmission:
-    def test_rate_limited_client_gets_admission_error(self):
-        from repro.core.admission import AdmissionControl
-
-        framework = AIPoWFramework(ConstantModel(0.0), policy_1())
-        control = AdmissionControl(per_ip_rate=0.001, per_ip_burst=2.0)
-        with LiveServer(framework, admission=control) as server:
-            client = LiveClient(server.address)
-            assert client.fetch("/a", {}).ok
-            assert client.fetch("/b", {}).ok
-            # Third request exceeds the burst: ERR before any puzzle.
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=5) as sock:
-                send_line(sock, 'REQUEST /c {}')
-                reply = read_line(sock)
-            assert reply.startswith("ERR admission:")
-        assert control.dropped_count >= 1
-
     def test_allowlisted_client_never_limited(self):
         from repro.core.admission import AdmissionControl
 
@@ -196,6 +151,6 @@ class TestAdmission:
         control = AdmissionControl(
             per_ip_rate=0.001, per_ip_burst=1.0, allowlist={"127.0.0.1"}
         )
-        with LiveServer(framework, admission=control) as server:
+        with GatewayServer(framework, admission=control) as server:
             client = LiveClient(server.address)
             assert all(client.fetch("/x", {}).ok for _ in range(4))

@@ -59,6 +59,48 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_serve_gateway_flag_is_inert_and_hidden(self, capsys):
+        parser = build_parser()
+        bare = vars(parser.parse_args(["serve"]))
+        flagged = vars(parser.parse_args(["serve", "--gateway"]))
+        assert bare.pop("gateway") is False
+        assert flagged.pop("gateway") is True
+        assert bare == flagged
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--help"])
+        assert "--gateway" not in capsys.readouterr().out
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_busy_port_fails_cleanly(self, workers):
+        """A port already in use is one printed line and exit 2."""
+        import os
+        import pathlib
+        import socket
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            port = holder.getsockname()[1]
+            # A subprocess: serve installs SIGINT/SIGTERM handlers.
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--port", str(port), "--workers", workers,
+                ],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+        out = proc.stdout + proc.stderr
+        assert proc.returncode == 2, out
+        assert f"127.0.0.1:{port}" in out
+        assert "Address already in use" in out
+        assert "Traceback" not in out
+
 
 class TestCommands:
     def test_figure2_fast(self, capsys):

@@ -2,7 +2,7 @@
 
 Anything that crosses the wire — puzzle frames, solution frames,
 request lines — is attacker-controlled; these tests assert the parsers
-and the live server fail *closed* (clean error, no crash, no accept).
+and the gateway fail *closed* (clean error, no crash, no accept).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ProtocolError, PuzzleError
 from repro.core.framework import AIPoWFramework
+from repro.net.gateway.server import GatewayServer
 from repro.net.live.protocol import parse_reply, parse_request, send_line, read_line
-from repro.net.live.server import LiveServer
 from repro.policies.linear import policy_1
 from repro.pow.generator import PuzzleGenerator
 from repro.pow.puzzle import Puzzle, Solution
@@ -322,12 +322,12 @@ class TestTraceRoundTripFuzz:
         assert "line 2" in str(excinfo.value)
 
 
-class TestLiveServerFuzz:
+class TestGatewayFuzz:
     @pytest.fixture()
     def server(self):
         framework = AIPoWFramework(ConstantModel(0.0), policy_1())
-        with LiveServer(framework, io_timeout=5.0) as live:
-            yield live
+        with GatewayServer(framework, io_timeout=5.0) as gateway:
+            yield gateway
 
     @pytest.mark.parametrize(
         "payload",

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""CI smoke: boot ``repro serve --gateway``, solve one puzzle, shut down.
+"""CI smoke: boot ``repro serve``, solve one puzzle, shut down.
 
 Exercises the gateway exactly the way an operator would: the CLI
-subprocess in the foreground, an unmodified
+subprocess in the foreground with no mode flag (the gateway is the
+default and only single-process server), an unmodified
 :class:`~repro.net.live.client.LiveClient` doing one full
 request → puzzle → solve → redeem round-trip against it, then SIGINT
 and a clean-exit check.  Exits non-zero on any failure, so it can gate
@@ -84,7 +85,7 @@ def main() -> int:
 
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "serve", "--gateway",
+            sys.executable, "-m", "repro", "serve",
             "--port", "0", "--max-batch", "16",
             "--batch-window", "0.002",
             "--metrics-port", "0",
