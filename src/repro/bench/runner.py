@@ -94,12 +94,6 @@ def _netsim_result() -> ExperimentResult:
     return run_netsim_throughput()
 
 
-def _parsim_result() -> ExperimentResult:
-    from repro.bench.parsim import run_parsim_throughput
-
-    return run_parsim_throughput()
-
-
 def _kernels_result() -> ExperimentResult:
     from repro.bench.kernels import run_kernel_microbench
 
@@ -114,7 +108,6 @@ EXPERIMENTS["thr-replay"] = _replay_throughput_result
 EXPERIMENTS["thr-netshard"] = _netstore_throughput_result
 EXPERIMENTS["megasim"] = _megasim_result
 EXPERIMENTS["netsim"] = _netsim_result
-EXPERIMENTS["parsim"] = _parsim_result
 EXPERIMENTS["kernels"] = _kernels_result
 
 

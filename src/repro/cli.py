@@ -23,15 +23,13 @@ interactive modes:
   configuration and diff the decision streams;
 * ``campaign``  — run a named adversarial scenario spec (optionally
   recording its golden trace; large-scale scenarios run on the
-  vectorized engine — or, with ``--procs N``, hash-sharded across N
-  worker processes — and record no trace);
+  vectorized engine and record no trace);
 * ``trace``     — render a sampled-span dump (from ``serve --trace-out``
   or ``campaign --trace-out``) as a per-stage waterfall;
 * ``kernels``   — microbench the residual per-cohort array kernels on
   every available backend (numpy always; numba when importable);
 * ``profile``   — run any registered experiment under cProfile and
-  print the top cumulative hotspots (multi-process experiments fold
-  their workers' profiles in);
+  print the top cumulative hotspots;
 * ``all``       — every experiment, in DESIGN.md order.
 """
 
@@ -338,12 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-snapshots", default=None, metavar="FILE",
         help="write periodic registry snapshots (phase timings, link "
              "counters) to FILE during a large-scale campaign",
-    )
-    campaign.add_argument(
-        "--procs", type=int, default=None, metavar="N",
-        help="override a scale campaign's worker-process count: 1 runs "
-             "the in-process engine, N>1 hash-shards agents across N "
-             "processes (see DESIGN.md §1.8)",
     )
 
     trace = sub.add_parser(
@@ -1196,20 +1188,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             # Unknown profile / population — the specs validate loudly.
             print(exc)
             return 2
-    if args.procs is not None:
-        if campaign.scale is None:
-            print(f"campaign {args.scenario!r} is not large-scale; "
-                  "--procs applies only to scale campaigns (the "
-                  "parallel driver shards the vectorized engine)")
-            return 2
-        try:
-            campaign = _dc.replace(
-                campaign,
-                scale=_dc.replace(campaign.scale, procs=args.procs),
-            )
-        except ValueError as exc:
-            print(exc)
-            return 2
     tracer = None
     if args.trace_out:
         from repro.obs.tracing import RequestTracer
@@ -1279,44 +1257,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
-    import glob
     import pstats
-    import tempfile
 
     from repro.bench.runner import EXPERIMENTS, run_experiment
     from repro.core.errors import ComponentNotFoundError
-    from repro.net.sim.parsim import PROFILE_DIR_ENV
 
     if args.top < 1:
         print(f"--top must be >= 1, got {args.top}")
         return 2
     profiler = cProfile.Profile()
-    # Parallel experiments spend their time in worker processes, which
-    # the parent's profiler cannot see; the env hook makes each worker
-    # dump its own pstats here so the report covers the actual work.
-    with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
-        os.environ[PROFILE_DIR_ENV] = tmp
-        profiler.enable()
-        try:
-            result = run_experiment(args.experiment)
-        except ComponentNotFoundError:
-            print(f"unknown experiment {args.experiment!r}; "
-                  f"available: {', '.join(sorted(EXPERIMENTS))}")
-            return 2
-        finally:
-            profiler.disable()
-            os.environ.pop(PROFILE_DIR_ENV, None)
-        print(result.render())
-        print()
-        stats = pstats.Stats(profiler)
-        worker_dumps = sorted(
-            glob.glob(os.path.join(tmp, "parsim-worker-*.pstats"))
-        )
-        for dump in worker_dumps:
-            stats.add(dump)
-    if worker_dumps:
-        print(f"aggregated {len(worker_dumps)} worker profiles into "
-              "the parent's (multi-process experiment)")
+    profiler.enable()
+    try:
+        result = run_experiment(args.experiment)
+    except ComponentNotFoundError:
+        print(f"unknown experiment {args.experiment!r}; "
+              f"available: {', '.join(sorted(EXPERIMENTS))}")
+        return 2
+    finally:
+        profiler.disable()
+    print(result.render())
+    print()
+    stats = pstats.Stats(profiler)
     stats.sort_stats(pstats.SortKey.CUMULATIVE)
     print(f"top {args.top} hotspots by cumulative time:")
     stats.print_stats(args.top)

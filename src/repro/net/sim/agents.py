@@ -145,26 +145,6 @@ class AgentPopulation:
         )
         return table[self.profile_id]
 
-    def subset(self, indices: np.ndarray) -> "AgentPopulation":
-        """A new population holding only ``indices`` (in that order).
-
-        Profiles and schema are shared; the per-agent arrays are fancy-
-        indexed copies, so the subset is safe to ship across process
-        boundaries.  Addresses (and therefore packed IPs, link hashes,
-        and ground truth) are preserved per agent — a shard's sub-
-        population behaves identically to the same agents inside the
-        full population.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        return AgentPopulation(
-            profiles=self.profiles,
-            profile_id=self.profile_id[indices],
-            intensity=self.intensity[indices],
-            features=self.features[indices],
-            ip_index=self.ip_index[indices],
-            schema=self.schema,
-        )
-
     def score_with(self, model) -> np.ndarray:
         """Model scores for every agent in one vectorised pass.
 

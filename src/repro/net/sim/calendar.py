@@ -119,10 +119,10 @@ class CalendarQueue:
     def drain_until(self, bound: float) -> Iterator[tuple[float, list[Any]]]:
         """Yield cohorts with quantized time ``<= bound``, then stop.
 
-        The epoch-slicing primitive of the parallel driver: draining a
-        queue in consecutive ``drain_until`` windows visits exactly the
-        cohorts an uninterrupted :meth:`drain` would, in the same
-        (time, FIFO) order — events only ever schedule at or after the
+        The vectorized engine's drain loop.  Draining a queue in
+        consecutive ``drain_until`` windows visits exactly the cohorts
+        an uninterrupted :meth:`drain` would, in the same (time, FIFO)
+        order — events only ever schedule at or after the
         cohort that causes them, so a follow-on event either lands in
         the current window (and pops here, in order) or in a later one.
         The bound compares against *quantized* cohort keys: a window

@@ -179,46 +179,6 @@ class _OutcomeBuffers:
             self._fill_one(collector.overall, code, merged)
         return collector
 
-    def export_rows(
-        self, class_names: Sequence[str]
-    ) -> tuple[np.ndarray, ...]:
-        """Flatten the buffers into parallel outcome-row arrays.
-
-        Returns ``(class_ids, status_codes, latency, scores,
-        difficulties, attempts)`` — the flat-array transport format the
-        parallel driver writes into shared memory.  Feeding the rows
-        back through :meth:`record` on the other side rebuilds
-        equivalent buffers: per-(class, status) counts and extremes are
-        exact; means can differ by accumulation order only.
-        """
-        cids: list[np.ndarray] = []
-        codes: list[np.ndarray] = []
-        cols: tuple[list, list, list, list] = ([], [], [], [])
-        name_to_cid = {name: i for i, name in enumerate(class_names)}
-        for (name, code), chunks in sorted(
-            self._chunks.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
-            for chunk in chunks:
-                k = int(chunk[0].size)
-                cids.append(np.full(k, name_to_cid[name], dtype=np.int32))
-                codes.append(np.full(k, code, dtype=np.int8))
-                for j in range(4):
-                    cols[j].append(chunk[j])
-        if not cids:
-            return (
-                np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.int8),
-                np.empty(0),
-                np.empty(0),
-                np.empty(0),
-                np.empty(0),
-            )
-        return (
-            np.concatenate(cids),
-            np.concatenate(codes),
-            *(np.concatenate(col) for col in cols),
-        )
-
     @staticmethod
     def _fill_one(metrics, code: int, merged: tuple) -> None:
         latency, scores, difficulties, attempts = merged
@@ -294,9 +254,8 @@ class _RunState:
     """Run-long context: every handler reads it, :meth:`~FastSimulation.step` keeps it.
 
     Living on the engine (not in a driver's locals or a handler's
-    arguments) is what lets the parallel driver
-    (:mod:`repro.net.sim.parsim`) advance a run in bounded time epochs
-    with barriers in between.
+    arguments) is what lets :meth:`~FastSimulation.step` advance a run
+    in bounded time windows.
 
     Rows are *requests* in open-loop runs and *sessions* in closed-loop
     runs.  A session has one exchange in flight at a time, so the begin
@@ -364,8 +323,8 @@ class FastSimulation:
     sub-phase; ``None`` keeps the hot loop to a single no-op check
     per cohort) and ``decision_log`` (when True, every admission cohort
     appends ``(when, idx, scores, difficulties)`` to :attr:`decisions`
-    — the bitwise decision-stream probe the parallel driver's parity
-    tests compare; off by default, zero hot-path cost).
+    — the bitwise decision-stream probe equivalence checks compare;
+    off by default, zero hot-path cost).
     """
 
     def __init__(
@@ -834,7 +793,7 @@ class FastSimulation:
         return self.finish()
 
     # ------------------------------------------------------------------
-    # Stepped execution (the parallel driver's epoch API)
+    # Stepped execution
     # ------------------------------------------------------------------
     def start_fires(
         self,
@@ -1011,14 +970,10 @@ class FastSimulation:
         if self._open is None:
             raise ValueError("step() before start_fires()")
         until = self._open.until
+        horizon = float("inf") if until is None else until
+        limit = horizon if bound is None else min(bound, horizon)
         timer = self.phase_timer
-        while self._queue:
-            peek = self._queue.peek_time()
-            if until is not None and peek > until:
-                return False
-            if bound is not None and peek > bound:
-                return True
-            when, segments = self._queue.pop_cohort()
+        for when, segments in self._queue.drain_until(limit):
             self._now = max(self._now, when)
             for kind, payload in _merge_segments(segments):
                 handler = self._handlers.get(kind)
@@ -1035,7 +990,8 @@ class FastSimulation:
                         time.perf_counter() - started,
                         items=int(payload[0].size),
                     )
-        return False
+        peek = self._queue.peek_time()
+        return peek is not None and peek <= horizon
 
     def finish(self) -> SimulationReport:
         """The report of a stepped run (after :meth:`step` returned False)."""

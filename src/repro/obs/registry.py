@@ -49,7 +49,6 @@ __all__ = [
     "MetricsRegistry",
     "PhaseTimer",
     "merge_snapshots",
-    "render_phase_summary",
     "render_prometheus",
     "validate_exposition",
 ]
@@ -740,20 +739,11 @@ class PhaseTimer:
 
     def render(self) -> str:
         """One-line summary for campaign notes."""
-        return render_phase_summary(self.summary())
-
-
-def render_phase_summary(summary: Mapping[str, Mapping]) -> str:
-    """One-line rendering of a :meth:`PhaseTimer.summary`-shaped mapping.
-
-    A free function because totals merged from several workers'
-    snapshots arrive as such a mapping, not as a timer.
-    """
-    parts = [
-        f"{phase} {stats['seconds']:.2f}s/{stats['cohorts']:,} cohorts"
-        for phase, stats in summary.items()
-    ]
-    return ", ".join(parts) if parts else "(no phases timed)"
+        parts = [
+            f"{phase} {stats['seconds']:.2f}s/{stats['cohorts']:,} cohorts"
+            for phase, stats in self.summary().items()
+        ]
+        return ", ".join(parts) if parts else "(no phases timed)"
 
 
 def dump_snapshot_line(snapshot: Mapping, at: float | None = None) -> str:

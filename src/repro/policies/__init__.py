@@ -75,8 +75,7 @@ POLICY_REGISTRY.register("exponential", ExponentialPolicy)
 POLICY_REGISTRY.register("table", TablePolicy)
 POLICY_REGISTRY.register("fixed", FixedPolicy)
 # Registry spelling of the load-adaptive surcharge over the paper's
-# policy-2, so declarative recipes (FrameworkSpec) can request it —
-# notably the parallel driver's cross-shard load exchange.
+# policy-2, so declarative recipes (FrameworkSpec) can request it.
 POLICY_REGISTRY.register(
     "adaptive-2", lambda: LoadAdaptivePolicy(inner=policy_2())
 )

@@ -127,16 +127,7 @@ class ScaleSpec:
         keep the ideal channel-only path.  Two populations naming the
         *same* link profile share one uplink queue — the
         shared-bottleneck case where an attack's volume congests
-        benign clients and its own solution submissions.  Under
-        ``procs > 1`` each worker owns its own link queues (DESIGN
-        §1.8's envelope): per-agent delays still agree bit-for-bit,
-        but cross-shard coupling through one bottleneck does not.
-    procs:
-        Worker-process count for the hash-sharded parallel driver
-        (:class:`~repro.net.sim.parsim.ParallelSimulation`).  ``1``
-        (the default) keeps the in-process engine; larger values
-        partition agents by packed-IP hash across that many workers.
-        Overridable from the CLI with ``repro campaign --procs N``.
+        benign clients and its own solution submissions.
     """
 
     tick: float = 0.005
@@ -146,13 +137,10 @@ class ScaleSpec:
     server: tuple[float, float, float] | None = None
     feedback: bool = False
     links: Mapping[str, str] = dataclasses.field(default_factory=dict)
-    procs: int = 1
 
     def __post_init__(self) -> None:
         if self.tick <= 0:
             raise ValueError(f"tick must be > 0, got {self.tick}")
-        if self.procs < 1:
-            raise ValueError(f"procs must be >= 1, got {self.procs}")
         for profile_name, link_name in self.links.items():
             if link_name not in LINK_PROFILES:
                 raise ValueError(
@@ -413,23 +401,6 @@ CAMPAIGNS: dict[str, CampaignSpec] = {
             ),
         ),
         CampaignSpec(
-            name="flash-crowd-4m",
-            description="four million users stampede in one wave, "
-            "hash-sharded across four worker processes — the "
-            "multi-core campaign (tune workers with --procs)",
-            duration=5.0,
-            seed=717,
-            populations=(("benign", 4_000_000),),
-            scale=ScaleSpec(
-                tick=0.02,
-                patterns={
-                    "benign": {"kind": "flash", "waves": 1, "jitter": 0.5}
-                },
-                server=(1e-5, 5e-6, 5e-5),
-                procs=4,
-            ),
-        ),
-        CampaignSpec(
             name="pulse-botnet-100k",
             description="100k-bot botnet pulsing in on/off waves over "
             "a steady benign population",
@@ -590,13 +561,6 @@ def run_campaign(
                 "vectorized engine emits no per-request events for a "
                 "tracer to sample"
             )
-        if snapshot_path is not None and campaign.scale.procs > 1:
-            raise ValueError(
-                f"campaign {campaign.name!r} runs {campaign.scale.procs} "
-                "worker processes: the periodic snapshot writer samples "
-                "the in-process engine, which a parallel run never "
-                "builds — use --procs 1 for live snapshots"
-            )
         return _run_scale_campaign(campaign, snapshot_path=snapshot_path)
     if snapshot_path is not None:
         raise ValueError(
@@ -756,42 +720,17 @@ def _build_fires(campaign: CampaignSpec, population, rng):
     return pat.merge_schedules(*schedules)
 
 
-@dataclasses.dataclass
-class _ScaleOutcome:
-    """What either scale engine hands :func:`_run_scale_campaign`.
-
-    ``wall`` is the engine's own run time (what surrounds it in
-    ``run_campaign`` is set-up).  ``parallel`` holds what only a
-    sharded run has — ``procs``, ``epoch``, ``shard_requests`` — and is
-    ``None`` in process; it is also what names the engine in the notes.
-    """
-
-    report: object
-    wall: float
-    phase_timings: dict
-    metrics_snapshot: dict
-    feedback_offsets: object
-    arrival_batches: int
-    largest_arrival_batch: int
-    parallel: dict | None = None
-
-
 def _run_scale_campaign(
     campaign: CampaignSpec, snapshot_path=None
 ) -> CampaignRun:
-    """Run a ``scale`` campaign through the vectorized engine.
-
-    One runner: the workload is minted once, the engine recipe is
-    written once (the picklable form the parallel driver ships to its
-    workers), ``scale.procs`` picks between running it as one
-    in-process engine or as that many worker shards, and the result is
-    built from their common :class:`_ScaleOutcome`.
-    """
+    """Run a ``scale`` campaign through the vectorized engine."""
     import numpy as np
 
     from repro.net.sim.agents import AgentPopulation
-    from repro.net.sim.parsim import ParallelSimulation
-    from repro.obs.registry import render_phase_summary
+    from repro.net.sim.fastsim import FastFeedback, FastSimulation
+    from repro.net.sim.links import LinkSet
+    from repro.net.sim.simulation import ServerModel
+    from repro.obs.registry import MetricsRegistry, PhaseTimer
 
     scale = campaign.scale
     population = AgentPopulation.make(
@@ -803,98 +742,29 @@ def _run_scale_campaign(
     )
     rng = np.random.default_rng(campaign.seed ^ 0x3AB)
     fires = _build_fires(campaign, population, rng)
-    recipe = ParallelSimulation(
-        campaign.spec,
-        procs=scale.procs,
+    links = (
+        LinkSet(scale.links, seed=campaign.seed ^ 0x11AB)
+        if scale.links
+        else None
+    )
+    simulation = FastSimulation(
+        campaign.spec.build(),
+        server_model=(
+            ServerModel(*scale.server) if scale.server is not None else None
+        ),
         seed=campaign.seed ^ 0x5CE4,
-        server=scale.server,
-        attacker_specs=campaign.attackers,
+        solve_deciders={
+            name: make_attacker(spec)
+            for name, spec in campaign.attackers.items()
+        },
         hash_rates={p.name: p.hash_rate for p in population.profiles},
         patiences={p.name: p.patience for p in population.profiles},
         tick=scale.tick,
-        links=scale.links,
-        links_seed=campaign.seed ^ 0x11AB,
-        feedback=scale.feedback,
+        links=links,
+        phase_timer=PhaseTimer(),
     )
-    if scale.procs > 1:
-        outcome = _scale_parallel(recipe, population, fires)
-    else:
-        outcome = _scale_in_process(recipe, population, fires, snapshot_path)
-
-    report, wall, parallel = outcome.report, outcome.wall, outcome.parallel
-    events_per_second = (
-        report.events_processed / wall if wall > 0 else 0.0
-    )
-    engine, workers, phases = "vectorized engine", "", "phase timing"
-    if parallel is not None:
-        engine, phases = "parallel engine", "phase timing (all workers)"
-        workers = (
-            f"{parallel['procs']} workers x {parallel['epoch']:g}s epochs, "
-        )
-    notes = [
-        f"{campaign.agents:,} agents, {report.requests:,} requests over "
-        f"{campaign.duration:g}s simulated",
-        f"{engine}: {wall:.2f}s wall, "
-        f"{events_per_second:,.0f} events/s, {workers}"
-        f"{outcome.arrival_batches} arrival cohorts "
-        f"(largest {outcome.largest_arrival_batch:,}), "
-        f"tick {scale.tick:g}s",
-        f"framework recipe hash {spec_hash(campaign.spec)}",
-        f"{phases}: {render_phase_summary(outcome.phase_timings)}",
-    ]
-    if parallel is not None:
-        notes.insert(
-            2,
-            "shard requests: "
-            + ", ".join(f"{n:,}" for n in parallel["shard_requests"]),
-        )
-    if report.link_stats is not None:
-        notes.append(f"network: {report.link_stats.summary()}")
-    if outcome.feedback_offsets is not None:
-        farming = _farming_note(
-            campaign, population, outcome.feedback_offsets
-        )
-        if farming is not None:
-            notes.append(farming)
-    result = ExperimentResult(
-        experiment_id=f"campaign:{campaign.name}",
-        title=f"Campaign {campaign.name!r} - {campaign.description}",
-        headers=["class", "requests", "goodput", "mean_difficulty"],
-        rows=_class_rows(report),
-        notes=notes,
-        extra={
-            "agents": campaign.agents,
-            "requests": report.requests,
-            "served": report.served,
-            "events": report.events_processed,
-            "wall_seconds": wall,
-            "events_per_second": events_per_second,
-            **(parallel or {}),
-            "phase_timings": outcome.phase_timings,
-            "metrics_snapshot": outcome.metrics_snapshot,
-            **(
-                {"link_stats": report.link_stats.as_dict()}
-                if report.link_stats is not None
-                else {}
-            ),
-        },
-    )
-    return CampaignRun(
-        spec=campaign, trace=None, result=result, probe_outcome=None
-    )
-
-
-def _scale_in_process(
-    recipe, population, fires, snapshot_path
-) -> _ScaleOutcome:
-    """The recipe as one engine over the whole population (its only shard)."""
-    from repro.net.sim.fastsim import FastFeedback
-    from repro.net.sim.parsim import build_shard_simulation
-    from repro.obs.registry import MetricsRegistry
-
-    simulation = build_shard_simulation(recipe, seed=recipe.seed)
     phase_timer = simulation.phase_timer
-    feedback = FastFeedback(len(population)) if recipe.feedback else None
+    feedback = FastFeedback(len(population)) if scale.feedback else None
 
     def _snapshot() -> dict:
         # The run mutates phase_timer and the link stats in place;
@@ -919,35 +789,51 @@ def _scale_in_process(
         wall = time.perf_counter() - started
         if writer is not None:
             writer.close()
-    return _ScaleOutcome(
-        report=report,
-        wall=wall,
-        phase_timings=phase_timer.summary(),
-        metrics_snapshot=_snapshot(),
-        feedback_offsets=None if feedback is None else feedback.offset,
-        arrival_batches=simulation.arrival_batches,
-        largest_arrival_batch=simulation.largest_arrival_batch,
+
+    events_per_second = (
+        report.events_processed / wall if wall > 0 else 0.0
     )
-
-
-def _scale_parallel(recipe, population, fires) -> _ScaleOutcome:
-    """The recipe hash-sharded across ``recipe.procs`` worker engines."""
-    started = time.perf_counter()
-    outcome = recipe.run_fires(population, *fires)
-    wall = time.perf_counter() - started
-    return _ScaleOutcome(
-        report=outcome.report,
-        wall=wall,
-        phase_timings=outcome.phase_summary(),
-        metrics_snapshot=outcome.metrics_snapshot,
-        feedback_offsets=outcome.feedback_offsets,
-        arrival_batches=outcome.arrival_batches,
-        largest_arrival_batch=outcome.largest_arrival_batch,
-        parallel={
-            "procs": recipe.procs,
-            "epoch": outcome.epoch,
-            "shard_requests": list(outcome.shard_requests),
+    notes = [
+        f"{campaign.agents:,} agents, {report.requests:,} requests over "
+        f"{campaign.duration:g}s simulated",
+        f"vectorized engine: {wall:.2f}s wall, "
+        f"{events_per_second:,.0f} events/s, "
+        f"{simulation.arrival_batches} arrival cohorts "
+        f"(largest {simulation.largest_arrival_batch:,}), "
+        f"tick {scale.tick:g}s",
+        f"framework recipe hash {spec_hash(campaign.spec)}",
+        f"phase timing: {phase_timer.render()}",
+    ]
+    if report.link_stats is not None:
+        notes.append(f"network: {report.link_stats.summary()}")
+    if feedback is not None:
+        farming = _farming_note(campaign, population, feedback.offset)
+        if farming is not None:
+            notes.append(farming)
+    result = ExperimentResult(
+        experiment_id=f"campaign:{campaign.name}",
+        title=f"Campaign {campaign.name!r} - {campaign.description}",
+        headers=["class", "requests", "goodput", "mean_difficulty"],
+        rows=_class_rows(report),
+        notes=notes,
+        extra={
+            "agents": campaign.agents,
+            "requests": report.requests,
+            "served": report.served,
+            "events": report.events_processed,
+            "wall_seconds": wall,
+            "events_per_second": events_per_second,
+            "phase_timings": phase_timer.summary(),
+            "metrics_snapshot": _snapshot(),
+            **(
+                {"link_stats": report.link_stats.as_dict()}
+                if report.link_stats is not None
+                else {}
+            ),
         },
+    )
+    return CampaignRun(
+        spec=campaign, trace=None, result=result, probe_outcome=None
     )
 
 

@@ -1,7 +1,7 @@
 """Epoch slicing: ``drain_until`` windows must equal one full drain.
 
-The parallel driver steps each shard's calendar queue in bounded
-epochs; correctness rests on consecutive ``drain_until`` windows
+``FastSimulation.step(bound)`` drains its calendar queue in bounded
+windows; correctness rests on consecutive ``drain_until`` windows
 visiting exactly the cohorts an uninterrupted ``drain`` would, in the
 same (time, FIFO) order — including events pushed mid-drain, the way
 the simulator schedules follow-on work while processing a cohort.

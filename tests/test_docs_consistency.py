@@ -120,7 +120,7 @@ class TestReadme:
         }
         readme = read("README.md")
         for flag in (
-            "--link", "--list-links", "--record", "--list", "--procs",
+            "--link", "--list-links", "--record", "--list",
         ):
             assert flag in real_options, (
                 f"README documents campaign flag {flag} which the "
@@ -142,7 +142,7 @@ class TestDesignDoc:
         section = section.split("\n## ", 1)[0]
         promised = set(
             re.findall(
-                r"\| `((?:fig|cal|acc|thr|abl|ons|mega|net|par|ker)"
+                r"\| `((?:fig|cal|acc|thr|abl|ons|mega|net|ker)"
                 r"[\w-]*)` \|",
                 section,
             )
