@@ -8,7 +8,7 @@ exists for, in three phases:
 * **parity** — the same stateful challenge/redeem campaign (feedback
   penalties and rewards included) through a framework backed by the
   one-box :class:`~repro.state.sharded.ShardedStateStore` and by a
-  :class:`~repro.state.net.MultiNodeStateStore` over N live
+  :class:`~repro.state.sharded.MultiNodeStateStore` over N live
   :class:`~repro.state.net.StateServer` processes-worth of TCP.  The
   decision streams must be bit-identical — the network must buy
   durability without buying drift.

@@ -833,7 +833,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
         return 0
 
     if args.state_command == "topology":
-        from repro.state.net import MultiNodeStateStore
+        from repro.state.sharded import MultiNodeStateStore
 
         nodes = [
             part.strip() for part in args.nodes.split(",") if part.strip()
@@ -852,7 +852,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
             return 2
         try:
             if args.add is None and args.remove is None:
-                for node in store.nodes:
+                for node in store.stores:
                     topology = node.topology()
                     print(
                         f"{node.address}: epoch "
@@ -881,7 +881,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
             store.close()
         print(report.summary())
         for address, moved in report.per_node:
-            print(f"  -> {address}: {moved} entries received")
+            print(f"  {address}: {moved} entries handed off")
         return 0
 
     if args.state_command == "snapshot":
@@ -945,11 +945,6 @@ def _cmd_state(args: argparse.Namespace) -> int:
                     f"shard {document['shard']} of {document['shards']}",
                     document["state"],
                 )]
-            elif kind == "sharded":
-                documents = [
-                    (f"shard {i}", doc)
-                    for i, doc in enumerate(document.get("shards", []))
-                ]
             else:
                 documents = [("snapshot", document)]
     except (ValueError, OSError) as exc:

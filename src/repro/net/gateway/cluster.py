@@ -116,7 +116,8 @@ def make_worker_store(options: dict, registry=None):
     state_server = options.get("state_server")
     if not state_server:
         return InMemoryStateStore()
-    from repro.state.net import MultiNodeStateStore, RemoteStateStore
+    from repro.state.net import RemoteStateStore
+    from repro.state.sharded import MultiNodeStateStore
 
     addresses = [
         part.strip() for part in state_server.split(",") if part.strip()

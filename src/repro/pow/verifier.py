@@ -50,7 +50,9 @@ class ReplayCache:
     puzzles.  The owner IP is recorded because it is the entry's
     *shard-affinity* key: a redeemed seed lives on the shard serving
     that client, and ``repro.state.snapshot.split_snapshot`` uses the
-    owner (not the seed) to put it back there when resharding.
+    owner (not the seed) to put it back there when a cluster state
+    directory is re-split.  A ring store reads the entry by seed, so it
+    places it by seed.
     """
 
     def __init__(

@@ -13,31 +13,30 @@ first-class subsystem:
   ``namespace()`` access plus whole-store ``snapshot()``/``restore()``;
 * :class:`InMemoryStateStore` — the process-local implementation every
   framework owns by default;
-* :class:`ShardedStateStore` — partitions the keyspace over N child
-  stores by consistent hash, the single-process twin of the
-  multi-worker gateway's routing;
+* :class:`ShardedStateStore` — the ring store: partitions the keyspace
+  over N child stores by consistent hash, the same routing the
+  multi-worker gateway uses; :class:`MultiNodeStateStore` is that
+  store over state servers, with live resharding
+  (``repro state topology``) and its :class:`HandoffReport`;
 * :class:`HashRing` / :func:`stable_hash` — the deterministic routing
   shared by the sharded store and the gateway cluster (never Python's
   salted ``hash()``);
 * :mod:`repro.state.snapshot` — JSON snapshot files, plus the
   merge/split helpers behind ``repro state snapshot``/``restore``;
 * :mod:`repro.state.net` — the networked backend: a
-  :class:`StateServer` hosting any store over TCP/AF_UNIX, the
-  :class:`RemoteStateStore` client, and the multi-node
-  :class:`MultiNodeStateStore` with live resharding
-  (``repro state serve`` / ``repro state topology``).
+  :class:`StateServer` hosting any store over TCP/AF_UNIX
+  (``repro state serve``) and the :class:`RemoteStateStore` client.
 
 Values stored in a namespace must be JSON-safe (numbers, strings,
 booleans, lists of those) so any snapshot round-trips losslessly.
 """
 
-from repro.state.net import (
+from repro.state.net import RemoteStateStore, StateServer
+from repro.state.sharded import (
     HandoffReport,
     MultiNodeStateStore,
-    RemoteStateStore,
-    StateServer,
+    ShardedStateStore,
 )
-from repro.state.sharded import ShardedStateStore
 from repro.state.sharding import HashRing, shard_for, stable_hash
 from repro.state.snapshot import (
     load_snapshot,

@@ -1,6 +1,6 @@
-"""The networked admission state store: server, client, multi-node ring.
+"""The networked admission state store: server and client.
 
-Three layers, all speaking :mod:`repro.state.protocol` frames:
+Two layers, both speaking :mod:`repro.state.protocol` frames:
 
 * :class:`StateServer` hosts any :class:`~repro.state.AdmissionStateStore`
   behind a threaded TCP/AF_UNIX accept loop.  One lock serializes
@@ -14,27 +14,17 @@ Three layers, all speaking :mod:`repro.state.protocol` frames:
   timeouts, bounded exponential-backoff retries on idempotent ops, loud
   :class:`ConnectionError` on non-idempotent ones (a retried ``popitem``
   could evict a second entry — the client refuses to guess).
-* :class:`MultiNodeStateStore` places keys over N servers with the same
-  :class:`~repro.state.sharding.HashRing` the one-box
-  :class:`~repro.state.sharded.ShardedStateStore` uses, and implements
-  *live resharding*: :meth:`MultiNodeStateStore.apply_topology` asks
-  each server to split its own content under the new ring server-side
-  (``split_off``), ships only the moved slice to its new owners, and
-  bumps the topology epoch everywhere — no worker restarts.
 
-Consistency envelope
---------------------
-A single server is linearizable per op (one lock).  Across nodes there
-are no cross-key transactions — exactly the envelope admission state
-needs, since every consumer keys by client IP or puzzle seed.  During a
-resharding handoff a reader may briefly miss a key that is mid-flight
-between nodes; no key is ever lost or left on a node where the new
-ring would not find it once :meth:`apply_topology` returns.
+A single server is linearizable per op (one lock).  Several servers
+compose into one store as the remote children of the ring store,
+:class:`~repro.state.sharded.MultiNodeStateStore`, which also owns live
+resharding; the server's half of that is ``split_off``, which splits
+its own content under the new ring so only the moved slice crosses the
+wire.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import pathlib
 import socket
@@ -43,13 +33,7 @@ import time
 from typing import Any, Callable, Iterator
 
 from repro.state import protocol
-from repro.state.sharding import HashRing
-from repro.state.snapshot import (
-    load_snapshot,
-    merge_snapshots,
-    save_snapshot,
-    split_snapshot,
-)
+from repro.state.snapshot import load_snapshot, save_snapshot, split_snapshot
 from repro.state.store import (
     SNAPSHOT_FORMAT,
     AdmissionStateStore,
@@ -57,27 +41,7 @@ from repro.state.store import (
     check_ops,
 )
 
-__all__ = [
-    "StateServer",
-    "RemoteStateStore",
-    "RemoteNamespace",
-    "MultiNodeStateStore",
-    "MultiNodeNamespace",
-    "HandoffReport",
-    "MUTATORS",
-]
-
-
-#: Named server-side read-modify-write functions for the ``mutate`` op.
-#: Applied atomically under the server lock; the client never sees the
-#: intermediate value, so there is no lost-update window.
-MUTATORS: dict[str, Callable[[Any, Any], Any]] = {
-    "add": lambda current, arg: (0 if current is None else current) + arg,
-    "max": lambda current, arg: arg if current is None else max(current, arg),
-    "append": lambda current, arg: (
-        [arg] if current is None else list(current) + [arg]
-    ),
-}
+__all__ = ["StateServer", "RemoteStateStore", "RemoteNamespace"]
 
 
 class _DropConnection(Exception):
@@ -350,19 +314,6 @@ class StateServer:
         value = self._table(request).pop(request["key"])  # raises KeyError
         return {"ok": True, "value": value}
 
-    def _op_mutate(self, request: dict) -> dict:
-        fn = MUTATORS.get(request.get("fn"))
-        if fn is None:
-            raise ValueError(
-                f"unknown mutator {request.get('fn')!r}; "
-                f"have {sorted(MUTATORS)}"
-            )
-        table = self._table(request)
-        key = request["key"]
-        value = fn(table.get(key, request.get("default")), request.get("arg"))
-        table[key] = value
-        return {"ok": True, "value": value}
-
     def _op_popitem(self, request: dict) -> dict:
         key, value = self._table(request).popitem(
             last=bool(request.get("last", True))
@@ -456,13 +407,14 @@ class StateServer:
 
         ``keep`` is this node's index in the *new* topology (or -1 when
         the node is being decommissioned).  Returns every other part;
-        only the moved slice ever crosses the wire.
+        only the moved slice ever crosses the wire.  Entries split by
+        their own key, the rule every ring read routes by.
         """
         shards = int(request["shards"])
         replicas = int(request.get("replicas", 64))
         keep = int(request.get("keep", -1))
         snapshot = self.store.snapshot()
-        parts = split_snapshot(snapshot, shards, replicas=replicas)
+        parts = split_snapshot(snapshot, shards, replicas, affinity=False)
         if 0 <= keep < shards:
             self.store.restore(parts[keep])
             parts[keep] = None
@@ -594,7 +546,7 @@ class RemoteStateStore(AdmissionStateStore):
     Retry policy: transport failures (refused/reset/timeout) on
     *idempotent* ops are retried with bounded exponential backoff;
     non-idempotent ops (``pop`` without default, ``popitem``,
-    ``mutate``) raise :class:`ConnectionError` immediately, because a
+    ``split_off``) raise :class:`ConnectionError` immediately, because a
     blind retry could apply them twice.  A ``multi`` frame carries
     keyed ops only, all idempotent, so it is always retried.  Logical
     errors from the server (missing key, bad value) are answers, never
@@ -795,15 +747,6 @@ class RemoteStateStore(AdmissionStateStore):
         self._request("clear")
 
     # -- protocol extras ----------------------------------------------
-    def mutate_remote(
-        self, namespace: str, key: str, fn: str, arg: Any, default: Any = None
-    ) -> Any:
-        """Apply a named server-side mutator atomically (see MUTATORS)."""
-        response, _ = self._request(
-            "mutate", ns=namespace, key=key, fn=fn, arg=arg, default=default
-        )
-        return response["value"]
-
     def topology(self) -> dict:
         response, _ = self._request("topology_get")
         return response["topology"]
@@ -819,319 +762,3 @@ class RemoteStateStore(AdmissionStateStore):
             "split_off", shards=shards, replicas=replicas, keep=keep
         )
         return response["parts"], int(response["moved"])
-
-
-# ----------------------------------------------------------------------
-# Multi-node placement + live resharding
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
-class HandoffReport:
-    """What a topology change actually moved."""
-
-    epoch: int
-    nodes: tuple[str, ...]
-    moved_entries: int
-    moved_bytes: int
-    per_node: tuple[tuple[str, int], ...]
-
-    def summary(self) -> str:
-        return (
-            f"epoch {self.epoch}: {len(self.nodes)} nodes, "
-            f"{self.moved_entries} entries / {self.moved_bytes} bytes moved"
-        )
-
-
-class MultiNodeNamespace:
-    """Namespace view placing each key on its ring-owning node.
-
-    Unlike the one-box :class:`~repro.state.sharded.ShardedNamespace`,
-    tables are resolved through the parent store *per call*, so a live
-    topology change redirects the very next operation — no rebinding.
-    Aggregate semantics match the sharded store: ``len``/iteration span
-    nodes in node order; ``popitem`` evicts from the fullest node.
-    """
-
-    __slots__ = ("name", "_store")
-
-    def __init__(self, name: str, store: "MultiNodeStateStore") -> None:
-        self.name = name
-        self._store = store
-
-    def _table(self, key: str) -> RemoteNamespace:
-        return self._store.node_for(key).namespace(self.name)
-
-    def _tables(self) -> list[RemoteNamespace]:
-        return [node.namespace(self.name) for node in self._store.nodes]
-
-    # -- keyed operations ----------------------------------------------
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._table(key).get(key, default)
-
-    def __getitem__(self, key: str) -> Any:
-        return self._table(key)[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._table(key)[key] = value
-
-    def __delitem__(self, key: str) -> None:
-        del self._table(key)[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._table(key)
-
-    def pop(self, key: str, *default: Any) -> Any:
-        return self._table(key).pop(key, *default)
-
-    def setdefault(self, key: str, default: Any) -> Any:
-        return self._table(key).setdefault(key, default)
-
-    def move_to_end(self, key: str) -> None:
-        self._table(key).move_to_end(key)
-
-    # -- aggregate operations ------------------------------------------
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables())
-
-    def __iter__(self) -> Iterator[str]:
-        for table in self._tables():
-            yield from table
-
-    def keys(self):
-        return iter(self)
-
-    def items(self):
-        for table in self._tables():
-            yield from table.items()
-
-    def clear(self) -> None:
-        for table in self._tables():
-            table.clear()
-
-    def popitem(self, last: bool = True) -> tuple[str, Any]:
-        sized = [
-            (len(table), table) for table in self._tables()
-        ]
-        sized = [(count, table) for count, table in sized if count]
-        if not sized:
-            raise KeyError("popitem(): namespace is empty")
-        _, victim = max(sized, key=lambda pair: pair[0])
-        return victim.popitem(last=last)
-
-    # -- snapshot plumbing ---------------------------------------------
-    def dump(self) -> list[list[Any]]:
-        return [[key, value] for key, value in self.items()]
-
-    def load(self, entries) -> None:
-        parts: dict[int, list] = {}
-        for key, value in entries:
-            parts.setdefault(
-                self._store.ring.shard_for(str(key)), []
-            ).append([str(key), value])
-        for index, node in enumerate(self._store.nodes):
-            node.namespace(self.name).load(parts.get(index, []))
-
-
-class MultiNodeStateStore(AdmissionStateStore):
-    """Places every namespace over N state servers by consistent hash.
-
-    The distributed twin of the one-box
-    :class:`~repro.state.sharded.ShardedStateStore`: same ring, same
-    per-key parity, same aggregate caveats — with nodes that survive
-    the process and a :meth:`apply_topology` that reshards them live.
-    """
-
-    def __init__(
-        self,
-        nodes: list[str] | list[RemoteStateStore],
-        replicas: int = 64,
-        *,
-        registry=None,
-        client_options: dict | None = None,
-    ) -> None:
-        if not nodes:
-            raise ValueError("need at least one state-server node")
-        options = dict(client_options or {})
-        options.setdefault("registry", registry)
-        self._client_options = options
-        self._registry = registry
-        self.nodes: list[RemoteStateStore] = [
-            node
-            if isinstance(node, RemoteStateStore)
-            else RemoteStateStore(node, **options)
-            for node in nodes
-        ]
-        self.ring = HashRing(len(self.nodes), replicas=replicas)
-        self._namespaces: dict[str, MultiNodeNamespace] = {}
-        self._metrics = _instruments(registry)
-
-    # -- placement -----------------------------------------------------
-    @property
-    def addresses(self) -> tuple[str, ...]:
-        return tuple(node.address for node in self.nodes)
-
-    def node_for(self, key: str) -> RemoteStateStore:
-        return self.nodes[self.ring.shard_for(key)]
-
-    def close(self) -> None:
-        for node in self.nodes:
-            node.close()
-
-    def __enter__(self) -> "MultiNodeStateStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- store surface -------------------------------------------------
-    def namespace(self, name: str) -> MultiNodeNamespace:
-        table = self._namespaces.get(name)
-        if table is None:
-            table = self._namespaces[name] = MultiNodeNamespace(name, self)
-        return table
-
-    def namespaces(self) -> tuple[str, ...]:
-        names: dict[str, None] = {}
-        for node in self.nodes:
-            for name in node.namespaces():
-                names.setdefault(name)
-        return tuple(names)
-
-    def execute(self, ops) -> list[Any]:
-        """One frame per owning node; ``len``/``first`` ask every node.
-
-        Ops on different nodes touch different keys and none can fail,
-        so grouping them by node (order kept within each) changes
-        nothing.  A malformed op is refused before any frame is sent.
-        """
-        ops = list(ops)
-        check_ops(ops)
-        batches: dict[int, list[int]] = {}  # node index -> op positions
-        for position, op in enumerate(ops):
-            owners = (
-                (self.ring.shard_for(op[2]),) if len(op) > 2  # keyed
-                else range(len(self.nodes))
-            )
-            for index in owners:
-                batches.setdefault(index, []).append(position)
-        results: list[Any] = [None] * len(ops)
-        for index in sorted(batches):
-            positions = batches[index]
-            values, _ = self.nodes[index]._send(
-                [ops[position] for position in positions]
-            )
-            for position, value in zip(positions, values):
-                if ops[position][1] == "len":
-                    value += results[position] or 0
-                elif results[position] is not None:
-                    continue  # a first: the lowest node with an entry wins
-                results[position] = value
-        return results
-
-    def __len__(self) -> int:
-        return sum(len(node) for node in self.nodes)
-
-    def snapshot(self) -> dict:
-        return merge_snapshots(node.snapshot() for node in self.nodes)
-
-    def restore(self, snapshot: dict) -> None:
-        parts = split_snapshot(
-            snapshot, len(self.nodes), replicas=self.ring.replicas
-        )
-        for node, part in zip(self.nodes, parts):
-            node.restore(part)
-
-    def clear(self) -> None:
-        for node in self.nodes:
-            node.clear()
-
-    # -- live resharding -----------------------------------------------
-    def apply_topology(self, addresses: list[str]) -> HandoffReport:
-        """Reshard live onto ``addresses`` — no restarts, minimal moves.
-
-        Handoff sequence (DESIGN §1.9):
-
-        1. every *current* node splits its own content under the new
-           ring server-side (``split_off``), keeps the slice it still
-           owns, and returns only the moved slices;
-        2. moved slices are merge-restored into their new owners;
-        3. the new topology document (epoch+1) is pushed to every node
-           involved — including decommissioned ones, so clients that
-           still talk to them learn the new layout from the epoch
-           piggyback on their next response.
-
-        Appending/removing nodes at the end of the list moves only the
-        ring-delta keyspace (~1/(n+1) of it), the consistent-hash
-        property the one-box store was built to preserve.
-        """
-        if not addresses:
-            raise ValueError("topology needs at least one node")
-        new_addresses = list(addresses)
-        if len(set(new_addresses)) != len(new_addresses):
-            raise ValueError(
-                f"topology has duplicate addresses: {new_addresses}"
-            )
-        old_nodes = list(self.nodes)
-        old_addresses = [node.address for node in old_nodes]
-        replicas = self.ring.replicas
-        epoch = max(
-            (node.epoch or 0 for node in old_nodes), default=0
-        ) + 1
-
-        by_address = {node.address: node for node in old_nodes}
-        # Explicit None checks: RemoteStateStore defines __len__, so a
-        # truthiness test would round-trip to the server (and treat an
-        # empty store as absent).
-        new_nodes = [
-            by_address[address]
-            if address in by_address
-            else RemoteStateStore(address, **self._client_options)
-            for address in new_addresses
-        ]
-        new_index = {address: i for i, address in enumerate(new_addresses)}
-
-        moved_entries = 0
-        moved_bytes = 0
-        per_node: dict[str, int] = {}
-        pending: list[list] = [[] for _ in new_addresses]
-        for node in old_nodes:
-            keep = new_index.get(node.address, -1)
-            parts, moved = node.split_off(
-                len(new_addresses), replicas=replicas, keep=keep
-            )
-            moved_entries += moved
-            per_node[node.address] = moved
-            for index, part in enumerate(parts):
-                if part is None or index == keep:
-                    continue
-                if not part.get("namespaces"):
-                    continue
-                moved_bytes += len(protocol.encode_frame(part))
-                pending[index].append(part)
-        for index, parts in enumerate(pending):
-            for part in parts:
-                new_nodes[index].restore_merge(part)
-
-        if self._metrics is not None:
-            self._metrics["netstore_handoff_bytes_total"].inc(moved_bytes)
-
-        topology = {
-            "epoch": epoch, "nodes": new_addresses, "replicas": replicas
-        }
-        for address in dict.fromkeys(old_addresses + new_addresses):
-            node = by_address.get(address)
-            if node is None:
-                node = new_nodes[new_index[address]]
-            node.set_topology(topology)
-
-        self.nodes = new_nodes
-        self.ring = HashRing(len(new_nodes), replicas=replicas)
-        for node in old_nodes:
-            if node.address not in new_index:
-                node.close()
-        return HandoffReport(
-            epoch=epoch,
-            nodes=tuple(new_addresses),
-            moved_entries=moved_entries,
-            moved_bytes=moved_bytes,
-            per_node=tuple(sorted(per_node.items())),
-        )

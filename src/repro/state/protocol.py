@@ -112,9 +112,10 @@ IDEMPOTENT_OPS = frozenset(
 
 #: Ops whose retry could observe or cause a different outcome than the
 #: lost first attempt (``pop`` without default raising KeyError on the
-#: retry of a success, ``popitem`` evicting a second entry, ``mutate``
-#: applying a read-modify-write twice).  The client fails these loudly.
-NON_IDEMPOTENT_OPS = frozenset({"pop", "popitem", "mutate", "split_off"})
+#: retry of a success, ``popitem`` evicting a second entry,
+#: ``split_off`` handing out a slice the first attempt already moved).
+#: The client fails these loudly.
+NON_IDEMPOTENT_OPS = frozenset({"pop", "popitem", "split_off"})
 
 
 class ProtocolError(ConnectionError):

@@ -6,11 +6,14 @@ This module adds the file and topology plumbing around it:
 * :func:`save_snapshot` / :func:`load_snapshot` — one snapshot, one
   auditable JSON file (no pickle, same policy as model persistence);
 * :func:`merge_snapshots` — N per-shard memory snapshots → one memory
-  snapshot (``repro state snapshot`` collapses a state directory);
+  snapshot (``repro state snapshot`` collapses a state directory; a
+  ring store's own snapshot is this merged document);
 * :func:`split_snapshot` — one memory snapshot → N per-shard memory
-  snapshots routed by the consistent-hash ring (``repro state
-  restore`` retargets a snapshot at any worker count, which is also
-  the offline resharding path);
+  snapshots routed by the consistent-hash ring, under one of two
+  placement rules: *client affinity* for cluster worker directories
+  (``repro state restore`` retargets a snapshot at any worker count,
+  which is also the offline resharding path) and *by key* for ring
+  stores, whose reads route every entry by its own key;
 * :func:`write_shard_files` / :func:`read_shard_files` — the
   ``shard-I-of-N.json`` layout a gateway cluster's state directory
   uses.  Each file records its topology so a worker never loads a
@@ -119,13 +122,22 @@ def _routing_key(namespace: str, key: str, value) -> str:
     return key
 
 
-def split_snapshot(snapshot: dict, shards: int, replicas: int = 64) -> list[dict]:
+def split_snapshot(
+    snapshot: dict, shards: int, replicas: int = 64, *, affinity: bool = True
+) -> list[dict]:
     """Split a memory snapshot into ``shards`` ring-routed snapshots.
 
-    Entries route by their *shard-affinity* key (see
-    :func:`_routing_key`) with the same ring the gateway cluster and
-    :class:`~repro.state.sharded.ShardedStateStore` use, so a restored
-    worker finds exactly the state it would have written.
+    The ring is the one the gateway cluster and
+    :class:`~repro.state.sharded.ShardedStateStore` use; the caller
+    names the placement rule its reads follow:
+
+    * ``affinity=True`` (cluster worker directories): entries route by
+      their *shard-affinity* key (see :func:`_routing_key`), so a
+      restored worker finds exactly the state it would have written;
+    * ``affinity=False`` (ring stores, local or networked): every
+      entry routes by its own key, because every ring read does — a
+      ``replay`` entry split by owner would sit where no seed lookup
+      finds it, reopening the puzzle.
     """
     check_snapshot(snapshot, kind="memory")
     if shards < 1:
@@ -136,7 +148,7 @@ def split_snapshot(snapshot: dict, shards: int, replicas: int = 64) -> list[dict
     ]
     for name, entries in snapshot.get("namespaces", {}).items():
         for key, value in entries:
-            route = _routing_key(name, str(key), value)
+            route = _routing_key(name, str(key), value) if affinity else str(key)
             owner = shard_for(route, shards, replicas)
             parts[owner]["namespaces"].setdefault(name, []).append(
                 [key, value]

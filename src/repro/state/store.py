@@ -19,8 +19,9 @@ Contract
 * :meth:`AdmissionStateStore.execute` applies a list of keyed ops
   (:data:`KEYED_OPS`) in order and returns their results — the one
   batch primitive: in process it is a loop, over the wire it is one
-  frame per node (:mod:`repro.state.net`), so components phrase each
-  step as *read set -> decide -> write set* and never pay per key.
+  frame per node (:mod:`repro.state.net`, :mod:`repro.state.sharded`),
+  so components phrase each step as *read set -> decide -> write set*
+  and never pay per key.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class StateNamespace(OrderedDict):
     """One ordered keyed table inside a store (e.g. ``feedback``).
 
     An :class:`collections.OrderedDict` with a name and the snapshot
-    plumbing; the sharded, remote and multi-node namespaces duck-type
+    plumbing; the ring store's :class:`~repro.state.sharded.ShardedNamespace`
+    and the client's :class:`~repro.state.net.RemoteNamespace` duck-type
     the same surface, so porting a component is a constructor change.
     """
 
@@ -167,7 +169,7 @@ class AdmissionStateStore:
 
     Backends must provide :meth:`namespace` (creating on first use),
     :meth:`namespaces`, :meth:`snapshot`, :meth:`restore`, and
-    :meth:`clear`.  ``get``/``put``/``mutate`` convenience wrappers are
+    :meth:`clear`.  ``get``/``put`` convenience wrappers are
     provided here in terms of :meth:`namespace` for callers that do not
     want to hold a namespace object.
     """
@@ -195,13 +197,6 @@ class AdmissionStateStore:
 
     def put(self, namespace: str, key: str, value: Any) -> None:
         self.namespace(namespace)[key] = value
-
-    def mutate(self, namespace: str, key: str, fn, default: Any = None) -> Any:
-        """Apply ``fn(current_value_or_default)`` and store the result."""
-        table = self.namespace(namespace)
-        value = fn(table.get(key, default))
-        table[key] = value
-        return value
 
     # -- the batch primitive ------------------------------------------
     def execute(self, ops: Iterable[tuple]) -> list[Any]:

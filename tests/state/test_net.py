@@ -411,18 +411,6 @@ class TestRemoteStoreSurface:
         # The remote snapshot is the hosted store's snapshot verbatim.
         assert snapshot == server.store.snapshot()
 
-    def test_mutators_are_atomic_read_modify_write(self, client):
-        assert client.mutate_remote("load", "n", "add", 3) == 3
-        assert client.mutate_remote("load", "n", "add", 4) == 7
-        assert client.mutate_remote("load", "peak", "max", 5) == 5
-        assert client.mutate_remote("load", "peak", "max", 2) == 5
-        assert client.mutate_remote("load", "log", "append", "x") == ["x"]
-        assert client.mutate_remote("load", "log", "append", "y") == [
-            "x", "y",
-        ]
-        with pytest.raises(ValueError):
-            client.mutate_remote("load", "n", "frobnicate", 1)
-
     def test_unknown_op_is_a_value_error_answer(self, client):
         with pytest.raises(ValueError, match="unknown state-server op"):
             client._request("bogus_op")
@@ -432,11 +420,20 @@ class TestRemoteStoreSurface:
             client.restore({"format": 99, "kind": "memory"})
 
     def test_concurrent_clients_serialize_per_op(self, server):
+        # Each frame puts a fresh key and counts the table under one
+        # lock hold, so the 100 counts are exactly 1..100: no two
+        # frames interleaved.
+        counts: list[int] = []
+
         def worker(index: int) -> None:
             store = RemoteStateStore(server.address)
             try:
-                for _ in range(25):
-                    store.mutate_remote("counters", "hits", "add", 1)
+                for j in range(25):
+                    _, count = store.execute([
+                        ("counters", "put", f"{index}-{j}", j),
+                        ("counters", "len"),
+                    ])
+                    counts.append(count)
             finally:
                 store.close()
 
@@ -447,7 +444,7 @@ class TestRemoteStoreSurface:
             thread.start()
         for thread in threads:
             thread.join()
-        assert server.store.get("counters", "hits") == 100
+        assert sorted(counts) == list(range(1, 101))
 
 
 # ----------------------------------------------------------------------
@@ -1274,12 +1271,46 @@ class TestMultiNodeStore:
             report = store.apply_topology(list(store.addresses)[:-1])
 
             assert report.epoch == 1
-            assert len(store.nodes) == 2
+            assert len(store.stores) == 2
             assert len(removed.store) == 0
             for i, key in enumerate(keys):
                 assert table[key] == float(i)
             assert len(table) == len(keys)
         finally:
+            _teardown(servers, store)
+
+    def test_reshard_and_restore_keep_spent_puzzles_spent(self):
+        # Ring reads find a replay entry by its seed, so a live reshard
+        # and a restore must place it by the seed too — not by the owner
+        # IP recorded in its value — or the puzzle is redeemable again.
+        from repro.pow.verifier import ReplayCache
+
+        seeds = [f"{i:032x}" for i in range(200)]
+        servers, store = _cluster(3)
+        fresh_servers, fresh = _cluster(3)
+        extra = StateServer().start()
+        try:
+            cache = ReplayCache(store=store)
+            for i, seed in enumerate(seeds):
+                assert cache.check_and_add(seed, 1_000.0, owner=f"10.4.0.{i}")
+            snapshot = store.snapshot()
+
+            store.apply_topology(list(store.addresses) + [extra.address])
+            reopened = [
+                seed for seed in seeds if cache.check_and_add(seed, 1_001.0)
+            ]
+            assert len(reopened) == 0, f"{len(reopened)} of 200 reopened"
+
+            fresh.restore(snapshot)
+            restored = ReplayCache(store=fresh)
+            reopened = [
+                seed for seed in seeds
+                if restored.check_and_add(seed, 1_001.0)
+            ]
+            assert len(reopened) == 0, f"{len(reopened)} of 200 reopened"
+        finally:
+            extra.stop()
+            _teardown(fresh_servers, fresh)
             _teardown(servers, store)
 
     def test_decommission_mid_campaign_preserves_feedback(self):

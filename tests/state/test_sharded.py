@@ -18,6 +18,24 @@ from repro.state import (
 )
 
 
+def _filled_snapshot(store) -> dict:
+    for i in range(40):
+        store.put("feedback", f"10.8.0.{i}", [float(i), 0.0])
+        store.put("replay", f"seed-{i:04x}", [float(i), f"10.8.0.{i}"])
+    return json.loads(json.dumps(store.snapshot()))
+
+
+def _assert_restored_onto_ring_owners(target, snapshot) -> None:
+    target.restore(snapshot)
+    assert len(target) == 80
+    for name in ("feedback", "replay"):
+        for key, value in snapshot["namespaces"][name]:
+            owner = target.ring.shard_for(key)
+            for index, child in enumerate(target.stores):
+                held = child.namespace(name).get(key)
+                assert held == (value if index == owner else None)
+
+
 class TestHashRing:
     def test_stable_hash_is_process_independent(self):
         # Pinned values: routing must agree across processes and PRs.
@@ -80,7 +98,7 @@ class TestShardedStateStore:
         for i in range(32):
             key = f"seed-{i}"
             table[key] = float(i)
-            owner = store.shard_for(key)
+            owner = store.ring.shard_for(key)
             assert key in store.stores[owner].namespace("replay")
 
     def test_popitem_evicts_from_fullest_shard(self):
@@ -106,10 +124,13 @@ class TestShardedStateStore:
         for i in range(30):
             assert clone.get("feedback", f"10.9.0.{i}") == [float(i), 1.0]
 
-    def test_restore_rejects_topology_mismatch(self):
-        snapshot = ShardedStateStore(3).snapshot()
-        with pytest.raises(ValueError):
-            ShardedStateStore(4).restore(snapshot)
+    def test_snapshot_restores_into_more_shards(self):
+        # A snapshot is one merged document and restore splits it by
+        # key, so a different shard count places every key on the owner
+        # its reads route to.
+        snapshot = _filled_snapshot(ShardedStateStore(3))
+        assert snapshot["kind"] == "memory"
+        _assert_restored_onto_ring_owners(ShardedStateStore(4), snapshot)
 
     def test_split_snapshot_matches_sharded_layout(self):
         # Splitting a flat snapshot by ring must place every key on the
@@ -231,26 +252,20 @@ class TestShardFiles:
 
 
 class TestReplicasValidation:
-    def test_restore_rejects_replicas_mismatch(self):
-        # A snapshot taken under one ring must not be restored under
-        # another: the same shard count with different virtual-node
-        # counts routes keys differently, silently misplacing state.
-        donor = ShardedStateStore(3, replicas=32)
-        donor.put("feedback", "10.0.0.1", [1.0, 0.0])
-        snapshot = json.loads(json.dumps(donor.snapshot()))
-        with pytest.raises(ValueError, match="replicas"):
-            ShardedStateStore(3, replicas=64).restore(snapshot)
-        # Matching ring restores fine.
-        ShardedStateStore(3, replicas=32).restore(snapshot)
+    def test_snapshot_restores_into_other_replicas(self):
+        # The same shard count under another virtual-node count routes
+        # keys differently; the by-key split follows the target's ring.
+        snapshot = _filled_snapshot(ShardedStateStore(3))
+        _assert_restored_onto_ring_owners(
+            ShardedStateStore(3, replicas=32), snapshot
+        )
 
-    def test_legacy_snapshot_without_replicas_still_restores(self):
-        donor = ShardedStateStore(2)
-        donor.put("feedback", "10.0.0.1", [1.0, 0.0])
-        snapshot = json.loads(json.dumps(donor.snapshot()))
-        del snapshot["replicas"]
-        clone = ShardedStateStore(2)
-        clone.restore(snapshot)
-        assert clone.get("feedback", "10.0.0.1") == [1.0, 0.0]
+    def test_memory_snapshot_restores_onto_ring_owners(self):
+        # A flat store's snapshot carries no ring at all; a ring store
+        # restores it by key like its own.
+        snapshot = _filled_snapshot(InMemoryStateStore())
+        assert "replicas" not in snapshot
+        _assert_restored_onto_ring_owners(ShardedStateStore(2), snapshot)
 
     def test_shard_files_record_and_enforce_replicas(self, tmp_path):
         flat = InMemoryStateStore()

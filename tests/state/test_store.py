@@ -57,11 +57,6 @@ class TestInMemoryStateStore:
         store = InMemoryStateStore()
         store.put("load", "load", 0.25)
         assert store.get("load", "load") == 0.25
-        result = store.mutate("load", "load", lambda v: v + 0.25)
-        assert result == 0.5
-        assert store.get("load", "load") == 0.5
-        store.mutate("load", "fresh", lambda v: v + 1.0, default=0.0)
-        assert store.get("load", "fresh") == 1.0
 
     def test_snapshot_roundtrip_preserves_order(self):
         store = InMemoryStateStore()

@@ -16,7 +16,12 @@ way an operator would, end to end:
    warmed feedback offset survived the restart;
 5. boot the cluster again against the new server, round-trip once
    more, and require the offset to have kept accumulating — reputation
-   is durable across both worker and state-server restarts.
+   is durable across both worker and state-server restarts;
+6. boot a second state server and grow the ring onto it live
+   (``repro state topology --nodes A --add B``): the warmed offset must
+   read back through the 2-node ring, and every ``replay`` entry must
+   sit on the node the ring assigns its seed, so no spent puzzle
+   reopens.
 
 Exits non-zero on any failure, so it can gate CI directly:
 
@@ -135,15 +140,46 @@ def round_trip(address: str) -> None:
         raise RuntimeError(f"round-trip failed: {result}")
 
 
-def warmed_offset(state_address: str, ip: str):
-    from repro.state import RemoteStateStore
+def warmed_offset(addresses: list[str], ip: str):
+    from repro.state import MultiNodeStateStore
 
-    store = RemoteStateStore(state_address)
-    try:
+    with MultiNodeStateStore(addresses) as store:
         state = store.namespace("feedback").get(ip)
-    finally:
-        store.close()
     return None if state is None else state[0]
+
+
+def reshard(nodes: list[str], extra: str) -> None:
+    """Grow the ring live onto ``extra`` with ``repro state topology``."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "state", "topology",
+         "--nodes", ",".join(nodes), "--add", extra],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=SHUTDOWN_TIMEOUT,
+    )
+    for line in (result.stdout + result.stderr).splitlines():
+        print("topology:", line)
+    if result.returncode != 0:
+        raise RuntimeError(f"repro state topology exited {result.returncode}")
+
+
+def replay_placement(addresses: list[str]) -> tuple[int, int]:
+    """(replay entries, entries off the node the ring assigns their seed)."""
+    from repro.state import HashRing, RemoteStateStore
+
+    ring = HashRing(len(addresses))
+    total = misplaced = 0
+    for index, address in enumerate(addresses):
+        node = RemoteStateStore(address)
+        try:
+            for seed, _ in node.namespace("replay").items():
+                total += 1
+                misplaced += ring.shard_for(seed) != index
+        finally:
+            node.close()
+    return total, misplaced
 
 
 def main() -> int:
@@ -164,7 +200,7 @@ def main() -> int:
                     return 1
             finally:
                 workers.kill()
-            first = warmed_offset(state_address, "127.0.0.1")
+            first = warmed_offset([state_address], "127.0.0.1")
             print("warmed offset on state server:", first)
             if first is None or first >= 0:
                 print("served exchange should have earned a negative "
@@ -185,7 +221,7 @@ def main() -> int:
         state = state_server(snapshot)
         try:
             state_address = state.wait_address()
-            restored = warmed_offset(state_address, "127.0.0.1")
+            restored = warmed_offset([state_address], "127.0.0.1")
             print("offset after state-server restart:", restored)
             if restored != first:
                 print("warmed offset should survive the restart")
@@ -199,11 +235,36 @@ def main() -> int:
                     return 1
             finally:
                 workers.kill()
-            second = warmed_offset(state_address, "127.0.0.1")
+            second = warmed_offset([state_address], "127.0.0.1")
             print("offset after second run:", second)
             if second is None or not second < first:
                 print("offset should keep accumulating across restarts")
                 return 1
+
+            # Run 3: grow the ring live onto a second state server.
+            redeemed, _ = replay_placement([state_address])
+            extra = state_server(pathlib.Path(tmp) / "state-b.json")
+            try:
+                ring = [state_address, extra.wait_address()]
+                reshard(ring[:1], ring[1])
+                through_ring = warmed_offset(ring, "127.0.0.1")
+                print("offset through the 2-node ring:", through_ring)
+                if through_ring != second:
+                    print("warmed offset should survive the reshard")
+                    return 1
+                total, misplaced = replay_placement(ring)
+                print(f"replay entries: {total} (before {redeemed}), "
+                      f"{misplaced} off their seed's node")
+                if redeemed < 1 or total != redeemed or misplaced:
+                    print("every spent puzzle should stay on the node "
+                          "its seed routes to")
+                    return 1
+                code = extra.terminate()
+                print("second state server exited with", code)
+                if code != 0:
+                    return 1
+            finally:
+                extra.kill()
             code = state.terminate()
             print("state server exited with", code)
             if code != 0:
