@@ -1,9 +1,10 @@
-"""Bench: batched admission pipeline vs the scalar loop.
+"""Bench: one batch of n vs n batches of one.
 
 The acceptance gate of the batch spine: at batch size 1024 the
 ``challenge_batch`` path must admit requests at least 5x faster than
-calling :meth:`AIPoWFramework.challenge` in a loop, while producing
-bit-identical :class:`IssuerDecision` scores and difficulties.  The
+calling :meth:`AIPoWFramework.challenge` in a loop (each call a batch of
+one), while producing bit-identical :class:`IssuerDecision` scores and
+difficulties.  The
 pytest-benchmark variants archive the absolute numbers; the plain test
 enforces the ratio so it also runs in the tier-1 suite.
 """

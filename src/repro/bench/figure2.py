@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import TimingConfig
-from repro.core.interfaces import Policy
+from repro.core.interfaces import Policy, batch_difficulties
 from repro.metrics.histogram import SampleSet
 from repro.metrics.reporting import ascii_chart, render_series
 from repro.bench.results import ExperimentResult
@@ -170,23 +170,12 @@ def run_figure2(
     samples: dict[tuple[str, int], SampleSet] = {}
     for policy in policies:
         series: list[float] = []
-        batch = getattr(policy, "difficulty_batch", None)
         for score in config.scores:
             # The `trials` same-score requests are one same-timestep
-            # batch: drain them through the policy's vectorised path
-            # when it has one (custom protocol-only policies loop).
-            if batch is not None:
-                difficulties = [
-                    int(d)
-                    for d in batch(
-                        np.full(config.trials, float(score)), rng
-                    )
-                ]
-            else:
-                difficulties = [
-                    policy.difficulty_for(float(score), rng)
-                    for _ in range(config.trials)
-                ]
+            # batch, mapped through the policy in one call.
+            difficulties = batch_difficulties(
+                policy, np.full(config.trials, float(score)), rng
+            ).tolist()
             sample_set = SampleSet()
             for trial, difficulty in enumerate(difficulties):
                 if config.mode == "modeled":

@@ -16,14 +16,14 @@ and clock — the backbone of the examples and of the wall-clock benches.
 
 Batch admission
 ---------------
-Concurrent arrivals do not need to walk the pipeline one at a time:
-:meth:`challenge_batch` scores a whole batch through the model's
-vectorised path, maps all scores through the policy in one call, and
-issues the puzzles through :meth:`PuzzleGenerator.generate_batch` —
-while still producing one :class:`IssuerDecision`, one
-:class:`~repro.pow.puzzle.Puzzle` and the same per-request events as the
-scalar path.  The simulator drains same-timestep arrivals through this
-path, and :meth:`process_batch` does the same for in-process exchanges.
+Admission has one kernel, :meth:`challenge_batch`: it scores a whole
+batch through the model's vectorised path, maps all scores through the
+policy in one call, and issues the puzzles through
+:meth:`PuzzleGenerator.generate_batch` — while still producing one
+:class:`IssuerDecision`, one :class:`~repro.pow.puzzle.Puzzle` and the
+same per-request events for each request.  :meth:`challenge` is a batch
+of one.  The simulator drains same-timestep arrivals through this path,
+and :meth:`process_batch` does the same for in-process exchanges.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ import numpy as np
 from repro.core.config import FrameworkConfig
 from repro.core.errors import PuzzleError, PuzzleExpiredError
 from repro.core.events import EventBus, EventKind
-from repro.core.interfaces import Policy, PuzzleSolver, ReputationModel
+from repro.core.interfaces import (
+    Policy,
+    PuzzleSolver,
+    ReputationModel,
+    batch_difficulties,
+    batch_scores,
+)
 from repro.core.records import (
     ClientRequest,
     IssuerDecision,
@@ -163,37 +169,10 @@ class AIPoWFramework:
     def challenge(self, request: ClientRequest, now: float | None = None) -> Challenge:
         """Score ``request`` and issue an appropriately hard puzzle.
 
-        This is steps (1)–(4) of the paper's Figure 1.
+        This is steps (1)–(4) of the paper's Figure 1, as a batch of one
+        through :meth:`challenge_batch` — the one admission kernel.
         """
-        now = time.time() if now is None else now
-        self.events.emit(EventKind.REQUEST_RECEIVED, now, request=request)
-
-        score = self.model.score_request(request)
-        self.events.emit(EventKind.SCORED, now, request=request, score=score)
-
-        raw_difficulty = self.policy.difficulty_for(score, self._rng)
-        difficulty = self.config.clamp_difficulty(raw_difficulty)
-        self.events.emit(
-            EventKind.POLICY_APPLIED,
-            now,
-            request=request,
-            score=score,
-            difficulty=difficulty,
-            policy=self.policy.name,
-        )
-
-        decision = IssuerDecision(
-            request=request,
-            reputation_score=score,
-            difficulty=difficulty,
-            policy_name=self.policy.name,
-            model_name=self.model.name,
-        )
-        puzzle = self._generator.issue(request.client_ip, difficulty, now=now)
-        self.events.emit(
-            EventKind.PUZZLE_ISSUED, now, decision=decision, puzzle=puzzle
-        )
-        return Challenge(decision, puzzle)
+        return self.challenge_batch([request], now)[0]
 
     def challenge_batch(
         self,
@@ -202,28 +181,29 @@ class AIPoWFramework:
     ) -> list[Challenge]:
         """Score and issue puzzles for many requests in one pass.
 
-        The batch equivalent of :meth:`challenge`: each request still
-        gets its own :class:`IssuerDecision` and :class:`Challenge`, and
-        the per-request scores, difficulties and puzzles are identical
-        to running the scalar path request-by-request (randomized
-        policies consume the framework RNG in request order, exactly
-        like the equivalent loop).  What changes is the cost model —
-        scoring runs through the model's vectorised batch path, the
-        policy maps all scores at once, and puzzle issuance amortises
-        its seed and HMAC setup.
+        The admission kernel: each request gets its own
+        :class:`IssuerDecision` and :class:`Challenge`, and its score,
+        difficulty and puzzle do not depend on how the requests are
+        batched (randomized policies consume the framework RNG once per
+        request, in request order).  Scoring runs through the model's
+        ``score_requests``, the policy maps all scores at once, and
+        puzzle issuance amortises its seed and HMAC setup.
+        :meth:`challenge` is this method with n = 1.
 
         ``now`` may be one timestamp for the whole batch (the common
         same-timestep case) or one timestamp per request (used by the
         simulator when FIFO queueing staggers issue times within an
         arrival batch).
 
-        Event ordering: the scalar path interleaves stages per request
-        (``REQUEST_RECEIVED``, ``SCORED``, ... for request A, then for
-        B); the batch path emits stage-major — every ``REQUEST_RECEIVED``
+        Events are emitted stage-major — every ``REQUEST_RECEIVED``
         first, then every ``SCORED``, and so on — preserving request
         order *within* each stage and stamping each event with its
-        request's own timestamp.  Models/policies without batch support
-        fall back to the scalar loop transparently.
+        request's own timestamp; for one request that is the familiar
+        per-request sequence.  The model and the policy are looked up on
+        every call, never cached (callers may swap them, as perfbench
+        does with timed proxies), and go through
+        :func:`~repro.core.interfaces.batch_scores` /
+        :func:`~repro.core.interfaces.batch_difficulties`.
         """
         requests = list(requests)
         if not requests:
@@ -247,7 +227,7 @@ class AIPoWFramework:
                     EventKind.REQUEST_RECEIVED, at, request=request
                 )
 
-        scores = self._score_requests(requests)
+        scores = batch_scores(self.model, requests)
         if events.has_subscribers(EventKind.SCORED):
             for request, at, score in zip(requests, times, scores):
                 events.emit(
@@ -302,59 +282,22 @@ class AIPoWFramework:
                 )
         return challenges
 
-    def _score_requests(self, requests: Sequence[ClientRequest]) -> np.ndarray:
-        """Model scores for a batch, vectorised when the model can.
-
-        Uses the model's optional ``score_requests`` batch method (see
-        :class:`~repro.core.interfaces.SupportsScoreBatch`); scalar-only
-        models are looped.  Mirrors
-        ``repro.reputation.base.model_score_requests`` deliberately:
-        the core package depends only on the interfaces, never on the
-        concrete reputation package, so the three-line dispatch is
-        duplicated here rather than imported.
-        """
-        scorer = getattr(self.model, "score_requests", None)
-        if scorer is not None:
-            return np.asarray(scorer(requests), dtype=np.float64)
-        return np.array(
-            [self.model.score_request(request) for request in requests],
-            dtype=np.float64,
-        )
-
     def difficulties_for_scores(self, scores: np.ndarray) -> np.ndarray:
         """Clamped difficulties for a score vector — the decision core.
 
-        The array-level admission kernel: policy mapping (vectorised
-        when the policy supports it, RNG consumed in score order
-        otherwise) followed by the config difficulty clamp, with no
+        The array-level admission kernel: the policy's
+        ``difficulty_batch`` (RNG consumed in score order) followed by
+        the config difficulty clamp, with no
         per-request object construction.  :meth:`challenge_batch` is
         built on it; the vectorized simulator calls it directly when
         nothing is subscribed to admission events, which is what makes
         million-agent campaigns affordable.
         """
         return np.clip(
-            self._difficulties_for(scores),
+            batch_difficulties(self.policy, scores, self._rng),
             self.config.min_difficulty,
             self.config.pow.max_difficulty,
         ).astype(np.int64)
-
-    def _difficulties_for(self, scores: np.ndarray) -> np.ndarray:
-        """Policy difficulties for a score vector, vectorised when possible.
-
-        Uses the policy's optional ``difficulty_batch`` (see
-        :class:`~repro.core.interfaces.SupportsDifficultyBatch`);
-        scalar-only policies are looped with the same RNG order.
-        """
-        batch = getattr(self.policy, "difficulty_batch", None)
-        if batch is not None:
-            return np.asarray(batch(scores, self._rng))
-        return np.array(
-            [
-                self.policy.difficulty_for(float(score), self._rng)
-                for score in scores
-            ],
-            dtype=np.int64,
-        )
 
     # ------------------------------------------------------------------
     # Server-side half 2: solution -> resource
@@ -454,15 +397,9 @@ class AIPoWFramework:
         Wall-clock timing comes from ``clock``; pass a fake clock in
         tests for determinism.  The request's own ``timestamp`` marks
         when the client sent it, so latency covers the whole exchange.
+        A batch of one of :meth:`process_batch`.
         """
-        challenge = self.challenge(request, now=clock())
-        solution = solver.solve(challenge.puzzle, request.client_ip)
-        return self.redeem(
-            challenge,
-            solution,
-            now=clock(),
-            request_sent_at=request.timestamp,
-        )
+        return self.process_batch([request], solver, clock)[0]
 
     def process_batch(
         self,

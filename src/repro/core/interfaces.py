@@ -15,12 +15,18 @@ Concrete implementations live in :mod:`repro.reputation`,
 :mod:`repro.core.framework` composes them without caring which concrete
 classes were chosen.  All protocols are ``runtime_checkable`` so tests and
 the registry can sanity-check third-party plugins with ``isinstance``.
+
+The model and policy contracts are batch methods; :func:`batch_scores`
+and :func:`batch_difficulties` are the one place a scalar-only
+third-party plugin is adapted to them.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from repro.core.records import ClientRequest
 
@@ -31,8 +37,8 @@ __all__ = [
     "PuzzleVerifier",
     "PuzzleSolver",
     "SupportsName",
-    "SupportsScoreBatch",
-    "SupportsDifficultyBatch",
+    "batch_scores",
+    "batch_difficulties",
 ]
 
 
@@ -51,69 +57,78 @@ class ReputationModel(Protocol):
     Scores follow the paper's convention: a float in ``[0, 10]`` where
     *higher means less trustworthy*.  Implementations must be
     deterministic for a fixed fitted state and input features.
+
+    The contract is the batch: ``score_batch`` (raw feature matrix →
+    score vector) and ``score_requests`` (request sequence → score
+    vector).  Scoring one request is a batch of one (the shipped models
+    derive ``score`` / ``score_request`` that way); a third-party model
+    with only ``score_request`` still plugs in through
+    :func:`batch_scores`.
     """
 
     @property
     def name(self) -> str: ...
 
-    def score(self, features: Mapping[str, float]) -> float:
-        """Return the reputation score in [0, 10] for one feature vector."""
+    def score_batch(self, features):
+        """Scores in [0, 10] for a raw ``(n, k)`` feature matrix."""
         ...
 
-    def score_request(self, request: ClientRequest) -> float:
-        """Convenience wrapper scoring a :class:`ClientRequest`."""
-        ...
-
-
-@runtime_checkable
-class Policy(Protocol):
-    """Maps a reputation score to a puzzle difficulty (leading zero bits).
-
-    Implementations may be randomized (the paper's Policy 3 draws the
-    difficulty from an interval); they receive the RNG explicitly so runs
-    stay reproducible.
-    """
-
-    @property
-    def name(self) -> str: ...
-
-    def difficulty_for(self, score: float, rng: random.Random) -> int:
-        """Return the puzzle difficulty for ``score`` ∈ [0, 10]."""
-        ...
-
-
-@runtime_checkable
-class SupportsScoreBatch(Protocol):
-    """Optional batch extension of :class:`ReputationModel`.
-
-    Models may expose ``score_batch`` (raw feature matrix → score
-    vector) and ``score_requests`` (request sequence → score vector).
-    The framework's :meth:`~repro.core.framework.AIPoWFramework.challenge_batch`
-    uses them when present and falls back to looping the scalar methods
-    otherwise, so the batch API stays opt-in for third-party models.
-    Deliberately separate from :class:`ReputationModel` so existing
-    scalar-only implementations keep passing ``isinstance`` checks.
-    """
-
-    def score_requests(self, requests):
+    def score_requests(self, requests: Sequence[ClientRequest]):
         """Vector of scores, aligned with ``requests``."""
         ...
 
 
 @runtime_checkable
-class SupportsDifficultyBatch(Protocol):
-    """Optional batch extension of :class:`Policy`.
+class Policy(Protocol):
+    """Maps reputation scores to puzzle difficulties (leading zero bits).
 
-    Policies may expose ``difficulty_batch(scores, rng)`` returning an
-    integer difficulty per score, consuming ``rng`` in array order so
-    randomized policies stay reproducible and equivalent to the scalar
-    loop.  The framework falls back to looping ``difficulty_for`` for
-    policies without it.
+    Implementations may be randomized (the paper's Policy 3 draws the
+    difficulty from an interval); they receive the RNG explicitly and
+    consume it once per score in array order, so runs stay
+    reproducible.  ``difficulty_for`` on the shipped policies is a batch
+    of one; a third-party policy with only ``difficulty_for`` still
+    plugs in through :func:`batch_difficulties`.
     """
 
+    @property
+    def name(self) -> str: ...
+
     def difficulty_batch(self, scores, rng: random.Random):
-        """Vector of difficulties, aligned with ``scores``."""
+        """Vector of difficulties, aligned with ``scores`` ∈ [0, 10]."""
         ...
+
+
+def batch_scores(model, requests: Sequence[ClientRequest]) -> np.ndarray:
+    """``model``'s scores for ``requests`` — the one scoring adapter.
+
+    The model's ``score_requests`` when it has one; a scalar-only
+    third-party model is looped through ``score_request`` in request
+    order.  The framework, the reputation wrappers and the vectorized
+    simulator all score through here.
+    """
+    batch = getattr(model, "score_requests", None)
+    if batch is not None:
+        return np.asarray(batch(requests), dtype=np.float64)
+    return np.array(
+        [model.score_request(request) for request in requests],
+        dtype=np.float64,
+    )
+
+
+def batch_difficulties(policy, scores, rng: random.Random) -> np.ndarray:
+    """``policy``'s difficulties for ``scores`` — the one policy adapter.
+
+    The policy's ``difficulty_batch`` when it has one; a scalar-only
+    third-party policy is looped through ``difficulty_for``, consuming
+    ``rng`` in score order exactly as a batch would.
+    """
+    batch = getattr(policy, "difficulty_batch", None)
+    if batch is not None:
+        return np.asarray(batch(scores, rng))
+    return np.array(
+        [policy.difficulty_for(float(score), rng) for score in scores],
+        dtype=np.int64,
+    )
 
 
 @runtime_checkable

@@ -9,8 +9,8 @@ soon as one event-loop pass adds nothing to the queue, when
 ``max_batch`` requests have gathered, or when the batch has been open
 for ``batch_window`` seconds, whichever comes first — and the whole
 batch is admitted through one ``admit_batch`` call (the gateway wires
-this to :meth:`AIPoWFramework.challenge_batch`, whose decisions are
-bit-identical to the scalar path).
+this to :meth:`AIPoWFramework.challenge_batch`, whose decisions do not
+depend on the batch size).
 
 Nothing waits on a timer: a lone request is admitted a couple of loop
 passes after it arrives, and batches form by themselves under load,

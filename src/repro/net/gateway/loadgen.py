@@ -48,7 +48,7 @@ class LoadReport:
     elapsed: float = 0.0
     latencies: SampleSet = dataclasses.field(default_factory=SampleSet)
     #: Puzzle difficulty of every challenge received, in receipt order —
-    #: lets callers assert batch-vs-scalar admission parity.
+    #: lets callers assert decisions do not depend on batching.
     difficulties: list = dataclasses.field(default_factory=list)
 
     @property

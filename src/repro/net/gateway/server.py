@@ -163,10 +163,11 @@ class GatewayServer:
             return self.framework.challenge_batch(requests)
         except ReproError:
             # One bad request (e.g. feature-schema mismatch) must not
-            # poison its co-batched neighbours: re-admit the batch
-            # scalar, isolating the failure to the offender.  Events
-            # for stages the batch attempt already passed are re-emitted
-            # by the retry; only this failure path pays that.
+            # poison its co-batched neighbours: re-admit the requests
+            # one batch of one at a time, isolating the failure to the
+            # offender.  Events for stages the whole-batch attempt
+            # already passed are emitted again by the retry; only this
+            # failure path pays that.
             results: list[Challenge | ReproError] = []
             for request in requests:
                 try:
@@ -192,7 +193,7 @@ class GatewayServer:
     def _on_flush(
         self, batch_size: int, queue_depth: int, results: list, waits: list
     ) -> None:
-        # The scalar-fallback path returns ReproError entries for
+        # The one-at-a-time fallback returns ReproError entries for
         # requests whose admission failed; only real challenges count
         # as admitted.
         admitted = sum(

@@ -68,6 +68,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.framework import AIPoWFramework
+from repro.core.interfaces import batch_scores
 from repro.core.records import ResponseStatus
 from repro.metrics.collector import MetricsCollector
 from repro.net.sim import kernels
@@ -77,6 +78,7 @@ from repro.net.sim.channel import Channel, FixedDelayChannel
 from repro.net.sim.links import LinkSet
 from repro.net.sim.simulation import ServerModel, SimulationReport
 from repro.policies.adaptive import LoadAdaptivePolicy
+from repro.reputation.base import model_chain
 
 __all__ = [
     "FastSimulation",
@@ -471,7 +473,7 @@ class FastSimulation:
         """
         return any(
             getattr(node, "scoring_is_stateful", False)
-            for node in _walk_model_chain(self.framework.model)
+            for node in model_chain(self.framework.model)
         )
 
     def _delays(self, count: int) -> np.ndarray | float:
@@ -752,9 +754,7 @@ class FastSimulation:
                 entries[i].request for i in idx.tolist()
             ]
         elif n:
-            from repro.reputation.base import model_score_requests
-
-            scores = model_score_requests(
+            scores = batch_scores(
                 self.framework.model, [e.request for e in entries]
             )
             get_scores = lambda idx, at: scores[idx]  # noqa: E731
@@ -1542,21 +1542,6 @@ def _merge_segments(segments: list) -> list:
     return merged
 
 
-def _walk_model_chain(model):
-    """Yield ``model`` and each wrapped model, outermost first.
-
-    The one traversal rule for model wrapper chains (``.base`` for
-    feedback wrappers, ``.inner`` for caches), cycle-guarded.  Every
-    chain inspection in this module goes through it so the rule cannot
-    drift between them.
-    """
-    node, seen = model, set()
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
-        yield node
-        node = getattr(node, "base", None) or getattr(node, "inner", None)
-
-
 def _scoring_schema(model):
     """The feature schema of the model that actually scores.
 
@@ -1564,7 +1549,7 @@ def _scoring_schema(model):
     still be the node providing ``score_batch``, so schema and scorer
     must be resolved independently.
     """
-    for node in _walk_model_chain(model):
+    for node in model_chain(model):
         schema = getattr(node, "schema", None)
         if schema is not None:
             return schema
@@ -1582,7 +1567,7 @@ def _innermost_batch_scorer(model):
     (behavioural feedback) advertise ``scoring_is_stateful`` and are
     rejected by the engine before this is ever called.
     """
-    for node in _walk_model_chain(model):
+    for node in model_chain(model):
         if hasattr(node, "score_batch"):
             return node
     raise TypeError(

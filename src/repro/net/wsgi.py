@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Mapping
 
 from repro.core.errors import ProtocolError, ReproError
 from repro.core.framework import AIPoWFramework
+from repro.core.interfaces import batch_scores
 from repro.core.records import ClientRequest
 from repro.pow.puzzle import Puzzle, Solution
 
@@ -189,7 +190,7 @@ class PowMiddleware:
 
         decision = IssuerDecision(
             request=request,
-            reputation_score=self.framework.model.score_request(request),
+            reputation_score=float(batch_scores(self.framework.model, [request])[0]),
             difficulty=puzzle.difficulty,
             policy_name=self.framework.policy.name,
             model_name=self.framework.model.name,

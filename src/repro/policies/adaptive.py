@@ -20,13 +20,16 @@ from __future__ import annotations
 import math
 import random
 
-from repro.core.interfaces import Policy
+import numpy as np
+
+from repro.core.interfaces import Policy, batch_difficulties
+from repro.policies.base import BatchPolicy
 from repro.state import AdmissionStateStore, InMemoryStateStore
 
 __all__ = ["LoadAdaptivePolicy"]
 
 
-class LoadAdaptivePolicy:
+class LoadAdaptivePolicy(BatchPolicy):
     """Adds ``ceil(max_surcharge * load)`` to an inner policy's output.
 
     Parameters
@@ -123,8 +126,9 @@ class LoadAdaptivePolicy:
         """The extra difficulty currently applied on top of ``inner``."""
         return int(math.ceil(self.max_surcharge * self.load))
 
-    def difficulty_for(self, score: float, rng: random.Random) -> int:
-        return self.inner.difficulty_for(score, rng) + self.surcharge()
+    def difficulty_batch(self, scores, rng: random.Random) -> np.ndarray:
+        """The inner policy's difficulties plus one surcharge, read once."""
+        return batch_difficulties(self.inner, scores, rng) + self.surcharge()
 
     def describe(self) -> str:
         return (

@@ -7,7 +7,9 @@ out-of-range scores fail loudly rather than silently clamping an
 attacker to an easy puzzle.
 
 :class:`BasePolicy` provides domain validation and a shared
-``describe()``; subclasses implement ``_difficulty``.
+``describe()``; subclasses implement ``_difficulty_batch``.  Batch is
+the contract: ``difficulty_for`` is a batch of one everywhere
+(:class:`BatchPolicy`), so one score and many go through the same code.
 """
 
 from __future__ import annotations
@@ -18,18 +20,26 @@ import numpy as np
 
 from repro.core.errors import PolicyDomainError
 
-__all__ = ["BasePolicy", "SCORE_DOMAIN"]
+__all__ = ["BasePolicy", "BatchPolicy", "SCORE_DOMAIN"]
 
 #: The closed reputation-score domain shared by all built-in policies.
 SCORE_DOMAIN = (0.0, 10.0)
 
 
-class BasePolicy:
+class BatchPolicy:
+    """``difficulty_for`` derived once from ``difficulty_batch``."""
+
+    def difficulty_for(self, score: float, rng: random.Random) -> int:
+        """Map ``score`` to a puzzle difficulty: a batch of one."""
+        return int(self.difficulty_batch([score], rng)[0])
+
+
+class BasePolicy(BatchPolicy):
     """Template base class for difficulty policies.
 
-    Subclasses implement :meth:`_difficulty`, receiving a validated
-    score; the base class enforces the domain and the non-negativity of
-    the result.
+    Subclasses implement :meth:`_difficulty_batch`, receiving validated
+    scores; the base class enforces the domain and the non-negativity
+    of every result.
     """
 
     #: Overridden by subclasses with a short registry-friendly name.
@@ -48,41 +58,17 @@ class BasePolicy:
         """Registry-friendly policy name."""
         return self.policy_name
 
-    def difficulty_for(self, score: float, rng: random.Random) -> int:
-        """Map ``score`` to a puzzle difficulty (leading zero bits).
-
-        Raises :class:`~repro.core.errors.PolicyDomainError` when the
-        score is outside the declared domain.
-        """
-        low, high = self.domain
-        score = float(score)
-        if not low <= score <= high:
-            raise PolicyDomainError(score, low, high)
-        difficulty = self._difficulty(score, rng)
-        if difficulty < 0:
-            raise ValueError(
-                f"{type(self).__name__} produced negative difficulty "
-                f"{difficulty} for score {score}"
-            )
-        return difficulty
-
     def difficulty_batch(
         self, scores, rng: random.Random
     ) -> np.ndarray:
         """Vector of difficulties for a vector of scores.
 
-        Semantics mirror :meth:`difficulty_for` element-wise: the whole
-        batch is domain-validated up front (the first offending score is
-        reported), randomized policies consume ``rng`` once per score in
-        array order, and the non-negativity of every result is enforced.
-        Returns an ``int64`` array aligned with ``scores``.
+        The whole batch is domain-validated up front (:meth:`_in_domain`),
+        randomized policies consume ``rng`` once per score in array
+        order, and the non-negativity of every result is enforced.  Returns an
+        ``int64`` array aligned with ``scores``.
         """
-        scores = np.asarray(scores, dtype=np.float64)
-        low, high = self.domain
-        in_domain = (scores >= low) & (scores <= high)
-        if not in_domain.all():
-            offender = scores[np.argmin(in_domain)]
-            raise PolicyDomainError(float(offender), low, high)
+        scores = self._in_domain(scores)
         difficulties = np.asarray(self._difficulty_batch(scores, rng))
         if difficulties.size and difficulties.min() < 0:
             index = int(np.argmin(difficulties))
@@ -92,24 +78,26 @@ class BasePolicy:
             )
         return difficulties.astype(np.int64)
 
+    def _in_domain(self, scores) -> np.ndarray:
+        """``scores`` as ``float64``, all inside the declared domain.
+
+        Raises :class:`~repro.core.errors.PolicyDomainError` naming the
+        first score outside it.
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        low, high = self.domain
+        inside = (scores >= low) & (scores <= high)
+        if not inside.all():
+            raise PolicyDomainError(float(scores[np.argmin(inside)]), low, high)
+        return scores
+
     def describe(self) -> str:
         """Human-readable one-line description for reports and the CLI."""
         return f"{self.name} on scores in [{self.domain[0]}, {self.domain[1]}]"
 
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        raise NotImplementedError
-
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
-        """Batch hook; the default loops :meth:`_difficulty` per score.
-
-        Subclasses with closed-form mappings override this with a
-        vectorised implementation; third-party subclasses that only
-        implement ``_difficulty`` keep working through this fallback.
-        """
-        return np.array(
-            [self._difficulty(float(score), rng) for score in scores],
-            dtype=np.int64,
-        )
+        """Difficulties for validated scores, ``rng`` drawn in array order."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

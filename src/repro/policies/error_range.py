@@ -76,14 +76,10 @@ class ErrorRangePolicy(BasePolicy):
         high = math.ceil(d + self.epsilon)
         return low, high
 
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        low, high = self.interval(score)
-        return rng.randint(low, high)
-
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
         # Interval arithmetic is vectorised; the uniform draws stay
-        # sequential in array order so a batch consumes ``rng`` exactly
-        # like the equivalent scalar loop.
+        # sequential in array order, so the draws a score gets do not
+        # depend on how the scores are batched.
         d = np.ceil(scores + self.base)
         lows = np.maximum(0.0, np.ceil(d - self.epsilon)).astype(np.int64)
         highs = np.ceil(d + self.epsilon).astype(np.int64)

@@ -12,7 +12,6 @@ so the difficulty curve is convex in the score.
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -57,11 +56,6 @@ class ExponentialPolicy(BasePolicy):
     @property
     def name(self) -> str:
         return self._name
-
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        return self.base + int(
-            math.floor(self.scale * (self.growth**score - 1.0))
-        )
 
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
         return self.base + np.floor(

@@ -11,7 +11,6 @@ framework; callers using the fractional PoW path read
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -53,28 +52,11 @@ class FractionalLinearPolicy(BasePolicy):
 
     def fractional_difficulty_for(self, score: float) -> float:
         """The real-valued difficulty (what the fractional solver uses)."""
-        low, high = self.domain
-        if not low <= score <= high:
-            from repro.core.errors import PolicyDomainError
-
-            raise PolicyDomainError(score, low, high)
-        return self.slope * score + self.base
+        return float(self.fractional_difficulty_batch([score])[0])
 
     def fractional_difficulty_batch(self, scores) -> np.ndarray:
-        """Vector of real-valued difficulties (batch of the above)."""
-        scores = np.asarray(scores, dtype=np.float64)
-        low, high = self.domain
-        in_domain = (scores >= low) & (scores <= high)
-        if not in_domain.all():
-            from repro.core.errors import PolicyDomainError
-
-            offender = scores[np.argmin(in_domain)]
-            raise PolicyDomainError(float(offender), low, high)
-        return self.slope * scores + self.base
-
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        # Integer protocol compatibility: round against the client.
-        return int(math.ceil(self.fractional_difficulty_for(score)))
+        """Vector of real-valued difficulties, domain-checked."""
+        return self.slope * self._in_domain(scores) + self.base
 
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
         return np.ceil(self.slope * scores + self.base).astype(np.int64)

@@ -13,7 +13,6 @@ pattern to ``d = round-up(slope * R) + base``; the ablation bench sweeps
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -56,9 +55,6 @@ class LinearPolicy(BasePolicy):
     @property
     def name(self) -> str:
         return self._name
-
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        return int(math.ceil(self.slope * score)) + self.base
 
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
         return np.ceil(self.slope * scores).astype(np.int64) + self.base

@@ -18,10 +18,14 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
+from repro.policies.base import BatchPolicy
+
 __all__ = ["RetargetingPolicy"]
 
 
-class RetargetingPolicy:
+class RetargetingPolicy(BatchPolicy):
     """Holds served throughput near a target by moving one difficulty.
 
     Parameters
@@ -63,7 +67,7 @@ class RetargetingPolicy:
         self.max_difficulty = max_difficulty
         self.window = window
         self.max_step = max_step
-        self._difficulty = float(initial_difficulty)
+        self._level = float(initial_difficulty)
         self._window_start: float | None = None
         self._window_count = 0
         self.adjustments = 0
@@ -75,7 +79,7 @@ class RetargetingPolicy:
     @property
     def current_difficulty(self) -> float:
         """The shared difficulty as last retargeted."""
-        return self._difficulty
+        return self._level
 
     def observe_served(self, now: float) -> None:
         """Record one served request at time ``now``; retarget on window end.
@@ -95,21 +99,21 @@ class RetargetingPolicy:
         rate = self._window_count / elapsed
         delta = math.log2(max(rate / self.target_rate, 1e-9))
         delta = max(-self.max_step, min(self.max_step, delta))
-        self._difficulty = min(
+        self._level = min(
             float(self.max_difficulty),
-            max(float(self.min_difficulty), self._difficulty + delta),
+            max(float(self.min_difficulty), self._level + delta),
         )
         self.adjustments += 1
         self._window_start = now
         self._window_count = 0
 
-    def difficulty_for(self, score: float, rng: random.Random) -> int:
+    def difficulty_batch(self, scores, rng: random.Random) -> np.ndarray:
         """Score-blind: every client gets the current shared difficulty."""
-        return int(round(self._difficulty))
+        return np.full(len(scores), int(round(self._level)), dtype=np.int64)
 
     def describe(self) -> str:
         return (
-            f"{self.name}: shared difficulty {self._difficulty:.2f}, "
+            f"{self.name}: shared difficulty {self._level:.2f}, "
             f"retargets every {self.window:g}s toward "
             f"{self.target_rate:g} served/s"
         )

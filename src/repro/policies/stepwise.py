@@ -71,15 +71,9 @@ class StepwisePolicy(BasePolicy):
     def name(self) -> str:
         return self._name
 
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        for i, threshold in enumerate(self.thresholds):
-            if score < threshold:
-                return self.difficulties[i]
-        return self.difficulties[-1]
-
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
         # side="right" places a score equal to a threshold in the band
-        # above it, matching the scalar `score < threshold` walk.
+        # above it: band i is [t_i, t_{i+1}).
         bands = np.searchsorted(self._thresholds_arr, scores, side="right")
         return self._difficulties_arr[bands]
 

@@ -9,7 +9,6 @@ matching the paper's ``d_i = ceil(s_i + 1)`` convention of rounding
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
@@ -38,9 +37,6 @@ class FixedPolicy(BasePolicy):
     @property
     def name(self) -> str:
         return self._name
-
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        return self.difficulty
 
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
         return np.full(scores.shape, self.difficulty, dtype=np.int64)
@@ -76,9 +72,6 @@ class TablePolicy(BasePolicy):
     @property
     def name(self) -> str:
         return self._name
-
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        return self.entries[int(math.ceil(score))]
 
     def _difficulty_batch(self, scores: np.ndarray, rng: random.Random):
         return self._entries_arr[np.ceil(scores).astype(np.int64)]

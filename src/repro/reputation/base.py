@@ -1,18 +1,15 @@
 """Shared scaffolding for reputation models.
 
-Concrete models (DAbR, k-NN, ensembles) share the same life-cycle:
-construct → :meth:`fit` on a corpus → :meth:`score` feature mappings.
+Concrete models (DAbR, k-NN, logistic) share the same life-cycle:
+construct → :meth:`fit` on a corpus → score feature matrices.
 :class:`BaseReputationModel` centralises schema handling, the
 fitted-state guard, and score clamping so each model only implements
-one scoring hook: ``_score_vector`` (one normalised vector at a time)
-or ``_score_matrix`` (a whole normalised matrix at once).
+one scoring hook, ``_score_matrix`` (a whole normalised matrix at once).
 
-Implementing either hook makes both the scalar and the batch API work:
-``_score_matrix`` falls back to looping ``_score_vector`` (so
-third-party subclasses written against the original scalar hook keep
-working), and ``_score_vector`` falls back to scoring a one-row matrix
-(so the shipped vectorised models produce bit-identical scores on both
-paths — the scalar path *is* the batch path with n = 1).
+Batch is the contract for every model, base or wrapper: each implements
+``score_batch`` and ``score_requests``, and :class:`BatchModel` derives
+the scalar ``score`` / ``score_request`` from them as a batch of one —
+so one request and many take the same code and get the same score.
 """
 
 from __future__ import annotations
@@ -28,9 +25,10 @@ from repro.reputation.features import DEFAULT_SCHEMA, FeatureSchema
 
 __all__ = [
     "BaseReputationModel",
+    "BatchModel",
     "clamp_score",
+    "model_chain",
     "model_score_batch",
-    "model_score_requests",
 ]
 
 #: Reputation scores are confined to the paper's [0, 10] scale.
@@ -43,46 +41,75 @@ def clamp_score(score: float) -> float:
     return min(max(float(score), SCORE_LOW), SCORE_HIGH)
 
 
-def model_score_batch(model, features: np.ndarray) -> np.ndarray:
-    """Score a raw feature matrix through ``model``, batch if it can.
+def is_mapping_rows(rows) -> bool:
+    """True when feature ``rows`` are mappings rather than a raw matrix.
+
+    The feature-level batch (``score_batch``) takes either a raw
+    ``(n, k)`` matrix in schema column order or ``n`` feature mappings;
+    ``score(features)`` is ``score_batch([features])``.
+    """
+    return (
+        not isinstance(rows, np.ndarray)
+        and len(rows) > 0
+        and isinstance(rows[0], Mapping)
+    )
+
+
+def model_score_batch(model, features) -> np.ndarray:
+    """Score feature rows through ``model``, batch if it can.
 
     Uses the model's ``score_batch`` when present; otherwise loops the
-    scalar :meth:`score` over rows converted back to mappings via the
-    model's schema (``DEFAULT_SCHEMA`` when it declares none).  Lets
-    ensembles and wrappers compose third-party scalar-only models into
-    the batch pipeline.
+    scalar :meth:`score` over the rows as mappings (matrix rows are
+    converted back through the model's schema, ``DEFAULT_SCHEMA`` when
+    it declares none).  Lets ensembles and wrappers compose third-party
+    scalar-only models into the batch pipeline.
     """
     batch = getattr(model, "score_batch", None)
     if batch is not None:
         return np.asarray(batch(features), dtype=np.float64)
-    schema = getattr(model, "schema", None) or DEFAULT_SCHEMA
-    matrix = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return np.array(
-        [model.score(schema.to_mapping(row)) for row in matrix],
-        dtype=np.float64,
-    )
+    if not is_mapping_rows(features):
+        schema = getattr(model, "schema", None) or DEFAULT_SCHEMA
+        matrix = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        features = [schema.to_mapping(row) for row in matrix]
+    return np.array([model.score(row) for row in features], dtype=np.float64)
 
 
-def model_score_requests(
-    model, requests: Sequence[ClientRequest]
-) -> np.ndarray:
-    """Score requests through ``model``, batched when it supports it."""
-    batch = getattr(model, "score_requests", None)
-    if batch is not None:
-        return np.asarray(batch(requests), dtype=np.float64)
-    return np.array(
-        [model.score_request(request) for request in requests],
-        dtype=np.float64,
-    )
+def model_chain(model):
+    """Yield ``model`` and each wrapped model, outermost first.
+
+    The one traversal rule for model wrapper chains (``.base`` for
+    feedback wrappers, ``.inner`` for caches and subnet blending),
+    cycle-guarded, so chain inspections cannot drift apart.
+    """
+    node, seen = model, set()
+    while node is not None and id(node) not in seen:
+        seen.add(id(node))
+        yield node
+        node = getattr(node, "base", None) or getattr(node, "inner", None)
 
 
-class BaseReputationModel:
+class BatchModel:
+    """Scalar scoring derived once from the batch methods.
+
+    Models implement ``score_batch`` and ``score_requests``; mixing
+    this in makes ``score`` and ``score_request`` batches of one.
+    """
+
+    def score(self, features: Mapping[str, float]) -> float:
+        """Score one feature mapping, clamped to [0, 10]."""
+        return float(self.score_batch([features])[0])
+
+    def score_request(self, request: ClientRequest) -> float:
+        """Score one :class:`ClientRequest`."""
+        return float(self.score_requests([request])[0])
+
+
+class BaseReputationModel(BatchModel):
     """Template base class for reputation scorers.
 
-    Subclasses implement :meth:`_fit` (consume the corpus) and one of
-    :meth:`_score_vector` / :meth:`_score_matrix`; the base class
-    handles vectorisation, normalisation, the not-fitted guard, and
-    clamping to [0, 10] on both the scalar and the batch path.
+    Subclasses implement :meth:`_fit` (consume the corpus) and
+    :meth:`_score_matrix`; the base class handles vectorisation,
+    normalisation, the not-fitted guard, and clamping to [0, 10].
     """
 
     #: Overridden by subclasses with a short registry-friendly name.
@@ -115,31 +142,21 @@ class BaseReputationModel:
         self._fitted = True
         return self
 
-    def score(self, features: Mapping[str, float]) -> float:
-        """Score one feature mapping; result is clamped to [0, 10]."""
-        if not self._fitted:
-            raise ModelNotFittedError(
-                f"{type(self).__name__} must be fit() before scoring"
-            )
-        vector = self.schema.normalize(self.schema.vectorize(features))[0]
-        return clamp_score(self._score_vector(vector))
-
-    def score_request(self, request: ClientRequest) -> float:
-        """Score the features attached to a :class:`ClientRequest`."""
-        return self.score(request.features)
-
-    def score_batch(self, features: np.ndarray) -> np.ndarray:
-        """Scores for a raw ``(n, k)`` feature matrix, clamped to [0, 10].
+    def score_batch(self, features) -> np.ndarray:
+        """Scores for feature rows, clamped to [0, 10].
 
         ``features`` holds *unnormalised* feature rows in schema column
-        order (what :meth:`FeatureSchema.vectorize_batch` produces).
-        For the shipped models this is one vectorised pass — the hot
-        path of :meth:`AIPoWFramework.challenge_batch`.
+        order (what :meth:`FeatureSchema.vectorize_batch` produces), or
+        feature mappings, which are vectorised first.  For the shipped
+        models this is one vectorised pass — the hot path of
+        :meth:`AIPoWFramework.challenge_batch`.
         """
         if not self._fitted:
             raise ModelNotFittedError(
                 f"{type(self).__name__} must be fit() before scoring"
             )
+        if is_mapping_rows(features):
+            features = self.schema.vectorize_batch(features)
         matrix = self.schema.normalize(features)
         return np.clip(self._score_matrix(matrix), SCORE_LOW, SCORE_HIGH)
 
@@ -153,37 +170,14 @@ class BaseReputationModel:
             )
         )
 
-    def score_many(self, rows) -> np.ndarray:
-        """Vector of scores for an iterable of feature mappings."""
-        return self.score_batch(self.schema.vectorize_batch(rows))
-
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
     def _fit(self, corpus: ThreatIntelCorpus) -> None:
         raise NotImplementedError
 
-    def _score_vector(self, vector: np.ndarray) -> float:
-        """Score one *normalised* vector; default defers to the matrix hook.
-
-        Routing the scalar path through :meth:`_score_matrix` is what
-        guarantees bit-identical scores between ``score`` and
-        ``score_batch`` for models that implement the matrix hook.
-        """
-        if type(self)._score_matrix is BaseReputationModel._score_matrix:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement _score_vector "
-                "or _score_matrix"
-            )
-        return float(self._score_matrix(vector[np.newaxis, :])[0])
-
     def _score_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Score each row of a *normalised* matrix; default loops rows."""
-        if type(self)._score_vector is BaseReputationModel._score_vector:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement _score_vector "
-                "or _score_matrix"
-            )
-        return np.array(
-            [self._score_vector(row) for row in matrix], dtype=np.float64
+        """Score each row of a *normalised* matrix."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement _score_matrix"
         )

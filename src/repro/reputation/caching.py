@@ -24,19 +24,19 @@ state.  Hit/miss counters are process-local diagnostics, not state.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.interfaces import ReputationModel
+from repro.core.interfaces import ReputationModel, batch_scores
 from repro.core.records import ClientRequest
-from repro.reputation.base import model_score_batch, model_score_requests
+from repro.reputation.base import BatchModel, model_chain, model_score_batch
 from repro.state import AdmissionStateStore, InMemoryStateStore
 
 __all__ = ["CachedModel"]
 
 
-class CachedModel:
+class CachedModel(BatchModel):
     """TTL + LRU cache over an inner model's per-request scores.
 
     Parameters
@@ -86,14 +86,10 @@ class CachedModel:
         announces offset changes, keeping a cached feedback-adjusted
         score coherent with the behavioural signal beneath it.
         """
-        seen: set[int] = set()
-        node = inner
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
+        for node in model_chain(inner):
             subscribe = getattr(node, "subscribe_offset_changes", None)
             if callable(subscribe):
                 subscribe(self.invalidate)
-            node = getattr(node, "base", None) or getattr(node, "inner", None)
 
     @property
     def name(self) -> str:
@@ -107,57 +103,34 @@ class CachedModel:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def score(self, features: Mapping[str, float]) -> float:
-        """Feature-level scoring has no IP key: always delegates."""
-        return self.inner.score(features)
-
-    def score_request(self, request: ClientRequest) -> float:
-        """Cached per-IP score, recomputed when the entry ages out."""
-        now = request.timestamp
-        entry = self._cache.get(request.client_ip)
-        if entry is not None:
-            cached_at, score = entry
-            if now - cached_at <= self.ttl:
-                self._cache.move_to_end(request.client_ip)
-                self.hits += 1
-                return score
-            del self._cache[request.client_ip]
-
-        self.misses += 1
-        score = self.inner.score_request(request)
-        self._cache[request.client_ip] = [now, score]
-        self._cache.move_to_end(request.client_ip)
-        while len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
-        return score
-
-    def score_batch(self, features: np.ndarray) -> np.ndarray:
+    def score_batch(self, features) -> np.ndarray:
         """Feature-level scoring has no IP key: always delegates."""
         return model_score_batch(self.inner, features)
 
     def score_requests(
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
-        """Batch variant of :meth:`score_request` with one inner call.
+        """Cached per-IP scores, recomputed when an entry ages out.
 
         Walks the batch in arrival order resolving cache hits, then
         scores all misses through the inner model in a single batch and
-        replays the insert/evict updates in the same order the scalar
-        loop would have.  A repeated address later in the batch counts
-        as a hit on the score its first occurrence is about to compute
-        (matching the scalar loop, where the first occurrence has
-        already populated the cache), unless the gap between their
-        timestamps exceeds the TTL.
+        applies the insert/evict updates in arrival order.  A repeated
+        address later in the batch counts as a hit on the score its
+        first occurrence is about to compute (as if the first
+        occurrence had already populated the cache), unless the gap
+        between their timestamps exceeds the TTL.
 
         Hits are resolved against pre-batch cache state, which only
-        matches the scalar loop's interleaved inserts when no eviction
-        can fire mid-batch; when the batch could overflow
-        ``max_entries`` the method falls back to the scalar loop so the
-        two paths stay exactly equivalent under cache pressure too.
+        equals request-by-request admission when no eviction can fire
+        mid-batch; when the batch could overflow ``max_entries`` it is
+        scored as a loop of batches of one, so the result does not
+        depend on the batch size under cache pressure either.  A batch
+        of one writes its entry, then evicts the oldest down to the cap.
 
         State access is *read set -> decide -> write set*: two
         :meth:`~repro.state.AdmissionStateStore.execute` calls per
-        batch whatever its size, on every backend.
+        batch whatever its size, on every backend (plus one per
+        eviction).
         """
         # Read set: the table size and every address's entry, one
         # store call (one frame on a networked store).
@@ -166,10 +139,10 @@ class CachedModel:
             [*[(name, "get", request.client_ip) for request in requests],
              self._count]
         )
-        if found.pop() + len(requests) > self.max_entries:
-            return np.array(
-                [self.score_request(request) for request in requests],
-                dtype=np.float64,
+        crowded = found.pop() + len(requests) > self.max_entries
+        if crowded and len(requests) > 1:
+            return np.concatenate(
+                [self.score_requests([request]) for request in requests]
             )
         scores = np.empty(len(requests), dtype=np.float64)
         writes: list[tuple] = []
@@ -203,7 +176,7 @@ class CachedModel:
             miss_waiters.append(waiters)
             pending[ip] = (now, waiters)
         if miss_indices:
-            fresh = model_score_requests(
+            fresh = batch_scores(
                 self.inner, [requests[i] for i in miss_indices]
             )
             for i, waiters, value in zip(miss_indices, miss_waiters, fresh):
@@ -213,16 +186,17 @@ class CachedModel:
                 scores[i] = score
                 writes.append((name, "put", ip, [request.timestamp, score]))
                 if i in rescored:
-                    # Overwriting keeps the old slot; the scalar loop
-                    # moves a re-scored address to the back.
+                    # Overwriting keeps the old slot; a re-scored
+                    # address moves to the back like any fresh entry.
                     writes.append((name, "move_to_end", ip))
                 for j in waiters:
                     scores[j] = score
-        # Write set, in the order the scalar loop would have applied it.
+        # Write set, in arrival order; then evict the oldest down to the
+        # cap (a batch of one at capacity, or another writer's entries).
         if writes:
             writes.append(self._count)
             size = self.store.execute(writes)[-1]
-            while size > self.max_entries:  # another writer filled the table
+            while size > self.max_entries:
                 self._cache.popitem(last=False)
                 size -= 1
         return scores

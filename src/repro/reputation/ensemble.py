@@ -10,40 +10,40 @@ protocol, so the framework can consume an ensemble exactly like DAbR:
   benches to study how policy choice copes with AI-model error (the
   motivation for the paper's Policy 3).
 
-All wrappers also implement the batch scoring API (``score_batch`` for
-raw feature matrices, ``score_requests`` for request sequences) by
-batching through each member when it supports it and looping otherwise,
-so ensembles slot into :meth:`AIPoWFramework.challenge_batch` without
-losing the vectorised members' speed.
+Every wrapper implements only the batch scoring API (``score_batch``
+for raw feature matrices, ``score_requests`` for request sequences),
+batching through each member; :class:`~repro.reputation.base.BatchModel`
+derives the scalar ``score`` / ``score_request`` as a batch of one.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.interfaces import ReputationModel
+from repro.core.interfaces import ReputationModel, batch_scores
 from repro.core.records import ClientRequest
 from repro.reputation.base import (
     SCORE_HIGH,
     SCORE_LOW,
+    BatchModel,
     clamp_score,
     model_score_batch,
-    model_score_requests,
 )
 
 __all__ = ["AverageEnsemble", "MaxEnsemble", "NoisyModel", "ConstantModel"]
 
 
-def _batch_length(features: np.ndarray) -> int:
-    """Row count of a raw feature matrix (a lone vector counts as 1)."""
-    features = np.asarray(features)
-    return features.shape[0] if features.ndim > 1 else 1
+def _batch_length(features) -> int:
+    """Row count of feature rows (a lone raw vector counts as 1)."""
+    if isinstance(features, np.ndarray) and features.ndim < 2:
+        return 1
+    return len(features)
 
 
-class ConstantModel:
+class ConstantModel(BatchModel):
     """Scores every request the same — the "no AI" baseline.
 
     With score 0 and a linear policy this degenerates the framework to
@@ -58,12 +58,6 @@ class ConstantModel:
     def name(self) -> str:
         return f"constant({self.value:g})"
 
-    def score(self, features: Mapping[str, float]) -> float:
-        return self.value
-
-    def score_request(self, request: ClientRequest) -> float:
-        return self.value
-
     def score_batch(self, features: np.ndarray) -> np.ndarray:
         return np.full(_batch_length(features), self.value)
 
@@ -73,7 +67,7 @@ class ConstantModel:
         return np.full(len(requests), self.value)
 
 
-class AverageEnsemble:
+class AverageEnsemble(BatchModel):
     """Weighted-average ensemble over fitted reputation models."""
 
     def __init__(
@@ -99,16 +93,6 @@ class AverageEnsemble:
         inner = "+".join(m.name for m in self._members)
         return f"avg({inner})"
 
-    def score(self, features: Mapping[str, float]) -> float:
-        total = sum(
-            w * m.score(features)
-            for m, w in zip(self._members, self._weights)
-        )
-        return clamp_score(total / sum(self._weights))
-
-    def score_request(self, request: ClientRequest) -> float:
-        return self.score(request.features)
-
     def score_batch(self, features: np.ndarray) -> np.ndarray:
         total = sum(
             w * model_score_batch(m, features)
@@ -120,13 +104,13 @@ class AverageEnsemble:
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
         total = sum(
-            w * model_score_requests(m, requests)
+            w * batch_scores(m, requests)
             for m, w in zip(self._members, self._weights)
         )
         return np.clip(total / sum(self._weights), SCORE_LOW, SCORE_HIGH)
 
 
-class MaxEnsemble:
+class MaxEnsemble(BatchModel):
     """Fail-closed ensemble: the highest (worst) member score wins."""
 
     def __init__(self, members: Sequence[ReputationModel]) -> None:
@@ -139,12 +123,6 @@ class MaxEnsemble:
         inner = "+".join(m.name for m in self._members)
         return f"max({inner})"
 
-    def score(self, features: Mapping[str, float]) -> float:
-        return clamp_score(max(m.score(features) for m in self._members))
-
-    def score_request(self, request: ClientRequest) -> float:
-        return self.score(request.features)
-
     def score_batch(self, features: np.ndarray) -> np.ndarray:
         stacked = np.maximum.reduce(
             [model_score_batch(m, features) for m in self._members]
@@ -155,19 +133,18 @@ class MaxEnsemble:
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
         stacked = np.maximum.reduce(
-            [model_score_requests(m, requests) for m in self._members]
+            [batch_scores(m, requests) for m in self._members]
         )
         return np.clip(stacked, SCORE_LOW, SCORE_HIGH)
 
 
-class NoisyModel:
+class NoisyModel(BatchModel):
     """Wraps a model and perturbs its scores with uniform noise ±ε.
 
     Models the scoring error the DAbR paper reports; Policy 3's
     error-range mapping exists precisely to absorb this.  Noise is drawn
-    from the provided RNG so experiments stay reproducible; the batch
-    path draws one value per row in row order, consuming the RNG exactly
-    like the equivalent scalar loop.
+    from the provided RNG so experiments stay reproducible: one value
+    per row, in row order, whatever the batch size.
     """
 
     def __init__(
@@ -192,13 +169,6 @@ class NoisyModel:
             [uniform(-self.epsilon, self.epsilon) for _ in range(count)]
         )
 
-    def score(self, features: Mapping[str, float]) -> float:
-        noise = self._rng.uniform(-self.epsilon, self.epsilon)
-        return clamp_score(self._inner.score(features) + noise)
-
-    def score_request(self, request: ClientRequest) -> float:
-        return self.score(request.features)
-
     def score_batch(self, features: np.ndarray) -> np.ndarray:
         base = model_score_batch(self._inner, features)
         return np.clip(base + self._noise(len(base)), SCORE_LOW, SCORE_HIGH)
@@ -206,5 +176,5 @@ class NoisyModel:
     def score_requests(
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
-        base = model_score_requests(self._inner, requests)
+        base = batch_scores(self._inner, requests)
         return np.clip(base + self._noise(len(base)), SCORE_LOW, SCORE_HIGH)

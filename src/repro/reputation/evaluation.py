@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.interfaces import ReputationModel
+from repro.reputation.base import model_score_batch
 from repro.reputation.dataset import ThreatIntelCorpus
 
 __all__ = [
@@ -118,17 +119,13 @@ def evaluate_model(
 ) -> EvaluationReport:
     """Score every example in ``corpus`` and compute the full report.
 
-    Uses the model's vectorised ``score_batch`` when available (one pass
-    over the corpus feature matrix — identical scores to the scalar
-    loop) and falls back to scoring example-by-example otherwise.
+    One ``score_batch`` pass over the corpus feature matrix (a
+    scalar-only model is looped by
+    :func:`~repro.reputation.base.model_score_batch`).
     """
     if len(corpus) == 0:
         raise ValueError("cannot evaluate on an empty corpus")
-    batch = getattr(model, "score_batch", None)
-    if batch is not None:
-        scores = np.asarray(batch(corpus.feature_matrix()), dtype=np.float64)
-    else:
-        scores = np.array([model.score(e.features) for e in corpus])
+    scores = model_score_batch(model, corpus.feature_matrix())
     labels = corpus.labels()
     truth = corpus.true_scores()
 

@@ -34,13 +34,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.interfaces import ReputationModel
+from repro.core.interfaces import ReputationModel, batch_scores
 from repro.core.records import ClientRequest, ResponseStatus, ServedResponse
-from repro.reputation.base import clamp_score, model_score_requests
+from repro.reputation.base import BatchModel, clamp_score, model_score_batch
 from repro.state import AdmissionStateStore, InMemoryStateStore
 
 __all__ = ["FeedbackConfig", "FeedbackReputationModel"]
@@ -85,7 +85,7 @@ _OFFSET, _UPDATED_AT = 0, 1
 EVICTION_PAGE = 64
 
 
-class FeedbackReputationModel:
+class FeedbackReputationModel(BatchModel):
     """Per-IP behavioural offset on top of a base reputation model.
 
     Parameters
@@ -147,21 +147,18 @@ class FeedbackReputationModel:
     # ------------------------------------------------------------------
     # ReputationModel protocol
     # ------------------------------------------------------------------
-    def score(self, features: Mapping[str, float]) -> float:
-        """Base score only — feature-level scoring has no IP context."""
-        return self.base.score(features)
-
-    def score_request(self, request: ClientRequest) -> float:
-        """Base score plus the client's decayed behavioural offset."""
-        base = self.base.score_request(request)
-        offset = self.offset_for(request.client_ip, now=request.timestamp)
-        return clamp_score(base + offset)
+    def score_batch(self, features) -> np.ndarray:
+        """Base scores only — feature-level scoring has no IP context."""
+        return model_score_batch(self.base, features)
 
     def score_requests(
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
-        """Batch variant: base scores batched, offsets read in one call."""
-        base = model_score_requests(self.base, requests)
+        """Base score plus each client's decayed behavioural offset.
+
+        Base scores are batched and the offsets read in one store call.
+        """
+        base = batch_scores(self.base, requests)
         name = self._states.name
         states = self.store.execute(
             [(name, "get", request.client_ip) for request in requests]

@@ -14,20 +14,20 @@ while genuinely clean subnets are unaffected.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.interfaces import ReputationModel
+from repro.core.interfaces import ReputationModel, batch_scores
 from repro.core.records import ClientRequest
 from repro.metrics.stats import StreamingStats
-from repro.reputation.base import clamp_score, model_score_requests
+from repro.reputation.base import BatchModel, clamp_score, model_score_batch
 from repro.traffic.ipaddr import subnet_of
 
 __all__ = ["SubnetAggregateModel"]
 
 
-class SubnetAggregateModel:
+class SubnetAggregateModel(BatchModel):
     """Blends per-address scores with their subnet's running mean.
 
     Parameters
@@ -79,36 +79,21 @@ class SubnetAggregateModel:
             return None
         return stats.mean
 
-    def score(self, features: Mapping[str, float]) -> float:
+    def score_batch(self, features) -> np.ndarray:
         """Feature-level scoring has no address: delegates unchanged."""
-        return self.inner.score(features)
-
-    def score_request(self, request: ClientRequest) -> float:
-        base = self.inner.score_request(request)
-        subnet = subnet_of(request.client_ip, self.prefix)
-
-        aggregate = self.subnet_mean(request.client_ip)
-        score = base
-        if aggregate is not None:
-            score = max(base, self.blend * aggregate)
-
-        # Update the neighbourhood with this address's own evidence.
-        stats = self._aggregates.setdefault(subnet, StreamingStats())
-        stats.add(base)
-        self._seen_ips.setdefault(subnet, set()).add(request.client_ip)
-        return clamp_score(score)
+        return model_score_batch(self.inner, features)
 
     def score_requests(
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
-        """Batch variant: inner scores batched, aggregates updated in order.
+        """Inner scores batched, blended and folded in request order.
 
-        The neighbourhood statistics are folded in request order, so the
-        result is identical to looping :meth:`score_request` (a repeated
-        subnet later in the batch sees the evidence its earlier members
-        contributed).
+        Each request is scored as ``max(base, blend * subnet_mean)`` and
+        then adds its own base score to its subnet's aggregate, so a
+        repeated subnet later in the batch sees the evidence its earlier
+        members contributed — the result does not depend on batch size.
         """
-        base = model_score_requests(self.inner, requests)
+        base = batch_scores(self.inner, requests)
         scores = np.empty(len(base), dtype=np.float64)
         for i, (request, value) in enumerate(zip(requests, base)):
             value = float(value)

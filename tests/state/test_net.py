@@ -744,6 +744,17 @@ class TestFrameBudget:
         # One increment per frame written; batches count as "multi".
         assert counter.value(op="multi") == cold + warm
 
+    def test_scalar_challenge_is_a_batch_of_one(self, rig):
+        # ``challenge`` is ``challenge_batch([r])``: the same three-frame
+        # budget, cold and warm (was five cold as its own scalar path).
+        framework, frames, requests, _ = rig
+        unseen = requests(1_000.0)[0]
+        _, cold = frames(lambda: framework.challenge(unseen, now=1_000.0))
+        assert cold <= 3
+        cached = requests(1_001.0)[0]
+        _, warm = frames(lambda: framework.challenge(cached, now=1_001.0))
+        assert warm <= 3
+
     def test_every_redeem_outcome_is_two_frames(self, rig):
         import dataclasses
 

@@ -1,11 +1,13 @@
-"""Batch-vs-scalar parity for the admission pipeline.
+"""Batch-of-one vs batch-of-n parity for the admission pipeline.
 
-The batch API's contract is that it changes the cost model, never the
+Admission has one kernel: ``challenge`` is ``challenge_batch`` with
+n = 1, ``score`` / ``score_request`` are batches of one of
+``score_batch`` / ``score_requests``, and ``difficulty_for`` of
+``difficulty_batch``.  Batching changes the cost model, never the
 decisions: for every shipped model × policy combination (and for
-third-party subclasses riding the base-class fallbacks),
-``score_batch`` / ``score_requests``, ``difficulty_batch`` and
-``challenge_batch`` must reproduce the scalar path's scores,
-difficulties and outcomes exactly.
+third-party plugins adapted by ``batch_scores`` / ``batch_difficulties``)
+a loop of batches of one must reproduce one batch of n exactly —
+scores, difficulties, RNG draws and outcomes.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import pytest
 from repro.core.config import FrameworkConfig, PowConfig
 from repro.core.errors import PolicyDomainError
 from repro.core.framework import AIPoWFramework
+from repro.core.interfaces import batch_difficulties, batch_scores
 from repro.core.records import ClientRequest
-from repro.policies.base import BasePolicy
-from repro.policies.error_range import policy_3
+from repro.policies.composite import MaxOfPolicy, MinOfPolicy
+from repro.policies.error_range import ErrorRangePolicy, policy_3
 from repro.policies.exponential import ExponentialPolicy
 from repro.policies.fractional import FractionalLinearPolicy
 from repro.policies.linear import policy_1, policy_2
@@ -62,22 +65,10 @@ REQUESTS = [
 ]
 
 
-class ScalarOnlyModel(BaseReputationModel):
-    """Third-party-style subclass implementing only ``_score_vector``."""
+class ScalarOnlyModel:
+    """Third-party model with only the scalar methods: adapter-looped."""
 
-    model_name = "scalar-only"
-
-    def _fit(self, corpus) -> None:
-        self._mean = self.schema.normalize(corpus.feature_matrix()).mean()
-
-    def _score_vector(self, vector: np.ndarray) -> float:
-        return float(vector.sum()) % 10.0
-
-
-class ProtocolOnlyModel:
-    """Satisfies the ReputationModel protocol with no batch support."""
-
-    name = "protocol-only"
+    name = "scalar-only"
 
     def score(self, features) -> float:
         return float(sum(features.values())) % 10.0
@@ -86,22 +77,36 @@ class ProtocolOnlyModel:
         return self.score(request.features)
 
 
-class ScalarOnlyPolicy(BasePolicy):
-    """Third-party-style subclass implementing only ``_difficulty``."""
-
-    policy_name = "scalar-only"
-
-    def _difficulty(self, score: float, rng: random.Random) -> int:
-        return int(score) + 2
-
-
-class ProtocolOnlyPolicy:
-    """Satisfies the Policy protocol with no batch support."""
+class ProtocolOnlyModel:
+    """Third-party model with exactly the protocol's batch methods."""
 
     name = "protocol-only"
 
+    def score_batch(self, features) -> np.ndarray:
+        return np.asarray(features, dtype=np.float64).sum(axis=1) % 10.0
+
+    def score_requests(self, requests) -> np.ndarray:
+        return np.array(
+            [float(sum(r.features.values())) % 10.0 for r in requests]
+        )
+
+
+class ScalarOnlyPolicy:
+    """Third-party policy with only ``difficulty_for``: adapter-looped."""
+
+    name = "scalar-only"
+
     def difficulty_for(self, score: float, rng: random.Random) -> int:
-        return int(score // 2) + 1
+        return int(score) + 2 + rng.randint(0, 1)
+
+
+class ProtocolOnlyPolicy:
+    """Third-party policy with exactly the protocol's ``difficulty_batch``."""
+
+    name = "protocol-only"
+
+    def difficulty_batch(self, scores, rng: random.Random) -> np.ndarray:
+        return np.floor_divide(np.asarray(scores), 2).astype(np.int64) + 1
 
 
 MODEL_FACTORIES = {
@@ -115,7 +120,7 @@ MODEL_FACTORIES = {
     "cached": lambda: CachedModel(DABR, ttl=100.0),
     "feedback": lambda: FeedbackReputationModel(DABR),
     "subnet": lambda: SubnetAggregateModel(DABR),
-    "scalar-only": lambda: ScalarOnlyModel().fit(TRAIN),
+    "scalar-only": lambda: ScalarOnlyModel(),
     "protocol-only": lambda: ProtocolOnlyModel(),
 }
 
@@ -128,6 +133,7 @@ POLICY_FACTORIES = {
     "fixed": lambda: FixedPolicy(5),
     "exponential": lambda: ExponentialPolicy(),
     "fractional": lambda: FractionalLinearPolicy(),
+    "max-of-policy-3": lambda: MaxOfPolicy([policy_3(), policy_1()]),
     "scalar-only": ScalarOnlyPolicy,
     "protocol-only": ProtocolOnlyPolicy,
 }
@@ -136,7 +142,7 @@ POLICY_FACTORIES = {
 @pytest.mark.parametrize("model_name", sorted(MODEL_FACTORIES))
 @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
 def test_challenge_batch_matches_scalar_loop(model_name, policy_name):
-    """Batch and scalar paths agree on every decision field.
+    """A loop of ``challenge`` (batches of one) equals one batch of n.
 
     Stateful wrappers (cache, feedback, subnet, noisy RNG) and
     randomized policies get a fresh instance per path with identical
@@ -187,10 +193,13 @@ class TestScoreBatchParity:
             assert full.tolist() == halves.tolist()
 
     def test_scalar_only_subclass_uses_loop_fallback(self):
-        model = ScalarOnlyModel().fit(TRAIN)
-        batch = model.score_requests(REQUESTS)
+        """The one adapter loops a scalar-only model in request order."""
+        model = ScalarOnlyModel()
+        batch = batch_scores(model, REQUESTS)
         scalar = [model.score_request(r) for r in REQUESTS]
         assert batch.tolist() == scalar
+        ones = [batch_scores(ProtocolOnlyModel(), [r])[0] for r in REQUESTS]
+        assert batch_scores(ProtocolOnlyModel(), REQUESTS).tolist() == ones
 
     def test_unimplemented_hooks_raise(self):
         class Empty(BaseReputationModel):
@@ -206,19 +215,35 @@ class TestScoreBatchParity:
 
 class TestDifficultyBatch:
     def test_matches_scalar_for_every_builtin(self):
+        """Batches of one equal a batch of n for every policy, RNG too."""
         scores = np.linspace(0.0, 10.0, 41)
         for name, make_policy in POLICY_FACTORIES.items():
-            if name == "protocol-only":
-                continue
             batch_rng = random.Random(9)
             scalar_rng = random.Random(9)
-            policy = make_policy()
-            batch = policy.difficulty_batch(scores, batch_rng)
+            batch = batch_difficulties(make_policy(), scores, batch_rng)
             scalar = [
-                make_policy().difficulty_for(float(s), scalar_rng)
+                int(batch_difficulties(make_policy(), [s], scalar_rng)[0])
                 for s in scores
             ]
             assert batch.tolist() == scalar, name
+
+    @pytest.mark.parametrize(
+        "combinator, reduce", [(MaxOfPolicy, max), (MinOfPolicy, min)]
+    )
+    def test_max_min_draw_members_per_score(self, combinator, reduce):
+        """Randomized members draw interleaved, one score at a time."""
+        scores = np.linspace(0.0, 10.0, 41)
+        members = [policy_3(), ErrorRangePolicy(epsilon=1.5)]
+        got = combinator(members).difficulty_batch(scores, random.Random(5))
+        rng = random.Random(5)
+        expected = [
+            reduce(rng.randint(*m.interval(float(s))) for m in members)
+            for s in scores
+        ]
+        assert got.tolist() == expected
+        rng = random.Random(5)
+        ones = [combinator(members).difficulty_for(s, rng) for s in scores]
+        assert ones == expected
 
     def test_domain_violation_raises(self):
         with pytest.raises(PolicyDomainError):
@@ -310,8 +335,17 @@ class TestCachedModelBatch:
         assert model.hits == 8
         assert model.misses == 8
 
+    def test_batch_of_one_at_capacity_writes_then_evicts(self):
+        """n = 1 on a full cache inserts, then evicts the oldest entry."""
+        model = CachedModel(DABR, max_entries=3)
+        scores = [model.score_requests([r])[0] for r in REQUESTS[:5]]
+        assert scores == DABR.score_requests(REQUESTS[:5]).tolist()
+        assert list(model._cache) == [r.client_ip for r in REQUESTS[2:5]]
+        assert model.score_request(REQUESTS[4]) == scores[4]
+        assert (model.hits, model.misses) == (1, 5)
+
     def test_eviction_pressure_matches_scalar(self):
-        """Batches that could overflow the cache still match the loop."""
+        """Batches that could overflow the cache match batches of one."""
         scalar_model = CachedModel(DABR, max_entries=3)
         batch_model = CachedModel(DABR, max_entries=3)
         churn = REQUESTS[:6] + REQUESTS[:2] + REQUESTS[4:8]
