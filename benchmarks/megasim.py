@@ -1,12 +1,13 @@
-"""Experiment `megasim`: vectorized vs callback simulation throughput.
+"""The `megasim` gate: vectorized vs callback simulation throughput.
 
-The tentpole gate of the million-agent simulation core: the *identical*
+The gate of the million-agent simulation core: the *identical*
 100k-agent workload (steady benign Poisson traffic plus a pulsing
-botnet) is driven through the callback
-:class:`~repro.net.sim.simulation.Simulation` and through the
-vectorized :class:`~repro.net.sim.fastsim.FastSimulation`, and the
-experiment reports each engine's request and event throughput plus the
-speedup.
+botnet) is driven through the callback reference engine
+(:class:`tests.oracle.Simulation`) and through the shipped vectorized
+:class:`~repro.net.sim.fastsim.FastSimulation`, and the run reports
+each engine's request and event throughput plus the speedup.  It times
+test code, so it lives with the benchmarks rather than in the
+``repro export`` registry.
 
 Both engines make the *same admission decisions* — the DAbR scores and
 policy difficulties are pure functions of the per-agent features, so
@@ -33,11 +34,11 @@ from repro.core.framework import AIPoWFramework
 from repro.net.sim import patterns
 from repro.net.sim.agents import AgentPopulation
 from repro.net.sim.fastsim import FastSimulation
-from repro.net.sim.simulation import Simulation
 from repro.policies.linear import policy_2
 from repro.reputation.dabr import DAbRModel
 from repro.reputation.dataset import generate_corpus
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
+from tests.oracle import Simulation
 
 __all__ = ["MegasimConfig", "run_megasim_throughput", "build_workload"]
 

@@ -1,12 +1,12 @@
-"""Experiment `netsim`: lossy-link simulation throughput, both engines.
+"""The `netsim` gate: lossy-link simulation throughput, both engines.
 
-The link-substrate sibling of :mod:`repro.bench.megasim`: the same
+The link-substrate sibling of ``benchmarks/megasim.py``: the same
 shape of workload (steady benign Poisson traffic plus a pulsing
 botnet) is pushed through a lossy mobile access network — per-agent
 hashed RTTs, 2% request/solution loss, exponential-backoff retries —
-on both the callback :class:`~repro.net.sim.simulation.Simulation` and
-the vectorized :class:`~repro.net.sim.fastsim.FastSimulation`, and the
-experiment reports each engine's throughput plus the speedup.
+on both the callback reference engine (:class:`tests.oracle.Simulation`)
+and the shipped :class:`~repro.net.sim.fastsim.FastSimulation`, and
+the run reports each engine's throughput plus the speedup.
 
 The link profile is deliberately loss/RTT-only (no bandwidth cap):
 loss draws are hashed from request ids and retry schedules are exact
@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import time
 
-from repro.bench.megasim import (
+from benchmarks.megasim import (
     MegasimConfig,
     _decision_fingerprint,
     _fingerprints_agree,
@@ -36,8 +36,8 @@ from repro.bench.megasim import (
 from repro.bench.results import ExperimentResult
 from repro.net.sim.fastsim import FastSimulation
 from repro.net.sim.links import LinkSet, resolve_link_profile
-from repro.net.sim.simulation import Simulation
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
+from tests.oracle import Simulation
 
 __all__ = ["NetsimConfig", "run_netsim_throughput"]
 

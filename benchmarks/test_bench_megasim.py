@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.megasim import (
+from benchmarks.megasim import (
     MegasimConfig,
     build_workload,
     run_megasim_throughput,
 )
 from repro.core.framework import AIPoWFramework
 from repro.net.sim.fastsim import FastSimulation
-from repro.net.sim.simulation import Simulation
 from repro.policies.linear import policy_2
+from tests.oracle import Simulation
 
 MIN_SPEEDUP = 25.0
 

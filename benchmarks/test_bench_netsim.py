@@ -11,8 +11,8 @@ cost for the nightly regression check (BENCH_baseline.json).
 
 from __future__ import annotations
 
-from repro.bench.megasim import build_workload
-from repro.bench.netsim import NetsimConfig, run_netsim_throughput
+from benchmarks.megasim import build_workload
+from benchmarks.netsim import NetsimConfig, run_netsim_throughput
 from repro.core.framework import AIPoWFramework
 from repro.net.sim.fastsim import FastSimulation
 from repro.policies.linear import policy_2

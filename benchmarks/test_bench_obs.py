@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.bench.megasim import MegasimConfig, build_workload
+from benchmarks.megasim import MegasimConfig, build_workload
 from repro.core.framework import AIPoWFramework
 from repro.net.gateway.loadgen import LoadGenerator
 from repro.net.gateway.server import GatewayServer

@@ -1,18 +1,18 @@
-"""Simulator substrate benches: event throughput and full-run cost.
+"""Reference-engine benches: event throughput and full-run cost.
 
-Not a paper artifact — these keep the substrate honest (a slow
-simulator silently caps the experiment sizes everything else uses).
+Not a paper artifact — these track the callback reference engine
+(``tests/oracle``), the denominator of the ``megasim`` / ``netsim``
+speedup gates; a drifting oracle cost would silently move both ratios.
 """
 
 from __future__ import annotations
 
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.engine import EventEngine
-from repro.net.sim.simulation import Simulation
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.profiles import BENIGN_PROFILE
+from tests.oracle import EventEngine, Simulation
 
 
 def test_engine_event_throughput(benchmark):

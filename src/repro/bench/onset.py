@@ -20,7 +20,7 @@ from repro.attacks.botnet import BotnetAttacker
 from repro.bench.results import ExperimentResult
 from repro.core.framework import AIPoWFramework
 from repro.metrics.timeseries import TimelineCollector
-from repro.net.sim.simulation import ServerModel, Simulation
+from repro.net.sim.fastsim import FastSimulation, ServerModel
 from repro.policies.adaptive import LoadAdaptivePolicy
 from repro.policies.linear import policy_2
 from repro.reputation.dabr import DAbRModel
@@ -95,9 +95,16 @@ def _run_one(config: OnsetConfig, adaptive: bool) -> TimelineCollector:
     if adaptive:
         policy = LoadAdaptivePolicy(policy, max_surcharge=4, smoothing=0.2)
     framework = AIPoWFramework(DAbRModel().fit(train), policy)
-    timeline = TimelineCollector(window=config.window)
+    trace = _build_trace(config)
+    profiles = {entry.request.client_ip: entry.profile for entry in trace}
+    # Every terminal response lands on the framework's bus at its
+    # completion time; the timeline buckets them per profile.
+    timeline = TimelineCollector(window=config.window).attach(
+        framework.events,
+        lambda response: profiles[response.decision.request.client_ip],
+    )
     attacker = BotnetAttacker()
-    simulation = Simulation(
+    simulation = FastSimulation(
         framework,
         seed=config.seed,
         solve_deciders={MALICIOUS_PROFILE.name: attacker.should_solve},
@@ -105,10 +112,9 @@ def _run_one(config: OnsetConfig, adaptive: bool) -> TimelineCollector:
             BENIGN_PROFILE.name: BENIGN_PROFILE.patience,
             MALICIOUS_PROFILE.name: MALICIOUS_PROFILE.patience,
         },
-        timeline=timeline,
         server_model=ServerModel(resource_cost=0.004),
     )
-    simulation.run(_build_trace(config), until=config.duration * 2)
+    simulation.run(trace, until=config.duration * 2)
     return timeline
 
 

@@ -82,18 +82,6 @@ def _netstore_throughput_result() -> ExperimentResult:
     return run_netstore_throughput()
 
 
-def _megasim_result() -> ExperimentResult:
-    from repro.bench.megasim import run_megasim_throughput
-
-    return run_megasim_throughput()
-
-
-def _netsim_result() -> ExperimentResult:
-    from repro.bench.netsim import run_netsim_throughput
-
-    return run_netsim_throughput()
-
-
 def _kernels_result() -> ExperimentResult:
     from repro.bench.kernels import run_kernel_microbench
 
@@ -106,8 +94,6 @@ EXPERIMENTS["thr-batch"] = _batch_throughput_result
 EXPERIMENTS["thr-shard"] = _shard_throughput_result
 EXPERIMENTS["thr-replay"] = _replay_throughput_result
 EXPERIMENTS["thr-netshard"] = _netstore_throughput_result
-EXPERIMENTS["megasim"] = _megasim_result
-EXPERIMENTS["netsim"] = _netsim_result
 EXPERIMENTS["kernels"] = _kernels_result
 
 

@@ -34,7 +34,7 @@ from repro.attacks import make_attacker
 from repro.bench.results import ExperimentResult
 from repro.core.errors import ConfigError
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.simulation import Simulation
+from repro.net.sim.fastsim import FastSimulation
 from repro.policies.dsl import build_policy
 from repro.reputation.dabr import DAbRModel
 from repro.reputation.dataset import generate_corpus
@@ -161,7 +161,7 @@ def run_scenario(scenario: Scenario) -> ExperimentResult:
     trace, _ = generator.mixed_trace(
         scenario.populations, duration=scenario.duration
     )
-    simulation = Simulation(
+    simulation = FastSimulation(
         scenario.framework,
         seed=scenario.seed ^ 0x5CE4,
         pow_enabled=scenario.pow_enabled,

@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="sample request spans during the run and dump them to "
-             "FILE (callback campaigns only; render with `repro trace`)",
+             "FILE (campaigns without scale only; render with "
+             "`repro trace`)",
     )
     campaign.add_argument(
         "--trace-every", type=int, default=1, metavar="N",
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "experiment", metavar="EXPERIMENT-ID",
-        help="registered experiment id (fig2, thr-batch, megasim, ...)",
+        help="registered experiment id (fig2, thr-batch, kernels, ...)",
     )
     profile.add_argument(
         "--top", type=int, default=20,

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 
+from typing import Callable
+
+from repro.core.events import EventBus, EventKind, FrameworkEvent
 from repro.core.records import ServedResponse
 
 __all__ = ["TimeSeries", "TimelineCollector"]
@@ -83,10 +86,9 @@ class TimeSeries:
 class TimelineCollector:
     """Per-class latency and goodput timelines from responses.
 
-    Observe responses (directly or via
-    :meth:`~repro.metrics.collector.MetricsCollector`-style wiring) and
-    read back, per class: request rate, served rate, and mean served
-    latency per window.
+    Observe responses (directly, or off an event bus with
+    :meth:`attach`) and read back, per class: request rate, served
+    rate, and mean served latency per window.
     """
 
     def __init__(self, window: float = 1.0) -> None:
@@ -94,6 +96,23 @@ class TimelineCollector:
         self._latency: dict[str, TimeSeries] = {}
         self._served: dict[str, TimeSeries] = {}
         self._requests: dict[str, TimeSeries] = {}
+        self._classifier: Callable[[ServedResponse], str] | None = None
+
+    def attach(
+        self, bus: EventBus, classifier: Callable[[ServedResponse], str]
+    ) -> "TimelineCollector":
+        """Observe every RESPONSE_SERVED on ``bus``; returns self.
+
+        ``classifier`` maps a response to its class; the event's
+        timestamp is the completion time.
+        """
+        self._classifier = classifier
+        bus.subscribe(self._on_event, kinds=[EventKind.RESPONSE_SERVED])
+        return self
+
+    def _on_event(self, event: FrameworkEvent) -> None:
+        response = event.payload["response"]
+        self.observe(self._classifier(response), response, at=event.timestamp)
 
     def observe(self, cls: str, response: ServedResponse, at: float) -> None:
         """Fold one terminal response (completed at time ``at``)."""

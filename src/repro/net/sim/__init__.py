@@ -1,10 +1,13 @@
 """Discrete-event simulation of the framework's network environment.
 
-The engine is chosen by class.  :class:`Simulation` (open-loop traces)
-and :class:`ClosedLoopSimulation` (sessions) are the callback reference
-engines over :class:`EventEngine`; :class:`FastSimulation` is the same
-model over struct-of-arrays cohorts, takes the same constructor
-arguments, and its ``run`` / ``run_sessions`` are drop-ins for theirs.
+One engine: :class:`FastSimulation` replays open-loop traces
+(:meth:`~FastSimulation.run`), drives struct-of-arrays fire schedules
+over an :class:`AgentPopulation` (:meth:`~FastSimulation.run_fires`)
+and runs closed-loop :class:`SessionSpec` sessions
+(:meth:`~FastSimulation.run_sessions`), over a
+:class:`CalendarQueue` of same-instant cohorts.  Runs report a
+:class:`SimulationReport` or :class:`ClosedLoopReport`; the server's
+FIFO costs are a :class:`ServerModel`.
 """
 
 from repro.net.sim.agents import AgentPopulation
@@ -15,19 +18,17 @@ from repro.net.sim.channel import (
     LognormalChannel,
     UniformJitterChannel,
 )
-from repro.net.sim.closedloop import (
+from repro.net.sim.fastsim import (
     ClosedLoopReport,
-    ClosedLoopSimulation,
+    FastFeedback,
+    FastSimulation,
+    ServerModel,
     SessionSpec,
+    SimulationReport,
 )
-from repro.net.sim.engine import EventEngine, ScheduledEvent
-from repro.net.sim.fastsim import FastFeedback, FastSimulation
-from repro.net.sim.simulation import ServerModel, Simulation, SimulationReport
 from repro.net.sim.solvetime import SolveSample, SolveTimeModel
 
 __all__ = [
-    "EventEngine",
-    "ScheduledEvent",
     "CalendarQueue",
     "Channel",
     "FixedDelayChannel",
@@ -38,10 +39,8 @@ __all__ = [
     "AgentPopulation",
     "FastFeedback",
     "FastSimulation",
-    "Simulation",
     "SimulationReport",
     "ServerModel",
-    "ClosedLoopSimulation",
     "ClosedLoopReport",
     "SessionSpec",
 ]

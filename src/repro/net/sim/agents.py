@@ -11,7 +11,8 @@ Agents carry no Python identity on the hot path; IP strings are
 materialised lazily (:meth:`ip_strings`) only when something needs
 interop with the object world — recording a trace, or building a
 :class:`~repro.traffic.trace.Trace` so the callback reference engine
-can run the identical workload (:meth:`to_trace`).
+the tests keep (``tests/oracle``) can run the identical workload
+(:meth:`to_trace`).
 """
 
 from __future__ import annotations
@@ -215,8 +216,10 @@ class AgentPopulation:
         """Materialise a fire schedule as an object-world ``Trace``.
 
         One :class:`~repro.traffic.trace.TraceEntry` per fire, with the
-        agent's fixed feature mapping — how the megasim bench hands the
-        *identical* workload to the callback reference engine.  Cost is
+        agent's fixed feature mapping — how the ``megasim`` benchmark
+        hands the *identical* workload to the callback reference engine
+        (``tests/oracle``), or :meth:`FastSimulation.run
+        <repro.net.sim.fastsim.FastSimulation.run>`.  Cost is
         linear in fires; intended for parity runs, not the hot path.
         """
         from repro.core.records import ClientRequest

@@ -1,17 +1,16 @@
 """Bucketed calendar-queue scheduler for cohort-based simulation.
 
-The callback :class:`~repro.net.sim.engine.EventEngine` orders events in
-a binary heap and dispatches them one Python callback at a time — ideal
-for correctness, hopeless for a million agents.  A *calendar queue*
-(Brown, CACM 1988) instead hashes events into time buckets; the
-vectorized simulator exploits the structure by dequeuing a whole bucket
-— a *cohort* of same-instant events — in one operation and processing
-it with array code.
+A binary heap of one callback per event (the test suite's reference
+engine, ``tests/oracle``) is ideal for correctness and hopeless for a
+million agents.  A *calendar queue* (Brown, CACM 1988) instead hashes
+events into time buckets; the simulator exploits the structure by
+dequeuing a whole bucket — a *cohort* of same-instant events — in one
+operation and processing it with array code.
 
-:class:`CalendarQueue` keeps the exact ordering contract of the heap
-engine: cohorts pop in strictly increasing time order, and items within
-a cohort keep FIFO (insertion) order, which is precisely the heap's
-``(time, seq)`` order flattened.  A property test
+:class:`CalendarQueue` keeps the exact ordering contract of a heap
+scheduler: cohorts pop in strictly increasing time order, and items
+within a cohort keep FIFO (insertion) order, which is precisely a
+heap's ``(time, seq)`` order flattened.  A property test
 (``tests/net/test_calendar.py``) checks this equivalence against
 ``heapq`` on random schedules.
 
@@ -45,8 +44,8 @@ class CalendarQueue:
         tick quantizes times up onto the ``tick`` grid so events within
         one grid step share a cohort.
     start:
-        Scheduling before ``start`` raises — mirroring the engine's
-        no-past-events rule.
+        Scheduling before ``start`` raises: an event before its cause
+        would silently corrupt results.
     """
 
     def __init__(self, tick: float | None = None, start: float = 0.0) -> None:

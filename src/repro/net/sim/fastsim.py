@@ -1,9 +1,24 @@
-"""Vectorized simulation core: SoA agent state, cohort event dispatch.
+"""The simulation engine: SoA agent state, cohort event dispatch.
 
-The callback engine (:mod:`repro.net.sim.engine`) pays a Python
-closure, a heap operation and a per-event dispatch for every request —
-which caps campaign scale at thousands of agents.  This module is the
-same network/server/solve model re-expressed over arrays:
+Every experiment runs here.  The model is the paper's client-server
+environment (DESIGN.md §2):
+
+* **network** — each leg of the request/challenge/solution/response
+  exchange crosses a :class:`~repro.net.sim.channel.Channel`, plus an
+  optional per-agent access link (:class:`~repro.net.sim.links.LinkSet`);
+* **server** — one FIFO queue with distinct costs for issuing a
+  challenge, verifying a solution and serving the resource
+  (:class:`ServerModel`); issuing and verifying are cheap, serving is
+  the expensive step PoW protects;
+* **client CPU** — per-address serialisation: a client grinding one
+  puzzle cannot grind another, which is how PoW throttles flooding
+  sources; clients abandon puzzles past their patience, and per-profile
+  *solve deciders* let attack models refuse puzzles outright;
+* **solving** — vectorised geometric attempt sampling (the numpy
+  counterpart of :func:`repro.pow.solver.sample_attempts`).
+
+It is expressed over arrays rather than one Python callback per
+event:
 
 * **state** is struct-of-arrays (:class:`~repro.net.sim.agents.AgentPopulation`
   plus per-run vectors: per-address CPU-free times, per-fire solve
@@ -13,15 +28,16 @@ same network/server/solve model re-expressed over arrays:
   same-timestep *cohorts* instead of single events;
 * **admission** drives each cohort through the framework's batch
   pipeline — :meth:`~repro.core.framework.AIPoWFramework.challenge_batch`
-  when anything (a recorder) listens on the event bus, or the
-  object-free :meth:`~repro.core.framework.AIPoWFramework.difficulties_for_scores`
-  array kernel when nothing does (models whose scores react to
-  response outcomes — behavioural feedback — are rejected loudly:
-  this engine emits no per-response events, so their state would
-  silently freeze; use the callback engine, or :class:`FastFeedback`
-  in agent-driven runs);
-* **solving** is vectorised geometric sampling (the numpy counterpart
-  of :func:`repro.pow.solver.sample_attempts`).
+  when anything (a recorder, a tracer, a timeline) listens on the
+  event bus, or the object-free
+  :meth:`~repro.core.framework.AIPoWFramework.difficulties_for_scores`
+  array kernel when nothing does.  Under framework admission, a
+  ``RESPONSE_SERVED`` subscriber also gets every terminal outcome,
+  settled through :meth:`~repro.core.framework.AIPoWFramework.deny` /
+  :meth:`~repro.core.framework.AIPoWFramework.settle` at its
+  completion time.  Models whose scores react to response outcomes
+  (behavioural feedback) are rejected loudly: feedback at scale is
+  :class:`FastFeedback` in agent-driven runs.
 
 No per-request Python closure exists on the hot path: one cohort loop
 (:meth:`FastSimulation.step`) dispatches every event kind through a
@@ -29,33 +45,27 @@ handler table over one run-state struct (DESIGN.md §1.5).
 
 Fidelity contract
 -----------------
-The simulated *model* is the one documented in
-:mod:`repro.net.sim.simulation`: FIFO server with distinct
-challenge/verify/resource costs, per-address CPU serialisation,
-patience-bounded solving, TTL expiry.  Admission **decision streams**
-(request order, scores, difficulties — everything
+A callback reference engine — one closure per event over a binary heap
+— lives in the test suite (``tests/oracle``).  Admission **decision
+streams** (request order, scores, difficulties — everything
 :meth:`~repro.core.records.DecisionRecord.canonical` compares) are
-bit-identical to the callback engine on the same workload; the parity
-matrix in ``tests/replay/test_fastsim_parity.py`` gates this on every
+bit-identical to it on the same workload; the parity matrix in
+``tests/replay/test_fastsim_parity.py`` gates this on every
 golden-trace scenario.  *Timing* randomness (channel jitter, solve
 draws) comes from a numpy generator rather than ``random.Random``, so
 latency samples are deterministic per seed but drawn in a different
-stream than the callback engine — metrics agree statistically, not bit
-for bit.  One corollary: a load-adaptive policy's decisions are a
-function of queue timing, so under solving traffic they inherit the
-timing stream's seed-sensitivity (two callback runs with different
-seeds diverge the same way); the engines still interleave load
-observations with decisions identically, which the parity suite pins
-down with deterministic-timing workloads.  The callback engine remains
-the reference implementation and
-still owns the odd TTL/timeout edge (it emits per-response bus events,
-which behavioural feedback and timeline collectors consume).
+stream than the oracle's — metrics agree statistically, not bit for
+bit.  One corollary: a load-adaptive policy's decisions are a function
+of queue timing, so under solving traffic they inherit the timing
+stream's seed-sensitivity (two runs with different seeds diverge the
+same way); the engines still interleave load observations with
+decisions identically, which the parity suite pins down with
+deterministic-timing workloads.
 
 With ``tick`` set, event times are quantized up onto a grid, merging
 near-simultaneous events into large cohorts — the knob the
 million-agent scenarios use.  ``tick=None`` keeps exact times (cohorts
-form only at genuinely equal instants, exactly like the callback
-engine's same-timestep arrival batching).
+form only at genuinely equal instants).
 """
 
 from __future__ import annotations
@@ -67,25 +77,127 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.events import EventKind
 from repro.core.framework import AIPoWFramework
 from repro.core.interfaces import batch_scores
-from repro.core.records import ResponseStatus
+from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
 from repro.net.sim import kernels
 from repro.net.sim.agents import AgentPopulation
 from repro.net.sim.calendar import CalendarQueue
 from repro.net.sim.channel import Channel, FixedDelayChannel
-from repro.net.sim.links import LinkSet
-from repro.net.sim.simulation import ServerModel, SimulationReport
+from repro.net.sim.links import LinkSet, LinkStats
 from repro.policies.adaptive import LoadAdaptivePolicy
 from repro.reputation.base import model_chain
+from repro.traffic.generator import SimClientSpec
 
 __all__ = [
     "FastSimulation",
     "FastFeedback",
+    "ServerModel",
+    "SimulationReport",
+    "SessionSpec",
+    "ClosedLoopReport",
     "sample_attempts_array",
     "collector_from_buffers",
 ]
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ServerModel:
+    """Server-side work costs, in seconds of FIFO service time.
+
+    ``challenge_cost`` covers scoring, policy lookup and puzzle
+    generation; ``verify_cost`` the lightweight solution check;
+    ``resource_cost`` the actual work of serving the requested resource
+    — the expensive step a DDoS tries to trigger en masse.
+    """
+
+    challenge_cost: float = 0.0002
+    verify_cost: float = 0.0001
+    resource_cost: float = 0.002
+
+    def __post_init__(self) -> None:
+        for field in ("challenge_cost", "verify_cost", "resource_cost"):
+            if getattr(self, field) < 0:
+                raise ValueError(f"{field} must be >= 0")
+
+
+@dataclasses.dataclass
+class SimulationReport:
+    """Outcome of one open-loop run.
+
+    ``link_stats`` carries the network-layer outcome counters of a
+    link-enabled run (:class:`~repro.net.sim.links.LinkStats`) and is
+    ``None`` on ideal-network runs.  Requests the network swallowed
+    before admission appear only there — they never reach the metrics.
+    """
+
+    metrics: MetricsCollector
+    duration: float
+    requests: int
+    events_processed: int
+    link_stats: LinkStats | None = None
+
+    @property
+    def served(self) -> int:
+        return self.metrics.overall.served
+
+    @property
+    def goodput(self) -> float:
+        """Served responses per second of simulated time."""
+        return self.served / self.duration if self.duration > 0 else 0.0
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class SessionSpec:
+    """One closed-loop client session.
+
+    Open-loop traces arrive on a fixed schedule whatever the server
+    does; a session waits for each response, thinks, then asks again,
+    so PoW-induced latency *reduces its own offered load*.
+
+    Parameters
+    ----------
+    client:
+        The concrete client (address, features, profile).
+    exchanges:
+        Number of request/response cycles the session attempts.
+    think_time:
+        Mean seconds between receiving a response and the next request
+        (exponentially distributed).
+    start:
+        Session start time.
+    """
+
+    client: SimClientSpec
+    exchanges: int = 10
+    think_time: float = 1.0
+    start: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.exchanges < 1:
+            raise ValueError(f"exchanges must be >= 1, got {self.exchanges}")
+        if self.think_time < 0:
+            raise ValueError(f"think_time must be >= 0, got {self.think_time}")
+        if self.start < 0:
+            raise ValueError(f"start must be >= 0, got {self.start}")
+
+
+@dataclasses.dataclass
+class ClosedLoopReport:
+    """Outcome of a closed-loop run."""
+
+    metrics: MetricsCollector
+    duration: float
+    sessions: int
+    completed_exchanges: int
+
+    @property
+    def throughput(self) -> float:
+        """Served exchanges per second of simulated time."""
+        served = self.metrics.overall.served
+        return served / self.duration if self.duration > 0 else 0.0
 
 _STATUS_CODES = tuple(ResponseStatus)
 _SERVED = _STATUS_CODES.index(ResponseStatus.SERVED)
@@ -212,10 +324,9 @@ class FastFeedback:
     monotone and within-cohort decay is zero.
 
     The modeled simulator never produces REJECTED/REPLAYED verdicts
-    (sampled solutions always verify), so — as with the callback
-    engine — only the *reward* direction moves: this is exactly the
-    surface a feedback-poisoning adversary farms, and what the
-    ``poison-ramp`` scenario measures.
+    (sampled solutions always verify), so only the *reward* direction
+    moves: this is exactly the surface a feedback-poisoning adversary
+    farms, and what the ``poison-ramp`` scenario measures.
     """
 
     def __init__(self, n_agents: int, config=None) -> None:
@@ -285,6 +396,9 @@ class _RunState:
     cpu_free: np.ndarray | None = None
     feedback: "FastFeedback | None" = None
     link_qids: np.ndarray | None = None
+    #: Each row's challenge in flight, kept only when terminal outcomes
+    #: are settled on the framework's bus (see :meth:`FastSimulation._settle`).
+    challenges: list | None = None
     # Closed loop only.
     think: np.ndarray | None = None
     remaining: np.ndarray | None = None
@@ -296,13 +410,11 @@ class FastSimulation:
 
     Drives three workload shapes through one engine:
 
-    * :meth:`run` — an open-loop :class:`~repro.traffic.trace.Trace`,
-      API-compatible with :meth:`Simulation.run`;
+    * :meth:`run` — an open-loop :class:`~repro.traffic.trace.Trace`;
     * :meth:`run_fires` — a SoA fire schedule over an
       :class:`AgentPopulation` (the million-agent path: no request
       objects anywhere);
-    * :meth:`run_sessions` — closed-loop sessions, API-compatible with
-      :meth:`ClosedLoopSimulation.run`.
+    * :meth:`run_sessions` — closed-loop :class:`SessionSpec` sessions.
 
     All three build one :class:`_RunState` (``self._open``) and drain
     the calendar queue through the one cohort loop, :meth:`step`, which
@@ -313,12 +425,23 @@ class FastSimulation:
     :meth:`_terminal` (record one terminal-outcome cohort) and
     :meth:`_cross` (one uplink crossing per transmission queue).
 
-    Parameters mirror :class:`~repro.net.sim.simulation.Simulation`;
-    the additions are ``tick`` (cohort quantization grid, ``None`` for
+    ``framework`` is the configured server pipeline (its
+    :attr:`~repro.core.config.FrameworkConfig.timing` sets the default
+    hash rate and channel delay); ``channel`` the one-way delay model;
+    ``server_model`` the FIFO costs; ``seed`` seeds every draw the run
+    makes; ``pow_enabled=False`` serves every request directly (the
+    no-defence baseline); ``solve_deciders`` / ``hash_rates`` /
+    ``patiences`` are per-profile overrides (a decider returning False
+    refuses the puzzle, counted ABANDONED; patience defaults to 30 s);
+    ``load_reference`` is the backlog in seconds that counts as load
+    1.0 for a :class:`~repro.policies.adaptive.LoadAdaptivePolicy`;
+    ``recorder`` a :class:`~repro.replay.TraceRecorder` attached to the
+    framework's bus; ``links`` per-population access links.  The
+    engine knobs are ``tick`` (cohort quantization grid, ``None`` for
     exact times), ``admission`` (``"auto"``/``"framework"``/
     ``"array"`` — auto picks the object-free array kernel whenever
-    nothing subscribes to admission events and the model's scores are
-    time-invariant) and ``phase_timer`` (an optional
+    nothing subscribes to admission or response events) and
+    ``phase_timer`` (an optional
     :class:`~repro.obs.registry.PhaseTimer` accumulating wall time,
     cohort counts and item counts per event kind — ``arrive``,
     ``xmit``, ``xmitsol``, ``solve``, plus the nested ``fifo``
@@ -416,7 +539,7 @@ class FastSimulation:
         self.link_stats = (
             self._link_session.stats if self._link_session else None
         )
-        #: Mirrors of the callback simulators' batching telemetry.
+        #: Batching telemetry: admission cohorts and the largest one.
         self.arrival_batches = 0
         self.largest_arrival_batch = 0
         self.events_processed = 0
@@ -438,20 +561,19 @@ class FastSimulation:
 
     def _admission_mode(self) -> str:
         # Stateful scorers (behavioural feedback) learn each outcome
-        # the framework settles, and this engine records outcomes in
-        # arrays without settling them — their offsets would silently
-        # freeze mid-run regardless of admission mode, so reject loudly.
+        # the framework settles, and this engine folds outcomes into
+        # arrays — scoring every request at admission, before any
+        # earlier outcome could move it — so reject loudly.
         if self._stateful_scoring():
             raise ValueError(
                 "the model's scores react to response outcomes, which "
-                "the vectorized engine does not emit; use the callback "
-                "engine, or model feedback with FastFeedback in an "
-                "agent-driven run"
+                "this engine does not feed back into scoring; model "
+                "feedback at scale with ScaleSpec.feedback / "
+                "FastFeedback in an agent-driven run (framework-side "
+                "feedback at scale is ROADMAP item 7(b))"
             )
         if self._admission_request != "auto":
             return self._admission_request
-        from repro.core.events import EventKind
-
         events = self.framework.events
         listened = any(
             events.has_subscribers(kind)
@@ -460,9 +582,23 @@ class FastSimulation:
                 EventKind.SCORED,
                 EventKind.POLICY_APPLIED,
                 EventKind.PUZZLE_ISSUED,
+                EventKind.RESPONSE_SERVED,
             )
         )
         return "framework" if listened else "array"
+
+    def _settled(self, requests_of, rows: int) -> list | None:
+        """Per-row challenge slots when terminal outcomes go on the bus.
+
+        Only framework admission (``requests_of`` set) has challenges
+        to settle, and only a ``RESPONSE_SERVED`` subscriber would see
+        them.
+        """
+        if requests_of is not None and self.framework.events.has_subscribers(
+            EventKind.RESPONSE_SERVED
+        ):
+            return [None] * rows
+        return None
 
     def _stateful_scoring(self) -> bool:
         """True when any model in the wrapper chain drifts mid-run.
@@ -515,13 +651,12 @@ class FastSimulation:
     def _fifo(self, at: float, costs: np.ndarray | float, count: int) -> np.ndarray:
         """FIFO completion times for ``count`` arrivals at ``at``.
 
-        Vectorised form of the callback engines' ``_server_complete``
-        recurrence: every item starts at ``max(arrival, busy)`` and the
-        backlog only ever grows within a same-instant cohort.  In
-        open-loop runs it feeds the backlog signal to a load-adaptive
-        policy exactly once per request, like ``Simulation``'s scalar
-        path (the callback closed-loop server model has no load
-        signal, so closed-loop runs skip it there too).
+        Vectorised form of the scalar FIFO recurrence: every item
+        starts at ``max(arrival, busy)`` and the backlog only ever
+        grows within a same-instant cohort.  In open-loop runs it
+        feeds the backlog signal to a load-adaptive policy exactly
+        once per request (the closed-loop server model has no load
+        signal, so closed-loop runs skip it).
 
         Computed as one running sum seeded with the cohort's start
         time — the same left-associated additions the scalar
@@ -638,6 +773,9 @@ class FastSimulation:
             difficulties = np.array(
                 [c.decision.difficulty for c in challenges], dtype=np.float64
             )
+            if st.challenges is not None:
+                for i, challenge in zip(idx.tolist(), challenges):
+                    st.challenges[i] = challenge
         if self.decisions is not None:
             self.decisions.append(
                 (when, idx.copy(), scores.copy(), difficulties.copy())
@@ -659,7 +797,8 @@ class FastSimulation:
         Terminals past the run's ``until`` are dropped (their events
         would not fire), the clock advances to the latest one kept, and
         the cohort lands in the outcome buffers with latency ``finish -
-        ts[idx]``.  ``redeemed_at`` is set by the solution handler
+        ts[idx]`` (and on the framework's bus, when the run settles
+        outcomes).  ``redeemed_at`` is set by the solution handler
         only: behavioural feedback rewards served *exchanges*, observed
         at the instant the solutions were redeemed.
         """
@@ -683,11 +822,55 @@ class FastSimulation:
             difficulties,
             attempts,
         )
+        if st.challenges is not None:
+            self._settle(idx, finish, status, attempts)
         if redeemed_at is not None and st.feedback is not None:
             st.feedback.observe_served(
                 st.agent_ids[idx][status == _SERVED], redeemed_at
             )
         return idx, finish
+
+    def _settle(
+        self,
+        idx: np.ndarray,
+        finish: np.ndarray,
+        status: ResponseStatus | np.ndarray,
+        attempts: np.ndarray,
+    ) -> None:
+        """Announce one terminal cohort through the framework, per request.
+
+        A served exchange goes through
+        :meth:`~repro.core.framework.AIPoWFramework.settle`, anything
+        else through :meth:`~repro.core.framework.AIPoWFramework.deny`,
+        each stamped with its completion time — what a tracer closes
+        its spans on and a timeline buckets by.  Cohorts settle as the
+        engine computes them, so announcements are not in completion
+        order.
+        """
+        framework = self.framework
+        challenges = self._open.challenges
+        if isinstance(status, ResponseStatus):
+            statuses = [status] * int(idx.size)
+        else:
+            statuses = [_STATUS_CODES[code] for code in status.tolist()]
+        for i, at, outcome, tries in zip(
+            idx.tolist(), finish.tolist(), statuses, attempts.tolist()
+        ):
+            challenge = challenges[i]
+            if outcome is not ResponseStatus.SERVED:
+                framework.deny(challenge, outcome, at, attempts=int(tries))
+                continue
+            request = challenge.decision.request
+            framework.settle(
+                ServedResponse(
+                    decision=challenge.decision,
+                    status=outcome,
+                    latency=max(0.0, at - request.timestamp),
+                    solve_attempts=int(tries),
+                    body=f"resource:{request.resource}",
+                ),
+                at,
+            )
 
     def _decide_solve(
         self,
@@ -713,7 +896,7 @@ class FastSimulation:
     # Open-loop: traces and fire schedules
     # ------------------------------------------------------------------
     def run(self, trace, until: float | None = None) -> SimulationReport:
-        """Replay an open-loop trace; drop-in for ``Simulation.run``."""
+        """Replay an open-loop trace to completion (or ``until``)."""
         entries = list(trace)
         class_names: list[str] = []
         class_index: dict[str, int] = {}
@@ -932,6 +1115,7 @@ class FastSimulation:
             requests_of=requests_of,
             until=until,
             link_base=0.0 if link_base is None else link_base,
+            challenges=self._settled(requests_of, int(ts.size)),
             agent_ids=agent_ids,
             cpu_free=np.zeros(n_agents),
             feedback=feedback,
@@ -1261,16 +1445,16 @@ class FastSimulation:
     # ------------------------------------------------------------------
     # Closed loop
     # ------------------------------------------------------------------
-    def run_sessions(self, sessions, until: float | None = None):
-        """Drive closed-loop sessions; drop-in for ``ClosedLoopSimulation.run``.
+    def run_sessions(
+        self, sessions: Sequence[SessionSpec], until: float | None = None
+    ) -> ClosedLoopReport:
+        """Drive closed-loop sessions: request, solve, response, think, again.
 
         A fire-schedule mode of the same engine: the sessions' first
         exchanges are pushed as ``cl_arrive`` cohorts, two more handlers
         are registered for this run, and :meth:`step` drains them; a
         terminal outcome re-fires its session (:meth:`_finish_sessions`).
         """
-        from repro.net.sim.closedloop import ClosedLoopReport
-
         sessions = list(sessions)
         if not sessions:
             raise ValueError("need at least one session")
@@ -1351,8 +1535,7 @@ class FastSimulation:
                     for i, t in zip(idx.tolist(), begin[idx].tolist())
                 ]
 
-        # The callback closed-loop server model has no load signal, so
-        # the fast engine must not feed one either.
+        # The closed-loop server model has no load signal.
         self._reset(observe_load=False)
         self._handlers.update(
             cl_arrive=type(self)._process_session_arrivals,
@@ -1368,6 +1551,7 @@ class FastSimulation:
             requests_of=requests_of,
             until=until,
             link_base=base,
+            challenges=self._settled(requests_of, m),
             think=think,
             remaining=exchanges,
         )

@@ -33,8 +33,8 @@ from repro.core.errors import ComponentNotFoundError
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ClientRequest
 from repro.core.spec import FrameworkSpec
+from repro.net.sim.fastsim import FastSimulation, ServerModel
 from repro.net.sim.links import LINK_PROFILES
-from repro.net.sim.simulation import Simulation
 from repro.pow.solver import HashSolver
 from repro.replay.recorder import TraceRecorder, spec_hash
 from repro.traffic.generator import WorkloadGenerator
@@ -95,11 +95,12 @@ _PROBE_IP = "110.99.99.99"
 class ScaleSpec:
     """Large-scale parameters routing a campaign onto the fast engine.
 
-    A campaign carrying a ``ScaleSpec`` runs through the vectorized
+    A campaign carrying a ``ScaleSpec`` runs
     :class:`~repro.net.sim.fastsim.FastSimulation` over a
-    struct-of-arrays population instead of the object-world simulator:
-    no per-client objects, no recorded trace (a million-decision trace
-    is an artefact nobody replays), cohorts quantized to ``tick``.
+    struct-of-arrays population instead of a trace of request objects:
+    no per-client objects, array admission, no recorded trace (a
+    million-decision trace is an artefact nobody replays), cohorts
+    quantized to ``tick``.
 
     Parameters
     ----------
@@ -534,10 +535,11 @@ def run_campaign(
     Returns the run (including the recorded v2 trace); when
     ``record_path`` is given the trace is also written there.  An
     optional :class:`~repro.obs.tracing.RequestTracer` rides on the
-    framework's event bus and samples per-request spans (callback
-    campaigns only: the vectorized engine emits no per-request
-    events).  ``snapshot_path`` turns on the periodic registry
-    snapshot writer (scale campaigns only: that is where the
+    framework's event bus and samples per-request spans, each closed
+    by its terminal outcome (campaigns without ``scale`` only: scale
+    campaigns admit through the array kernel, which emits no
+    per-request events).  ``snapshot_path`` turns on the periodic
+    registry snapshot writer (scale campaigns only: that is where the
     phase-timing and link registries live).
     """
     if isinstance(campaign, str):
@@ -558,8 +560,8 @@ def run_campaign(
         if tracer is not None:
             raise ValueError(
                 f"campaign {campaign.name!r} is large-scale: the "
-                "vectorized engine emits no per-request events for a "
-                "tracer to sample"
+                "array admission kernel emits no per-request events "
+                "for a tracer to sample"
             )
         return _run_scale_campaign(campaign, snapshot_path=snapshot_path)
     if snapshot_path is not None:
@@ -594,7 +596,7 @@ def run_campaign(
     patiences = {
         profile.name: profile.patience for profile, _ in populations
     }
-    simulation = Simulation(
+    simulation = FastSimulation(
         framework,
         seed=campaign.seed ^ 0x5CE4,
         solve_deciders=solve_deciders,
@@ -727,9 +729,8 @@ def _run_scale_campaign(
     import numpy as np
 
     from repro.net.sim.agents import AgentPopulation
-    from repro.net.sim.fastsim import FastFeedback, FastSimulation
+    from repro.net.sim.fastsim import FastFeedback
     from repro.net.sim.links import LinkSet
-    from repro.net.sim.simulation import ServerModel
     from repro.obs.registry import MetricsRegistry, PhaseTimer
 
     scale = campaign.scale

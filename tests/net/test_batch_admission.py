@@ -9,13 +9,13 @@ timestamps, every request terminating.
 from __future__ import annotations
 
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
-from repro.net.sim.simulation import Simulation
+from repro.net.sim import SessionSpec
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.profiles import BENIGN_PROFILE
 from repro.traffic.trace import Trace, TraceEntry
+from tests.oracle import ClosedLoopSimulation, Simulation
 
 
 def burst_trace(clients: int = 12, bursts: int = 4) -> Trace:

@@ -113,7 +113,7 @@ class TestChannelContract:
 
         from repro.core.framework import AIPoWFramework
         from repro.net.sim.fastsim import FastSimulation
-        from repro.net.sim.simulation import Simulation
+        from tests.oracle import Simulation
         from repro.policies.table import FixedPolicy
         from repro.reputation.ensemble import ConstantModel
         from repro.traffic.generator import WorkloadGenerator

@@ -7,11 +7,12 @@ import random
 import pytest
 
 from repro.core.framework import AIPoWFramework
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
+from repro.net.sim import SessionSpec
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import make_population
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
+from tests.oracle import ClosedLoopSimulation
 
 
 def make_sessions(count=4, exchanges=5, profile=BENIGN_PROFILE, think=0.5):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
-from repro.net.sim.engine import EventEngine
+from tests.oracle import EventEngine
 
 
 class TestScheduling:

@@ -15,20 +15,19 @@ import pytest
 
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
+from repro.net.sim import SessionSpec, patterns
 from repro.net.sim.agents import AgentPopulation
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
 from repro.net.sim.fastsim import (
     FastFeedback,
     FastSimulation,
     sample_attempts_array,
 )
-from repro.net.sim import patterns
-from repro.net.sim.simulation import Simulation
 from repro.policies.linear import policy_2
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
+from tests.oracle import ClosedLoopSimulation, Simulation
 
 
 def make_trace(seed=42, benign=5, malicious=5, duration=5.0):
@@ -311,9 +310,10 @@ class TestAdmissionRouting:
             )
 
     def test_stateful_model_rejected_anywhere_in_wrapper_chain(self):
-        """Feedback models update from response events the fast engine
-        never emits — frozen offsets must fail loudly, even when the
-        stateful scorer hides inside a transparent cache wrapper."""
+        """Feedback models learn from outcomes the engine never feeds
+        back into scoring — frozen offsets must fail loudly, even when
+        the stateful scorer hides inside a transparent cache wrapper,
+        and the error names what does model feedback at scale."""
         from repro.reputation.caching import CachedModel
         from repro.reputation.feedback import FeedbackReputationModel
 
@@ -322,8 +322,11 @@ class TestAdmissionRouting:
         )
         framework = AIPoWFramework(model, FixedPolicy(4))
         trace, _ = make_trace(duration=1.0)
-        with pytest.raises(ValueError, match="response outcomes"):
+        with pytest.raises(ValueError, match="response outcomes") as info:
             FastSimulation(framework).run(trace)
+        message = str(info.value)
+        assert "ScaleSpec.feedback" in message and "FastFeedback" in message
+        assert "7(b)" in message and "callback" not in message
         with pytest.raises(ValueError, match="response outcomes"):
             FastSimulation(
                 AIPoWFramework(
@@ -390,6 +393,75 @@ class TestAdmissionRouting:
         assert dones.tolist() == reference
 
 
+class TestSettledOutcomes:
+    """A ``RESPONSE_SERVED`` subscriber sees every terminal outcome."""
+
+    @staticmethod
+    def _bus_and_report_agree(bus, report):
+        assert bus.overall.total == report.metrics.overall.total > 0
+        assert bus.overall.outcomes == report.metrics.overall.outcomes
+        assert sorted(bus.overall.latencies.values) == sorted(
+            report.metrics.overall.latencies.values
+        )
+        assert bus.overall.attempts.mean == pytest.approx(
+            report.metrics.overall.attempts.mean
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"pow_enabled": False},
+            {"solve_deciders": {"malicious": lambda d: False}},
+            {"patiences": {"benign": 0.01}},
+        ],
+        ids=["solving", "pow-off", "refusing", "impatient"],
+    )
+    def test_open_loop_settles_every_outcome(self, kwargs):
+        from repro.metrics.collector import MetricsCollector
+
+        framework = fixed_framework(difficulty=8)
+        bus = MetricsCollector().attach(framework.events)
+        trace, _ = make_trace(duration=2.0)
+        report = FastSimulation(framework, seed=3, **kwargs).run(trace)
+        self._bus_and_report_agree(bus, report)
+
+    def test_horizon_drops_the_same_outcomes_from_both(self):
+        from repro.metrics.collector import MetricsCollector
+
+        framework = fixed_framework(difficulty=12)
+        bus = MetricsCollector().attach(framework.events)
+        trace, _ = make_trace(duration=2.0)
+        report = FastSimulation(framework, seed=3).run(trace, until=1.0)
+        assert report.metrics.overall.total < report.requests
+        self._bus_and_report_agree(bus, report)
+
+    def test_sessions_settle_every_exchange(self):
+        from repro.metrics.collector import MetricsCollector
+
+        framework = fixed_framework()
+        bus = MetricsCollector().attach(framework.events)
+        clients = WorkloadGenerator(seed=5).population(BENIGN_PROFILE, 6)
+        sessions = [SessionSpec(client=c, exchanges=3) for c in clients]
+        report = FastSimulation(framework, seed=2).run_sessions(sessions)
+        assert bus.overall.total == report.completed_exchanges == 18
+        assert bus.overall.outcomes == report.metrics.overall.outcomes
+
+    def test_nothing_settles_without_a_subscriber(self):
+        """No listener: array admission, and the framework is never told."""
+        framework = fixed_framework()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("settled with nobody listening")
+
+        framework.settle = framework.deny = refuse
+        trace, _ = make_trace(duration=1.0)
+        simulation = FastSimulation(framework, seed=3)
+        report = simulation.run(trace)
+        assert report.metrics.overall.total > 0
+        assert simulation._open.challenges is None
+
+
 class TestOneLoop:
     """Every run shape drains through ``step`` and its handler table."""
 
@@ -453,7 +525,7 @@ class TestOneLoop:
         crosses a window boundary.
         """
         from repro.net.sim.links import BandwidthTrace, LinkProfile, LinkSet
-        from repro.net.sim.simulation import ServerModel
+        from repro.net.sim import ServerModel
 
         population = AgentPopulation.make(
             [(BENIGN_PROFILE, 300), (MALICIOUS_PROFILE, 100)], seed=11

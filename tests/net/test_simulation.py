@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
-from repro.net.sim.simulation import ServerModel, Simulation
+from repro.net.sim import ServerModel
 from repro.policies.linear import policy_2
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
@@ -16,6 +16,7 @@ from repro.traffic.profiles import (
     MALICIOUS_PROFILE,
     ClientProfile,
 )
+from tests.oracle import Simulation
 
 
 def make_trace(seed=42, benign=5, malicious=5, duration=10.0):

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
-from repro.net.sim.simulation import Simulation
 from repro.policies.linear import LinearPolicy
 from repro.policies.table import FixedPolicy
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
+from tests.oracle import Simulation
 
 
 @settings(max_examples=15, deadline=None)

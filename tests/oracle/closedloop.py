@@ -1,6 +1,6 @@
-"""Closed-loop client sessions for the simulator.
+"""Callback reference engine for closed-loop sessions (the test oracle).
 
-The trace-driven :class:`~repro.net.sim.simulation.Simulation` is
+The trace-driven :class:`~tests.oracle.simulation.Simulation` is
 *open-loop*: requests arrive on a fixed schedule regardless of how the
 server responds.  Real users are closed-loop — they wait for a page,
 think, then click again — which changes the dynamics fundamentally:
@@ -19,82 +19,31 @@ through :meth:`AIPoWFramework.challenge_batch` in one batch, with each
 puzzle stamped at its own FIFO-derived issue time.  Scoring and delay
 draws happen at the arrival instant (not each request's issue time) —
 the same deliberate approximation documented in
-:mod:`repro.net.sim.simulation`.
+:mod:`tests.oracle.simulation`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Mapping, Sequence
 
 from repro.core.framework import AIPoWFramework, Challenge
 from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
+from repro.net.sim import ClosedLoopReport, ServerModel, SessionSpec
 from repro.net.sim.channel import Channel, FixedDelayChannel
-from repro.net.sim.engine import EventEngine
-from repro.net.sim.simulation import ServerModel
 from repro.net.sim.solvetime import SolveTimeModel
-from repro.traffic.generator import SimClientSpec
+from tests.oracle.engine import EventEngine
 
-__all__ = ["SessionSpec", "ClosedLoopReport", "ClosedLoopSimulation"]
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class SessionSpec:
-    """One closed-loop client session.
-
-    Parameters
-    ----------
-    client:
-        The concrete client (address, features, profile).
-    exchanges:
-        Number of request/response cycles the session attempts.
-    think_time:
-        Mean seconds between receiving a response and the next request
-        (exponentially distributed).
-    start:
-        Session start time.
-    """
-
-    client: SimClientSpec
-    exchanges: int = 10
-    think_time: float = 1.0
-    start: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.exchanges < 1:
-            raise ValueError(f"exchanges must be >= 1, got {self.exchanges}")
-        if self.think_time < 0:
-            raise ValueError(f"think_time must be >= 0, got {self.think_time}")
-        if self.start < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
-
-
-@dataclasses.dataclass
-class ClosedLoopReport:
-    """Outcome of a closed-loop run."""
-
-    metrics: MetricsCollector
-    duration: float
-    sessions: int
-    completed_exchanges: int
-
-    @property
-    def throughput(self) -> float:
-        """Served exchanges per second of simulated time."""
-        served = self.metrics.overall.served
-        return served / self.duration if self.duration > 0 else 0.0
+__all__ = ["ClosedLoopSimulation"]
 
 
 class ClosedLoopSimulation:
     """Session-driven simulation sharing the open-loop server model.
 
-    The callback *reference* engine for closed-loop runs; the
-    vectorized spelling of the same model is
-    :meth:`FastSimulation.run_sessions
-    <repro.net.sim.fastsim.FastSimulation.run_sessions>`, a drop-in for
-    :meth:`run`.
+    The *reference* engine for closed-loop runs; the shipped spelling
+    of the same model is :meth:`FastSimulation.run_sessions
+    <repro.net.sim.fastsim.FastSimulation.run_sessions>`.
     """
 
     def __init__(

@@ -1,8 +1,9 @@
-"""End-to-end simulation of the framework in a client-server network.
+"""Callback reference engine for open-loop traces (the test oracle).
 
 :class:`Simulation` replays a :class:`~repro.traffic.trace.Trace`
 through an :class:`~repro.core.framework.AIPoWFramework` over a modelled
-network, reproducing the paper's environment (DESIGN.md §2):
+network — the model :class:`~repro.net.sim.fastsim.FastSimulation`
+ships, written one closure per event (DESIGN.md §2):
 
 * **network** — each leg of the request/challenge/solution/response
   exchange crosses a :class:`~repro.net.sim.channel.Channel`;
@@ -41,71 +42,24 @@ per seed).
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from typing import Callable, Mapping
 
 from repro.core.framework import AIPoWFramework, Challenge
 from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.timeseries import TimelineCollector
-from repro.policies.adaptive import LoadAdaptivePolicy
+from repro.net.sim import ServerModel, SimulationReport
 from repro.net.sim.channel import Channel, FixedDelayChannel
-from repro.net.sim.engine import EventEngine
-from repro.net.sim.links import LinkSet, LinkStats
+from repro.net.sim.links import LinkSet
 from repro.net.sim.solvetime import SolveTimeModel
+from repro.policies.adaptive import LoadAdaptivePolicy
 from repro.traffic.trace import Trace, TraceEntry
+from tests.oracle.engine import EventEngine
 
-__all__ = ["ServerModel", "Simulation", "SimulationReport"]
+__all__ = ["Simulation"]
 
 #: Decides whether a client solves a puzzle of the given difficulty.
 SolveDecider = Callable[[int], bool]
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ServerModel:
-    """Server-side work costs, in seconds of FIFO service time.
-
-    ``challenge_cost`` covers scoring, policy lookup and puzzle
-    generation; ``verify_cost`` the lightweight solution check;
-    ``resource_cost`` the actual work of serving the requested resource
-    — the expensive step a DDoS tries to trigger en masse.
-    """
-
-    challenge_cost: float = 0.0002
-    verify_cost: float = 0.0001
-    resource_cost: float = 0.002
-
-    def __post_init__(self) -> None:
-        for field in ("challenge_cost", "verify_cost", "resource_cost"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
-
-
-@dataclasses.dataclass
-class SimulationReport:
-    """Outcome of one simulation run.
-
-    ``link_stats`` carries the network-layer outcome counters of a
-    link-enabled run (:class:`~repro.net.sim.links.LinkStats`) and is
-    ``None`` on ideal-network runs.  Requests the network swallowed
-    before admission appear only there — they never reach the metrics.
-    """
-
-    metrics: MetricsCollector
-    duration: float
-    requests: int
-    events_processed: int
-    link_stats: LinkStats | None = None
-
-    @property
-    def served(self) -> int:
-        return self.metrics.overall.served
-
-    @property
-    def goodput(self) -> float:
-        """Served responses per second of simulated time."""
-        return self.served / self.duration if self.duration > 0 else 0.0
 
 
 class Simulation:
@@ -136,9 +90,6 @@ class Simulation:
     patiences:
         Optional per-profile patience overrides in seconds (how long a
         client grinds one puzzle before abandoning); default 30 s.
-    timeline:
-        Optional :class:`TimelineCollector` receiving every terminal
-        response with its completion time (attack-onset analysis).
     load_reference:
         Server backlog (seconds of queued work) that counts as load
         1.0 when feeding a :class:`LoadAdaptivePolicy`.
@@ -155,17 +106,14 @@ class Simulation:
         exactly as documented in DESIGN.md §1.6; network-layer
         outcomes land in :attr:`SimulationReport.link_stats`.
 
-    This class is the callback *reference* engine and nothing else: it
-    emits per-response events (which ``timeline`` collection and
-    behavioural feedback consume).  The vectorized engine is its own
-    class, :class:`~repro.net.sim.fastsim.FastSimulation`, whose
-    constructor mirrors this one and whose :meth:`~FastSimulation.run`
-    is a drop-in for :meth:`run`.  Decision streams are bit-identical
-    between the two (except load-adaptive policies under solving
-    traffic, whose decisions depend on queue timing and so inherit the
-    timing stream's seed-sensitivity); timing randomness is drawn from
-    a different (numpy) stream there, so latency samples agree
-    statistically rather than bit for bit.
+    This class is the *reference* engine the tests compare the shipped
+    :class:`~repro.net.sim.fastsim.FastSimulation` against: every
+    keyword here is one of its keywords too.  Decision streams are
+    bit-identical between the two (except load-adaptive policies under
+    solving traffic, whose decisions depend on queue timing and so
+    inherit the timing stream's seed-sensitivity); timing randomness
+    is drawn from a different (numpy) stream there, so latency samples
+    agree statistically rather than bit for bit.
     """
 
     def __init__(
@@ -178,7 +126,6 @@ class Simulation:
         solve_deciders: Mapping[str, SolveDecider] | None = None,
         hash_rates: Mapping[str, float] | None = None,
         patiences: Mapping[str, float] | None = None,
-        timeline: TimelineCollector | None = None,
         load_reference: float = 0.1,
         recorder=None,
         links: LinkSet | None = None,
@@ -198,7 +145,6 @@ class Simulation:
         self.solve_deciders = dict(solve_deciders or {})
         self.hash_rates = dict(hash_rates or {})
         self.patiences = dict(patiences or {})
-        self.timeline = timeline
         self.load_reference = load_reference
         self.recorder = recorder
         self.links = links
@@ -270,11 +216,6 @@ class Simulation:
             ),
         )
         self.metrics.observe(response)
-        if self.timeline is not None:
-            profile = self._profiles.get(
-                challenge.decision.request.client_ip, "unknown"
-            )
-            self.timeline.observe(profile, response, at=now)
         self.framework.settle(response, now)
 
     # ------------------------------------------------------------------

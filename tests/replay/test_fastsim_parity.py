@@ -19,11 +19,11 @@ import pytest
 
 from repro.attacks import make_attacker
 from repro.net.sim.fastsim import FastSimulation
-from repro.net.sim.simulation import Simulation
 from repro.replay import TraceRecorder, diff_decisions
 from repro.replay.campaign import CAMPAIGNS, _PROFILES
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.trace import Trace
+from tests.oracle import Simulation
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_SCENARIOS = sorted(
@@ -163,7 +163,7 @@ def test_array_kernel_load_adaptive_observation_order():
     the cohort's own load *before* deciding, as the callback does.
     """
     from repro.core.framework import AIPoWFramework
-    from repro.net.sim.simulation import ServerModel
+    from repro.net.sim import ServerModel
     from repro.policies.adaptive import LoadAdaptivePolicy
     from repro.policies.table import FixedPolicy
     from repro.reputation.ensemble import ConstantModel

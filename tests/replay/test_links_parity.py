@@ -22,16 +22,16 @@ import pytest
 from repro.attacks import make_attacker
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ResponseStatus
-from repro.net.sim.closedloop import ClosedLoopSimulation, SessionSpec
+from repro.net.sim import ServerModel, SessionSpec
 from repro.net.sim.fastsim import FastSimulation
 from repro.net.sim.links import BandwidthTrace, LinkProfile, LinkSet
-from repro.net.sim.simulation import ServerModel, Simulation
 from repro.policies.linear import policy_2
 from repro.policies.table import FixedPolicy
 from repro.replay import TraceRecorder, diff_decisions
 from repro.replay.campaign import _PROFILES
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
+from tests.oracle import ClosedLoopSimulation, Simulation
 
 #: Exercises every link mechanism at once: loss, per-agent RTT spread,
 #: a tight shared bandwidth cap with a shallow queue, and retries.

@@ -7,12 +7,12 @@ from repro.core.records import ClientRequest
 from repro.core.spec import FrameworkSpec
 from repro.net.gateway.server import GatewayServer
 from repro.net.live.client import LiveClient
-from repro.net.sim.simulation import Simulation
 from repro.policies.linear import policy_1
 from repro.replay import TraceRecorder, spec_hash
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.profiles import BENIGN_PROFILE
+from tests.oracle import Simulation
 
 
 def make_request(ip="23.4.5.6", request_id="", timestamp=1.0):

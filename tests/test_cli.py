@@ -217,6 +217,35 @@ class TestReplayCommands:
         assert code == 2
         assert "large-scale" in out
 
+    def test_campaign_trace_out_spans_all_finish(self, tmp_path, capsys):
+        """Every sampled span closes on its terminal outcome.
+
+        The simulator settles each outcome on the framework's bus, and
+        that ``RESPONSE_SERVED`` is what closes a span in ``respond``;
+        a span left open would be drained ``unresolved`` at dump time.
+        """
+        from repro.obs.tracing import load_spans
+
+        path = tmp_path / "spans.jsonl"
+        code = main([
+            "campaign", "--scenario", "flood-burst",
+            "--trace-out", str(path), "--trace-every", "3",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        meta, spans = load_spans(path)
+        assert meta["campaign"] == "flood-burst"
+        assert f"{len(spans)} sampled spans" in out
+        assert len(spans) >= 40
+        assert {span["stages"][-1]["stage"] for span in spans} <= {
+            "respond", "shed"
+        }
+        assert {span["outcome"] for span in spans} <= {
+            "served", "denied", "shed"
+        }
+        # The flood never solves, so both outcomes are represented.
+        assert {span["status"] for span in spans} >= {"served", "abandoned"}
+
 
 class TestProfileCommand:
     def test_profile_prints_hotspots(self, capsys):

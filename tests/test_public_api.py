@@ -35,17 +35,23 @@ def test_readme_quickstart():
 
 
 def test_fast_engine_is_chosen_by_class_with_the_same_arguments():
-    """DESIGN §1.5: ``FastSimulation`` mirrors the reference constructors."""
+    """DESIGN §1.5: the oracle and ``FastSimulation`` share one keyword set.
+
+    Every keyword of the callback reference engines (``tests/oracle``)
+    is a ``FastSimulation`` keyword, so one workload drives either; the
+    fast engine adds only its own engine knobs.
+    """
     import inspect
 
-    from repro.net.sim import ClosedLoopSimulation, FastSimulation, Simulation
+    from repro.net.sim import FastSimulation
+    from tests.oracle import ClosedLoopSimulation, Simulation
 
     fast = set(inspect.signature(FastSimulation).parameters)
-    # ``timeline`` needs per-response events, which only the callback
-    # reference engine emits.
-    assert set(inspect.signature(Simulation).parameters) - fast == {"timeline"}
-    assert set(inspect.signature(ClosedLoopSimulation).parameters) <= fast
-    assert "engine" not in fast
+    oracle = set(inspect.signature(Simulation).parameters)
+    assert oracle - fast == set()
+    assert set(inspect.signature(ClosedLoopSimulation).parameters) <= oracle
+    assert fast - oracle == {"tick", "admission", "phase_timer", "decision_log"}
+    assert "engine" not in fast and "timeline" not in fast
 
 
 def test_module_docstring_doctest():

@@ -16,8 +16,10 @@ requests, served, events, link_stats, cohort counts), ``FastSimulation
 20-session closed-loop fixture at three seeds, with and without a
 horizon.  Takes about a minute per side; pass ``closed`` / ``golden`` /
 ``campaigns`` after the output path to run a subset.  Uses only
-``run_campaign`` and ``FastSimulation``, so it runs on any checkout
-since PR 8.
+``run_campaign``, ``FastSimulation`` and ``SessionSpec`` (imported from
+the ``repro.net.sim`` package, which has exported it throughout), so
+one copy of the tool runs on both sides of a change that moves modules
+inside ``repro.net.sim``.
 """
 
 import dataclasses
@@ -142,7 +144,9 @@ def golden_runs(out):
 
 def closed_loop(out):
     from repro.core.framework import AIPoWFramework
-    from repro.net.sim.closedloop import SessionSpec
+    # The package export, not a module path: it resolves on checkouts
+    # from before and after SessionSpec moved next to FastSimulation.
+    from repro.net.sim import SessionSpec
     from repro.net.sim.fastsim import FastSimulation
     from repro.policies.linear import policy_2
     from repro.reputation.ensemble import ConstantModel
