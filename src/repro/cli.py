@@ -689,7 +689,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.obs.http import MetricsHTTPServer
 
             metrics_server = MetricsHTTPServer(
-                metrics.registry.snapshot,
+                server.metrics_snapshot,
                 host=args.host,
                 port=args.metrics_port,
             ).start()
@@ -699,13 +699,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.metrics_snapshots:
             from repro.obs.http import SnapshotWriter
 
-            provider = (
-                server.metrics_snapshot
-                if args.workers > 1
-                else metrics.registry.snapshot
-            )
             snapshot_writer = SnapshotWriter(
-                args.metrics_snapshots, provider
+                args.metrics_snapshots, server.metrics_snapshot
             ).start()
         shutdown.wait()
         print("\nshutting down")
@@ -720,16 +715,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{args.metrics_snapshots}"
             )
     # The stop drained the server: queued admissions resolved as shed,
-    # in-flight exchanges got their grace, workers exited 0.
+    # in-flight exchanges got their grace, workers exited 0 and shipped
+    # their final registry snapshots.
+    from repro.metrics.collector import gateway_summary
+
+    summary = gateway_summary(server.metrics_snapshot())
+    print(
+        f"admitted {summary['admitted']} in {summary['flushes']} batches "
+        f"(mean size {summary['mean_batch_size']:.1f}), "
+        f"shed {summary['shed']}"
+    )
     if args.workers > 1:
-        summary = server.metrics_summary
-        print(
-            f"workers {summary.get('workers', 0)}: "
-            f"admitted {summary.get('admitted', 0)} in "
-            f"{summary.get('flushes', 0)} batches "
-            f"(mean size {summary.get('mean_batch_size', 0.0):.1f}), "
-            f"shed {summary.get('shed', 0)}"
-        )
         if args.record and server.recorded_trace is not None:
             print(
                 f"recorded {len(server.recorded_trace)} decisions "
@@ -744,12 +740,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"worker exit codes: {server.exit_codes}")
             return 1
     else:
-        print(
-            f"admitted {metrics.admitted_count} in "
-            f"{len(metrics.batch_sizes)} batches "
-            f"(mean size {metrics.mean_batch_size:.1f}), "
-            f"shed {metrics.shed_count}"
-        )
         if args.state_dir:
             write_shard_file(
                 args.state_dir, 0, 1, server.framework.snapshot()

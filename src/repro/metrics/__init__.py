@@ -4,8 +4,9 @@ from repro.metrics.collector import (
     ClassMetrics,
     GatewayMetrics,
     MetricsCollector,
+    gateway_summary,
 )
-from repro.metrics.histogram import LatencyHistogram, SampleSet
+from repro.metrics.histogram import SampleSet
 from repro.metrics.reporting import ascii_chart, render_series, render_table
 from repro.metrics.stats import StreamingStats
 from repro.metrics.timeseries import TimelineCollector, TimeSeries
@@ -15,10 +16,10 @@ __all__ = [
     "TimeSeries",
     "TimelineCollector",
     "SampleSet",
-    "LatencyHistogram",
     "MetricsCollector",
     "ClassMetrics",
     "GatewayMetrics",
+    "gateway_summary",
     "render_table",
     "render_series",
     "ascii_chart",

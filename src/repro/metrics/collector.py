@@ -11,31 +11,30 @@ enabling the throttling experiment's per-class latency comparison.
 see: admission-queue depth, the batch-size distribution the
 micro-batcher actually achieved, and shed counters broken down by
 reason — fed directly by the gateway plus ``REQUEST_SHED`` events off
-the same bus.
-
-Multi-worker serving adds one wrinkle: each gateway worker process
-owns a private :class:`GatewayMetrics`, so cluster totals must be
-assembled from per-worker summaries shipped over the control channel.
-:meth:`GatewayMetrics.summary` reduces one worker to a JSON-safe dict
-and :func:`aggregate_gateway_summaries` folds any number of those into
-cluster totals (counter sums, flush-weighted mean batch size, max of
-max queue depths).
+the same bus.  It only records, into
+:class:`~repro.obs.registry.MetricsRegistry` instruments; every
+serving summary is read back from a registry snapshot by
+:func:`gateway_summary`, whether the snapshot is one process's or a
+:func:`~repro.obs.registry.merge_snapshots` of a cluster's workers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.core.events import EventBus, EventKind, FrameworkEvent
 from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.histogram import SampleSet
 from repro.metrics.stats import StreamingStats
 
+if TYPE_CHECKING:
+    from repro.obs.registry import MetricsRegistry
+
 __all__ = [
     "MetricsCollector",
     "ClassMetrics",
     "GatewayMetrics",
-    "aggregate_gateway_summaries",
+    "gateway_summary",
 ]
 
 Classifier = Callable[[ServedResponse], str]
@@ -132,8 +131,8 @@ class MetricsCollector:
 
 #: Bucket bounds for the gateway's size/depth distributions — powers of
 #: two up to the default queue limit, matching how batches actually
-#: cluster (the exact-mode series retains raw samples regardless, so
-#: summary statistics never depend on the bucketing).
+#: cluster (summary statistics read ``sum``/``count``/``max``, so they
+#: never depend on the bucketing).
 _GATEWAY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 #: A request waits a few loop passes (tens of microseconds) when the
 #: gateway is idle and up to ``batch_window`` or a flush or two under load.
@@ -152,19 +151,20 @@ class GatewayMetrics:
     :meth:`attach` subscribes the shed side to ``REQUEST_SHED`` events
     so any bus observer sees the same stream the metrics do.
 
-    Backed by :class:`~repro.obs.registry.MetricsRegistry` instruments
-    (``gateway_admitted_total``, ``gateway_shed_total{reason}``,
+    Records into :class:`~repro.obs.registry.MetricsRegistry`
+    instruments (``gateway_admitted_total``, ``gateway_shed_total{reason}``,
     ``gateway_flushes_total``, ``gateway_batch_size``,
     ``gateway_queue_depth``, ``gateway_admission_wait_seconds``,
-    ``gateway_connection_errors_total{kind}``) so one ``/metrics``
-    scrape sees the same
-    numbers :meth:`summary` ships; pass a shared ``registry`` to expose
-    them, or omit it for a private one (isolated, as before).  The
-    size/depth series run in exact mode, so :meth:`summary` output is
-    bit-identical to the retained-sample implementation it replaced.
+    ``gateway_connection_errors_total{kind}``) and keeps no count of
+    its own: pass a shared ``registry`` to expose them, or omit it for
+    a private one, and read totals with :func:`gateway_summary` over
+    ``registry.snapshot()``.
     """
 
-    def __init__(self, registry=None) -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        # Deferred: importing ``repro.obs`` loads its HTTP endpoint
+        # (http.server, email), which most users of this module never
+        # serve.
         from repro.obs.registry import METRIC_CATALOG, MetricsRegistry
 
         if registry is None:
@@ -187,13 +187,11 @@ class GatewayMetrics:
             "gateway_batch_size",
             METRIC_CATALOG["gateway_batch_size"],
             buckets=_GATEWAY_BUCKETS,
-            exact=True,
         ).labels()
         self.queue_depths = registry.histogram(
             "gateway_queue_depth",
             METRIC_CATALOG["gateway_queue_depth"],
             buckets=_GATEWAY_BUCKETS,
-            exact=True,
         ).labels()
         self.admission_waits = registry.histogram(
             "gateway_admission_wait_seconds",
@@ -205,22 +203,6 @@ class GatewayMetrics:
             METRIC_CATALOG["gateway_connection_errors_total"],
             labels=("kind",),
         )
-
-    @property
-    def admitted_count(self) -> int:
-        return int(self._admitted.value())
-
-    @property
-    def shed_count(self) -> int:
-        return int(self._shed.total())
-
-    @property
-    def shed_reasons(self) -> dict[str, int]:
-        """Shed counts by reason (a copy; mutate via :meth:`observe_shed`)."""
-        return {
-            reason: int(count)
-            for reason, count in self._shed.as_dict().items()
-        }
 
     def attach(self, bus: EventBus) -> "GatewayMetrics":
         """Subscribe to REQUEST_SHED events on ``bus``; returns self."""
@@ -250,8 +232,8 @@ class GatewayMetrics:
         pass the true count.  ``waits`` is the seconds each request of
         the batch spent queued before this flush took it.
         """
-        self.batch_sizes.add(batch_size)
-        self.queue_depths.add(queue_depth)
+        self.batch_sizes.observe(batch_size)
+        self.queue_depths.observe(queue_depth)
         self._flushes.inc()
         self._admitted.inc(batch_size if admitted is None else admitted)
         self.admission_waits.observe_array(waits)
@@ -270,60 +252,52 @@ class GatewayMetrics:
         """Record one shed request (optionally with the depth seen)."""
         self._shed.inc(reason=reason)
         if queue_depth is not None:
-            self.queue_depths.add(float(queue_depth))
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average achieved batch size (0.0 before the first flush)."""
-        return self.batch_sizes.mean() if len(self.batch_sizes) else 0.0
-
-    @property
-    def max_queue_depth(self) -> float:
-        """Deepest queue observed (0.0 before the first observation)."""
-        return self.queue_depths.max() if len(self.queue_depths) else 0.0
-
-    def summary(self) -> dict:
-        """JSON-safe reduction, shippable across a process boundary."""
-        return {
-            "admitted": self.admitted_count,
-            "shed": self.shed_count,
-            "shed_reasons": dict(self.shed_reasons),
-            "flushes": len(self.batch_sizes),
-            "mean_batch_size": self.mean_batch_size,
-            "max_queue_depth": self.max_queue_depth,
-        }
+            self.queue_depths.observe(float(queue_depth))
 
 
-def aggregate_gateway_summaries(
-    summaries: Sequence[Mapping],
-) -> dict:
-    """Fold per-worker :meth:`GatewayMetrics.summary` dicts into totals.
+def gateway_summary(snapshot: Mapping) -> dict:
+    """The serving summary, read from a registry snapshot.
 
-    Counters sum, shed reasons merge, the mean batch size is weighted
-    by each worker's flush count, and the queue-depth high-water mark
-    is the max across workers.  The input summaries ride along under
-    ``per_worker`` so nothing is lost in the reduction.
+    ``snapshot`` is one registry's
+    :meth:`~repro.obs.registry.MetricsRegistry.snapshot` (one worker)
+    or a :func:`~repro.obs.registry.merge_snapshots` of N; a merge
+    keeps its inputs under ``parts``, which become ``per_worker``.
+    Counters sum, the mean batch size is ``sum / count`` of
+    ``gateway_batch_size`` and the queue-depth high-water mark is the
+    max of ``gateway_queue_depth``, so the totals of N merged workers
+    equal those of one registry fed every worker's operations.
     """
-    summaries = list(summaries)
-    flushes = sum(int(s.get("flushes", 0)) for s in summaries)
-    weighted = sum(
-        float(s.get("mean_batch_size", 0.0)) * int(s.get("flushes", 0))
-        for s in summaries
-    )
-    shed_reasons: dict[str, int] = {}
-    for s in summaries:
-        for reason, count in dict(s.get("shed_reasons", {})).items():
-            shed_reasons[reason] = shed_reasons.get(reason, 0) + int(count)
+    parts = snapshot.get("parts") or (snapshot,)
     return {
-        "workers": len(summaries),
-        "admitted": sum(int(s.get("admitted", 0)) for s in summaries),
-        "shed": sum(int(s.get("shed", 0)) for s in summaries),
-        "shed_reasons": shed_reasons,
-        "flushes": flushes,
-        "mean_batch_size": weighted / flushes if flushes else 0.0,
-        "max_queue_depth": max(
-            (float(s.get("max_queue_depth", 0.0)) for s in summaries),
-            default=0.0,
+        "workers": len(parts),
+        **_gateway_totals(snapshot),
+        "per_worker": [_gateway_totals(part) for part in parts],
+    }
+
+
+def _gateway_totals(snapshot: Mapping) -> dict:
+    series = {
+        metric["name"]: metric["series"]
+        for metric in snapshot.get("metrics", ())
+    }
+
+    def total(name: str) -> int:
+        return int(sum(row["value"] for row in series.get(name, ())))
+
+    # The size and depth histograms are unlabelled: one row or none.
+    batches = series.get("gateway_batch_size") or [{"sum": 0.0, "count": 0}]
+    depths = series.get("gateway_queue_depth") or [{"max": None}]
+    return {
+        "admitted": total("gateway_admitted_total"),
+        "shed": total("gateway_shed_total"),
+        "shed_reasons": {
+            row["labels"]["reason"]: int(row["value"])
+            for row in series.get("gateway_shed_total", ())
+        },
+        "flushes": total("gateway_flushes_total"),
+        "mean_batch_size": (
+            batches[0]["sum"] / batches[0]["count"]
+            if batches[0]["count"] else 0.0
         ),
-        "per_worker": [dict(s) for s in summaries],
+        "max_queue_depth": depths[0]["max"] or 0.0,
     }

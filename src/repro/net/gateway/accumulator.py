@@ -110,10 +110,6 @@ class MicroBatcher:
         self._arrival: asyncio.Event = asyncio.Event()
         self._task: asyncio.Task | None = None
         self._closed = False
-        self.submitted_count = 0
-        self.admitted_count = 0
-        self.shed_count = 0
-        self.flush_count = 0
 
     # ------------------------------------------------------------------
     # Producer side (connection handlers)
@@ -138,7 +134,6 @@ class MicroBatcher:
         if self._closed:
             self._resolve_shed(pending, "gateway shutting down")
             return pending.future
-        self.submitted_count += 1
         if len(self._pending) >= self.queue_limit:
             victim = self.shed_policy.select_victim(self._pending, pending)
             if victim is not pending:
@@ -154,7 +149,6 @@ class MicroBatcher:
         return pending.future
 
     def _resolve_shed(self, pending: PendingAdmission, reason: str) -> None:
-        self.shed_count += 1
         if not pending.future.done():
             pending.future.set_result(
                 ShedOutcome(reason=reason, policy=self.shed_policy.name)
@@ -250,8 +244,6 @@ class MicroBatcher:
         for pending, result in zip(batch, results):
             if not pending.future.done():
                 pending.future.set_result(result)
-        self.admitted_count += size
-        self.flush_count += 1
         if self.on_flush is not None:
             self.on_flush(size, depth_before, results, waits)
         return size

@@ -28,10 +28,12 @@ Lifecycle: SIGTERM (or :meth:`GatewayCluster.stop`) stops the accept
 loop, then each worker drains — queued admissions resolve as ``ERR
 shed: ...``, in-flight exchanges get a grace period — persists its
 shard's state snapshot into ``state_dir`` (when configured), ships its
-:class:`~repro.metrics.collector.GatewayMetrics` summary to the parent
-over the control channel, and exits 0.  The parent aggregates the
-summaries via
-:func:`~repro.metrics.collector.aggregate_gateway_summaries`.
+final metrics registry snapshot to the parent over the control
+channel, and exits 0.  The parent keeps that snapshot as the shard's
+view, so :meth:`GatewayCluster.metrics_snapshot` after ``stop()`` is
+the final cluster state, drain-time sheds included, and
+:attr:`GatewayCluster.metrics_summary` is
+:func:`~repro.metrics.collector.gateway_summary` of it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import sys
 import threading
 
 from repro.core.spec import FrameworkSpec
-from repro.metrics.collector import GatewayMetrics, aggregate_gateway_summaries
+from repro.metrics.collector import GatewayMetrics, gateway_summary
 from repro.net.gateway.server import LISTEN_BACKLOG, GatewayServer
 from repro.net.gateway.shedding import (
     DropByGlobalReputation,
@@ -77,7 +79,9 @@ def shard_trace_path(record_path, shard: int, shards: int) -> str:
 _READY = b"READY"
 _CONN = b"C"
 _QUIT = b"QUIT"
-_METRICS = b"M"
+#: A worker's final registry snapshot; the last message it sends.
+_FINAL = b"M"
+#: A periodic registry snapshot (only with a metrics endpoint).
 _SNAP = b"S"
 _SPANS = b"T"
 
@@ -231,7 +235,7 @@ class ShardWorker:
                     "spec": dataclasses.asdict(self.spec),
                 },
             )
-        self._ship_metrics()
+        self._ship_final()
         close = getattr(store, "close", None)
         if close is not None:
             close()
@@ -316,10 +320,8 @@ class ShardWorker:
             loop.connect_accepted_socket(self.gateway.connection, sock)
         )
 
-    def _ship_metrics(self) -> None:
-        summary = self.metrics.summary()
-        summary["shard"] = self.shard
-        summary["responses"] = len(self.gateway.responses)
+    def _ship_final(self) -> None:
+        """Send the sampled spans, then the final registry snapshot."""
         try:
             self.ctrl.setblocking(True)
             if self.tracer is not None:
@@ -329,7 +331,9 @@ class ShardWorker:
                     self.ctrl.sendall(
                         _SPANS + json.dumps(chunk).encode("utf-8")
                     )
-            self.ctrl.sendall(_METRICS + json.dumps(summary).encode("utf-8"))
+            self.ctrl.sendall(
+                _FINAL + json.dumps(self.registry.snapshot()).encode("utf-8")
+            )
         except OSError:  # pragma: no cover - parent already gone
             pass
         finally:
@@ -404,7 +408,8 @@ class GatewayCluster:
         workers publish registry snapshots over the control channel
         every ``publish_interval`` seconds and the parent merges the
         latest snapshot per shard into one cluster-wide view (see
-        :attr:`metrics_url`).
+        :attr:`metrics_url`).  With or without it, each worker's final
+        snapshot replaces its view at ``stop()``.
     metrics_host:
         Bind host for the introspection endpoint.
     publish_interval:
@@ -510,7 +515,7 @@ class GatewayCluster:
         self._snapshot_lock = threading.Lock()
         self._reader_stop = threading.Event()
         self._reader_thread: threading.Thread | None = None
-        self.worker_summaries: list[dict] = []
+        #: ``gateway_summary(metrics_snapshot())`` after a graceful stop.
         self.metrics_summary: dict = {}
         self.exit_codes: list[int | None] = []
 
@@ -535,7 +540,12 @@ class GatewayCluster:
         return self._metrics_server.url
 
     def metrics_snapshot(self) -> dict:
-        """Cluster-wide registry snapshot: latest per-shard views merged."""
+        """Cluster-wide registry snapshot: latest per-shard views merged.
+
+        While serving, a shard's view is its latest publication (none
+        without ``metrics_port``); after a graceful :meth:`stop` it is
+        the worker's final snapshot.
+        """
         from repro.obs.registry import merge_snapshots
 
         with self._snapshot_lock:
@@ -557,8 +567,8 @@ class GatewayCluster:
 
         Runs on its own thread while the cluster serves; stopped (and
         joined) *before* the parent shuts the control channels down for
-        teardown, so the shutdown-time span/metrics messages are left
-        for :meth:`_read_summary` to consume in order.
+        teardown, so the shutdown-time span/snapshot messages are left
+        for :meth:`_read_final` to consume in order.
         """
         import selectors
 
@@ -605,6 +615,7 @@ class GatewayCluster:
                     f"`repro state restore --workers {self.workers}`"
                 )
         ctx = multiprocessing.get_context(self.start_method)
+        self._snapshots.clear()
         listener = socket.create_server(
             (self.host, self.port), backlog=LISTEN_BACKLOG, reuse_port=False
         )
@@ -691,29 +702,35 @@ class GatewayCluster:
             self._metrics_server = None
         # The snapshot reader must be fully stopped before the control
         # channels shut down: once workers see parent EOF they start
-        # shipping spans and the final summary, and those messages
-        # belong to _read_summary, not the reader.
+        # shipping spans and the final snapshot, and those messages
+        # belong to _read_final, not the reader.
         self._reader_stop.set()
         if self._reader_thread is not None:
             self._reader_thread.join(timeout=10.0)
             self._reader_thread = None
         if self._listener is not None:
+            # close() alone leaves a thread blocked in accept() asleep
+            # until the join below times out; shutdown() wakes it.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=10.0)
             self._accept_thread = None
-        summaries: list[dict] = []
         spans: list[dict] = []
         for ctrl in self._ctrls:
             try:
                 ctrl.shutdown(socket.SHUT_WR)
             except OSError:
                 pass
-        for ctrl, proc in zip(self._ctrls, self._procs):
+        for shard, (ctrl, proc) in enumerate(zip(self._ctrls, self._procs)):
             if graceful:
-                summary = self._read_summary(ctrl, spans)
-                if summary is not None:
-                    summaries.append(summary)
+                snapshot = self._read_final(ctrl, spans)
+                if snapshot is not None:
+                    with self._snapshot_lock:
+                        self._snapshots[shard] = snapshot
             ctrl.close()
             proc.join(timeout=30.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
@@ -725,8 +742,7 @@ class GatewayCluster:
         self._listener = None
         self._address = None
         if graceful:
-            self.worker_summaries = summaries
-            self.metrics_summary = aggregate_gateway_summaries(summaries)
+            self.metrics_summary = gateway_summary(self.metrics_snapshot())
             spans.sort(key=lambda span: span.get("accept_ts", 0.0))
             self.trace_spans = spans
             if self.trace_path is not None:
@@ -780,13 +796,13 @@ class GatewayCluster:
         merged.dump_jsonl(self.record_path)
         return merged
 
-    def _read_summary(
-        self, ctrl: socket.socket, spans_out: list[dict] | None = None
+    def _read_final(
+        self, ctrl: socket.socket, spans_out: list[dict]
     ) -> dict | None:
-        """Read one worker's shutdown stream: span chunks, then summary.
+        """Read one worker's shutdown stream: span chunks, then snapshot.
 
         Snapshot publications still in flight are skipped; ``T`` span
-        chunks accumulate into ``spans_out``; the ``M`` summary message
+        chunks accumulate into ``spans_out``; the ``M`` final snapshot
         terminates the stream.
         """
         ctrl.settimeout(30.0)
@@ -796,12 +812,10 @@ class GatewayCluster:
                 if not message:
                     return None
                 if message.startswith(_SPANS):
-                    if spans_out is not None:
-                        chunk = json.loads(message[len(_SPANS):])
-                        spans_out.extend(chunk)
+                    spans_out.extend(json.loads(message[len(_SPANS):]))
                     continue
-                if message.startswith(_METRICS):
-                    return json.loads(message[len(_METRICS):])
+                if message.startswith(_FINAL):
+                    return json.loads(message[len(_FINAL):])
         except (socket.timeout, OSError, ValueError):
             return None
 

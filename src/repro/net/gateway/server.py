@@ -22,8 +22,8 @@ Overload behaviour is part of the contract, not an accident: the
 admission queue is bounded, a pluggable shed policy picks victims when
 it fills, shed requests get an explicit ``ERR shed: ...`` reply, and
 every shed emits a ``REQUEST_SHED`` event through the framework's
-:class:`~repro.core.events.EventBus` plus counters/histograms into an
-optional :class:`~repro.metrics.collector.GatewayMetrics`.  A peer that
+:class:`~repro.core.events.EventBus` plus counters/histograms into the
+gateway's :class:`~repro.metrics.collector.GatewayMetrics`.  A peer that
 is malformed, oversize, silent past ``io_timeout`` or gone before its
 terminal reply affects only itself: its connection is closed and
 counted by kind, never left to pin a slot.
@@ -89,9 +89,10 @@ class GatewayServer:
         Seconds a connection may take to deliver each line, counted
         from when the server starts waiting for it.
     metrics:
-        Optional :class:`~repro.metrics.collector.GatewayMetrics`
-        receiving queue depths, batch sizes, queue waits, shed counts
-        and connection errors.
+        The :class:`~repro.metrics.collector.GatewayMetrics` receiving
+        queue depths, batch sizes, queue waits, shed counts and
+        connection errors; one over a private registry when omitted
+        (see :meth:`metrics_snapshot`).
     recorder:
         Optional :class:`~repro.replay.TraceRecorder`, attached to the
         framework's event bus so every admission decision (admitted or
@@ -134,7 +135,7 @@ class GatewayServer:
         self.port = port
         self.io_timeout = io_timeout
         self.admission = admission
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else GatewayMetrics()
         self.responses: deque = deque(maxlen=10_000)
         self._connections: set[_Connection] = set()
         self.batcher = MicroBatcher(
@@ -144,7 +145,7 @@ class GatewayServer:
             queue_limit=queue_limit,
             shed_policy=shed_policy,
             on_shed=self._on_shed,
-            on_flush=self._on_flush if metrics is not None else None,
+            on_flush=self._on_flush,
         )
         self._address: tuple[str, int] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -187,8 +188,7 @@ class GatewayServer:
             policy=self.batcher.shed_policy.name,
             queue_depth=queue_depth,
         )
-        if self.metrics is not None:
-            self.metrics.observe_shed(reason, queue_depth=queue_depth)
+        self.metrics.observe_shed(reason, queue_depth=queue_depth)
 
     def _on_flush(
         self, batch_size: int, queue_depth: int, results: list, waits: list
@@ -202,6 +202,10 @@ class GatewayServer:
         self.metrics.observe_flush(
             batch_size, queue_depth, admitted=admitted, waits=waits
         )
+
+    def metrics_snapshot(self) -> dict:
+        """Snapshot of the registry the gateway records into."""
+        return self.metrics.registry.snapshot()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -462,6 +466,5 @@ class _Connection(asyncio.Protocol):
         """End without a terminal reply, counted once by ``kind``."""
         if not self.finished:
             self.finished = True
-            if self.gateway.metrics is not None:
-                self.gateway.metrics.observe_connection_error(kind)
+            self.gateway.metrics.observe_connection_error(kind)
             self.transport.close()

@@ -438,10 +438,7 @@ class FastSimulation:
     ``recorder`` a :class:`~repro.replay.TraceRecorder` attached to the
     framework's bus; ``links`` per-population access links.  The
     engine knobs are ``tick`` (cohort quantization grid, ``None`` for
-    exact times), ``admission`` (``"auto"``/``"framework"``/
-    ``"array"`` — auto picks the object-free array kernel whenever
-    nothing subscribes to admission or response events) and
-    ``phase_timer`` (an optional
+    exact times) and ``phase_timer`` (an optional
     :class:`~repro.obs.registry.PhaseTimer` accumulating wall time,
     cohort counts and item counts per event kind — ``arrive``,
     ``xmit``, ``xmitsol``, ``solve``, plus the nested ``fifo``
@@ -465,7 +462,6 @@ class FastSimulation:
         load_reference: float = 0.1,
         recorder=None,
         tick: float | None = None,
-        admission: str = "auto",
         links: LinkSet | None = None,
         phase_timer=None,
         decision_log: bool = False,
@@ -473,14 +469,6 @@ class FastSimulation:
         if load_reference <= 0:
             raise ValueError(
                 f"load_reference must be > 0, got {load_reference}"
-            )
-        if admission not in ("auto", "framework", "array"):
-            raise ValueError(f"unknown admission mode {admission!r}")
-        if admission == "array" and recorder is not None:
-            raise ValueError(
-                "array admission emits no events, so a recorder would "
-                "capture nothing; use admission='framework' (or 'auto', "
-                "which picks it whenever a recorder is attached)"
             )
         self.framework = framework
         timing = framework.config.timing
@@ -496,7 +484,6 @@ class FastSimulation:
         self.links = links
         self.phase_timer = phase_timer
         self._decision_log = decision_log
-        self._admission_request = admission
         self.default_hash_rate = 1.0 / timing.seconds_per_attempt
         self.rng = np.random.default_rng(seed)
         self._pyrng = random.Random(seed ^ 0x5A17)
@@ -572,8 +559,6 @@ class FastSimulation:
                 "FastFeedback in an agent-driven run (framework-side "
                 "feedback at scale is ROADMAP item 7(b))"
             )
-        if self._admission_request != "auto":
-            return self._admission_request
         events = self.framework.events
         listened = any(
             events.has_subscribers(kind)

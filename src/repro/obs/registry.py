@@ -1,10 +1,10 @@
 """Labelled metric instruments behind one process-wide registry.
 
-The registry is the convergence point for the three previously
-disconnected telemetry surfaces (:class:`~repro.metrics.collector.
-GatewayMetrics`, shed counters, :class:`~repro.net.sim.links.LinkStats`):
-each keeps its existing ``summary()`` API but records through registry
-instruments, so one ``/metrics`` scrape or JSON snapshot sees them all.
+The registry is where every serving count lives: the gateway's
+admission, shed and connection counters, the state client and server,
+link-layer and engine-phase totals all record through its instruments,
+so one ``/metrics`` scrape or JSON snapshot sees them all, and the
+gateway's serving summary is read back from that snapshot.
 
 Design points:
 
@@ -17,9 +17,10 @@ Design points:
   numpy cohort in O(1) numpy ops (``searchsorted`` + ``bincount``), so
   the vectorized simulator can record a million samples without a
   million Python calls.  Scalar ``observe`` and ``observe_array`` are
-  aggregate-equivalent by construction (same bucketing, same float
-  summation order is *not* guaranteed — exact-mode series retain the
-  raw samples so summary statistics match bit-for-bit).
+  aggregate-equivalent by construction (same bucketing; the float
+  summation order is *not* guaranteed, so ``sum`` may differ in the
+  last bits for non-integer samples).  Memory is O(buckets) per series
+  however long the stream runs.
 * **Snapshots cross process boundaries.**  :meth:`MetricsRegistry.
   snapshot` is JSON-safe; :func:`merge_snapshots` folds any number of
   per-worker snapshots into cluster totals (counters and histogram
@@ -37,8 +38,6 @@ import time
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-
-from repro.metrics.histogram import SampleSet
 
 __all__ = [
     "METRIC_CATALOG",
@@ -250,27 +249,20 @@ class Gauge(_Metric):
 class HistogramSeries:
     """One labelled histogram stream: buckets plus summary statistics.
 
-    In *exact* mode the raw samples are retained in a
-    :class:`~repro.metrics.histogram.SampleSet`, so ``mean``/``max``/
-    quantiles are bit-identical to the sample-set code this registry
-    replaced — the contract the GatewayMetrics migration is regression-
-    tested against.  Without it, memory stays O(buckets) for unbounded
-    streams and the mean is ``sum/count``.
+    Memory stays O(buckets) for unbounded streams; the mean is
+    ``sum / count``, exact whenever the samples are integers (every
+    gateway size and depth series is).
     """
 
-    __slots__ = (
-        "_bounds", "counts", "sum", "count", "_min", "_max", "samples",
-        "_lock",
-    )
+    __slots__ = ("_bounds", "counts", "sum", "count", "_min", "_max", "_lock")
 
-    def __init__(self, bounds: np.ndarray, exact: bool) -> None:
+    def __init__(self, bounds: np.ndarray) -> None:
         self._bounds = bounds
         self.counts = np.zeros(bounds.size + 1, dtype=np.int64)
         self.sum = 0.0
         self.count = 0
         self._min: float | None = None
         self._max: float | None = None
-        self.samples = SampleSet() if exact else None
         self._lock = threading.Lock()
 
     def observe(self, value: int | float) -> None:
@@ -284,11 +276,6 @@ class HistogramSeries:
                 self._min = value
             if self._max is None or value > self._max:
                 self._max = value
-            if self.samples is not None:
-                self.samples.add(value)
-
-    # SampleSet-compatible spelling, so migrated call sites keep working.
-    add = observe
 
     def observe_array(self, values: np.ndarray) -> None:
         """Fold a whole cohort in O(1) numpy ops."""
@@ -308,8 +295,6 @@ class HistogramSeries:
                 self._min = low
             if self._max is None or high > self._max:
                 self._max = high
-            if self.samples is not None:
-                self.samples.extend_array(values)
 
     def __len__(self) -> int:
         return self.count
@@ -317,8 +302,6 @@ class HistogramSeries:
     def mean(self) -> float:
         if not self.count:
             raise ValueError("mean of an empty histogram series")
-        if self.samples is not None:
-            return self.samples.mean()
         return self.sum / self.count
 
     def min(self) -> float:
@@ -330,11 +313,6 @@ class HistogramSeries:
         if self._max is None:
             raise ValueError("max of an empty histogram series")
         return self._max
-
-    def quantile(self, q: float) -> float:
-        if self.samples is None:
-            raise ValueError("quantiles need an exact-mode histogram")
-        return self.samples.quantile(q)
 
 
 class Histogram(_Metric):
@@ -348,7 +326,6 @@ class Histogram(_Metric):
         help: str,
         label_names: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        exact: bool = False,
     ) -> None:
         super().__init__(name, help, label_names)
         bounds = np.asarray(sorted(float(b) for b in buckets))
@@ -357,7 +334,6 @@ class Histogram(_Metric):
         if np.unique(bounds).size != bounds.size:
             raise ValueError(f"duplicate bucket bounds in {buckets}")
         self.bounds = bounds
-        self.exact = exact
 
     def labels(self, **labels: object) -> HistogramSeries:
         """The (created-on-first-use) series for one label combination."""
@@ -365,7 +341,7 @@ class Histogram(_Metric):
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = HistogramSeries(self.bounds, self.exact)
+                series = HistogramSeries(self.bounds)
                 self._series[key] = series
             return series  # type: ignore[return-value]
 
@@ -445,10 +421,9 @@ class MetricsRegistry:
         help: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        exact: bool = False,
     ) -> Histogram:
         return self._get_or_create(  # type: ignore[return-value]
-            lambda: Histogram(name, help, labels, buckets=buckets, exact=exact)
+            lambda: Histogram(name, help, labels, buckets=buckets)
         )
 
     def get(self, name: str) -> _Metric | None:
@@ -498,9 +473,13 @@ def merge_snapshots(snapshots: Iterable[Mapping]) -> dict:
     take the extremes; gauges merge by their declared ``agg``.  Metric
     families absent from some workers merge fine — a worker that never
     shed anything simply contributes nothing to ``gateway_shed_total``.
+    The inputs ride along under ``parts`` (flattened when an input is
+    itself a merge), so a merged view still reads per worker.
     """
     merged: dict[str, dict] = {}
+    parts: list[Mapping] = []
     for snapshot in snapshots:
+        parts.extend(snapshot.get("parts") or (snapshot,))
         for metric in snapshot.get("metrics", ()):
             name = metric["name"]
             target = merged.get(name)
@@ -554,7 +533,10 @@ def merge_snapshots(snapshots: Iterable[Mapping]) -> dict:
             dict(row) for _, row in sorted(entry["series"].items())
         ]
         out.append(entry)
-    return {"format": "repro-metrics/v1", "metrics": out}
+    result: dict = {"format": "repro-metrics/v1", "metrics": out}
+    if parts:
+        result["parts"] = parts
+    return result
 
 
 def _escape_label_value(value: str) -> str:

@@ -13,7 +13,6 @@ True
 """
 
 from repro.reputation.base import BaseReputationModel, clamp_score
-from repro.reputation.calibration import CalibrationResult, calibrate_dabr
 from repro.reputation.dabr import DAbRModel
 from repro.reputation.dataset import (
     CorpusParams,
@@ -85,6 +84,4 @@ __all__ = [
     "evaluate_model",
     "estimate_epsilon",
     "roc_auc",
-    "CalibrationResult",
-    "calibrate_dabr",
 ]

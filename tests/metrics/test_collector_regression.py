@@ -1,22 +1,26 @@
-"""GatewayMetrics must stay bit-identical to the pre-registry version.
+"""The gateway summary must stay bit-identical to the pre-registry one.
 
-The registry migration replaced the two private ``SampleSet`` fields
-with exact-mode histogram series, keeping ``summary()`` (and therefore
-the cluster aggregation and every golden trace) unchanged.  This test
-vendors the replaced implementation verbatim and drives both through
-randomized flush/shed workloads, asserting equality — not approximate,
-bit-identical, since both ultimately call ``np.mean`` over the same
-retained samples.
+``gateway_summary`` reads the serving totals from a registry snapshot
+that keeps O(buckets) per histogram, where the replaced
+``GatewayMetrics`` kept every batch size and queue depth in a
+``SampleSet``.  This test vendors the replaced implementation verbatim
+and drives both through randomized flush/shed workloads, asserting
+equality — not approximate, bit-identical: every gateway size and
+depth is an integer, so ``sum / count`` is exactly ``np.mean`` over
+the retained samples, for one worker's snapshot or a merge of N.
 """
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.collector import GatewayMetrics, aggregate_gateway_summaries
+from repro.metrics.collector import GatewayMetrics, gateway_summary
 from repro.metrics.histogram import SampleSet
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, merge_snapshots
 
 
 class ReferenceGatewayMetrics:
@@ -69,6 +73,16 @@ shed_op = st.tuples(
 )
 
 
+def totals(summary: dict) -> dict:
+    """The keys the reference summary has (no worker breakdown)."""
+    return {key: summary[key] for key in ReferenceGatewayMetrics().summary()}
+
+
+def shipped(metrics: GatewayMetrics) -> dict:
+    """A worker's snapshot as the cluster parent receives it (JSON)."""
+    return json.loads(json.dumps(metrics.registry.snapshot()))
+
+
 def apply(metrics, operations) -> None:
     for operation in operations:
         if operation[0] == "flush":
@@ -91,15 +105,10 @@ class TestSummaryRegression:
         migrated = GatewayMetrics()
         apply(reference, operations)
         apply(migrated, operations)
-        assert migrated.summary() == reference.summary()
-        assert migrated.admitted_count == reference.admitted_count
-        assert migrated.shed_count == reference.shed_count
-        assert migrated.shed_reasons == reference.shed_reasons
-        assert migrated.mean_batch_size == (
-            reference.batch_sizes.mean()
-            if len(reference.batch_sizes)
-            else 0.0
-        )
+        summary = gateway_summary(migrated.registry.snapshot())
+        assert totals(summary) == reference.summary()
+        assert summary["workers"] == 1
+        assert summary["per_worker"] == [reference.summary()]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -110,18 +119,22 @@ class TestSummaryRegression:
         )
     )
     def test_aggregation_bit_identical_to_reference(self, workloads):
-        reference_summaries = []
-        migrated_summaries = []
+        """N merged worker snapshots read as one worker fed every op."""
+        everything = ReferenceGatewayMetrics()
+        per_worker = []
+        snapshots = []
         for operations in workloads:
+            apply(everything, operations)
             reference = ReferenceGatewayMetrics()
-            migrated = GatewayMetrics()
             apply(reference, operations)
-            apply(migrated, operations)
-            reference_summaries.append(reference.summary())
-            migrated_summaries.append(migrated.summary())
-        assert aggregate_gateway_summaries(
-            migrated_summaries
-        ) == aggregate_gateway_summaries(reference_summaries)
+            per_worker.append(reference.summary())
+            worker = GatewayMetrics()
+            apply(worker, operations)
+            snapshots.append(shipped(worker))
+        summary = gateway_summary(merge_snapshots(snapshots))
+        assert totals(summary) == everything.summary()
+        assert summary["workers"] == len(workloads)
+        assert summary["per_worker"] == per_worker
 
 
 class TestRegistryExposure:
@@ -141,5 +154,24 @@ class TestRegistryExposure:
     def test_private_registry_keeps_instances_isolated(self):
         first, second = GatewayMetrics(), GatewayMetrics()
         first.observe_flush(8, 8)
-        assert second.admitted_count == 0
-        assert second.summary()["flushes"] == 0
+        summary = gateway_summary(second.registry.snapshot())
+        assert (summary["admitted"], summary["flushes"]) == (0, 0)
+
+
+class TestBoundedMemory:
+    def test_flush_stream_does_not_retain_samples(self):
+        """A serving process records flushes for its whole life."""
+        metrics = GatewayMetrics()
+        metrics.observe_flush(16, 16, waits=[0.001])
+        metrics.observe_shed("queue full", queue_depth=256)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for flush in range(100_000):
+                metrics.observe_flush(1 + flush % 64, flush % 300)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024
+        summary = gateway_summary(metrics.registry.snapshot())
+        assert summary["flushes"] == 100_001

@@ -430,6 +430,93 @@ class TestClusterTelemetry:
 
 
 @pytest.mark.slow
+class TestClusterFinalSnapshot:
+    @pytest.mark.parametrize("metrics_port", [None, 0])
+    def test_snapshot_after_stop_counts_drain_sheds(
+        self, examples, metrics_port
+    ):
+        """After ``stop()`` the merged snapshot is the final cluster state.
+
+        With or without a metrics endpoint, each worker's last control
+        message is its registry snapshot, taken after its drain: every
+        admission and every request shed because the gateway was
+        shutting down is in it, and ``metrics_summary`` is read from it.
+        """
+        import socket
+        import threading
+
+        from repro.metrics.collector import gateway_summary
+        from repro.net.live import protocol
+
+        features = dict(examples[0].features)
+        ips = [f"127.0.0.{i}" for i in range(1, 5)]
+        late_ip = "127.0.0.9"
+        cluster = GatewayCluster(
+            SPEC, workers=2, metrics_port=metrics_port,
+            publish_interval=0.1,
+        ).start()
+        stopper = threading.Thread(target=cluster.stop)
+        late: list[socket.socket] = []
+        replies: list[str] = []
+        try:
+            for ip in ips:
+                result = LiveClient(
+                    cluster.address, source_ip=ip
+                ).fetch("/index.html", features)
+                assert result.ok, (ip, result)
+            # Idle connections: adopted by their worker, request unsent.
+            late = [
+                socket.create_connection(
+                    cluster.address, timeout=30.0,
+                    source_address=(late_ip, 0),
+                )
+                for _ in range(20)
+            ]
+            # Accepted and handed over in order on one control socket,
+            # so once this exchange is served the idle ones are adopted.
+            result = LiveClient(
+                cluster.address, source_ip=late_ip
+            ).fetch("/index.html", features)
+            assert result.ok, result
+            stopper.start()
+            line = protocol.encode_request("/late", features)
+            for sock in late:
+                # Probe until the worker has stopped admitting; once it
+                # has, every remaining request is shed at once.
+                if not (replies and replies[-1].startswith("ERR shed")):
+                    time.sleep(0.25)
+                protocol.send_line(sock, line)
+                replies.append(protocol.read_line(sock))
+                sock.close()
+        finally:
+            for sock in late:
+                sock.close()
+            if stopper.ident is None:
+                stopper.start()
+            stopper.join(timeout=120.0)
+        assert not stopper.is_alive()
+        assert cluster.exit_codes == [0, 0]
+
+        sheds = replies.count("ERR shed: gateway shutting down")
+        puzzled = sum(reply.startswith("PUZZLE") for reply in replies)
+        assert sheds >= 1, replies
+        assert sheds + puzzled == len(replies), replies
+        snapshot = cluster.metrics_snapshot()
+        admitted = next(
+            metric["series"][0]["value"]
+            for metric in snapshot["metrics"]
+            if metric["name"] == "gateway_admitted_total"
+        )
+        assert admitted == len(ips) + 1 + puzzled
+        summary = gateway_summary(snapshot)
+        assert cluster.metrics_summary == summary
+        assert summary["admitted"] == admitted
+        assert summary["shed_reasons"] == {"gateway shutting down": sheds}
+        assert summary["workers"] == 2
+        assert len(summary["per_worker"]) == 2
+
+
+@pytest.mark.slow
 class TestClusterOverStateServer:
     def test_state_lives_on_the_server_and_survives_workers(
         self, examples

@@ -298,17 +298,6 @@ class TestChannels:
 
 
 class TestAdmissionRouting:
-    def test_recorder_with_array_admission_rejected(self):
-        """An attached recorder would capture nothing in array mode."""
-        from repro.replay import TraceRecorder
-
-        with pytest.raises(ValueError, match="recorder"):
-            FastSimulation(
-                fixed_framework(),
-                recorder=TraceRecorder(),
-                admission="array",
-            )
-
     def test_stateful_model_rejected_anywhere_in_wrapper_chain(self):
         """Feedback models learn from outcomes the engine never feeds
         back into scoring — frozen offsets must fail loudly, even when

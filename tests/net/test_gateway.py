@@ -10,7 +10,7 @@ import pytest
 from repro.core.events import EventKind
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ClientRequest
-from repro.metrics.collector import GatewayMetrics
+from repro.metrics.collector import GatewayMetrics, gateway_summary
 from repro.net.gateway.accumulator import MicroBatcher
 from repro.net.gateway.loadgen import LoadGenerator
 from repro.net.gateway.server import GatewayServer
@@ -159,7 +159,6 @@ class TestMicroBatcher:
         assert isinstance(outcome, ShedOutcome)
         assert outcome.policy == "drop-newest"
         assert sheds == [("10.0.0.3", "admission queue full")]
-        assert batcher.shed_count == 1
 
     def test_queue_full_can_shed_queued_victim(self):
         """A reputation prior can evict a queued request instead."""
@@ -340,6 +339,7 @@ class TestMicroBatcher:
     def test_stop_mid_batch_resolves_everything_exactly_once(self):
         async def scenario():
             resolutions = []
+            flushes = []
             batcher = MicroBatcher(
                 lambda reqs: list(reqs),
                 max_batch=64,
@@ -347,6 +347,7 @@ class TestMicroBatcher:
                 on_shed=lambda pending, reason, depth: resolutions.append(
                     pending.request.client_ip
                 ),
+                on_flush=lambda *flush: flushes.append(flush),
             )
             batcher.start()
             futures = [batcher.submit(request_from("10.0.4.0"))]
@@ -359,15 +360,15 @@ class TestMicroBatcher:
             outcomes = await asyncio.wait_for(
                 asyncio.gather(*futures, late), timeout=5.0
             )
-            return batcher, resolutions, outcomes
+            return flushes, resolutions, outcomes
 
-        batcher, resolutions, outcomes = run(scenario())
+        flushes, resolutions, outcomes = run(scenario())
         assert all(isinstance(o, ShedOutcome) for o in outcomes)
         assert sorted(resolutions) == sorted(
             [f"10.0.4.{i}" for i in range(6)] + ["10.0.4.99"]
         )
-        assert batcher.admitted_count == 0
-        assert batcher.shed_count == 7
+        assert flushes == []
+        assert len(resolutions) == 7
 
     def test_validation(self):
         async def scenario():
@@ -570,7 +571,8 @@ class TestGatewayStress:
         # No drops without a shed event.
         assert report.served + report.shed == total
         assert len(shed_events) == report.shed
-        assert metrics.shed_count == report.shed
+        summary = gateway_summary(metrics.registry.snapshot())
+        assert summary["shed"] == report.shed
         # Batched admission decided exactly what scalar admission would.
         scalar = AIPoWFramework(ConstantModel(3.0), policy_1())
         expected = scalar.challenge(
@@ -578,8 +580,8 @@ class TestGatewayStress:
         ).decision.difficulty
         assert set(report.difficulties) == {expected}
         # The batcher actually batched.
-        assert metrics.admitted_count == report.served
-        assert len(metrics.batch_sizes) >= 1
+        assert summary["admitted"] == report.served
+        assert summary["flushes"] >= 1
         assert metrics.batch_sizes.max() > 1
 
     def test_bad_request_does_not_poison_its_batch(self, fitted_dabr):
@@ -637,8 +639,11 @@ class TestGatewayStress:
 
         assert report.shed > 0, "queue limit 4 under 32 connections must shed"
         assert report.served + report.shed == report.attempted
-        assert len(shed_events) == report.shed == metrics.shed_count
-        assert metrics.shed_reasons.get("admission queue full") == report.shed
+        summary = gateway_summary(metrics.registry.snapshot())
+        assert len(shed_events) == report.shed == summary["shed"]
+        assert summary["shed_reasons"] == {
+            "admission queue full": report.shed
+        }
         for event in shed_events:
             assert event.kind is EventKind.REQUEST_SHED
             assert event.payload["reason"] == "admission queue full"

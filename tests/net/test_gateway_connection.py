@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.framework import AIPoWFramework
 from repro.core.spec import FrameworkSpec
-from repro.metrics.collector import GatewayMetrics
+from repro.metrics.collector import GatewayMetrics, gateway_summary
 from repro.net.gateway.cluster import ShardWorker
 from repro.net.gateway.server import GatewayServer
 from repro.net.live.client import LiveClient
@@ -271,9 +271,9 @@ class TestPeerLeaves:
         gateway, transport, faults = asyncio.run(scenario())
         assert faults == []
         assert not transport.written
-        batcher = gateway.batcher
-        assert (batcher.submitted_count, batcher.admitted_count) == (1, 1)
-        assert batcher.shed_count == 0
+        summary = gateway_summary(gateway.metrics_snapshot())
+        assert (summary["admitted"], summary["flushes"]) == (1, 1)
+        assert summary["shed"] == 0
         assert error_counts(gateway) == {"reset": 1}
         assert not gateway._connections
 

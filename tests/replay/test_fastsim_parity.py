@@ -90,7 +90,8 @@ def test_fastsim_matches_callback_decisions(name):
 def _array_kernel_stream(framework, trace, seed, **sim_kwargs):
     """Per-request (score, difficulty) stream of the array admission path.
 
-    Array-mode admission emits no events (that is the point), so the
+    Nothing subscribes to the framework's bus here, so the engine
+    picks the array kernel.  It emits no events (that is the point), so the
     kernel's decisions are captured by spying on
     ``difficulties_for_scores`` — cohorts arrive in request order, so
     the concatenated capture is the decision stream.
@@ -108,9 +109,7 @@ def _array_kernel_stream(framework, trace, seed, **sim_kwargs):
         return difficulties
 
     framework.difficulties_for_scores = spy
-    FastSimulation(
-        framework, seed=seed, admission="array", **sim_kwargs
-    ).run(trace)
+    FastSimulation(framework, seed=seed, **sim_kwargs).run(trace)
     scores = np.concatenate([s for s, _ in captured])
     difficulties = np.concatenate([d for _, d in captured])
     return scores, difficulties

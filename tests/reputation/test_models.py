@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ModelNotFittedError
-from repro.reputation.calibration import calibrate_dabr
 from repro.reputation.dabr import DAbRModel
 from repro.reputation.dataset import generate_corpus, synthesize_features
 from repro.reputation.ensemble import (
@@ -213,21 +212,6 @@ class TestEvaluation:
         empty = type(corpus)((), corpus.schema, corpus.params, corpus.seed)
         with pytest.raises(ValueError):
             evaluate_model(fitted_dabr, empty)
-
-
-class TestCalibration:
-    def test_calibration_approaches_target(self, corpus_split):
-        train, test = corpus_split
-        result = calibrate_dabr(train, test, target_accuracy=0.80)
-        assert abs(result.accuracy - 0.80) < 0.06
-        assert result.epsilon > 0
-
-    def test_target_validation(self, corpus_split):
-        train, test = corpus_split
-        with pytest.raises(ValueError):
-            calibrate_dabr(train, test, target_accuracy=1.5)
-        with pytest.raises(ValueError):
-            calibrate_dabr(train, test, scale_percentiles=())
 
 
 class TestConstantModel:

@@ -50,7 +50,7 @@ def test_fast_engine_is_chosen_by_class_with_the_same_arguments():
     oracle = set(inspect.signature(Simulation).parameters)
     assert oracle - fast == set()
     assert set(inspect.signature(ClosedLoopSimulation).parameters) <= oracle
-    assert fast - oracle == {"tick", "admission", "phase_timer", "decision_log"}
+    assert fast - oracle == {"tick", "phase_timer", "decision_log"}
     assert "engine" not in fast and "timeline" not in fast
 
 

@@ -7,11 +7,14 @@ would, end to end:
 1. boot a 2-worker cluster with a state directory;
 2. run one full request → puzzle → solve → redeem round-trip with an
    unmodified :class:`~repro.net.live.client.LiveClient`;
-3. SIGTERM; require exit 0 and per-shard snapshot files on disk;
+3. SIGTERM; require exit 0, the shutdown line ``admitted 1 in 1
+   batches`` (read from the workers' final metrics snapshots, and the
+   same line a single-process ``repro serve`` prints) and per-shard
+   snapshot files on disk;
 4. merge the shards with ``repro state snapshot`` and check the served
    client's warmed feedback offset is in the snapshot;
 5. boot the cluster *again* on the same state directory, round-trip
-   once more, SIGTERM;
+   once more, SIGTERM, and require the same shutdown line;
 6. require the client's offset to have kept accumulating across the
    restart — the warmed reputation table survived.
 
@@ -116,13 +119,13 @@ class ServeProcess:
                 return url.removesuffix("/metrics")
 
     def terminate(self) -> int:
+        """SIGTERM; the exit code, or 1 without the shutdown line."""
+        from gateway_smoke import drain_shutdown
+
         self.proc.send_signal(signal.SIGTERM)
         code = self.proc.wait(timeout=SHUTDOWN_TIMEOUT)
-        while True:
-            line = self.lines.get()
-            if line is None:
-                break
-            print("serve:", line, end="")
+        if drain_shutdown(self.lines) and code == 0:
+            return 1
         return code
 
     def kill(self) -> None:

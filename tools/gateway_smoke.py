@@ -5,9 +5,11 @@ Exercises the gateway exactly the way an operator would: the CLI
 subprocess in the foreground with no mode flag (the gateway is the
 default and only single-process server), an unmodified
 :class:`~repro.net.live.client.LiveClient` doing one full
-request → puzzle → solve → redeem round-trip against it, then SIGINT
-and a clean-exit check.  Exits non-zero on any failure, so it can gate
-CI directly:
+request → puzzle → solve → redeem round-trip against it, then SIGINT,
+a clean-exit check and the shutdown summary line (the same
+``admitted 1 in 1 batches`` a ``--workers 2`` cluster prints; see
+``tools/cluster_smoke.py``).  Exits non-zero on any failure, so it can
+gate CI directly:
 
 .. code-block:: bash
 
@@ -29,6 +31,30 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 STARTUP_TIMEOUT = 120.0
 SHUTDOWN_TIMEOUT = 30.0
+#: How ``repro serve`` (any ``--workers``) sums up one served round-trip.
+SHUTDOWN_LINE = "admitted 1 in 1 batches"
+
+
+def drain_shutdown(lines: queue.Queue) -> int:
+    """Echo the exited child's remaining stdout; 0 if it summed up right.
+
+    ``lines`` is fed by a stdout pump thread that ends with ``None``.
+    """
+    seen = False
+    while True:
+        try:
+            line = lines.get(timeout=SHUTDOWN_TIMEOUT)
+        except queue.Empty:
+            print(f"stdout still open {SHUTDOWN_TIMEOUT:.0f}s after exit")
+            return 1
+        if line is None:
+            break
+        print("serve:", line, end="")
+        seen = seen or line.startswith(SHUTDOWN_LINE)
+    if not seen:
+        print(f"no {SHUTDOWN_LINE!r} line at shutdown")
+        return 1
+    return 0
 
 
 def scrape_introspection(
@@ -170,7 +196,7 @@ def main() -> int:
             print(f"gateway ignored SIGINT for {SHUTDOWN_TIMEOUT:.0f}s")
             return 1
         print("gateway exited with", code)
-        if code != 0:
+        if code != 0 or drain_shutdown(lines):
             return 1
         print("gateway smoke OK")
         return 0
