@@ -71,6 +71,7 @@ form only at genuinely equal instants).
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import time
 from typing import Mapping, Sequence
@@ -250,24 +251,16 @@ class _OutcomeBuffers:
             return
         self.count += int(latency.size)
         if isinstance(status, ResponseStatus):
-            status_codes = np.full(
-                latency.size, _STATUS_CODES.index(status), dtype=np.int8
+            status = _STATUS_CODES.index(status)
+        # One unique over (class, status) pairs, in class-major order.
+        codes = len(_STATUS_CODES)
+        pairs = class_ids.astype(np.int64) * codes + status
+        for pair in np.unique(pairs).tolist():
+            mask = pairs == pair
+            cid, code = divmod(pair, codes)
+            self._chunks.setdefault((class_names[cid], code), []).append(
+                (latency[mask], scores[mask], difficulties[mask], attempts[mask])
             )
-        else:
-            status_codes = status
-        for cid in np.unique(class_ids):
-            cmask = class_ids == cid
-            for code in np.unique(status_codes[cmask]):
-                mask = cmask & (status_codes == code)
-                key = (class_names[cid], int(code))
-                self._chunks.setdefault(key, []).append(
-                    (
-                        latency[mask],
-                        scores[mask],
-                        difficulties[mask],
-                        attempts[mask],
-                    )
-                )
 
     def fill(self, collector: MetricsCollector) -> MetricsCollector:
         """Bulk-fill a :class:`MetricsCollector` from the buffers.
@@ -693,12 +686,13 @@ class FastSimulation:
         abandoned = kernels.patience_mask(solve_end, receipt, patience)
         give_up = receipt + patience
         release = np.where(abandoned, give_up, solve_end)
-        uniq, inverse, counts = np.unique(
-            agents, return_inverse=True, return_counts=True
-        )
-        if uniq.size == agents.size:
+        ordered = np.sort(agents)
+        if not (ordered[1:] == ordered[:-1]).any():
             cpu_free[agents] = release
             return solve_end, abandoned
+        _, inverse, counts = np.unique(
+            agents, return_inverse=True, return_counts=True
+        )
         single = counts[inverse] == 1
         cpu_free[agents[single]] = release[single]
         for i in np.nonzero(~single)[0].tolist():
@@ -869,12 +863,13 @@ class FastSimulation:
         solve = np.ones(difficulties.size, dtype=bool)
         if not self.solve_deciders:
             return solve
-        for cid in np.unique(class_ids):
-            decider = self.solve_deciders.get(class_names[cid])
+        for cid, name in enumerate(class_names):
+            decider = self.solve_deciders.get(name)
             if decider is None:
                 continue
             mask = class_ids == cid
-            solve[mask] = decide_batch(decider, difficulties[mask])
+            if mask.any():
+                solve[mask] = decide_batch(decider, difficulties[mask])
         return solve
 
     # ------------------------------------------------------------------
@@ -1307,54 +1302,65 @@ class FastSimulation:
         The step both legs share: the counter-hash loss draw, the
         queue's FIFO/tail-drop recurrence, and the backoff schedule of
         whatever failed.  Yields, per queue, ``(delivered, arrive,
-        failed, retry_at, can_retry)``: positions (into ``idx``) that
-        crossed and their server-side arrival times, then the positions
-        that did not — lost + tail-dropped, in original crossing order
-        (a same-instant retry cohort re-enters the queue in the order
-        the callback engine would process it) — with their next attempt
-        time and whether ``max_retries`` still allows one.  What to do
-        with a crossing that succeeded, and when to give up, is the
-        leg's.
+        failed, retry_at, retry, can_retry)``: what crossed (a slice or
+        positions into ``idx``) and its server-side arrival times, then
+        the positions that did not — lost + tail-dropped, in original
+        crossing order (a same-instant retry cohort re-enters the queue
+        in the order the callback engine would process it) — with
+        their next attempt time and number, and whether ``max_retries``
+        still allows one (the last three are ``None`` when nothing
+        failed).  What to do with a crossing that succeeded, and when
+        to give up, is the leg's.
+
+        A cohort on one queue — every cohort, when the run has only
+        one — is computed on its columns as they are, without
+        splitting it by queue.
         """
         st = self._open
         session = self._link_session
         stats = session.stats
         self.events_processed += int(idx.size)
         stats.crossings += int(idx.size)
-        qids = st.link_qids[idx]
-        for qid in np.unique(qids):
-            pos = np.nonzero(qids == qid)[0]
-            profile = self.links.profile_of_queue(int(qid))
-            lost = self.links.crossing_lost(
-                idx[pos], attempt[pos], leg=leg, loss_rate=profile.loss_rate
-            )
-            stats.lost += int(lost.sum())
-            surv = pos[~lost]
-            exits, accepted = session.cross(int(qid), when, int(surv.size))
-            stats.queue_dropped += int(surv.size) - accepted
-            deliv = surv[:accepted]
-            arrive = None
-            if deliv.size:
-                arrive = (
-                    exits
-                    + self._base(idx[deliv])
-                    + self._delays(int(deliv.size))
+        groups = ((0, None),)  # (queue id, positions into idx; None = all)
+        if self.links.queue_count() > 1:
+            qids = st.link_qids[idx]
+            if (qids == qids[0]).all():
+                groups = ((int(qids[0]), None),)
+            else:
+                groups = (
+                    (int(qid), (qids == qid).nonzero()[0])
+                    for qid in np.unique(qids)
                 )
-            failed = np.zeros(pos.size, dtype=bool)
-            failed[np.nonzero(lost)[0]] = True
-            failed[np.nonzero(~lost)[0][accepted:]] = True
-            f_pos = pos[failed]
-            f_att = attempt[f_pos]
-            retry_at = when + profile.backoff * 2.0 ** (
-                f_att.astype(np.float64) - 1.0
-            )
-            yield (
-                deliv,
-                arrive,
-                f_pos,
-                retry_at,
-                f_att < 1 + profile.max_retries,
-            )
+        for qid, pos in groups:
+            profile = self.links.profile_of_queue(qid)
+            q_idx = idx if pos is None else idx[pos]
+            size = int(q_idx.size)
+            n_lost = 0
+            if profile.loss_rate > 0.0:
+                q_att = attempt if pos is None else attempt[pos]
+                lost = self.links.crossing_lost(q_idx, q_att, leg, profile.loss_rate)
+                n_lost = int(np.count_nonzero(lost))
+            stats.lost += n_lost
+            exits, accepted = session.cross(qid, when, size - n_lost)
+            stats.queue_dropped += size - n_lost - accepted
+            if n_lost == 0:
+                deliv = slice(0, accepted)
+                failed = np.arange(accepted, size)
+            else:
+                surv = (~lost).nonzero()[0]
+                deliv = surv[:accepted]
+                lost[surv[accepted:]] = True  # + the tail-drop suffix
+                failed = lost.nonzero()[0]
+            if pos is not None:
+                deliv, failed = pos[deliv], pos[failed]
+            if accepted:
+                exits = exits + self._base(idx[deliv]) + self._delays(accepted)
+            if not failed.size:
+                yield deliv, exits, failed, None, None, None
+                continue
+            f_att = attempt[failed]
+            retry_at = when + profile.backoff * 2.0 ** (f_att - 1.0)
+            yield deliv, exits, failed, retry_at, f_att + 1, f_att < 1 + profile.max_retries
 
     def _process_xmit(self, when: float, payload: tuple) -> None:
         """Request-leg uplink crossings: loss, queueing, retry, give-up.
@@ -1368,10 +1374,10 @@ class FastSimulation:
         idx, attempt = payload
         st = self._open
         stats = self._link_session.stats
-        for deliv, arrive, failed, retry_at, can in self._cross(
+        for deliv, arrive, failed, retry_at, retry, can in self._cross(
             when, idx, attempt, leg=0
         ):
-            if deliv.size:
+            if arrive.size:
                 self._push_grouped(arrive, "arrive", (idx[deliv],))
             if not failed.size:
                 continue
@@ -1379,11 +1385,12 @@ class FastSimulation:
             can &= (retry_at - st.ts[f_idx]) <= st.patience[
                 st.class_ids[f_idx]
             ]
-            stats.retries += int(can.sum())
-            stats.request_give_ups += int((~can).sum())
-            self._push_grouped(
-                retry_at[can], "xmit", (f_idx[can], attempt[failed][can] + 1)
-            )
+            n_can = int(np.count_nonzero(can))
+            stats.retries += n_can
+            stats.request_give_ups += int(failed.size) - n_can
+            if n_can < failed.size:
+                retry_at, f_idx, retry = retry_at[can], f_idx[can], retry[can]
+            self._push_grouped(retry_at, "xmit", (f_idx, retry))
 
     def _process_xmitsol(self, when: float, payload: tuple) -> None:
         """Solution-leg uplink crossings.
@@ -1398,18 +1405,19 @@ class FastSimulation:
         *solution, attempt = payload
         idx, _issued_at, attempts, difficulties, scores = solution
         stats = self._link_session.stats
-        for deliv, arrive, failed, retry_at, can in self._cross(
+        for deliv, arrive, failed, retry_at, retry, can in self._cross(
             when, idx, attempt, leg=1
         ):
-            if deliv.size:
+            if arrive.size:
                 self._push_grouped(
                     arrive, "solve", tuple(col[deliv] for col in solution)
                 )
             if not failed.size:
                 continue
-            stats.retries += int(can.sum())
-            give_up = failed[~can]
-            if give_up.size:
+            n_can = int(np.count_nonzero(can))
+            stats.retries += n_can
+            if n_can < failed.size:
+                give_up = failed[~can]
                 stats.solution_give_ups += int(give_up.size)
                 self._terminal(
                     idx[give_up],
@@ -1419,12 +1427,11 @@ class FastSimulation:
                     difficulties[give_up],
                     attempts[give_up],
                 )
-            retry = failed[can]
+                failed, retry_at, retry = failed[can], retry_at[can], retry[can]
             self._push_grouped(
-                retry_at[can],
+                retry_at,
                 "xmitsol",
-                tuple(col[retry] for col in solution)
-                + (attempt[retry] + 1,),
+                tuple(col[failed] for col in solution) + (retry,),
             )
 
     # ------------------------------------------------------------------
@@ -1658,21 +1665,25 @@ class FastSimulation:
         each segment is pushed at its earliest member's raw time —
         quantization onto the grid happens exactly once, inside
         :class:`CalendarQueue`, so events are never bumped a second
-        tick by re-quantizing an already-on-grid value.
+        tick by re-quantizing an already-on-grid value.  Columns are
+        stable-sorted by time first; already-sorted times skip the
+        sort, and a sorted group inside one bucket is pushed as the
+        one segment it is, columns untouched.
         """
         if times.size == 0:
             return
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        payload = tuple(column[order] for column in payload)
-        if self.tick is None:
-            keyed = times
-        else:
-            keyed = np.ceil(times / self.tick)
-        boundaries = np.nonzero(np.diff(keyed))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [times.size]])
-        for lo, hi in zip(starts, ends):
+        if times.size > 1 and not (times[1:] >= times[:-1]).all():
+            order = times.argsort(kind="stable")
+            times = times[order]
+            payload = tuple(column[order] for column in payload)
+        tick = self.tick
+        first, last = float(times[0]), float(times[-1])
+        if first == last or tick and math.ceil(first / tick) == math.ceil(last / tick):
+            self._queue.push(first, (kind, payload))
+            return
+        keyed = times if tick is None else np.ceil(times / tick)
+        cuts = [0, *((keyed[1:] != keyed[:-1]).nonzero()[0] + 1).tolist(), times.size]
+        for lo, hi in zip(cuts, cuts[1:]):
             self._queue.push(
                 float(times[lo]),
                 (kind, tuple(col[lo:hi] for col in payload)),
@@ -1694,21 +1705,19 @@ def _merge_segments(segments: list) -> list:
 
     Segments pop in push order (the heap's seq order); merging only
     *adjacent* runs keeps that order — arrivals still precede
-    same-instant solutions pushed later, and vice versa.
+    same-instant solutions pushed later, and vice versa.  Each run is
+    concatenated once per column.
     """
-    merged: list = []
+    runs: list = []
     for kind, payload in segments:
-        if merged and merged[-1][0] == kind:
-            merged[-1] = (
-                kind,
-                tuple(
-                    np.concatenate([a, b])
-                    for a, b in zip(merged[-1][1], payload)
-                ),
-            )
+        if runs and runs[-1][0] == kind:
+            runs[-1][1].append(payload)
         else:
-            merged.append((kind, payload))
-    return merged
+            runs.append((kind, [payload]))
+    return [
+        (kind, parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts))))
+        for kind, parts in runs
+    ]
 
 
 def _scoring_schema(model):

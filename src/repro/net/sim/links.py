@@ -70,8 +70,8 @@ _SPLIT_M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    x = (x + _SPLIT_GAMMA).astype(np.uint64)
+    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic; not in place)."""
+    x = x + _SPLIT_GAMMA
     x ^= x >> np.uint64(30)
     x *= _SPLIT_M1
     x ^= x >> np.uint64(27)
@@ -471,15 +471,13 @@ class LinkSet:
         """
         if loss_rate <= 0.0:
             return np.zeros(np.asarray(request_ids).shape, dtype=bool)
-        key = (
-            np.asarray(request_ids, dtype=np.uint64) * np.uint64(2)
-            + np.uint64(leg)
-        )
-        h = _mix64(
-            _mix64(key ^ self._loss_salt)
-            ^ np.asarray(attempts, dtype=np.uint64)
-        )
-        return _uniform01(h) < loss_rate
+        key = np.array(request_ids, dtype=np.uint64)
+        key *= np.uint64(2)
+        key += np.uint64(leg)
+        key ^= self._loss_salt
+        h = _mix64(key)
+        h ^= np.asarray(attempts, dtype=np.uint64)
+        return _uniform01(_mix64(h)) < loss_rate
 
     def session(self) -> "LinkSession":
         """Fresh mutable queue state for one run."""
@@ -520,22 +518,19 @@ class LinkSession:
             return np.full(count, when, dtype=np.float64), count
         if count == 0:
             return np.empty(0, dtype=np.float64), 0
-        service = 1.0 / profile.bandwidth.rate_at(when)
-        busy = float(self.busy[queue_id])
-        seeded = np.empty(count + 1)
-        seeded[0] = max(when, busy)
-        seeded[1:] = service
-        dones = np.cumsum(seeded)[1:]
         # Backlog seen by crossing i is what is still queued when it
         # arrives: the previous crossing's completion minus ``when``
-        # (clamped at zero).  Within a same-instant cohort backlog only
-        # grows, so the accepted set is a prefix.
-        busy_before = np.empty(count)
-        busy_before[0] = busy
-        busy_before[1:] = dones[:-1]
-        backlog = np.maximum(0.0, busy_before - when)
-        over = backlog > profile.queue_seconds
-        accepted = int(np.argmax(over)) if over.any() else count
-        if accepted > 0:
-            self.busy[queue_id] = float(dones[accepted - 1])
+        # (clamped at zero, which never decides: queue_seconds > 0).
+        # Within a same-instant cohort backlog only grows, so the
+        # accepted set is a prefix, found by bisection.
+        busy = float(self.busy[queue_id])
+        if busy - when > profile.queue_seconds:
+            return np.empty(0, dtype=np.float64), 0
+        seeded = np.empty(count + 1)
+        seeded[0] = max(when, busy)
+        seeded[1:] = 1.0 / profile.bandwidth.rate_at(when)
+        dones = seeded.cumsum()[1:]
+        backlogs = dones[:-1] - when
+        accepted = 1 + int(backlogs.searchsorted(profile.queue_seconds, side="right"))
+        self.busy[queue_id] = float(dones[accepted - 1])
         return dones[:accepted], accepted

@@ -31,6 +31,7 @@ Design points:
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
 import threading
@@ -128,11 +129,14 @@ def _check_name(name: str) -> str:
 def _label_key(
     label_names: tuple[str, ...], labels: Mapping[str, object]
 ) -> tuple[str, ...]:
-    if set(labels) != set(label_names):
-        raise ValueError(
-            f"expected labels {label_names}, got {tuple(sorted(labels))}"
-        )
-    return tuple(str(labels[name]) for name in label_names)
+    if len(labels) == len(label_names):
+        try:
+            return tuple([str(labels[name]) for name in label_names])
+        except KeyError:
+            pass
+    raise ValueError(
+        f"expected labels {label_names}, got {tuple(sorted(labels))}"
+    )
 
 
 class _Metric:
@@ -254,10 +258,11 @@ class HistogramSeries:
     gateway size and depth series is).
     """
 
-    __slots__ = ("_bounds", "counts", "sum", "count", "_min", "_max", "_lock")
+    __slots__ = ("_bounds", "_edges", "counts", "sum", "count", "_min", "_max", "_lock")
 
     def __init__(self, bounds: np.ndarray) -> None:
         self._bounds = bounds
+        self._edges = bounds.tolist()  # bisected by the scalar path
         self.counts = np.zeros(bounds.size + 1, dtype=np.int64)
         self.sum = 0.0
         self.count = 0
@@ -267,7 +272,10 @@ class HistogramSeries:
 
     def observe(self, value: int | float) -> None:
         value = float(value)
-        index = int(np.searchsorted(self._bounds, value, side="left"))
+        # searchsorted(side="left") on a list; numpy sorts NaN past
+        # every bound, where a NaN comparison would put it in bucket 0.
+        edges = self._edges
+        index = bisect.bisect_left(edges, value) if value == value else len(edges)
         with self._lock:
             self.counts[index] += 1
             self.sum += value

@@ -253,6 +253,8 @@ class TestLinkSession:
         session = LinkSet({"a": profile}).session()
         exits, accepted = session.cross(0, 0.0, 6)
         assert 0 < accepted < 6
+        # Backlogs 0, 0.5, 1.0, 1.5, ...: exactly queue_seconds queues.
+        assert accepted == 3
         assert exits.size == accepted
         # Dropped crossings left no trace on the queue clock.
         assert float(session.busy[0]) == pytest.approx(accepted * 0.5)
@@ -282,6 +284,37 @@ class TestLinkSession:
             assert cohort_ok == seq_ok
             assert np.array_equal(cohort_exits, np.array(seq_exits))
             assert cohort_session.busy[0] == seq_session.busy[0]
+
+    def test_matches_plain_fifo_tail_drop_loop(self):
+        """Cohort crossings equal the recurrence written as a loop.
+
+        Both engines call :meth:`LinkSession.cross`, so engine parity
+        cannot catch a fault in it; this holds it to the plain
+        definition: start at ``max(when, busy)``, hold the link
+        ``1/rate``, and drop once the backlog ahead exceeds
+        ``queue_seconds``.
+        """
+        trace = BandwidthTrace([0.0, 0.6, 1.2], [40.0, 12.0, 25.0])
+        profile = LinkProfile(bandwidth=trace, queue_seconds=0.3)
+        session = LinkSet({"a": profile}).session()
+        rng = np.random.default_rng(7)
+        busy, when, full = 0.0, 0.0, 0
+        for _ in range(300):
+            when += float(rng.exponential(0.02))
+            count = int(rng.integers(0, 12))
+            service = 1.0 / trace.rate_at(when)
+            want = []
+            for _ in range(count):
+                if max(0.0, busy - when) > profile.queue_seconds:
+                    break
+                busy = max(when, busy) + service
+                want.append(busy)
+            full += count > 0 and not want
+            exits, accepted = session.cross(0, when, count)
+            assert accepted == len(want)
+            assert exits.tolist() == want
+            assert float(session.busy[0]) == busy
+        assert full > 0, "the queue never turned a whole cohort away"
 
     def test_stats_shapes(self):
         stats = LinkStats(crossings=3, lost=1, retries=1)

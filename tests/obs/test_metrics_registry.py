@@ -58,6 +58,23 @@ class TestCounter:
         with pytest.raises(ValueError, match="expected labels"):
             counter.inc()
 
+    @pytest.mark.parametrize(
+        "labels, given",
+        [
+            ({"reason": "x"}, "('reason',)"),
+            ({"reason": "x", "kind": "y", "extra": "z"}, "('extra', 'kind', 'reason')"),
+            ({"reason": "x", "kin": "y"}, "('kin', 'reason')"),
+        ],
+    )
+    def test_label_mismatch_message(self, labels, given):
+        counter = Counter("c", "", ("reason", "kind"))
+        with pytest.raises(ValueError) as raised:
+            counter.inc(**labels)
+        assert str(raised.value) == (
+            f"expected labels ('reason', 'kind'), got {given}"
+        )
+        assert counter.total() == 0
+
     def test_integer_counts_stay_integers(self):
         counter = Counter("c", "")
         counter.inc(2)
@@ -144,6 +161,45 @@ class TestObserveArrayEquivalence:
         bulk_int = HistogramSeries(np.asarray(bounds))
         bulk_int.observe_array(np.asarray(rounded))
         assert scalar_int.mean() == bulk_int.mean() == np.mean(rounded)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.001,  # equal to the first bound
+            10.0,  # equal to an inner bound
+            1000.0,  # equal to the last bound
+            -3.0,  # below the first bound
+            0.0,
+            -0.0,
+            5e9,  # above the last bound
+            float("inf"),
+            float("-inf"),
+            float("nan"),
+        ],
+    )
+    def test_scalar_path_matches_bulk_on_edge_values(self, value):
+        bounds = np.asarray((0.001, 0.1, 1.0, 10.0, 1000.0))
+        scalar = HistogramSeries(bounds)
+        bulk = HistogramSeries(bounds)
+        scalar.observe(value)
+        bulk.observe_array(np.asarray([value]))
+        assert scalar.counts.tolist() == bulk.counts.tolist()
+        assert scalar.count == bulk.count == 1
+        # NaN-aware: a NaN sample must give NaN on both paths.
+        np.testing.assert_array_equal(
+            [scalar.sum, scalar.min(), scalar.max()],
+            [bulk.sum, bulk.min(), bulk.max()],
+        )
+
+    def test_nan_lands_in_the_overflow_bucket(self):
+        bounds = np.asarray((1.0, 10.0))
+        scalar = HistogramSeries(bounds)
+        bulk = HistogramSeries(bounds)
+        stream = [float("nan"), 1.0, float("-inf"), 10.0, float("inf"), 0.5]
+        for value in stream:
+            scalar.observe(value)
+        bulk.observe_array(np.asarray(stream))
+        assert scalar.counts.tolist() == bulk.counts.tolist() == [3, 1, 2]
 
     def test_empty_array_is_a_noop(self):
         series = HistogramSeries(np.asarray([1.0]))

@@ -11,7 +11,10 @@ so the tests and benchmarks can check the fast engine against them:
   ratio gates under ``benchmarks/``);
 * :class:`ClosedLoopSimulation` — closed-loop sessions, against
   :meth:`FastSimulation.run_sessions
-  <repro.net.sim.fastsim.FastSimulation.run_sessions>`.
+  <repro.net.sim.fastsim.FastSimulation.run_sessions>`;
+* :mod:`tests.oracle.cohorts` — the always-sort, pairwise cohort
+  grouping the fast engine's shortcuts are held to
+  (``tests/net/test_cohort_grouping.py``).
 
 Every keyword these constructors take is a ``FastSimulation`` keyword
 too, so one workload drives either.  Nothing under ``src/`` may import

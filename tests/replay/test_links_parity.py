@@ -17,6 +17,9 @@ independent — the decision streams must diff bit-identical.  What is
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.attacks import make_attacker
@@ -31,6 +34,7 @@ from repro.replay import TraceRecorder, diff_decisions
 from repro.replay.campaign import _PROFILES
 from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
+from repro.traffic.trace import Trace
 from tests.oracle import ClosedLoopSimulation, Simulation
 
 #: Exercises every link mechanism at once: loss, per-agent RTT spread,
@@ -44,6 +48,23 @@ LOSSY_CAPPED = LinkProfile(
     max_retries=2,
     backoff=0.1,
 )
+
+
+#: Two distinct capped profiles, so benign and malicious traffic sit
+#: on separate transmission queues with different rates, depths,
+#: losses and backoffs.
+TWO_QUEUES = {
+    "benign": LOSSY_CAPPED,
+    "malicious": LinkProfile(
+        rtt_median=0.01,
+        rtt_sigma=0.3,
+        loss_rate=0.08,
+        bandwidth=BandwidthTrace.constant(30.0),
+        queue_seconds=0.15,
+        max_retries=3,
+        backoff=0.15,
+    ),
+}
 
 
 #: The engine under test is chosen by class: the callback reference
@@ -61,16 +82,39 @@ def _run_sessions(engine, sessions, **kwargs):
     return FastSimulation(_framework(), **kwargs).run_sessions(sessions)
 
 
-def _run(engine, links, *, deciders=None, framework=None, seed=9):
+def _on_grid(workload, step):
+    """``workload`` with every submit time rounded onto a ``step`` grid.
+
+    Benign and malicious requests then share submit instants, so the
+    fast engine's first crossings form cohorts spanning both queues.
+    """
+    return Trace(
+        dataclasses.replace(
+            entry,
+            request=dataclasses.replace(
+                entry.request,
+                timestamp=round(entry.request.timestamp / step) * step,
+            ),
+        )
+        for entry in workload
+    )
+
+
+def _run(
+    engine, links, *, deciders=None, framework=None, seed=9, grid=None
+):
     generator = WorkloadGenerator(seed=17)
     workload, clients = generator.mixed_trace(
         [(_PROFILES["benign"], 40), (_PROFILES["malicious"], 40)],
         duration=3.0,
     )
+    if grid is not None:
+        workload = _on_grid(workload, grid)
     recorder = TraceRecorder(
         sources={c.ip: (c.profile.name, c.true_score) for c in clients}
     )
-    simulation = ENGINES[engine](
+    engine_cls = ENGINES[engine] if isinstance(engine, str) else engine
+    simulation = engine_cls(
         framework or _framework(),
         server_model=ServerModel(challenge_cost=0.002),
         seed=seed,
@@ -114,6 +158,50 @@ class TestOpenLoopParity:
         assert stats.lost > 0
         assert stats.queue_dropped > 0
         assert stats.retries > 0
+        assert stats.request_give_ups > 0
+
+    def test_two_queue_cohorts_full_parity(self):
+        """Two queues, refusing deciders: decisions AND LinkStats bit-equal.
+
+        Submit times sit on a 50 ms grid, so crossings of both queues
+        share cohorts: the fast engine must split such a cohort by
+        queue, and take cohorts of one queue whole, with the callback
+        engine's results either way.
+        """
+        refuse = {
+            "benign": lambda d: False,
+            "malicious": lambda d: False,
+        }
+        spans = []  # queues per request-leg cohort of the fast engine
+
+        class QueueSpanProbe(FastSimulation):
+            def _process_xmit(self, when, payload):
+                qids = self._open.link_qids[payload[0]]
+                spans.append(int(np.unique(qids).size))
+                super()._process_xmit(when, payload)
+
+        links = LinkSet(TWO_QUEUES, seed=5)
+        assert links.queue_count() == 2
+        callback, cb_report = _run(
+            "callback", links, deciders=refuse, grid=0.05
+        )
+        fast, fast_report = _run(
+            QueueSpanProbe, links, deciders=refuse, grid=0.05
+        )
+        assert callback, "workload produced no decisions"
+        report = diff_decisions(callback, fast)
+        assert report.identical, (
+            "fastsim diverged on two queues:\n" + report.render()
+        )
+        assert (
+            cb_report.link_stats.as_dict()
+            == fast_report.link_stats.as_dict()
+        )
+        assert max(spans) == 2, "no cohort spanned both queues"
+        assert min(spans) == 1, "no cohort sat on one queue"
+        stats = fast_report.link_stats
+        assert stats.lost > 0
+        assert stats.queue_dropped > 0
         assert stats.request_give_ups > 0
 
     def test_lossy_links_with_solving_traffic_decision_parity(self):
