@@ -42,6 +42,14 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a sampling rate, a count)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -98,17 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--gateway", action="store_true", help=argparse.SUPPRESS
     )
+    # Gateway settings default to None: GatewayOptions states the
+    # defaults, for one process and every cluster worker alike.
     serve.add_argument(
-        "--batch-window", type=float, default=0.002, metavar="SECONDS",
+        "--batch-window", type=float, metavar="SECONDS",
         help="gateway: upper bound on how long a batch stays open; it "
-             "normally closes as soon as arrivals stop (default 2 ms)",
+             "normally closes as soon as arrivals stop",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=64,
+        "--max-batch", type=int,
         help="gateway: flush as soon as this many requests queue",
     )
     serve.add_argument(
-        "--queue-limit", type=int, default=256,
+        "--queue-limit", type=int,
         help="gateway: bound on queued admissions before shedding",
     )
     serve.add_argument(
@@ -116,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(
             "drop-newest", "drop-reputation", "drop-global-reputation"
         ),
-        default="drop-newest",
         help="gateway: victim selection when the queue is full "
              "(drop-global-reputation needs --state-server)",
     )
@@ -136,10 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
              "node(s) (host:port or unix:/path; several addresses form "
              "a consistent-hash multi-node store) instead of in-process "
              "dicts; workers survive restarts statefully and may share "
-             "reputation (cluster mode only, excludes --state-dir)",
+             "reputation (excludes --state-dir)",
     )
     serve.add_argument(
-        "--replicas", type=int, default=64, metavar="N",
+        "--replicas", type=int, metavar="N",
         help="virtual nodes per shard on the consistent-hash ring "
              "(must match the ring the state was written under)",
     )
@@ -164,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
              "graceful shutdown; render with `repro trace FILE`",
     )
     serve.add_argument(
-        "--trace-every", type=int, default=100, metavar="N",
+        "--trace-every", type=_positive_int, default=100, metavar="N",
         help="with --trace-out: sample every Nth request (default 100)",
     )
 
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
              "`repro trace`)",
     )
     campaign.add_argument(
-        "--trace-every", type=int, default=1, metavar="N",
+        "--trace-every", type=_positive_int, default=1, metavar="N",
         help="with --trace-out: sample every Nth request (default 1)",
     )
     campaign.add_argument(
@@ -531,30 +540,9 @@ def _install_shutdown_signals() -> "threading.Event":
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.spec import FrameworkSpec
+    from repro.net.gateway.cluster import GatewayCluster, build_gateway
+    from repro.net.gateway.server import GatewayOptions
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}")
-        return 2
-    if args.state_server and args.workers == 1:
-        print("--state-server requires --workers > 1 (cluster mode)")
-        return 2
-    if args.state_server and args.state_dir:
-        print("--state-server and --state-dir are exclusive: state "
-              "lives on the server(s), not in local shard files")
-        return 2
-    if (
-        args.shed_policy == "drop-global-reputation"
-        and not args.state_server
-    ):
-        print("--shed-policy drop-global-reputation needs "
-              "--state-server (the global view lives there)")
-        return 2
-    if args.replicas < 1:
-        print(f"--replicas must be >= 1, got {args.replicas}")
-        return 2
-    if args.trace_every < 1:
-        print(f"--trace-every must be >= 1, got {args.trace_every}")
-        return 2
     if (
         args.metrics_snapshots
         and args.workers > 1
@@ -566,97 +554,70 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "--metrics-port")
         return 2
     spec = FrameworkSpec(policy=args.policy)
-    recorder = None
-    if args.record:
-        if spec.feedback:
-            # Feedback reacts to solve *outcomes*; a challenge-only
-            # replay cannot reproduce those, so scores will drift.
-            # Recording stays useful (the diff harness will show the
-            # drift), but bit-identical replay needs a feedback-free
-            # recipe — which campaigns use by construction.
-            print(
-                "note: behavioural feedback is enabled; challenge-only "
-                "replays of this trace will show score drift "
-                "(`repro record`/`repro campaign` traces replay "
-                "bit-identically)",
-                flush=True,
-            )
-        if args.workers == 1:
-            from repro.replay import TraceRecorder
-
-            recorder = TraceRecorder()
-
-    tracer = None
-    if args.workers > 1:
-        from repro.net.gateway.cluster import GatewayCluster
-
-        server = GatewayCluster(
-            spec,
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            max_batch=args.max_batch,
-            batch_window=args.batch_window,
-            queue_limit=args.queue_limit,
-            shed_policy=args.shed_policy,
-            state_dir=args.state_dir,
-            state_server=args.state_server,
-            replicas=args.replicas,
-            record_path=args.record,
-            metrics_port=args.metrics_port,
-            trace_every=args.trace_every if args.trace_out else 0,
-            trace_path=args.trace_out,
+    if args.record and spec.feedback:
+        # Feedback reacts to solve *outcomes*; a challenge-only replay
+        # cannot reproduce those, so scores will drift.  Recording stays
+        # useful (the diff harness will show the drift), but
+        # bit-identical replay needs a feedback-free recipe — which
+        # campaigns use by construction.
+        print(
+            "note: behavioural feedback is enabled; challenge-only "
+            "replays of this trace will show score drift "
+            "(`repro record`/`repro campaign` traces replay "
+            "bit-identically)",
+            flush=True,
         )
+    settings = {
+        key: getattr(args, key)
+        for key in (
+            "max_batch", "batch_window", "queue_limit", "shed_policy",
+            "state_dir", "state_server", "replicas",
+        )
+        if getattr(args, key) is not None
+    }
+    settings.update(
+        record_path=args.record,
+        trace_every=args.trace_every if args.trace_out else 0,
+    )
+    # Both paths validate in GatewayOptions, and one process is shard
+    # 0 of 1, assembled by the build_gateway every cluster worker runs.
+    try:
+        if args.workers == 1:
+            options = GatewayOptions(**settings)
+            server, close = build_gateway(
+                spec, options, host=args.host, port=args.port
+            )
+        else:
+            server = GatewayCluster(
+                spec,
+                workers=args.workers,
+                host=args.host,
+                port=args.port,
+                metrics_port=args.metrics_port,
+                trace_path=args.trace_out,
+                **settings,
+            )
+            options = server.options
+    except ValueError as exc:
+        print(exc)
+        return 2
+    tuning = (
+        f"batch<={options.max_batch}, "
+        f"window {options.batch_window * 1000:g} ms, "
+        f"queue<={options.queue_limit}, {options.shed_policy}"
+    )
+    if args.workers == 1:
+        mode = f"gateway ({tuning})"
+    else:
         mode = (
             f"{args.workers} gateway workers sharded by client-IP hash "
-            f"(batch<={args.max_batch}, "
-            f"window {args.batch_window * 1000:g} ms, "
-            f"queue<={args.queue_limit}, {args.shed_policy}"
+            f"({tuning}"
             + (f", state {args.state_dir}" if args.state_dir else "")
             + (
                 f", state-server {args.state_server}"
                 if args.state_server else ""
             )
             + ")"
-        )
-    else:
-        from repro.metrics.collector import GatewayMetrics
-        from repro.net.gateway.cluster import make_shed_policy
-        from repro.net.gateway.server import GatewayServer
-        from repro.state import read_shard_file, write_shard_file
-
-        framework = spec.build()
-        if args.state_dir:
-            try:
-                snapshot = read_shard_file(args.state_dir, 0, 1)
-            except ValueError as exc:
-                print(exc)
-                return 2
-            if snapshot is not None:
-                framework.restore(snapshot)
-        metrics = GatewayMetrics()
-        if args.trace_out:
-            from repro.obs.tracing import RequestTracer
-
-            tracer = RequestTracer(
-                sample_every=args.trace_every, registry=metrics.registry
-            )
-        server = GatewayServer(
-            framework,
-            host=args.host,
-            port=args.port,
-            max_batch=args.max_batch,
-            batch_window=args.batch_window,
-            queue_limit=args.queue_limit,
-            shed_policy=make_shed_policy(args.shed_policy),
-            metrics=metrics,
-            recorder=recorder,
-            tracer=tracer,
-        )
-        mode = (
-            f"gateway (batch<={args.max_batch}, "
-            f"window {args.batch_window * 1000:g} ms, "
-            f"queue<={args.queue_limit}, {args.shed_policy})"
         )
 
     shutdown = _install_shutdown_signals()
@@ -739,32 +700,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if any(code not in (0, None) for code in server.exit_codes):
             print(f"worker exit codes: {server.exit_codes}")
             return 1
-    else:
-        if args.state_dir:
-            write_shard_file(
-                args.state_dir, 0, 1, server.framework.snapshot()
-            )
-            print(f"state written to {args.state_dir}")
-    if recorder is not None:
-        import dataclasses
-
-        from repro.replay import spec_hash
-
-        recorder.dump(
-            args.record,
-            config_hash=spec_hash(spec),
-            meta={
-                "recorder": "serve",
-                "spec": dataclasses.asdict(spec),
-            },
-        )
-        print(f"recorded {len(recorder)} decisions -> {args.record}")
-    if tracer is not None:
-        tracer.dump(
+        return 0
+    close()
+    if args.state_dir:
+        print(f"state written to {args.state_dir}")
+    if server.recorder is not None:
+        print(f"recorded {len(server.recorder)} decisions -> {args.record}")
+    if server.tracer is not None:
+        server.tracer.dump(
             args.trace_out,
             meta={"recorder": "serve", "sample_every": args.trace_every},
         )
-        print(f"{len(tracer)} sampled spans -> {args.trace_out}")
+        print(f"{len(server.tracer)} sampled spans -> {args.trace_out}")
     return 0
 
 
@@ -1178,9 +1125,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.obs.tracing import RequestTracer
 
-        if args.trace_every < 1:
-            print(f"--trace-every must be >= 1, got {args.trace_every}")
-            return 2
         tracer = RequestTracer(sample_every=args.trace_every)
     try:
         run = run_campaign(

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.config import FrameworkConfig
-from repro.core.errors import PuzzleError, PuzzleExpiredError
+from repro.core.errors import PuzzleError, PuzzleExpiredError, ReproError
 from repro.core.events import EventBus, EventKind
 from repro.core.interfaces import (
     Policy,
@@ -281,6 +281,34 @@ class AIPoWFramework:
                     puzzle=challenge.puzzle,
                 )
         return challenges
+
+    def challenge_batch_or_errors(
+        self,
+        requests: Sequence[ClientRequest],
+        now: float | Sequence[float] | None = None,
+    ) -> list[Challenge | ReproError]:
+        """:meth:`challenge_batch`, with a failing request isolated.
+
+        One bad request (e.g. a feature-schema mismatch) must not
+        poison its co-batched neighbours: when the batch raises, every
+        request is re-admitted as a batch of one and the offender's slot
+        holds its :class:`ReproError` instead of a challenge.  Events
+        for stages the whole-batch attempt already passed are emitted
+        again by the retry; only this failure path pays that.
+        """
+        try:
+            return self.challenge_batch(requests, now)
+        except ReproError:
+            pass
+        if now is None or isinstance(now, (int, float)):
+            now = [now] * len(requests)
+        results: list[Challenge | ReproError] = []
+        for request, at in zip(requests, now):
+            try:
+                results.append(self.challenge(request, at))
+            except ReproError as exc:
+                results.append(exc)
+        return results
 
     def difficulties_for_scores(self, scores: np.ndarray) -> np.ndarray:
         """Clamped difficulties for a score vector — the decision core.

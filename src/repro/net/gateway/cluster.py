@@ -46,15 +46,16 @@ import signal
 import socket
 import sys
 import threading
+from typing import Callable
 
 from repro.core.spec import FrameworkSpec
 from repro.metrics.collector import GatewayMetrics, gateway_summary
-from repro.net.gateway.server import LISTEN_BACKLOG, GatewayServer
-from repro.net.gateway.shedding import (
-    DropByGlobalReputation,
-    DropByReputationPrior,
-    DropNewest,
+from repro.net.gateway.server import (
+    LISTEN_BACKLOG,
+    GatewayOptions,
+    GatewayServer,
 )
+from repro.net.gateway.shedding import make_shed_policy
 from repro.state import (
     HashRing,
     InMemoryStateStore,
@@ -66,6 +67,7 @@ from repro.state import (
 __all__ = [
     "GatewayCluster",
     "ShardWorker",
+    "build_gateway",
     "make_shed_policy",
     "shard_trace_path",
 ]
@@ -90,34 +92,15 @@ _SPANS = b"T"
 _SPAN_CHUNK = 100
 
 
-def make_shed_policy(name: str, store=None):
-    """Shed policy from its CLI name (specs cross process boundaries).
-
-    ``drop-global-reputation`` needs the worker's (shared) state store;
-    the other policies ignore ``store``.
-    """
-    if name == "drop-reputation":
-        return DropByReputationPrior()
-    if name == "drop-newest":
-        return DropNewest()
-    if name == DropByGlobalReputation.name:
-        if store is None:
-            raise ValueError(
-                f"{name!r} needs a shared state store (--state-server)"
-            )
-        return DropByGlobalReputation(store)
-    raise ValueError(f"unknown shed policy {name!r}")
-
-
-def make_worker_store(options: dict, registry=None):
-    """The state store one gateway worker builds from cluster options.
+def make_worker_store(options: GatewayOptions, registry=None):
+    """The state store one gateway process builds from its options.
 
     ``state_server`` (one ``host:port``/``unix:/path`` address, or a
     comma-separated list ring-sharded client-side) selects the
-    networked backend; otherwise each worker owns a private
+    networked backend; otherwise each process owns a private
     :class:`~repro.state.InMemoryStateStore`.
     """
-    state_server = options.get("state_server")
+    state_server = options.state_server
     if not state_server:
         return InMemoryStateStore()
     from repro.state.net import RemoteStateStore
@@ -132,9 +115,101 @@ def make_worker_store(options: dict, registry=None):
         return RemoteStateStore(addresses[0], registry=registry)
     return MultiNodeStateStore(
         addresses,
-        replicas=int(options.get("replicas", 64)),
+        replicas=options.replicas,
         registry=registry,
     )
+
+
+def build_gateway(
+    spec: FrameworkSpec,
+    options: GatewayOptions,
+    *,
+    shard: int | None = None,
+    shards: int = 1,
+    host: str = "127.0.0.1",
+    port: int = 0,
+) -> tuple[GatewayServer, Callable[[], None]]:
+    """One gateway process's server, and the teardown that goes with it.
+
+    The one assembly of a gateway: ``repro serve`` builds its
+    in-process server here (``shard=None``: the whole keyspace, shard 0
+    of 1) and so does every cluster worker (``shard`` of ``shards``;
+    its recorded request ids and span ids carry a ``w{shard}`` prefix,
+    and its recording is a partial trace the parent merges).  Store,
+    framework, state-dir restore, recorder, tracer and shed policy all
+    come from ``spec`` and ``options``; the gateway metrics, the tracer
+    and a networked store share one registry.
+
+    Call the returned ``close()`` once the gateway has drained: it
+    writes the shard's state file back, dumps the recording and closes
+    the store.
+    """
+    metrics = GatewayMetrics()
+    store = make_worker_store(options, registry=metrics.registry)
+    framework = spec.build(store=store)
+    index = 0 if shard is None else shard
+    if options.state_dir:
+        snapshot = read_shard_file(
+            options.state_dir, index, shards, replicas=options.replicas
+        )
+        if snapshot is not None:
+            framework.restore(snapshot)
+    recorder = None
+    if options.record_path:
+        from repro.replay.recorder import TraceRecorder
+
+        recorder = (
+            TraceRecorder() if shard is None
+            else TraceRecorder(id_prefix=f"w{shard}")
+        )
+    tracer = None
+    if options.trace_every > 0:
+        from repro.obs.tracing import RequestTracer
+
+        tracer = RequestTracer(
+            sample_every=options.trace_every,
+            id_prefix="" if shard is None else f"w{shard}",
+            registry=metrics.registry,
+        )
+    gateway = GatewayServer(
+        framework,
+        host,
+        port,
+        max_batch=options.max_batch,
+        batch_window=options.batch_window,
+        queue_limit=options.queue_limit,
+        shed_policy=make_shed_policy(options.shed_policy, store=store),
+        io_timeout=options.io_timeout,
+        metrics=metrics,
+        recorder=recorder,
+        tracer=tracer,
+    )
+
+    def close() -> None:
+        if options.state_dir:
+            write_shard_file(
+                options.state_dir,
+                index,
+                shards,
+                framework.snapshot(),
+                replicas=options.replicas,
+            )
+        if recorder is not None:
+            import dataclasses
+
+            from repro.replay.recorder import spec_hash
+
+            path = options.record_path
+            meta = {"recorder": "serve", "spec": dataclasses.asdict(spec)}
+            if shard is not None:
+                path = shard_trace_path(path, shard, shards)
+                meta.update(shard=shard, shards=shards)
+            recorder.dump(path, config_hash=spec_hash(spec), meta=meta)
+        close_store = getattr(store, "close", None)
+        if close_store is not None:
+            close_store()
+
+    return gateway, close
 
 
 class ShardWorker:
@@ -151,94 +226,28 @@ class ShardWorker:
         shard: int,
         shards: int,
         ctrl: socket.socket,
-        options: dict,
+        options: GatewayOptions,
     ) -> None:
-        from repro.obs.registry import MetricsRegistry
-
         self.spec = spec
         self.shard = shard
         self.shards = shards
         self.ctrl = ctrl
         self.options = options
         self.gateway: GatewayServer | None = None
-        self.registry = MetricsRegistry()
-        self.metrics = GatewayMetrics(registry=self.registry)
-        self.tracer = None
 
     # -- lifecycle -----------------------------------------------------
     def run(self) -> int:
-        """Build the shard's framework, serve until shutdown; exit 0."""
-        store = make_worker_store(self.options, registry=self.registry)
-        framework = self.spec.build(store=store)
-        state_dir = self.options.get("state_dir")
-        if state_dir:
-            snapshot = read_shard_file(
-                state_dir,
-                self.shard,
-                self.shards,
-                replicas=int(self.options.get("replicas", 64)),
-            )
-            if snapshot is not None:
-                framework.restore(snapshot)
-        recorder = None
-        record_path = self.options.get("record_path")
-        if record_path:
-            from repro.replay.recorder import TraceRecorder
-
-            recorder = TraceRecorder(id_prefix=f"w{self.shard}")
-        trace_every = int(self.options.get("trace_every") or 0)
-        if trace_every > 0:
-            from repro.obs.tracing import RequestTracer
-
-            self.tracer = RequestTracer(
-                sample_every=trace_every,
-                id_prefix=f"w{self.shard}",
-                registry=self.registry,
-            )
-        self.gateway = GatewayServer(
-            framework,
-            max_batch=self.options.get("max_batch", 64),
-            batch_window=self.options.get("batch_window", 0.002),
-            queue_limit=self.options.get("queue_limit", 256),
-            shed_policy=make_shed_policy(
-                self.options.get("shed_policy", "drop-newest"), store=store
-            ),
-            io_timeout=self.options.get("io_timeout", 30.0),
-            metrics=self.metrics,
-            recorder=recorder,
-            tracer=self.tracer,
+        """Build the shard's gateway, serve until shutdown; exit 0."""
+        self.gateway, close = build_gateway(
+            self.spec, self.options, shard=self.shard, shards=self.shards
         )
         try:
             self.ctrl.sendall(_READY)
         except OSError:
             return 1
         asyncio.run(self._serve())
-        if state_dir:
-            write_shard_file(
-                state_dir,
-                self.shard,
-                self.shards,
-                framework.snapshot(),
-                replicas=int(self.options.get("replicas", 64)),
-            )
-        if recorder is not None:
-            import dataclasses
-
-            from repro.replay.recorder import spec_hash
-
-            recorder.dump(
-                shard_trace_path(record_path, self.shard, self.shards),
-                config_hash=spec_hash(self.spec),
-                meta={
-                    "shard": self.shard,
-                    "shards": self.shards,
-                    "spec": dataclasses.asdict(self.spec),
-                },
-            )
+        close()
         self._ship_final()
-        close = getattr(store, "close", None)
-        if close is not None:
-            close()
         return 0
 
     async def _serve(self) -> None:
@@ -253,10 +262,9 @@ class ShardWorker:
         self.gateway.batcher.start()
         loop.add_reader(self.ctrl.fileno(), self._on_ctrl_readable, loop, stop)
         publisher: asyncio.Task | None = None
-        publish_interval = float(self.options.get("publish_interval") or 0.0)
-        if publish_interval > 0:
+        if self.options.publish_interval > 0:
             publisher = loop.create_task(
-                self._publish_snapshots(publish_interval)
+                self._publish_snapshots(self.options.publish_interval)
             )
         try:
             await stop.wait()
@@ -264,9 +272,7 @@ class ShardWorker:
             if publisher is not None:
                 publisher.cancel()
             loop.remove_reader(self.ctrl.fileno())
-            await self.gateway.drain(
-                grace=self.options.get("drain_grace", 5.0)
-            )
+            await self.gateway.drain(grace=self.options.drain_grace)
 
     async def _publish_snapshots(self, interval: float) -> None:
         """Ship registry snapshots to the parent on a fixed cadence.
@@ -278,9 +284,9 @@ class ShardWorker:
         interval carries the superseding one anyway.
         """
         while True:
-            payload = _SNAP + json.dumps(self.registry.snapshot()).encode(
-                "utf-8"
-            )
+            payload = _SNAP + json.dumps(
+                self.gateway.metrics_snapshot()
+            ).encode("utf-8")
             try:
                 self.ctrl.send(payload)
             except (BlockingIOError, InterruptedError):
@@ -324,15 +330,16 @@ class ShardWorker:
         """Send the sampled spans, then the final registry snapshot."""
         try:
             self.ctrl.setblocking(True)
-            if self.tracer is not None:
-                spans = self.tracer.drain()
+            if self.gateway.tracer is not None:
+                spans = self.gateway.tracer.drain()
                 for start in range(0, len(spans), _SPAN_CHUNK):
                     chunk = spans[start:start + _SPAN_CHUNK]
                     self.ctrl.sendall(
                         _SPANS + json.dumps(chunk).encode("utf-8")
                     )
             self.ctrl.sendall(
-                _FINAL + json.dumps(self.registry.snapshot()).encode("utf-8")
+                _FINAL
+                + json.dumps(self.gateway.metrics_snapshot()).encode("utf-8")
             )
         except OSError:  # pragma: no cover - parent already gone
             pass
@@ -345,7 +352,7 @@ def _worker_entry(
     shard: int,
     shards: int,
     ctrl: socket.socket,
-    options: dict,
+    options: GatewayOptions,
 ) -> None:
     """Child-process entry point (module-level for spawn picklability)."""
     sys.exit(ShardWorker(spec, shard, shards, ctrl, options).run())
@@ -371,7 +378,11 @@ class GatewayCluster:
         Bind address; port 0 picks a free port.
     max_batch / batch_window / queue_limit / shed_policy / io_timeout:
         Per-worker gateway tuning (``shed_policy`` by CLI name so it
-        crosses the process boundary).
+        crosses the process boundary).  These and ``state_dir``,
+        ``state_server``, ``record_path``, ``drain_grace``,
+        ``replicas`` and ``trace_every`` are keywords collected into
+        the workers' :class:`~repro.net.gateway.server.GatewayOptions`,
+        which states their defaults and rejects a bad combination.
     state_dir:
         Directory of per-shard state snapshots: each worker restores
         its ``shard-I-of-N.json`` at boot (when present) and rewrites
@@ -432,76 +443,32 @@ class GatewayCluster:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_batch: int = 64,
-        batch_window: float = 0.002,
-        queue_limit: int = 256,
-        shed_policy: str = "drop-newest",
-        io_timeout: float = 30.0,
-        state_dir=None,
-        state_server: str | None = None,
-        record_path=None,
-        drain_grace: float = 5.0,
-        replicas: int = 64,
         start_method: str = "spawn",
         startup_timeout: float = 120.0,
         metrics_port: int | None = None,
         metrics_host: str = "127.0.0.1",
         publish_interval: float = 0.5,
-        trace_every: int = 0,
         trace_path=None,
+        **options,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if trace_every < 0:
-            raise ValueError(f"trace_every must be >= 0, got {trace_every}")
-        if state_server and state_dir:
-            raise ValueError(
-                "state_dir and state_server are mutually exclusive: with a "
-                "networked store the server owns persistence "
-                "(repro state serve --snapshot)"
-            )
-        if shed_policy == DropByGlobalReputation.name:
-            # Needs the shared store; workers build it per process.
-            if not state_server:
-                raise ValueError(
-                    f"shed policy {shed_policy!r} needs --state-server"
-                )
-        else:
-            make_shed_policy(shed_policy)  # validate the name up front
+        if metrics_port is not None:
+            # Workers only pay for snapshot publication when something
+            # on the parent side is there to read it.
+            options["publish_interval"] = publish_interval
+        self.options = GatewayOptions(**options)
         self.spec = spec
         self.workers = workers
         self.host = host
         self.port = port
-        self.ring = HashRing(workers, replicas=replicas)
-        self.state_dir = state_dir
+        self.ring = HashRing(workers, replicas=self.options.replicas)
         self.start_method = start_method
         self.startup_timeout = startup_timeout
-        self.options = {
-            "max_batch": max_batch,
-            "batch_window": batch_window,
-            "queue_limit": queue_limit,
-            "shed_policy": shed_policy,
-            "io_timeout": io_timeout,
-            "state_dir": os.fspath(state_dir) if state_dir else None,
-            "state_server": state_server or None,
-            "replicas": replicas,
-            "record_path": os.fspath(record_path) if record_path else None,
-            "drain_grace": drain_grace,
-            # Workers only pay for snapshot publication when something
-            # on the parent side is there to read it.
-            "publish_interval": (
-                publish_interval if metrics_port is not None else 0.0
-            ),
-            "trace_every": trace_every,
-        }
-        self.record_path = (
-            os.fspath(record_path) if record_path else None
-        )
         #: Merged decision trace after a graceful stop with recording on.
         self.recorded_trace = None
         self.metrics_port = metrics_port
         self.metrics_host = metrics_host
-        self.trace_every = trace_every
         self.trace_path = os.fspath(trace_path) if trace_path else None
         #: Merged sampled spans after a graceful stop with tracing on.
         self.trace_spans: list[dict] = []
@@ -603,15 +570,16 @@ class GatewayCluster:
         """Bind, spawn the workers, wait for READY, begin accepting."""
         if self._listener is not None:
             raise RuntimeError("cluster already started")
-        if self.state_dir is not None:
+        if self.options.state_dir:
             # Fail before spawning anything: a state directory split
             # for a different worker count must be re-split, never
             # silently cold-started (the workers enforce this too).
-            topology = state_dir_topology(self.state_dir)
+            topology = state_dir_topology(self.options.state_dir)
             if topology is not None and topology != self.workers:
                 raise ValueError(
-                    f"{self.state_dir} holds state split for {topology} "
-                    f"workers, cluster has {self.workers}; re-split with "
+                    f"{self.options.state_dir} holds state split for "
+                    f"{topology} workers, cluster has {self.workers}; "
+                    f"re-split with "
                     f"`repro state restore --workers {self.workers}`"
                 )
         ctx = multiprocessing.get_context(self.start_method)
@@ -747,7 +715,7 @@ class GatewayCluster:
             self.trace_spans = spans
             if self.trace_path is not None:
                 self._dump_spans(spans)
-            if self.record_path is not None:
+            if self.options.record_path:
                 self.recorded_trace = self._merge_recordings()
 
     def _dump_spans(self, spans: list[dict]) -> None:
@@ -760,7 +728,7 @@ class GatewayCluster:
                 meta={
                     "recorder": "cluster",
                     "workers": self.workers,
-                    "sample_every": self.trace_every,
+                    "sample_every": self.options.trace_every,
                 },
             )
 
@@ -773,7 +741,7 @@ class GatewayCluster:
         spec_mapping = None
         for shard in range(self.workers):
             partial_path = shard_trace_path(
-                self.record_path, shard, self.workers
+                self.options.record_path, shard, self.workers
             )
             try:
                 partial = Trace.load_jsonl(partial_path)
@@ -793,7 +761,7 @@ class GatewayCluster:
             entries,
             header=TraceHeader(config_hash=config_hash, meta=meta),
         )
-        merged.dump_jsonl(self.record_path)
+        merged.dump_jsonl(self.options.record_path)
         return merged
 
     def _read_final(

@@ -37,6 +37,7 @@ replay cache and RNG need no lock.  The public facade is
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 import time
 from collections import deque
@@ -48,19 +49,73 @@ from repro.core.records import ClientRequest
 from repro.metrics.collector import GatewayMetrics
 from repro.net.gateway.accumulator import MicroBatcher
 from repro.net.gateway.shedding import (
+    DropByGlobalReputation,
+    DropNewest,
     PendingAdmission,
     ShedOutcome,
     ShedPolicy,
+    make_shed_policy,
 )
 from repro.net.live import protocol
 from repro.pow.puzzle import Solution
 
-__all__ = ["GatewayServer", "LISTEN_BACKLOG"]
+__all__ = ["GatewayOptions", "GatewayServer", "LISTEN_BACKLOG"]
 
 #: ``listen()`` backlog of every gateway listener (single-process and
 #: cluster parent).  asyncio's default of 100 overflowed under open-loop
 #: bursts and surfaced as 1 s SYN-retransmit latency outliers.
 LISTEN_BACKLOG = 512
+
+
+@dataclasses.dataclass(frozen=True)
+class GatewayOptions:
+    """Settings of one gateway process: the one statement of defaults.
+
+    ``repro serve`` (in process, shard 0 of 1) and every
+    :class:`~repro.net.gateway.cluster.GatewayCluster` worker assemble
+    their server from one of these
+    (:func:`~repro.net.gateway.cluster.build_gateway`); the combination
+    is checked here, before anything binds or spawns.  Plain values
+    only, so it crosses the process boundary to spawned workers.  See
+    :class:`~repro.net.gateway.cluster.GatewayCluster` for what each
+    setting does.
+    """
+
+    max_batch: int = 64
+    batch_window: float = 0.002
+    queue_limit: int = 256
+    #: Shed policy by CLI name (:func:`make_shed_policy`).
+    shed_policy: str = DropNewest.name
+    io_timeout: float = 30.0
+    state_dir: str | None = None
+    state_server: str | None = None
+    replicas: int = 64
+    record_path: str | None = None
+    drain_grace: float = 5.0
+    #: Sample every Nth request into a span; 0 disables tracing.
+    trace_every: int = 0
+    #: Seconds between worker snapshot publications; 0 disables them.
+    publish_interval: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
+        if self.trace_every < 0:
+            raise ValueError(
+                f"trace_every must be >= 0, got {self.trace_every}"
+            )
+        if self.state_server and self.state_dir:
+            raise ValueError(
+                "state_dir and state_server are mutually exclusive: with a "
+                "networked store the server owns persistence "
+                "(repro state serve --snapshot)"
+            )
+        if self.shed_policy != DropByGlobalReputation.name:
+            make_shed_policy(self.shed_policy)  # validate the name
+        elif not self.state_server:
+            raise ValueError(
+                f"shed policy {self.shed_policy!r} needs --state-server"
+            )
 
 
 class GatewayServer:
@@ -112,12 +167,12 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_batch: int = 64,
-        batch_window: float = 0.002,
-        queue_limit: int = 256,
+        max_batch: int = GatewayOptions.max_batch,
+        batch_window: float = GatewayOptions.batch_window,
+        queue_limit: int = GatewayOptions.queue_limit,
         shed_policy: ShedPolicy | None = None,
         admission=None,
-        io_timeout: float = 30.0,
+        io_timeout: float = GatewayOptions.io_timeout,
         metrics: GatewayMetrics | None = None,
         recorder=None,
         tracer=None,
@@ -139,7 +194,7 @@ class GatewayServer:
         self.responses: deque = deque(maxlen=10_000)
         self._connections: set[_Connection] = set()
         self.batcher = MicroBatcher(
-            self._admit_batch,
+            framework.challenge_batch_or_errors,
             max_batch=max_batch,
             batch_window=batch_window,
             queue_limit=queue_limit,
@@ -157,26 +212,6 @@ class GatewayServer:
     # ------------------------------------------------------------------
     # Accumulator hooks (all run on the event-loop thread)
     # ------------------------------------------------------------------
-    def _admit_batch(
-        self, requests: list[ClientRequest]
-    ) -> list[Challenge | ReproError]:
-        try:
-            return self.framework.challenge_batch(requests)
-        except ReproError:
-            # One bad request (e.g. feature-schema mismatch) must not
-            # poison its co-batched neighbours: re-admit the requests
-            # one batch of one at a time, isolating the failure to the
-            # offender.  Events for stages the whole-batch attempt
-            # already passed are emitted again by the retry; only this
-            # failure path pays that.
-            results: list[Challenge | ReproError] = []
-            for request in requests:
-                try:
-                    results.append(self.framework.challenge(request))
-                except ReproError as exc:
-                    results.append(exc)
-            return results
-
     def _on_shed(
         self, pending: PendingAdmission, reason: str, queue_depth: int
     ) -> None:

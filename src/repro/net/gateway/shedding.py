@@ -28,6 +28,7 @@ __all__ = [
     "DropNewest",
     "DropByReputationPrior",
     "DropByGlobalReputation",
+    "make_shed_policy",
 ]
 
 
@@ -222,3 +223,22 @@ class DropByGlobalReputation:
             if score > worst:
                 victim, worst = pending, score
         return victim
+
+
+def make_shed_policy(name: str, store=None) -> ShedPolicy:
+    """Shed policy from its CLI name (specs cross process boundaries).
+
+    ``drop-global-reputation`` needs the gateway's (shared) state
+    store; the other policies ignore ``store``.
+    """
+    if name == DropByReputationPrior.name:
+        return DropByReputationPrior()
+    if name == DropNewest.name:
+        return DropNewest()
+    if name == DropByGlobalReputation.name:
+        if store is None:
+            raise ValueError(
+                f"{name!r} needs a shared state store (--state-server)"
+            )
+        return DropByGlobalReputation(store)
+    raise ValueError(f"unknown shed policy {name!r}")

@@ -273,17 +273,12 @@ class TraceReplayer:
             framework = frameworks[0]
         else:
             framework = frameworks[ring.shard_for(requests[0].client_ip)]
-        try:
-            framework.challenge_batch(requests, now=times)
-        except ReproError:
-            # One bad request must not take down the replay: re-admit
-            # scalar, recording an explicit error decision for the
-            # offender(s) — mirroring the gateway's fallback.
-            for request, at in zip(requests, times):
-                try:
-                    framework.challenge(request, now=at)
-                except ReproError as exc:
-                    recorder.capture_error(request, str(exc))
+        # One bad request must not take down the replay: it gets an
+        # explicit error decision, mirroring the gateway.
+        results = framework.challenge_batch_or_errors(requests, now=times)
+        for request, result in zip(requests, results):
+            if isinstance(result, ReproError):
+                recorder.capture_error(request, str(result))
 
 
 def spec_from_trace(trace: Trace) -> FrameworkSpec:

@@ -162,6 +162,68 @@ class TestMakeShedPolicy:
             make_shed_policy("drop-everything")
 
 
+class TestBuildGateway:
+    """The one assembly ``repro serve`` and every cluster worker run."""
+
+    @pytest.mark.parametrize(
+        ("shard", "shards", "request_id"),
+        [(None, 1, "rec-1"), (1, 2, "w1-1")],
+    )
+    def test_recording_ids_and_file_follow_the_role(
+        self, tmp_path, examples, shard, shards, request_id
+    ):
+        from repro.net.gateway.cluster import build_gateway, shard_trace_path
+        from repro.net.gateway.server import GatewayOptions
+        from repro.traffic.trace import Trace
+
+        path = tmp_path / "t.jsonl"
+        gateway, close = build_gateway(
+            SPEC,
+            GatewayOptions(record_path=str(path)),
+            shard=shard,
+            shards=shards,
+        )
+        with gateway:
+            result = LiveClient(gateway.address).fetch(
+                "/index.html", dict(examples[0].features)
+            )
+            assert result.ok, result
+        close()
+        # One process owns the final file; a worker writes its partial.
+        if shard is not None:
+            path = shard_trace_path(path, shard, shards)
+        trace = Trace.load_jsonl(path)
+        assert [entry.decision.request_id for entry in trace] == [request_id]
+
+    def test_close_releases_the_state_server_connection(self, examples):
+        from repro.net.gateway.cluster import build_gateway
+        from repro.net.gateway.server import GatewayOptions
+        from repro.state import StateServer
+
+        with StateServer() as state:
+            gateway, close = build_gateway(
+                SPEC,
+                GatewayOptions(
+                    state_server=state.address,
+                    shed_policy="drop-global-reputation",
+                ),
+            )
+            with gateway:
+                result = LiveClient(gateway.address).fetch(
+                    "/index.html", dict(examples[0].features)
+                )
+                assert result.ok, result
+            assert state.store.get("feedback", "127.0.0.1")[0] == (
+                pytest.approx(-0.1)
+            )
+            assert state._conns, "the store keeps its connection open"
+            close()
+            deadline = time.monotonic() + 10.0
+            while state._conns and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not state._conns
+
+
 class TestClusterValidation:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

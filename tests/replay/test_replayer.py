@@ -102,6 +102,36 @@ class TestReplay:
         with pytest.raises(ValueError):
             TraceReplayer(recorded, speed=-1.0)
 
+    def test_schema_violating_entry_fails_alone(self, recorded):
+        """One bad request in a batch is an error decision, not a crash.
+
+        Its co-batched neighbours decide exactly what they decide in a
+        replay without it.
+        """
+        import dataclasses
+
+        def at(entry, when, **changes):
+            request = dataclasses.replace(
+                entry.request, timestamp=when, **changes
+            )
+            return dataclasses.replace(entry, request=request)
+
+        first = list(recorded)[:4]
+        when = first[0].request.timestamp
+        good = [at(entry, when) for entry in first]
+        bad = at(first[1], when, features={})
+        clean = TraceReplayer(Trace(good, header=recorded.header)).run()
+        mixed = TraceReplayer(
+            Trace([good[0], bad, *good[2:]], header=recorded.header)
+        ).run()
+        errors = [d for d in mixed.decisions if d.verdict == "error"]
+        assert [d.request_id for d in errors] == [bad.request.request_id]
+        assert "missing features" in errors[0].detail
+        assert diff_decisions(
+            [d for d in clean.decisions if d.request_id != errors[0].request_id],
+            [d for d in mixed.decisions if d.verdict != "error"],
+        ).identical
+
     def test_cluster_routes_by_consistent_hash(self, recorded):
         """Same client, same shard: decisions match inproc exactly."""
         inproc = TraceReplayer(recorded).run()

@@ -102,6 +102,114 @@ class TestServeCommand:
         assert "Traceback" not in out
 
 
+def serve_one_exchange(argv: list[str], cwd) -> tuple[int, str]:
+    """Run ``repro serve --port 0 ARGV``, solve one exchange, SIGTERM.
+
+    A subprocess, because serve installs SIGINT/SIGTERM handlers.
+    Returns the exit code and everything the server printed.
+    """
+    import os
+    import pathlib
+    import re
+    import signal
+    import subprocess
+    import sys
+
+    from repro.net.live.client import LiveClient
+    from repro.reputation.features import FEATURE_NAMES
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        lines = []
+        for line in proc.stdout:
+            lines.append(line)
+            banner = re.search(r"serving AI-assisted PoW on (\S+):(\d+)", line)
+            if banner:
+                break
+        else:
+            return proc.wait(timeout=60), "".join(lines)
+        result = LiveClient((banner.group(1), int(banner.group(2)))).fetch(
+            "/x", {name: 0.0 for name in FEATURE_NAMES}
+        )
+        assert result.ok, result
+        proc.send_signal(signal.SIGTERM)
+        rest, _ = proc.communicate(timeout=60)
+        return proc.returncode, "".join(lines) + rest
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+class TestServeOneProcess:
+    """``--workers 1`` is shard 0 of 1, assembled like a cluster worker."""
+
+    def test_state_dir_split_with_other_replicas_round_trips(self, tmp_path):
+        """A ring of 32 restores under ``--replicas 32`` and stays 32."""
+        import json
+
+        from repro.state import InMemoryStateStore, write_shard_file
+
+        state_dir = tmp_path / "state"
+        store = InMemoryStateStore()
+        store.put("feedback", "10.9.9.9", [-0.5, 0.0])
+        write_shard_file(state_dir, 0, 1, store.snapshot(), replicas=32)
+        code, out = serve_one_exchange(
+            ["--state-dir", str(state_dir), "--replicas", "32"], tmp_path
+        )
+        assert code == 0, out
+        assert f"state written to {state_dir}" in out
+        document = json.loads((state_dir / "shard-0-of-1.json").read_text())
+        assert document["replicas"] == 32
+        feedback = dict(
+            (key, value)
+            for key, value in document["state"]["namespaces"]["feedback"]
+        )
+        # The restored entry survived, and the exchange banked its own.
+        assert feedback["10.9.9.9"][0] == -0.5
+        assert feedback["127.0.0.1"][0] < 0
+
+    def test_state_server_with_global_reputation_shedding(self, tmp_path):
+        from repro.state import StateServer
+
+        with StateServer() as state:
+            code, out = serve_one_exchange(
+                [
+                    "--state-server", state.address,
+                    "--shed-policy", "drop-global-reputation",
+                ],
+                tmp_path,
+            )
+            assert code == 0, out
+            assert "drop-global-reputation" in out
+            assert "admitted 1 in 1 batches" in out
+            # The served exchange banked its reward on the server.
+            assert state.store.get("feedback", "127.0.0.1")[0] < 0
+
+    def test_state_server_excludes_state_dir(self, tmp_path, capsys):
+        code = main([
+            "serve", "--port", "0", "--state-dir", str(tmp_path),
+            "--state-server", "127.0.0.1:9",
+        ])
+        assert code == 2
+        assert "exclusive" in capsys.readouterr().out
+
+    def test_global_reputation_shedding_needs_a_store(self, capsys):
+        code = main([
+            "serve", "--port", "0", "--shed-policy", "drop-global-reputation",
+        ])
+        assert code == 2
+        assert "--state-server" in capsys.readouterr().out
+
+
 class TestCommands:
     def test_figure2_fast(self, capsys):
         code = main(["figure2", "--trials", "5", "--seed", "3"])

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""CI smoke: the multi-worker gateway's full operational story.
+"""CI smoke: the gateway's state-directory story, cluster and single.
 
 Exercises ``repro serve --workers 2 --state-dir`` the way an operator
-would, end to end:
+would, end to end, then the same story for one process split on a
+non-default ring, ``repro serve --workers 1 --state-dir --replicas 32``
+(one process is shard 0 of 1, assembled like a cluster worker):
 
 1. boot a 2-worker cluster with a state directory;
 2. run one full request → puzzle → solve → redeem round-trip with an
@@ -16,7 +18,8 @@ would, end to end:
 5. boot the cluster *again* on the same state directory, round-trip
    once more, SIGTERM, and require the same shutdown line;
 6. require the client's offset to have kept accumulating across the
-   restart — the warmed reputation table survived.
+   restart — the warmed reputation table survived — and every shard
+   file to record the ring it was written under.
 
 Exits non-zero on any failure, so it can gate CI directly:
 
@@ -47,13 +50,16 @@ SHUTDOWN_TIMEOUT = 60.0
 class ServeProcess:
     """One foreground ``repro serve`` run with banner/exit handling."""
 
-    def __init__(self, state_dir: pathlib.Path) -> None:
+    def __init__(
+        self, state_dir: pathlib.Path, workers: int, replicas: int
+    ) -> None:
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--workers", "2", "--port", "0",
+                "--workers", str(workers), "--port", "0",
                 "--policy", "policy-1",
                 "--state-dir", str(state_dir),
+                "--replicas", str(replicas),
                 "--metrics-port", "0",
             ],
             cwd=REPO,
@@ -169,59 +175,76 @@ def round_trip(address: tuple[str, int]) -> None:
         raise RuntimeError(f"round-trip failed: {result}")
 
 
+def warm_restart(tmp: pathlib.Path, workers: int, replicas: int) -> int:
+    """Steps 1-6 for one worker count; 0 when the warm state survived."""
+    print(f"-- --workers {workers} --replicas {replicas}")
+    state_dir = tmp / f"state-{workers}"
+    merged = tmp / f"merged-{workers}.json"
+
+    server = ServeProcess(state_dir, workers, replicas)
+    try:
+        address = server.wait_address()
+        metrics_url = server.wait_metrics_url()
+        round_trip(address)
+        # One scrape must aggregate every worker's registry.
+        from gateway_smoke import scrape_introspection
+
+        if scrape_introspection(metrics_url, expect_admitted=1):
+            return 1
+        code = server.terminate()
+        print("first run exited with", code)
+        if code != 0:
+            return 1
+    finally:
+        server.kill()
+
+    shard_files = sorted(p.name for p in state_dir.glob("*.json"))
+    print("shard snapshots:", shard_files)
+    if shard_files != [
+        f"shard-{i}-of-{workers}.json" for i in range(workers)
+    ]:
+        print("expected one snapshot per worker")
+        return 1
+
+    run_state_snapshot(state_dir, merged)
+    first = feedback_offset(merged, "127.0.0.1")
+    print("warmed offset after run 1:", first)
+    if first is None or first >= 0:
+        print("served exchange should have earned a negative offset")
+        return 1
+
+    server = ServeProcess(state_dir, workers, replicas)
+    try:
+        round_trip(server.wait_address())
+        code = server.terminate()
+        print("second run exited with", code)
+        if code != 0:
+            return 1
+    finally:
+        server.kill()
+
+    run_state_snapshot(state_dir, merged)
+    second = feedback_offset(merged, "127.0.0.1")
+    print("warmed offset after restart:", second)
+    if second is None or not second < first:
+        print("offset should keep accumulating across the restart")
+        return 1
+    rings = {
+        json.loads(path.read_text(encoding="utf-8"))["replicas"]
+        for path in state_dir.glob("*.json")
+    }
+    if rings != {replicas}:
+        print(f"shard files record replicas {rings}, expected {replicas}")
+        return 1
+    return 0
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     with tempfile.TemporaryDirectory(prefix="cluster-smoke-") as tmp:
-        state_dir = pathlib.Path(tmp) / "state"
-        merged = pathlib.Path(tmp) / "merged.json"
-
-        server = ServeProcess(state_dir)
-        try:
-            address = server.wait_address()
-            metrics_url = server.wait_metrics_url()
-            round_trip(address)
-            # One scrape must aggregate both workers' registries.
-            from gateway_smoke import scrape_introspection
-
-            if scrape_introspection(metrics_url, expect_admitted=1):
+        for workers, replicas in ((2, 64), (1, 32)):
+            if warm_restart(pathlib.Path(tmp), workers, replicas):
                 return 1
-            code = server.terminate()
-            print("first run exited with", code)
-            if code != 0:
-                return 1
-        finally:
-            server.kill()
-
-        shard_files = sorted(p.name for p in state_dir.glob("*.json"))
-        print("shard snapshots:", shard_files)
-        if shard_files != ["shard-0-of-2.json", "shard-1-of-2.json"]:
-            print("expected one snapshot per worker")
-            return 1
-
-        run_state_snapshot(state_dir, merged)
-        first = feedback_offset(merged, "127.0.0.1")
-        print("warmed offset after run 1:", first)
-        if first is None or first >= 0:
-            print("served exchange should have earned a negative offset")
-            return 1
-
-        server = ServeProcess(state_dir)
-        try:
-            round_trip(server.wait_address())
-            code = server.terminate()
-            print("second run exited with", code)
-            if code != 0:
-                return 1
-        finally:
-            server.kill()
-
-        run_state_snapshot(state_dir, merged)
-        second = feedback_offset(merged, "127.0.0.1")
-        print("warmed offset after restart:", second)
-        if second is None or not second < first:
-            print("offset should keep accumulating across the restart")
-            return 1
-
     print("cluster smoke OK")
     return 0
 
