@@ -344,11 +344,13 @@ class AIPoWFramework:
         lets the caller attribute end-to-end latency; when omitted, the
         original request timestamp is used.
 
-        After the stateless check, two store calls whatever the outcome
-        (plus one per eviction): the replay read set (when the digest
-        passed) with the client's feedback entry, then the seed (when
-        served) with the folded offset.  Neither reads and writes one
-        key, so either is safe to re-send; outcome events follow both.
+        After the stateless check, one awaited store call whatever the
+        outcome: the replay claim (when the digest passed) with the
+        client's feedback entry.  The claim carries a unique token, so
+        a call re-sent after a lost reply still sees its own claim.
+        The folded offset of a tracked address is posted; a new
+        address's is a second call, which also counts the table (plus
+        one call per eviction).  Outcome events follow.
         """
         now = time.time() if now is None else now
         decision = challenge.decision
@@ -372,25 +374,21 @@ class AIPoWFramework:
             status = ResponseStatus.EXPIRED
         except PuzzleError:
             status = ResponseStatus.REJECTED
-        reads = self._replay.read_ops(puzzle.seed) if status is None else []
-        checked = len(reads)
-        feedback = self.feedback
-        if feedback is not None:
-            reads += feedback.read_ops(ip)
-        results = self.store.execute(reads)
-        writes = []
+        claim = []
         if status is None:
-            writes = self._replay.decide(results[:checked], puzzle.seed, now, ip)
-            if writes is None:
-                status, writes = ResponseStatus.REPLAYED, []
-            else:
-                status = ResponseStatus.SERVED
-        recorded = len(writes)
+            claim = self._replay.claim_ops(puzzle.seed, now, ip)
+        checked = len(claim)
+        feedback = self.feedback
+        reads = claim if feedback is None else claim + feedback.read_ops(ip)
+        results = self.store.execute(reads)
+        if status is None:
+            status = (
+                ResponseStatus.SERVED
+                if self._replay.claimed(results[:checked], claim)
+                else ResponseStatus.REPLAYED
+            )
         if feedback is not None:
-            writes += feedback.fold(results[checked], status, ip, now)
-        results = self.store.execute(writes)
-        if feedback is not None:
-            feedback.folded(ip, status, results[recorded:])
+            feedback.record(results[checked], status, ip, now)
 
         served = status is ResponseStatus.SERVED
         if served:

@@ -202,6 +202,7 @@ class GatewayServer:
             on_shed=self._on_shed,
             on_flush=self._on_flush,
         )
+        self._store_flush_due = False
         self._address: tuple[str, int] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
@@ -237,6 +238,21 @@ class GatewayServer:
         self.metrics.observe_flush(
             batch_size, queue_depth, admitted=admitted, waits=waits
         )
+
+    def _flush_store_soon(self) -> None:
+        """Flush the store once, after this loop pass's redemptions.
+
+        A redemption posts the folded offset of a tracked address; the
+        flush sends whatever is still held, so peer workers see it
+        within the pass.  In process it does nothing.
+        """
+        if not self._store_flush_due:
+            self._store_flush_due = True
+            asyncio.get_running_loop().call_soon(self._flush_store)
+
+    def _flush_store(self) -> None:
+        self._store_flush_due = False
+        self.framework.store.flush()
 
     def metrics_snapshot(self) -> dict:
         """Snapshot of the registry the gateway records into."""
@@ -480,6 +496,7 @@ class _Connection(asyncio.Protocol):
         except ReproError as exc:
             self._finish(protocol.encode_err(f"challenge: {exc}"))
             return
+        gateway._flush_store_soon()
         gateway.responses.append(response)
         if response.served:
             self._finish(protocol.encode_ok(response.body))

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import hmac as hmac_mod
+import itertools
+import os
 
 from repro.core.config import PowConfig
 from repro.core.errors import (
@@ -44,15 +46,26 @@ class ReplayCache:
     oldest-first so a flood of redemptions cannot exhaust memory.
 
     Redeemed seeds live in an :class:`~repro.state.AdmissionStateStore`
-    namespace (``replay``, entries ``seed -> [redeemed_at, owner_ip]``),
-    so the single-redemption property survives a snapshot/restore
-    cycle — restarting a warmed server must not reopen already-redeemed
-    puzzles.  The owner IP is recorded because it is the entry's
-    *shard-affinity* key: a redeemed seed lives on the shard serving
-    that client, and ``repro.state.snapshot.split_snapshot`` uses the
-    owner (not the seed) to put it back there when a cluster state
-    directory is re-split.  A ring store reads the entry by seed, so it
-    places it by seed.
+    namespace (``replay``, entries ``seed -> [redeemed_at, owner_ip,
+    token]``), so the single-redemption property survives a
+    snapshot/restore cycle — restarting a warmed server must not reopen
+    already-redeemed puzzles.  The owner IP is recorded because it is
+    the entry's *shard-affinity* key: a redeemed seed lives on the shard
+    serving that client, and ``repro.state.snapshot.split_snapshot``
+    uses the owner (not the seed) to put it back there when a cluster
+    state directory is re-split.  A ring store reads the entry by seed,
+    so it places it by seed.
+
+    A redemption is decided in one store call that reads the table's
+    size and head and *claims* the seed: ``setdefault(seed, [now,
+    owner, token])``.  The seed is fresh exactly when the stored entry
+    is the one this call sent; the token (a random per-cache prefix and
+    a counter) makes it unique, so a call re-sent after a lost reply
+    still finds its own claim and stays fresh.  An entry written before
+    tokens existed (``[redeemed_at, owner_ip]``) never matches, so it
+    still blocks its seed; a stale one is claimed over.  Stale or
+    over-cap heads are evicted after the claim, never the seed being
+    decided.
     """
 
     def __init__(
@@ -76,6 +89,9 @@ class ReplayCache:
         self.store = store
         self._seen = store.namespace(namespace)
         self._head = ((namespace, "len"), (namespace, "first"))
+        # Not drawn from the puzzle seed source: issuing stays unchanged.
+        self._token = os.urandom(6).hex() + "-"
+        self._claims = itertools.count()
 
     def __len__(self) -> int:
         return len(self._seen)
@@ -89,43 +105,44 @@ class ReplayCache:
         so sharded deployments can route the entry with the client's
         other state when splitting snapshots.
         """
-        writes = self.decide(
-            self.store.execute(self.read_ops(seed)), seed, now, owner
-        )
-        if writes is None:
-            return False
-        self.store.execute(writes)
-        return True
+        claim = self.claim_ops(seed, now, owner)
+        return self.claimed(self.store.execute(claim), claim)
 
-    # Read set -> decide -> write set: what the eviction rule needs (the
-    # table size and its oldest entry) and the verdict in one store call,
-    # the insert in a second (``redeem`` shares both with feedback).
-    # Neither changes its answer when re-sent after a lost reply — a
-    # frame that read ``seed`` and then wrote it would call its own first
-    # attempt a replay.
-    def read_ops(self, seed: str) -> list[tuple]:
-        """The read set for ``seed``: ``[len, first, contains(seed)]``."""
-        return [*self._head, (self._seen.name, "contains", seed)]
+    # Read set and claim in one call, split so ``redeem`` sends these
+    # ops in the same call as the feedback read.
+    def claim_ops(
+        self, seed: str, now: float, owner: str | None = None
+    ) -> list[tuple]:
+        """``[len, first, setdefault(seed, [now, owner, token])]``."""
+        entry = [now, owner, f"{self._token}{next(self._claims):x}"]
+        return [*self._head, (self._seen.name, "setdefault", seed, entry)]
 
-    def decide(
-        self, reads: list, seed: str, now: float, owner: str | None = None
-    ) -> list[tuple] | None:
-        """The write set recording ``seed``, or None when it is a replay.
+    def claimed(self, results: list, claim: list[tuple]) -> bool:
+        """Whether ``claim`` won its seed, given its results.
 
-        Evicts from the head first (stale, or at the cap): a store call
-        per evicted entry, the only calls made here.
+        A seed whose stored entry is stale is claimed over (one more
+        call, moving it to the back).  Then stale or over-cap heads are
+        evicted: a store call per evicted entry.
         """
-        size, head, replayed = reads
-        cutoff = now - self.ttl
-        while head is not None and (
-            head[1][0] < cutoff or size >= self.max_entries
+        size, head, stored = results
+        name, _, seed, entry = claim[-1]
+        cutoff = entry[0] - self.ttl
+        fresh = stored == entry
+        if fresh:
+            size += 1
+        elif stored[0] < cutoff:  # an expired redemption: claim over it
+            fresh = True
+            _, _, size, head = self.store.execute([
+                (name, "put", seed, entry), (name, "move_to_end", seed),
+                *self._head,
+            ])
+        while head is not None and head[0] != seed and (
+            head[1][0] < cutoff or size > self.max_entries
         ):
-            _, size, head, replayed = self.store.execute(
-                [(self._seen.name, "delete", head[0]), *self.read_ops(seed)]
+            _, size, head = self.store.execute(
+                [(name, "delete", head[0]), *self._head]
             )
-        if replayed:
-            return None
-        return [(self._seen.name, "put", seed, [now, owner])]
+        return fresh
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -110,7 +110,17 @@ class CachedModel(BatchModel):
     def score_requests(
         self, requests: Sequence[ClientRequest]
     ) -> np.ndarray:
-        """Cached per-IP scores, recomputed when an entry ages out.
+        """Cached per-IP scores; see :meth:`score_and_read`."""
+        return self.score_and_read(requests, ())[0]
+
+    def score_and_read(
+        self, requests: Sequence[ClientRequest], reads
+    ) -> tuple[np.ndarray, list]:
+        """Cached per-IP scores, plus the results of ``reads`` on this store.
+
+        ``reads`` ride in the cache's own read call, ahead of its
+        writes, so a model above this one (feedback's offsets) needs no
+        call of its own.  Scores are recomputed when an entry ages out.
 
         Walks the batch in arrival order resolving cache hits, then
         scores all misses through the inner model in a single batch and
@@ -132,18 +142,20 @@ class CachedModel(BatchModel):
         batch whatever its size, on every backend (plus one per
         eviction).
         """
-        # Read set: the table size and every address's entry, one
-        # store call (one frame on a networked store).
+        # Read set: every address's entry, the table size and the
+        # riders, one store call (one frame on a networked store).
         name = self._cache.name
+        count = len(requests)
         found = self.store.execute(
             [*[(name, "get", request.client_ip) for request in requests],
-             self._count]
+             self._count, *reads]
         )
-        crowded = found.pop() + len(requests) > self.max_entries
-        if crowded and len(requests) > 1:
+        riders = found[count + 1:]
+        crowded = found[count] + count > self.max_entries
+        if crowded and count > 1:
             return np.concatenate(
                 [self.score_requests([request]) for request in requests]
-            )
+            ), riders
         scores = np.empty(len(requests), dtype=np.float64)
         writes: list[tuple] = []
         miss_indices: list[int] = []
@@ -199,7 +211,7 @@ class CachedModel(BatchModel):
             while size > self.max_entries:
                 self._cache.popitem(last=False)
                 size -= 1
-        return scores
+        return scores, riders
 
     def invalidate(self, client_ip: str | None = None) -> None:
         """Drop one address's entry, or the whole cache when None."""

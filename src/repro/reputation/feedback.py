@@ -156,13 +156,18 @@ class FeedbackReputationModel(BatchModel):
     ) -> np.ndarray:
         """Base score plus each client's decayed behavioural offset.
 
-        Base scores are batched and the offsets read in one store call.
+        Base scores are batched and the offsets read in one store call:
+        the score cache's read call when the base model is a cache over
+        this store (:meth:`~repro.reputation.caching.CachedModel.score_and_read`).
         """
-        base = batch_scores(self.base, requests)
         name = self._states.name
-        states = self.store.execute(
-            [(name, "get", request.client_ip) for request in requests]
-        )
+        reads = [(name, "get", request.client_ip) for request in requests]
+        ride = getattr(self.base, "score_and_read", None)
+        if ride is not None and self.base.store is self.store:
+            base, states = ride(requests, reads)
+        else:
+            base = batch_scores(self.base, requests)
+            states = self.store.execute(reads)
         scores = np.empty(len(base), dtype=np.float64)
         for i, (request, value, state) in enumerate(
             zip(requests, base, states)
@@ -195,22 +200,23 @@ class FeedbackReputationModel(BatchModel):
         ip = response.decision.request.client_ip
         when = response.decision.request.timestamp if now is None else now
         (state,) = self.store.execute(self.read_ops(ip))
-        writes = self.fold(state, response.status, ip, when)
-        self.folded(ip, response.status, self.store.execute(writes))
+        self.record(state, response.status, ip, when)
 
-    # Read set -> decide -> write set, split so ``redeem`` sends these
-    # ops in the same two store calls as the replay cache's.
+    # Read set -> decide -> write set, split so ``redeem`` reads the
+    # entry in the same store call as the replay claim.
     def read_ops(self, client_ip: str) -> list[tuple]:
         """The read set for one outcome: the address's offset entry."""
         return [(self._states.name, "get", client_ip)]
 
-    def fold(
+    def record(
         self, state, status: ResponseStatus, client_ip: str, now: float
-    ) -> list[tuple]:
-        """The write set folding ``status`` into ``state`` (read at ``now``).
+    ) -> None:
+        """Fold ``status`` into ``state`` (read at ``now``) and write it.
 
-        An absolute put of ``[offset, now]`` (re-stamped even when
-        neutral), plus the table's ``len`` for a new address.
+        The write is an absolute put of ``[offset, now]`` (re-stamped
+        even when neutral).  For a tracked address no decision waits on
+        it, so it is posted (:meth:`~repro.state.AdmissionStateStore.post`);
+        a new address also counts the table in the same call, to cap it.
         """
         current = 0.0 if state is None else self._decayed(state, now)
         if status in self._BAD:
@@ -221,16 +227,10 @@ class FeedbackReputationModel(BatchModel):
             current = max(
                 current - self.config.reward_step, -self.config.max_reward
             )
-        writes = [(self._states.name, "put", client_ip, [current, now])]
-        if state is None:
-            writes.append(self._tracked)
-        return writes
-
-    def folded(
-        self, client_ip: str, status: ResponseStatus, results: list
-    ) -> None:
-        """Cap the table and tell listeners, given :meth:`fold`'s results."""
-        if len(results) > 1 and results[1] > self.max_tracked_ips:
+        put = (self._states.name, "put", client_ip, [current, now])
+        if state is not None:
+            self.store.post([put])
+        elif self.store.execute([put, self._tracked])[1] > self.max_tracked_ips:
             self._evict_smallest(keep=client_ip)
         # ABANDONED / EXPIRED are ambiguous (patience, network) — neutral.
         if status in self._BAD or status is ResponseStatus.SERVED:
@@ -268,7 +268,7 @@ class FeedbackReputationModel(BatchModel):
 
         The offset table moves into the framework's store (entries
         already there win), as stateful policies do, so ``redeem``
-        shares its store calls and ``snapshot()`` covers it.
+        shares its store call and ``snapshot()`` covers it.
         """
         if self.store is not framework.store:
             entries = self._states.dump()

@@ -10,10 +10,12 @@ Two layers, both speaking :mod:`repro.state.protocol` frames:
   server's topology epoch.
 * :class:`RemoteStateStore` implements the full store/namespace surface
   over one server connection, and :meth:`~RemoteStateStore.execute` as
-  one ``multi`` frame of the caller's op arrays: connect/request
-  timeouts, bounded exponential-backoff retries on idempotent ops, loud
-  :class:`ConnectionError` on non-idempotent ones (a retried ``popitem``
-  could evict a second entry — the client refuses to guess).
+  one ``multi`` frame of the caller's op arrays, led by any ops posted
+  (:meth:`~RemoteStateStore.post`) since the last frame:
+  connect/request timeouts, bounded exponential-backoff retries on
+  idempotent ops, loud :class:`ConnectionError` on non-idempotent ones
+  (a retried ``popitem`` could evict a second entry — the client
+  refuses to guess) and on posted ops that could not be delivered.
 
 A single server is linearizable per op (one lock).  Several servers
 compose into one store as the remote children of the ring store,
@@ -551,6 +553,11 @@ class RemoteStateStore(AdmissionStateStore):
     keyed ops only, all idempotent, so it is always retried.  Logical
     errors from the server (missing key, bad value) are answers, never
     retried.
+
+    Posted ops (:meth:`post`) wait in a queue and ride at the head of
+    the next ``multi`` frame; before any other frame, and on
+    :meth:`flush` or :meth:`close`, the queue goes out as a ``multi``
+    of its own.  So this client's ops reach the server in call order.
     """
 
     def __init__(
@@ -579,6 +586,7 @@ class RemoteStateStore(AdmissionStateStore):
         self._lock = threading.RLock()
         self._sock: socket.socket | None = None
         self._namespaces: dict[str, RemoteNamespace] = {}
+        self._posted: list = []
         self.epoch: int | None = None
         self._epoch_listeners: list[Callable[[int], None]] = []
 
@@ -601,7 +609,10 @@ class RemoteStateStore(AdmissionStateStore):
 
     def close(self) -> None:
         with self._lock:
-            self._disconnect()
+            try:
+                self.flush()
+            finally:
+                self._disconnect()
 
     def __enter__(self) -> "RemoteStateStore":
         return self
@@ -618,6 +629,8 @@ class RemoteStateStore(AdmissionStateStore):
     # -- request engine -----------------------------------------------
     def _request(self, op: str, **fields) -> tuple[dict, int]:
         """One frame on the wire; returns ``(response, attempts)``."""
+        if op != "multi" and self._posted:
+            self.flush()  # posted ops land before anything reads them
         message = {"op": op, **fields}
         retryable = op in protocol.IDEMPOTENT_OPS
         attempts = 0
@@ -690,28 +703,58 @@ class RemoteStateStore(AdmissionStateStore):
             self.epoch = epoch
 
     def execute(self, ops) -> list[Any]:
-        """The whole op list as one ``multi`` frame, one lock hold."""
-        return self._send(ops)[0]
+        """The whole op list as one ``multi`` frame, one lock hold.
+
+        No ops, no frame: posted ops keep waiting for a real one.
+        """
+        ops = list(ops)
+        return self._send(ops)[0] if ops else []
+
+    def post(self, ops) -> None:
+        """Queue checked keyed ops for the head of the next frame."""
+        ops = list(ops)
+        check_ops(ops)
+        with self._lock:
+            self._posted += ops
+            if len(self._posted) >= protocol.MAX_MULTI_OPS:
+                self.flush()
+
+    def flush(self) -> None:
+        """Send the posted ops now, as one ``multi`` frame."""
+        with self._lock:
+            if self._posted:
+                self._send([])
 
     def _send(self, ops) -> tuple[list[Any], int]:
         """Results of keyed ops, and the most attempts a frame took.
 
-        Checked ops go into the frame as they are: JSON writes a tuple
-        as an array.
+        Checked ops go into the frame as they are (JSON writes a tuple
+        as an array), after the posted ones, whose results are dropped.
         """
         ops = list(ops)
         check_ops(ops)
         results: list[Any] = []
         attempts = 1
-        # Over-long lists go out as several frames: order is kept, only
-        # the single lock hold is not.
-        for start in range(0, len(ops), protocol.MAX_MULTI_OPS):
-            response, tries = self._request(
-                "multi", ops=ops[start:start + protocol.MAX_MULTI_OPS]
-            )
-            results.extend(response["values"])
-            attempts = max(attempts, tries)
-        return results, attempts
+        with self._lock:
+            posted, self._posted = self._posted, []
+            frame = posted + ops
+            # Over-long lists go out as several frames: order is kept,
+            # only the single lock hold is not.
+            for start in range(0, len(frame), protocol.MAX_MULTI_OPS):
+                try:
+                    response, tries = self._request(
+                        "multi", ops=frame[start:start + protocol.MAX_MULTI_OPS]
+                    )
+                except ConnectionError as exc:
+                    if start >= len(posted):
+                        raise
+                    raise ConnectionError(
+                        f"{exc}; dropped {len(posted) - start} posted "
+                        f"op(s) that may not have applied"
+                    ) from exc
+                results.extend(response["values"])
+                attempts = max(attempts, tries)
+        return results[len(posted):], attempts
 
     # -- store surface -------------------------------------------------
     def ping(self) -> bool:

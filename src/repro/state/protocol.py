@@ -3,10 +3,16 @@
 One frame = a 4-byte big-endian unsigned length prefix followed by
 that many bytes of UTF-8 JSON.  Requests and responses are single
 JSON objects and a connection carries one request/response exchange at
-a time (no pipelining), which keeps both ends a loop over
+a time, which keeps both ends a loop over
 :func:`read_frame`/:func:`write_frame`.  What a caller batches is the
 *content* of a frame: a ``multi`` request carries a whole read or
-write set and costs one round trip.
+write set and costs one round trip.  Writes that no decision waits on
+are *posted* instead of sent: the client holds them and puts them at
+the head of the ``ops`` of its next ``multi`` frame, so they cost no
+round trip of their own and still apply before anything that frame
+reads; a queue left when some other frame is due, or on ``flush``,
+goes out as a ``multi`` of its own.  The server cannot tell a posted
+op from any other.
 
 Request shapes::
 

@@ -6,7 +6,9 @@ gateway worker, over in-memory children (one box) or remote ones
 (:class:`MultiNodeStateStore`: one per state server, resharded live).
 Components hold a :class:`ShardedNamespace`, which forwards each keyed
 operation to the owning child's namespace; ``execute`` is one call per
-owning child — one frame per node over the wire.
+owning child — one frame per node over the wire — and ``post`` hands
+each child the ops it owns, so a remote child sends them ahead of its
+next frame.
 
 Every entry is placed by its own key, the one reads route by (the
 puzzle seed, for ``replay``).  A snapshot is the children's merged
@@ -210,15 +212,7 @@ class ShardedStateStore(AdmissionStateStore):
         frame per node.
         """
         ops = list(ops)
-        check_ops(ops)
-        batches: dict[int, list[int]] = {}  # child index -> op positions
-        for position, op in enumerate(ops):
-            owners = (
-                (self.ring.shard_for(op[2]),) if len(op) > 2  # keyed
-                else range(len(self.stores))
-            )
-            for index in owners:
-                batches.setdefault(index, []).append(position)
+        batches = self._by_child(ops)
         results: list[Any] = [None] * len(ops)
         for index in sorted(batches):
             positions = batches[index]
@@ -232,6 +226,30 @@ class ShardedStateStore(AdmissionStateStore):
                     continue  # a first: the lowest child with an entry wins
                 results[position] = value
         return results
+
+    def _by_child(self, ops: list) -> dict[int, list[int]]:
+        """Checked ``ops``' positions per child: a keyed op goes to its
+        key's owner, ``len``/``first`` to every child."""
+        check_ops(ops)
+        batches: dict[int, list[int]] = {}
+        for position, op in enumerate(ops):
+            owners = (
+                (self.ring.shard_for(op[2]),) if len(op) > 2  # keyed
+                else range(len(self.stores))
+            )
+            for index in owners:
+                batches.setdefault(index, []).append(position)
+        return batches
+
+    def post(self, ops) -> None:
+        """Each child posts the ops it owns (a remote child holds them)."""
+        ops = list(ops)
+        for index, positions in self._by_child(ops).items():
+            self.stores[index].post([ops[position] for position in positions])
+
+    def flush(self) -> None:
+        for store in self.stores:
+            store.flush()
 
     def __len__(self) -> int:
         return sum(len(store) for store in self.stores)

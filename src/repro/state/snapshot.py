@@ -112,8 +112,9 @@ def _routing_key(namespace: str, key: str, value) -> str:
     Most namespaces are keyed by client IP, which *is* the affinity
     key.  The ``replay`` namespace is keyed by puzzle seed but lives
     on the shard serving the redeeming client, so its entries carry
-    the owner IP in the value (``[redeemed_at, owner_ip]``) and route
-    by that — otherwise resharding would strand redeemed seeds on the
+    the owner IP in the value (``[redeemed_at, owner_ip, token]``, or
+    ``[redeemed_at, owner_ip]`` when written before claim tokens) and
+    route by that — otherwise resharding would strand redeemed seeds on the
     wrong worker and reopen them.
     """
     if namespace == "replay" and isinstance(value, (list, tuple)):

@@ -22,6 +22,10 @@ Contract
   frame per node (:mod:`repro.state.net`, :mod:`repro.state.sharded`),
   so components phrase each step as *read set -> decide -> write set*
   and never pay per key.
+* :meth:`AdmissionStateStore.post` applies write ops whose results no
+  decision waits on.  In process it is ``execute``; a networked store
+  holds them and sends them at the head of its next frame to the
+  owning node, or on :meth:`~AdmissionStateStore.flush`.
 """
 
 from __future__ import annotations
@@ -234,6 +238,19 @@ class AdmissionStateStore:
             else:
                 results.append(apply(table, *op[2:]))  # malformed: raises
         return results
+
+    def post(self, ops: Iterable[tuple]) -> None:
+        """Apply write ops that no decision waits on; drop their results.
+
+        Here that is :meth:`execute`.  A networked backend holds posted
+        ops and sends them ahead of its next frame to the owning node
+        (or on :meth:`flush`), so the same caller's later ops see them
+        in order, and a peer once they are sent.
+        """
+        self.execute(ops)
+
+    def flush(self) -> None:
+        """Send every posted op still held; nothing is held here."""
 
 
 class InMemoryStateStore(AdmissionStateStore):

@@ -224,6 +224,37 @@ class TestBuildGateway:
             assert not state._conns
 
 
+    def test_a_tracked_clients_offset_reaches_the_state_server_live(
+        self, examples
+    ):
+        # The second redemption's offset is posted, not sent: only the
+        # gateway's flush after the loop pass carries it to the server.
+        from repro.net.gateway.cluster import build_gateway
+        from repro.net.gateway.server import GatewayOptions
+        from repro.state import StateServer
+
+        with StateServer() as state:
+            gateway, close = build_gateway(
+                SPEC, GatewayOptions(state_server=state.address)
+            )
+            try:
+                with gateway:
+                    for _ in range(2):
+                        result = LiveClient(gateway.address).fetch(
+                            "/index.html", dict(examples[0].features)
+                        )
+                        assert result.ok, result
+                    deadline = time.monotonic() + 5.0
+                    while time.monotonic() < deadline:
+                        offset = state.store.get("feedback", "127.0.0.1")[0]
+                        if offset < -0.15:
+                            break
+                        time.sleep(0.01)
+                    assert offset == pytest.approx(-0.2, rel=1e-3)
+            finally:
+                close()
+
+
 class TestClusterValidation:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

@@ -72,16 +72,39 @@ TestReplayCacheStateful.settings = settings(
 class _ScalarReplayCache:
     """The rule written one step at a time — what the cache must equal.
 
-    Evict from the front while the head is stale or the table is at the
-    cap, *then* look the seed up and record it.  :class:`ReplayCache`
-    reads the size, the head and the verdict in one store call so a
-    networked store answers in one frame; this is the order of effects
-    it must keep.
+    A seed is fresh when it is absent or its entry is stale; a fresh
+    seed is (re)recorded at the back.  Then heads are evicted while
+    they are stale or the table is over the cap, stopping at the seed
+    itself.  :class:`ReplayCache` reads the size and the head and
+    claims the seed in one store call so a networked store answers in
+    one frame; this is the order of effects it must keep.
     """
 
     def __init__(self, ttl: float, max_entries: int) -> None:
         self.ttl, self.max_entries = ttl, max_entries
         self.seen: dict[str, list] = {}
+
+    def check_and_add(self, seed: str, now: float, owner=None) -> bool:
+        entry = self.seen.get(seed)
+        fresh = entry is None or entry[0] < now - self.ttl
+        if fresh:
+            self.seen.pop(seed, None)
+            self.seen[seed] = [now, owner]
+        while self.seen:
+            head = next(iter(self.seen))
+            if head == seed or (
+                self.seen[head][0] >= now - self.ttl
+                and len(self.seen) <= self.max_entries
+            ):
+                break
+            del self.seen[head]
+        return fresh
+
+
+class _EvictFirstReplayCache(_ScalarReplayCache):
+    """The rule before the claim: evict (stale, or *at* the cap), then
+    look the seed up.  At the cap it evicts before a replay is seen, so
+    a replay of the oldest seed was served again."""
 
     def check_and_add(self, seed: str, now: float, owner=None) -> bool:
         while self.seen:
@@ -98,17 +121,22 @@ class _ScalarReplayCache:
         return True
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    steps=st.lists(
-        st.tuples(
-            st.sampled_from([f"seed-{i}" for i in range(6)]),
-            st.floats(min_value=0.0, max_value=70.0),
-        ),
-        max_size=40,
+def _untokened(table) -> list:
+    """``[seed, [redeemed_at, owner]]`` pairs: the claim token masked."""
+    return [[seed, list(entry[:2])] for seed, entry in table.items()]
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([f"seed-{i}" for i in range(6)]),
+        st.floats(min_value=0.0, max_value=70.0),
     ),
-    cap=st.integers(min_value=1, max_value=4),
+    max_size=40,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_STEPS, cap=st.integers(min_value=1, max_value=4))
 def test_read_set_form_equals_the_step_by_step_rule(steps, cap):
     """Same verdicts, same table, same order — TTL and cap both firing."""
     cache = ReplayCache(ttl=TTL, max_entries=cap)
@@ -119,7 +147,23 @@ def test_read_set_form_equals_the_step_by_step_rule(steps, cap):
         assert cache.check_and_add(seed, now, owner="ip") == (
             reference.check_and_add(seed, now, owner="ip")
         ), (seed, now)
-        assert list(cache._seen.items()) == list(reference.seen.items())
+        assert _untokened(cache._seen) == _untokened(reference.seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_STEPS)
+def test_below_the_cap_the_claim_decides_as_evict_first_did(steps):
+    """The claim's one decision change is at the cap: below it, the
+    verdicts and the table are the evict-first rule's."""
+    cache = ReplayCache(ttl=TTL, max_entries=7)  # six seeds never fill it
+    reference = _EvictFirstReplayCache(ttl=TTL, max_entries=7)
+    now = 0.0
+    for seed, delta in steps:
+        now += delta
+        assert cache.check_and_add(seed, now, owner="ip") == (
+            reference.check_and_add(seed, now, owner="ip")
+        ), (seed, now)
+        assert _untokened(cache._seen) == _untokened(reference.seen)
 
 
 @pytest.fixture(scope="module")
@@ -202,11 +246,15 @@ def test_redemptions_agree_across_in_memory_and_remote_stores(
                 for framework in frameworks
             ]
             assert offsets[0] == offsets[1], (kind, now)
-            for name in ("replay", "feedback"):
-                local, wired = (
-                    framework.store.namespace(name).dump()
-                    for framework in frameworks
-                )
-                assert wired == local, (name, kind, now)
+            local, wired = (
+                framework.store.namespace("feedback").dump()
+                for framework in frameworks
+            )
+            assert wired == local, ("feedback", kind, now)
+            local, wired = (
+                _untokened(framework.store.namespace("replay"))
+                for framework in frameworks
+            )
+            assert wired == local, ("replay", kind, now)
     finally:
         remote.close()

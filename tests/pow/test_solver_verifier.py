@@ -193,6 +193,42 @@ class TestReplayCache:
             assert cache.check_and_add(f"seed-{i}", now=float(i))
         assert len(cache) <= 3
 
+    def test_a_replay_at_the_cap_is_refused(self):
+        # The cap evicts the oldest seed only after the redeemed one is
+        # claimed: evicting first made room by dropping ``s1`` and then
+        # served its replay a second time.
+        cache = ReplayCache(ttl=1000.0, max_entries=2)
+        assert cache.check_and_add("s1", now=0.0)
+        assert cache.check_and_add("s2", now=1.0)
+        assert not cache.check_and_add("s1", now=2.0)
+        assert [seed for seed, _ in cache._seen.items()] == ["s1", "s2"]
+        assert cache.check_and_add("s3", now=3.0)
+        assert [seed for seed, _ in cache._seen.items()] == ["s2", "s3"]
+
+    def test_a_replay_in_the_same_instant_is_still_a_replay(self):
+        # Same seed, owner and clock: only the claim's token tells the
+        # replay's entry from the first redemption's.
+        cache = ReplayCache(ttl=10.0)
+        assert cache.check_and_add("a", now=1.0, owner="10.0.0.1")
+        assert not cache.check_and_add("a", now=1.0, owner="10.0.0.1")
+
+    def test_entries_without_a_claim_token_still_block_their_seed(self):
+        # Written as ``[redeemed_at, owner_ip]`` before claims carried a
+        # token: restored, it is never taken for this call's own claim.
+        from repro.state import InMemoryStateStore
+
+        store = InMemoryStateStore()
+        store.restore({
+            "format": 1, "kind": "memory",
+            "namespaces": {"replay": [["old", [5.0, "10.0.0.1"]]]},
+        })
+        cache = ReplayCache(ttl=100.0, store=store)
+        assert not cache.check_and_add("old", now=10.0, owner="10.0.0.1")
+        assert store.get("replay", "old") == [5.0, "10.0.0.1"]
+        # Past the TTL it is stale like any entry, and claimed over.
+        assert cache.check_and_add("old", now=200.0, owner="10.0.0.1")
+        assert store.get("replay", "old")[:2] == [200.0, "10.0.0.1"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ReplayCache(ttl=0)

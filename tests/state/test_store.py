@@ -234,3 +234,40 @@ class TestSnapshotAfterClear:
         assert store.snapshot()["namespaces"] == {}
         table["k2"] = 2.0
         assert store.snapshot()["namespaces"] == {"cache": [["k2", 2.0]]}
+
+
+class TestReplayEntryLayouts:
+    """Replay entries are ``[redeemed_at, owner_ip, token]`` now and
+    ``[redeemed_at, owner_ip]`` in snapshots written before the claim
+    token; both split by owner and both keep their seed spent."""
+
+    @staticmethod
+    def _snapshot() -> dict:
+        store = InMemoryStateStore()
+        for i in range(40):
+            owner = f"10.0.0.{i}"
+            entry = [float(i), owner] + (["ab12-0"] if i % 2 else [])
+            store.put("replay", f"seed-{i}", entry)
+        return store.snapshot()
+
+    def test_split_routes_both_layouts_by_owner(self):
+        from repro.state import HashRing
+
+        ring = HashRing(4)
+        parts = split_snapshot(self._snapshot(), 4)
+        placed = 0
+        for index, part in enumerate(parts):
+            for seed, entry in part["namespaces"].get("replay", []):
+                assert ring.shard_for(entry[1]) == index, seed
+                placed += 1
+        assert placed == 40
+
+    def test_both_layouts_restore_and_stay_spent(self):
+        from repro.pow.verifier import ReplayCache
+
+        store = InMemoryStateStore()
+        store.restore(self._snapshot())
+        cache = ReplayCache(ttl=1_000.0, store=store)
+        for i in range(40):
+            assert not cache.check_and_add(f"seed-{i}", 50.0, f"10.0.0.{i}")
+        assert cache.check_and_add("seed-new", 50.0, "10.0.0.1")

@@ -9,14 +9,17 @@ way an operator would, end to end:
    (``repro serve --workers 2 --state-server``), with the
    cluster-global shed policy enabled;
 3. run one full request → puzzle → solve → redeem round-trip with an
-   unmodified :class:`~repro.net.live.client.LiveClient`; SIGTERM the
-   cluster and require exit 0;
+   unmodified :class:`~repro.net.live.client.LiveClient`, read the
+   served client's offset off the state server while the cluster still
+   runs; SIGTERM the cluster and require exit 0;
 4. SIGTERM the state server (writes its snapshot), boot a *fresh*
    state server on the same snapshot, and check the served client's
    warmed feedback offset survived the restart;
 5. boot the cluster again against the new server, round-trip once
-   more, and require the offset to have kept accumulating — reputation
-   is durable across both worker and state-server restarts;
+   more, and require the offset to have kept accumulating — read
+   while the cluster runs, since a tracked address's offset is posted
+   and only the gateway's once-per-pass store flush sends it — so
+   reputation is durable across both worker and state-server restarts;
 6. boot a second state server and grow the ring onto it live
    (``repro state topology --nodes A --add B``): the warmed offset must
    read back through the 2-node ring, and every ``replay`` entry must
@@ -148,6 +151,22 @@ def warmed_offset(addresses: list[str], ip: str):
     return None if state is None else state[0]
 
 
+def live_offset(address: str, ip: str, below: float, timeout: float = 5.0):
+    """The offset as soon as it reads below ``below``, or the last read.
+
+    Read while the cluster runs: the redeem's write may still be a
+    loop pass away from the state server when the reply arrives.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        offset = warmed_offset([address], ip)
+        if offset is not None and offset < below:
+            return offset
+        if time.monotonic() > deadline:
+            return offset
+        time.sleep(0.05)
+
+
 def reshard(nodes: list[str], extra: str) -> None:
     """Grow the ring live onto ``extra`` with ``repro state topology``."""
     result = subprocess.run(
@@ -194,6 +213,8 @@ def main() -> int:
             workers = cluster(state_address)
             try:
                 round_trip(workers.wait_address())
+                live = live_offset(state_address, "127.0.0.1", below=0.0)
+                print("offset while the cluster runs:", live)
                 code = workers.terminate()
                 print("cluster exited with", code)
                 if code != 0:
@@ -202,9 +223,9 @@ def main() -> int:
                 workers.kill()
             first = warmed_offset([state_address], "127.0.0.1")
             print("warmed offset on state server:", first)
-            if first is None or first >= 0:
+            if first is None or first >= 0 or live != first:
                 print("served exchange should have earned a negative "
-                      "offset on the shared store")
+                      "offset on the shared store while the cluster ran")
                 return 1
             code = state.terminate()
             print("state server exited with", code)
@@ -229,6 +250,8 @@ def main() -> int:
             workers = cluster(state_address)
             try:
                 round_trip(workers.wait_address())
+                live = live_offset(state_address, "127.0.0.1", below=first)
+                print("offset while the cluster runs:", live)
                 code = workers.terminate()
                 print("cluster exited with", code)
                 if code != 0:
@@ -237,8 +260,9 @@ def main() -> int:
                 workers.kill()
             second = warmed_offset([state_address], "127.0.0.1")
             print("offset after second run:", second)
-            if second is None or not second < first:
-                print("offset should keep accumulating across restarts")
+            if second is None or not second < first or live != second:
+                print("offset should keep accumulating across restarts, "
+                      "and reach the state server while the cluster runs")
                 return 1
 
             # Run 3: grow the ring live onto a second state server.
