@@ -241,8 +241,11 @@ class GatewayMetrics:
     def observe_connection_error(self, kind: str) -> None:
         """Record one connection closed without its terminal reply.
 
-        ``kind``: ``protocol`` (malformed line), ``oversize``,
-        ``timeout``, or ``reset`` (the peer left first).
+        ``kind``: ``protocol`` (malformed line), ``oversize`` (a line
+        past the cap), ``timeout`` (a line not delivered within
+        ``io_timeout``, as the deadline sweep finds it), ``reset`` (the
+        peer left first), or ``accept`` (the listener could not accept
+        a connection, out of descriptors, and backs off for a second).
         """
         self._connection_errors.inc(kind=kind)
 

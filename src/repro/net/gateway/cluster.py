@@ -260,7 +260,7 @@ class ShardWorker:
                 pass
         self.ctrl.setblocking(False)
         self.gateway.batcher.start()
-        loop.add_reader(self.ctrl.fileno(), self._on_ctrl_readable, loop, stop)
+        loop.add_reader(self.ctrl.fileno(), self._on_ctrl_readable, stop)
         publisher: asyncio.Task | None = None
         if self.options.publish_interval > 0:
             publisher = loop.create_task(
@@ -295,7 +295,7 @@ class ShardWorker:
                 return
             await asyncio.sleep(interval)
 
-    def _on_ctrl_readable(self, loop, stop: asyncio.Event) -> None:
+    def _on_ctrl_readable(self, stop: asyncio.Event) -> None:
         """Drain control messages: connection fds, QUIT, or parent EOF."""
         while True:
             try:
@@ -310,21 +310,19 @@ class ShardWorker:
                 stop.set()
                 return
             for fd in fds:
-                self._adopt(loop, fd)
+                self._adopt(fd)
             if msg.startswith(_QUIT):
                 stop.set()
                 return
 
-    def _adopt(self, loop, fd: int) -> None:
-        """Serve an accepted socket through the gateway's own Protocol."""
+    def _adopt(self, fd: int) -> None:
+        """Serve an accepted socket the way the gateway's listener does."""
         try:
             sock = socket.socket(fileno=fd)
         except OSError:  # pragma: no cover - defensive
             os.close(fd)
             return
-        loop.create_task(
-            loop.connect_accepted_socket(self.gateway.connection, sock)
-        )
+        self.gateway.adopt(sock)
 
     def _ship_final(self) -> None:
         """Send the sampled spans, then the final registry snapshot."""

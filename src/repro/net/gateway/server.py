@@ -12,11 +12,18 @@ held the loop — are coalesced and driven through
 path), while ``verify``/``redeem`` stays on the fast scalar path since
 each solution hashes a distinct nonce anyway.
 
-A connection is one callback :class:`asyncio.Protocol` object — no
-stream pair, no task, one timer for the line being waited on — so an
-exchange costs the loop little beyond score → policy → issue.  The
-cluster's shard workers serve the sockets they are handed through the
-same class (:meth:`GatewayServer.connection`).
+The exchange, not the kernel, is what serving costs, so the gateway
+keeps asyncio's per-connection machinery off its hot path.  It binds
+its own non-blocking listener and accepts in a loop from one reader
+callback; each accepted socket gets a :class:`_LineTransport` — send
+directly, watch for writability only after a short write — driving one
+callback :class:`asyncio.Protocol` (:class:`_Connection`): no stream
+pair, no task and no timer per connection.  Line deadlines are
+``waiting_since`` stamps checked by one sweep per gateway, and reading
+pauses only when bytes arrive while the request is queued.  A
+challenge-only exchange costs the loop about three callbacks under
+load.  The cluster's shard workers serve the sockets they are handed
+through the same path (:meth:`GatewayServer.adopt`).
 
 Overload behaviour is part of the contract, not an accident: the
 admission queue is bounded, a pluggable shed policy picks victims when
@@ -38,6 +45,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import errno
+import socket
 import threading
 import time
 from collections import deque
@@ -65,6 +74,20 @@ __all__ = ["GatewayOptions", "GatewayServer", "LISTEN_BACKLOG"]
 #: cluster parent).  asyncio's default of 100 overflowed under open-loop
 #: bursts and surfaced as 1 s SYN-retransmit latency outliers.
 LISTEN_BACKLOG = 512
+#: Seconds the listener stops accepting after the process ran out of
+#: file descriptors (asyncio's own ``ACCEPT_RETRY_DELAY``).
+ACCEPT_RETRY_DELAY = 1.0
+#: ``accept`` errors that mean "out of descriptors or memory": retrying
+#: at once would spin, so the listener backs off instead.
+_ACCEPT_EXHAUSTED = frozenset(
+    (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM)
+)
+#: The deadline sweep runs every ``io_timeout / DEADLINE_SWEEPS``
+#: seconds, so a line gets between 1 and 1.125 x ``io_timeout``.
+DEADLINE_SWEEPS = 8
+#: Bytes asked of one ``recv``: a whole line fits in one read.
+_READ_SIZE = 64 * 1024
+_BATCHER_DEFAULTS = MicroBatcher.__init__.__kwdefaults__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,9 +104,9 @@ class GatewayOptions:
     setting does.
     """
 
-    max_batch: int = 64
-    batch_window: float = 0.002
-    queue_limit: int = 256
+    max_batch: int = _BATCHER_DEFAULTS["max_batch"]
+    batch_window: float = _BATCHER_DEFAULTS["batch_window"]
+    queue_limit: int = _BATCHER_DEFAULTS["queue_limit"]
     #: Shed policy by CLI name (:func:`make_shed_policy`).
     shed_policy: str = DropNewest.name
     io_timeout: float = 30.0
@@ -142,7 +165,8 @@ class GatewayServer:
         ``ERR admission: ...`` reply before any scoring happens.
     io_timeout:
         Seconds a connection may take to deliver each line, counted
-        from when the server starts waiting for it.
+        from when the server starts waiting for it; the deadline sweep
+        cuts a silent peer within ``1.125 * io_timeout``.
     metrics:
         The :class:`~repro.metrics.collector.GatewayMetrics` receiving
         queue depths, batch sizes, queue waits, shed counts and
@@ -203,6 +227,7 @@ class GatewayServer:
             on_flush=self._on_flush,
         )
         self._store_flush_due = False
+        self._sweep: asyncio.TimerHandle | None = None
         self._address: tuple[str, int] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
@@ -259,31 +284,111 @@ class GatewayServer:
         return self.metrics.registry.snapshot()
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Connections and their deadlines (all on the event-loop thread)
     # ------------------------------------------------------------------
     def connection(self) -> "_Connection":
         """Protocol factory: one live-protocol connection on this gateway.
 
-        What the TCP listener is created with, exposed for serving
-        tiers that accept connections elsewhere — the multi-worker
-        cluster receives accepted sockets by file descriptor and adopts
-        them with ``loop.connect_accepted_socket(gateway.connection, sock)``.
+        :meth:`adopt` gives each socket one; a test can drive one
+        through a transport of its own.
         """
         return _Connection(self)
 
+    def adopt(self, sock: socket.socket) -> None:
+        """Serve an accepted TCP socket on the running loop.
+
+        The listener hands over every socket it accepts, and a cluster
+        worker the ones it receives by file descriptor.
+        """
+        try:
+            peer = sock.getpeername()
+        except OSError:  # already gone: the read sees the reset
+            peer = None
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        loop = asyncio.get_running_loop()
+        _LineTransport(loop, sock, peer, self.connection())
+
+    def _on_acceptable(self, listener: socket.socket) -> None:
+        """Accept every pending connection (reader callback)."""
+        for _ in range(LISTEN_BACKLOG):
+            try:
+                sock, _addr = listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:
+                continue  # the peer gave up in the backlog
+            except OSError as exc:
+                if exc.errno not in _ACCEPT_EXHAUSTED:
+                    raise
+                # Out of descriptors: stop accepting for a while rather
+                # than spin on a listener that stays readable.
+                self.metrics.observe_connection_error("accept")
+                self._loop.remove_reader(listener.fileno())
+                self._loop.call_later(
+                    ACCEPT_RETRY_DELAY, self._resume_accepting, listener
+                )
+                return
+            self.adopt(sock)
+
+    def _resume_accepting(self, listener: socket.socket) -> None:
+        if listener.fileno() >= 0:  # not closed by shutdown meanwhile
+            self._loop.add_reader(
+                listener.fileno(), self._on_acceptable, listener
+            )
+
+    def _watch(self) -> float:
+        """Loop time now, with the deadline sweep armed.
+
+        Called when a connection starts waiting for a line; the sweep
+        keeps itself armed while any connection waits.
+        """
+        loop = asyncio.get_running_loop()
+        if self._sweep is None:
+            self._sweep = loop.call_later(
+                self.io_timeout / DEADLINE_SWEEPS, self._sweep_deadlines
+            )
+        return loop.time()
+
+    def _sweep_deadlines(self) -> None:
+        """Fail as ``timeout`` every line waited on past ``io_timeout``."""
+        loop = asyncio.get_running_loop()
+        cutoff = loop.time() - self.io_timeout
+        expired = []
+        waiting = False
+        for connection in self._connections:
+            since = connection.waiting_since
+            if since is not None:
+                if since <= cutoff:
+                    expired.append(connection)
+                else:
+                    waiting = True
+        for connection in expired:
+            connection._fail("timeout")
+        self._sweep = None
+        if waiting:
+            self._watch()
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
         self.batcher.start()
-        server = await self._loop.create_server(
-            self.connection, self.host, self.port, backlog=LISTEN_BACKLOG
-        )
-        self._address = server.sockets[0].getsockname()[:2]
+        listeners = _listen(self.host, self.port)
+        self._address = listeners[0].getsockname()[:2]
+        for listener in listeners:
+            self._loop.add_reader(
+                listener.fileno(), self._on_acceptable, listener
+            )
         self._ready.set()
         try:
             await self._shutdown.wait()
         finally:
-            server.close()
+            for listener in listeners:
+                self._loop.remove_reader(listener.fileno())
+                listener.close()
             await self.drain()
 
     async def drain(self, grace: float = 1.0) -> None:
@@ -304,6 +409,9 @@ class GatewayServer:
         for connection in list(self._connections):
             connection.finished = True
             connection.transport.abort()
+        if self._sweep is not None:
+            self._sweep.cancel()
+            self._sweep = None
 
     def _run_loop(self) -> None:
         try:
@@ -359,28 +467,187 @@ class GatewayServer:
         self.stop()
 
 
+def _listen(host: str, port: int) -> list[socket.socket]:
+    """Bound, listening, non-blocking sockets for ``host:port``.
+
+    Resolves like :meth:`asyncio.loop.create_server`: one listener per
+    address ``host`` names (all interfaces for ``""`` or ``None``), each
+    with ``SO_REUSEADDR`` and IPv6 ones v6-only.
+    """
+    infos = socket.getaddrinfo(
+        host or None, port, socket.AF_UNSPEC, socket.SOCK_STREAM, 0,
+        socket.AI_PASSIVE,
+    )
+    listeners: list[socket.socket] = []
+    try:
+        for family, kind, proto, _name, address in dict.fromkeys(infos):
+            sock = socket.socket(family, kind, proto)
+            listeners.append(sock)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if family == socket.AF_INET6:
+                sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+            sock.bind(address)
+            sock.listen(LISTEN_BACKLOG)
+            sock.setblocking(False)
+    except OSError:
+        for sock in listeners:
+            sock.close()
+        raise
+    return listeners
+
+
+class _LineTransport:
+    """The transport of one gateway connection: only what it calls.
+
+    ``write`` sends at once and watches for writability only after a
+    short write; ``close`` lets buffered output go first, ``abort``
+    drops it.  Reading is one ``recv`` per readable event; EOF or a
+    receive error ends the connection.  An exception out of the
+    protocol aborts this connection alone and propagates to the loop's
+    exception handler.  ``connection_lost`` runs inside ``close`` /
+    ``abort`` (as with the test's fake transport), except after a send
+    error, where it is scheduled so the writer's own callback finishes
+    first.
+    """
+
+    __slots__ = ("_loop", "_sock", "_fd", "_peer", "_protocol",
+                 "_out", "_reading", "_closing")
+
+    def __init__(self, loop, sock: socket.socket, peer, protocol) -> None:
+        self._loop = loop
+        self._sock: socket.socket | None = sock
+        self._fd = sock.fileno()
+        self._peer = peer
+        self._protocol = protocol
+        self._out = bytearray()
+        self._reading = True
+        self._closing = False
+        loop.add_reader(self._fd, self._on_readable)
+        protocol.connection_made(self)
+
+    def get_extra_info(self, name: str, default=None):
+        return self._peer if name == "peername" else default
+
+    def _stop_reading(self) -> None:
+        if self._reading:
+            self._reading = False
+            self._loop.remove_reader(self._fd)
+
+    pause_reading = _stop_reading
+
+    def resume_reading(self) -> None:
+        if not self._reading and not self._closing:
+            self._reading = True
+            self._loop.add_reader(self._fd, self._on_readable)
+
+    def write(self, data: bytes) -> None:
+        if self._closing:
+            return
+        if self._out:  # already waiting for the peer to drain
+            self._out += data
+            return
+        try:
+            sent = self._sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError as exc:
+            self._shut()
+            self._loop.call_soon(self._protocol.connection_lost, exc)
+            return
+        if sent < len(data):
+            self._out += data[sent:]
+            self._loop.add_writer(self._fd, self._on_writable)
+
+    def close(self) -> None:
+        """Close once buffered output is sent; reading stops now."""
+        if self._closing:
+            return
+        self._closing = True
+        self._stop_reading()
+        if not self._out:
+            self._lose(None)
+
+    def abort(self) -> None:
+        """Close now, dropping buffered output."""
+        self._lose(None)
+
+    # -- loop callbacks ------------------------------------------------
+    def _on_readable(self) -> None:
+        try:
+            data = self._sock.recv(_READ_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self._lose(exc)
+            return
+        if not data:
+            self._lose(None)  # EOF: the protocol has nothing to send back
+            return
+        try:
+            self._protocol.data_received(data)
+        except Exception:
+            self.abort()
+            raise
+
+    def _on_writable(self) -> None:
+        try:
+            sent = self._sock.send(self._out)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self._lose(exc)
+            return
+        del self._out[:sent]
+        if not self._out:
+            self._loop.remove_writer(self._fd)
+            if self._closing:
+                self._lose(None)
+
+    # -- endings -------------------------------------------------------
+    def _shut(self) -> None:
+        """Unregister the socket and close it."""
+        self._stop_reading()
+        if self._out:
+            self._out.clear()
+            self._loop.remove_writer(self._fd)
+        self._closing = True
+        self._sock.close()
+        self._sock = None
+
+    def _lose(self, exc: Exception | None) -> None:
+        if self._sock is not None:
+            self._shut()
+            self._protocol.connection_lost(exc)
+
+
 class _Connection(asyncio.Protocol):
     """One live-protocol exchange, driven by transport callbacks.
 
-    ``REQUEST`` line → queued in the batcher (reading paused, so a peer
-    cannot grow the buffer meanwhile) → the admission future's
+    ``REQUEST`` line → queued in the batcher → the admission future's
     done-callback writes the puzzle → ``SOLUTION`` line → terminal
     reply and close.  Each awaited line has ``io_timeout`` seconds from
-    the moment the server starts waiting for it.  A connection that
-    ends any other way than by the server's terminal reply is counted
-    by kind in ``gateway_connection_errors_total``.
+    ``waiting_since``, the moment the server starts waiting for it;
+    the gateway's one deadline sweep enforces it (no timer per line).
+    Bytes that arrive while the request is queued are held, under the
+    line cap, and reading pauses until the puzzle is out — the only
+    pause, so a peer that sends one line and waits is never paused.  A
+    connection that ends any other way than by the server's terminal
+    reply is counted by kind in ``gateway_connection_errors_total``.
     """
 
     __slots__ = (
-        "gateway", "transport", "buffer", "deadline", "challenge",
-        "accepted_mono", "finished",
+        "gateway", "transport", "buffer", "waiting_since", "paused",
+        "challenge", "accepted_mono", "finished",
     )
 
     def __init__(self, gateway: GatewayServer) -> None:
         self.gateway = gateway
         self.transport: asyncio.Transport | None = None
         self.buffer = bytearray()
-        self.deadline: asyncio.TimerHandle | None = None
+        #: Loop time the awaited line was first waited on; None while
+        #: queued for admission or once finished.
+        self.waiting_since: float | None = None
+        self.paused = False
         self.challenge: Challenge | None = None
         self.accepted_mono = 0.0
         self.finished = False
@@ -393,28 +660,30 @@ class _Connection(asyncio.Protocol):
 
     def connection_lost(self, exc: Exception | None) -> None:
         self.gateway._connections.discard(self)
-        self.deadline.cancel()
         # Counts only when the peer went away first: mid-line, while
         # queued, or with its puzzle unanswered.
         self._fail("reset")
 
     def data_received(self, data: bytes) -> None:
+        if self.waiting_since is None:
+            # Queued: hold what arrives until the puzzle is out, and
+            # read no more meanwhile.
+            self._hold(data)
+            self.paused = True
+            self.transport.pause_reading()
+            return
         end = data.find(b"\n")
         if end < 0:
-            if len(self.buffer) + len(data) > protocol.MAX_LINE_BYTES:
-                self._fail("oversize")
-            else:
-                self.buffer += data
+            self._hold(data)
             return
         line = self.buffer + data[:end]
         if len(line) > protocol.MAX_LINE_BYTES:
             self._fail("oversize")
             return
-        # Whatever follows the line waits for _await_line: at most the
-        # rest of this read, since reading pauses while queued.
+        # Whatever follows the line waits for _await_line.
         self.buffer.clear()
         self.buffer += data[end + 1:]
-        self.deadline.cancel()
+        self.waiting_since = None
         on_line = self._on_solution if self.challenge else self._on_request
         try:
             on_line(line.decode("ascii", "replace"))
@@ -422,12 +691,18 @@ class _Connection(asyncio.Protocol):
             self._fail("protocol")
 
     # -- the exchange --------------------------------------------------
+    def _hold(self, data: bytes) -> None:
+        if len(self.buffer) + len(data) > protocol.MAX_LINE_BYTES:
+            self._fail("oversize")
+        else:
+            self.buffer += data
+
     def _await_line(self) -> None:
         """Start waiting, under a fresh deadline, for the next line."""
-        self.deadline = asyncio.get_running_loop().call_later(
-            self.gateway.io_timeout, self._fail, "timeout"
-        )
-        self.transport.resume_reading()
+        self.waiting_since = self.gateway._watch()
+        if self.paused:
+            self.paused = False
+            self.transport.resume_reading()
         if self.buffer:
             held, self.buffer = self.buffer, bytearray()
             self.data_received(bytes(held))
@@ -459,7 +734,6 @@ class _Connection(asyncio.Protocol):
         # spans a client's whole solve time.  The wall timestamp above
         # stays authoritative for records and traces.
         self.accepted_mono = time.monotonic()
-        self.transport.pause_reading()
         gateway.batcher.submit(request).add_done_callback(self._on_admitted)
 
     def _on_admitted(self, future: asyncio.Future) -> None:
@@ -518,5 +792,6 @@ class _Connection(asyncio.Protocol):
         """End without a terminal reply, counted once by ``kind``."""
         if not self.finished:
             self.finished = True
+            self.waiting_since = None
             self.gateway.metrics.observe_connection_error(kind)
             self.transport.close()

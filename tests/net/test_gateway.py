@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import time
 
 import pytest
 
@@ -623,14 +624,25 @@ class TestGatewayStress:
             shed_events.append, kinds=[EventKind.REQUEST_SHED]
         )
         metrics = GatewayMetrics()
-        with GatewayServer(
+        server = GatewayServer(
             framework,
             max_batch=4,
             batch_window=0.05,
             queue_limit=4,
             metrics=metrics,
             io_timeout=20.0,
-        ) as server:
+        )
+        admit = server.batcher.admit_batch
+
+        def slow_admit(requests):
+            # Each batch holds the loop while the other callers' lines
+            # arrive, so the queue overflows whatever the interleaving
+            # of this thread and the gateway's.
+            time.sleep(0.02)
+            return admit(requests)
+
+        server.batcher.admit_batch = slow_admit
+        with server:
             report = LoadGenerator(
                 server.address,
                 connections=32,

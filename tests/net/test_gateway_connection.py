@@ -31,6 +31,7 @@ class FakeTransport:
         self.protocol = None
         self.written = bytearray()
         self.paused = False
+        self.pauses = 0
         self.closed = False
 
     def get_extra_info(self, name, default=None):
@@ -42,6 +43,7 @@ class FakeTransport:
 
     def pause_reading(self) -> None:
         self.paused = True
+        self.pauses += 1
 
     def resume_reading(self) -> None:
         self.paused = False
@@ -197,19 +199,41 @@ class TestBounds:
         assert serve([line]) == ([], True, {"oversize": 1})
 
     def test_reading_is_paused_while_queued(self):
+        """Only bytes that arrive while queued pause reading, capped."""
+
         async def scenario():
             gateway = make_gateway()
             gateway.batcher.start()
-            transport, connection = connect(gateway)
+            # One line, then silence: never paused.
+            lone, _ = connect(gateway)
+            await deliver(lone, [b"REQUEST /r {}\n"])
+            # The rest of the REQUEST read is held without a pause ...
+            eager, connection = connect(gateway)
             connection.data_received(b"REQUEST /r {}\nSOLU")
-            queued = (transport.paused, gateway.batcher.depth)
-            await deliver(transport, [b"TION 00 1 1\n"])
+            held = (eager.pauses, gateway.batcher.depth)
+            # ... and the next read, still queued, pauses reading.
+            connection.data_received(b"TION 00 1 1\n")
+            queued = (eager.pauses, eager.paused, bytes(connection.buffer))
+            await settle()
+            # Queued bytes stay under the line cap.
+            flooder, connection = connect(gateway)
+            connection.data_received(b"REQUEST /r {}\n")
+            connection.data_received(b"x" * MAX_LINE_BYTES)
+            capped = (flooder.paused, len(connection.buffer))
+            connection.data_received(b"x")
             await gateway.drain(grace=0.0)
-            return queued, replies(transport)
+            return (
+                lone.pauses, held, queued, replies(eager), capped,
+                flooder.closed, error_counts(gateway),
+            )
 
-        queued, out = asyncio.run(scenario())
-        assert queued == (True, 1)
+        lone, held, queued, out, capped, cut, errors = asyncio.run(scenario())
+        assert lone == 0
+        assert held == (0, 1)
+        assert queued == (1, True, b"SOLUTION 00 1 1\n")
         assert out == ["PUZZLE d=1", "ERR rejected"]
+        assert capped == (True, MAX_LINE_BYTES)
+        assert cut and errors == {"oversize": 1}
 
 
 class TestDeadline:
@@ -292,7 +316,7 @@ class TestPeerLeaves:
 
 class TestAdoptedSocket:
     def test_worker_serves_an_accepted_fd_through_the_same_protocol(self):
-        """fd -> connect_accepted_socket -> a full benign exchange."""
+        """fd -> ``GatewayServer.adopt`` -> a full benign exchange."""
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -307,7 +331,7 @@ class TestAdoptedSocket:
                     "/adopted", {},
                 )
                 accepted, _ = await loop.sock_accept(listener)
-                worker._adopt(loop, os.dup(accepted.fileno()))
+                worker._adopt(os.dup(accepted.fileno()))
                 accepted.close()
                 result = await asyncio.wait_for(fetch, timeout=10.0)
             await worker.gateway.drain(grace=1.0)
