@@ -284,12 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--trace", required=True, metavar="FILE",
                         help="v2 trace produced by record/campaign/serve")
     replay.add_argument(
-        "--target", default="inproc",
-        help="replay path: inproc (default), gateway, or cluster:N",
+        "--target", default=None,
+        help="replay path: inproc (default), gateway, or cluster:N; "
+             "with --live, the server to feed: gateway (default) or "
+             "cluster:N, the targets `record` serves",
     )
     replay.add_argument(
         "--live", action="store_true",
-        help="replay over real TCP through a gateway instead of "
+        help="replay over real TCP through a served target instead of "
              "in-process (decisions then diff by position)",
     )
     replay.add_argument(
@@ -538,21 +540,17 @@ def _install_shutdown_signals() -> "threading.Event":
     return shutdown
 
 
+def _jsonl_records(path) -> int:
+    """Records in a JSONL artifact: every line after its header."""
+    with open(path, encoding="utf-8") as handle:
+        return sum(1 for _ in handle) - 1
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.spec import FrameworkSpec
-    from repro.net.gateway.cluster import GatewayCluster, build_gateway
+    from repro.net.gateway.cluster import GatewayCluster, build_front
     from repro.net.gateway.server import GatewayOptions
 
-    if (
-        args.metrics_snapshots
-        and args.workers > 1
-        and args.metrics_port is None
-    ):
-        # Workers only publish registry snapshots to the parent when an
-        # endpoint consumes them; the writer rides the same stream.
-        print("--metrics-snapshots with --workers > 1 requires "
-              "--metrics-port")
-        return 2
     spec = FrameworkSpec(policy=args.policy)
     if args.record and spec.feedback:
         # Feedback reacts to solve *outcomes*; a challenge-only replay
@@ -577,27 +575,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     }
     settings.update(
         record_path=args.record,
+        trace_path=args.trace_out,
         trace_every=args.trace_every if args.trace_out else 0,
     )
-    # Both paths validate in GatewayOptions, and one process is shard
-    # 0 of 1, assembled by the build_gateway every cluster worker runs.
+    # One process is shard 0 of 1, assembled by the build_gateway every
+    # cluster worker runs; from here on both fronts take the same calls.
     try:
-        if args.workers == 1:
-            options = GatewayOptions(**settings)
-            server, close = build_gateway(
-                spec, options, host=args.host, port=args.port
-            )
-        else:
-            server = GatewayCluster(
-                spec,
-                workers=args.workers,
-                host=args.host,
-                port=args.port,
-                metrics_port=args.metrics_port,
-                trace_path=args.trace_out,
-                **settings,
-            )
-            options = server.options
+        options = GatewayOptions(**settings)
+        server, close = build_front(
+            spec,
+            options,
+            workers=None if args.workers == 1 else args.workers,
+            host=args.host,
+            port=args.port,
+        )
     except ValueError as exc:
         print(exc)
         return 2
@@ -606,11 +597,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"window {options.batch_window * 1000:g} ms, "
         f"queue<={options.queue_limit}, {options.shed_policy}"
     )
-    if args.workers == 1:
+    cluster = isinstance(server, GatewayCluster)
+    if not cluster:
         mode = f"gateway ({tuning})"
     else:
         mode = (
-            f"{args.workers} gateway workers sharded by client-IP hash "
+            f"{server.workers} gateway workers sharded by client-IP hash "
             f"({tuning}"
             + (f", state {args.state_dir}" if args.state_dir else "")
             + (
@@ -643,20 +635,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving AI-assisted PoW on {host}:{port} "
               f"(policy {args.policy}, {mode}); Ctrl-C or SIGTERM to stop",
               flush=True)
-        metrics_url = None
-        if args.workers > 1:
-            metrics_url = server.metrics_url
-        elif args.metrics_port is not None:
+        if args.metrics_port is not None:
             from repro.obs.http import MetricsHTTPServer
 
             metrics_server = MetricsHTTPServer(
                 server.metrics_snapshot,
                 host=args.host,
                 port=args.metrics_port,
+                health_provider=server.health,
             ).start()
-            metrics_url = metrics_server.url
-        if metrics_url is not None:
-            print(f"metrics on {metrics_url}/metrics", flush=True)
+            print(f"metrics on {metrics_server.url}/metrics", flush=True)
         if args.metrics_snapshots:
             from repro.obs.http import SnapshotWriter
 
@@ -676,8 +664,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{args.metrics_snapshots}"
             )
     # The stop drained the server: queued admissions resolved as shed,
-    # in-flight exchanges got their grace, workers exited 0 and shipped
-    # their final registry snapshots.
+    # in-flight exchanges got their grace, and a cluster's workers
+    # exited, shipped their final registry snapshots and had their
+    # partial recordings and span dumps merged.
     from repro.metrics.collector import gateway_summary
 
     summary = gateway_summary(server.metrics_snapshot())
@@ -686,32 +675,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"(mean size {summary['mean_batch_size']:.1f}), "
         f"shed {summary['shed']}"
     )
-    if args.workers > 1:
-        if args.record and server.recorded_trace is not None:
-            print(
-                f"recorded {len(server.recorded_trace)} decisions "
-                f"-> {args.record}"
-            )
-        if args.trace_out:
-            print(
-                f"{len(server.trace_spans)} sampled spans "
-                f"-> {args.trace_out}"
-            )
-        if any(code not in (0, None) for code in server.exit_codes):
-            print(f"worker exit codes: {server.exit_codes}")
-            return 1
-        return 0
     close()
     if args.state_dir:
         print(f"state written to {args.state_dir}")
-    if server.recorder is not None:
-        print(f"recorded {len(server.recorder)} decisions -> {args.record}")
-    if server.tracer is not None:
-        server.tracer.dump(
-            args.trace_out,
-            meta={"recorder": "serve", "sample_every": args.trace_every},
-        )
-        print(f"{len(server.tracer)} sampled spans -> {args.trace_out}")
+    if args.record:
+        print(f"recorded {_jsonl_records(args.record)} decisions "
+              f"-> {args.record}")
+    if args.trace_out:
+        print(f"{_jsonl_records(args.trace_out)} sampled spans "
+              f"-> {args.trace_out}")
+    if cluster and any(code not in (0, None) for code in server.exit_codes):
+        print(f"worker exit codes: {server.exit_codes}")
+        return 1
     return 0
 
 
@@ -921,15 +896,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.replay import (
-        CAMPAIGNS,
-        feed_live,
-        parse_target,
-        run_campaign,
-        spec_hash,
-    )
+    from repro.replay import CAMPAIGNS, record_live, run_campaign
 
     if args.scenario not in CAMPAIGNS:
         print(f"unknown campaign {args.scenario!r}; "
@@ -947,16 +914,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
         print(f"\nrecorded {len(run.trace)} decisions -> {args.out}")
         return 0
 
-    try:
-        kind, workers = parse_target(args.target)
-    except ValueError as exc:
-        print(exc)
-        return 2
-    if kind == "inproc":
-        print("record targets: sim, gateway, cluster:N "
-              "(inproc is a replay target)")
-        return 2
-
     # Live capture: generate the campaign's open-loop workload, then
     # drive it sequentially through a real server with recording on.
     from repro.replay.campaign import _PROFILES
@@ -968,50 +925,21 @@ def _cmd_record(args: argparse.Namespace) -> int:
         duration=campaign.duration,
     )
     entries = list(workload)
-    if kind == "gateway":
-        from repro.net.gateway.server import GatewayServer
-        from repro.replay import TraceRecorder
-
-        framework = campaign.spec.build()
-        recorder = TraceRecorder()
-        with GatewayServer(framework, recorder=recorder) as server:
-            feed_live(server.address, entries)
-        recorder.dump(
-            args.out,
-            config_hash=spec_hash(campaign.spec),
-            seed=campaign.seed,
-            meta={
-                "campaign": campaign.name,
-                "recorder": "gateway-live",
-                "spec": dataclasses.asdict(campaign.spec),
-            },
+    try:
+        trace = record_live(
+            entries, campaign.spec, args.out, target=args.target
         )
-        recorded = len(recorder)
-    else:
-        from repro.net.gateway.cluster import GatewayCluster
-
-        cluster = GatewayCluster(
-            campaign.spec, workers=workers, record_path=args.out
-        )
-        with cluster:
-            feed_live(cluster.address, entries)
-        recorded = (
-            len(cluster.recorded_trace)
-            if cluster.recorded_trace is not None
-            else 0
-        )
+    except ValueError as exc:
+        print(exc)
+        return 2
     print(f"fed {len(entries)} live requests through {args.target}; "
-          f"recorded {recorded} decisions -> {args.out}")
+          f"recorded {len(trace)} decisions -> {args.out}")
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.core.errors import TraceFormatError
-    from repro.replay import (
-        TraceReplayer,
-        diff_decisions,
-        replay_live_gateway,
-    )
+    from repro.replay import TraceReplayer, diff_decisions, replay_live
     from repro.traffic.trace import Trace
 
     try:
@@ -1019,24 +947,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except TraceFormatError as exc:
         print(f"{args.trace}: {exc}")
         return 2
-    if args.live:
-        if args.target not in ("inproc", "gateway"):
-            print("--live replays through a gateway; cluster targets "
-                  "are in-process only")
-            return 2
-        if args.speed:
-            print("--speed only paces in-process replays; live replay "
-                  "feeds sequentially at full speed")
-            return 2
-        result = replay_live_gateway(trace)
-    else:
-        try:
+    try:
+        if args.live:
+            if args.speed:
+                print("--speed only paces in-process replays; live replay "
+                      "feeds sequentially at full speed")
+                return 2
+            result = replay_live(trace, target=args.target or "gateway")
+        else:
             result = TraceReplayer(
-                trace, target=args.target, speed=args.speed
+                trace, target=args.target or "inproc", speed=args.speed
             ).run()
-        except ValueError as exc:
-            print(exc)
-            return 2
+    except ValueError as exc:
+        print(exc)
+        return 2
     print(
         f"replayed {result.requests} requests through {result.target}: "
         f"{len(result.decisions)} decisions in {result.elapsed:.3f}s "

@@ -129,18 +129,6 @@ class MetricsCollector:
         return self._class(key)
 
 
-#: Bucket bounds for the gateway's size/depth distributions — powers of
-#: two up to the default queue limit, matching how batches actually
-#: cluster (summary statistics read ``sum``/``count``/``max``, so they
-#: never depend on the bucketing).
-_GATEWAY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-#: A request waits a few loop passes (tens of microseconds) when the
-#: gateway is idle and up to ``batch_window`` or a flush or two under load.
-_WAIT_BUCKETS = (
-    2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0,
-)
-
-
 class GatewayMetrics:
     """Serving-tier measurements for the admission gateway.
 
@@ -165,7 +153,12 @@ class GatewayMetrics:
         # Deferred: importing ``repro.obs`` loads its HTTP endpoint
         # (http.server, email), which most users of this module never
         # serve.
-        from repro.obs.registry import METRIC_CATALOG, MetricsRegistry
+        from repro.obs.registry import (
+            COUNT_BUCKETS,
+            METRIC_CATALOG,
+            SECONDS_BUCKETS,
+            MetricsRegistry,
+        )
 
         if registry is None:
             registry = MetricsRegistry()
@@ -186,17 +179,17 @@ class GatewayMetrics:
         self.batch_sizes = registry.histogram(
             "gateway_batch_size",
             METRIC_CATALOG["gateway_batch_size"],
-            buckets=_GATEWAY_BUCKETS,
+            buckets=COUNT_BUCKETS,
         ).labels()
         self.queue_depths = registry.histogram(
             "gateway_queue_depth",
             METRIC_CATALOG["gateway_queue_depth"],
-            buckets=_GATEWAY_BUCKETS,
+            buckets=COUNT_BUCKETS,
         ).labels()
         self.admission_waits = registry.histogram(
             "gateway_admission_wait_seconds",
             METRIC_CATALOG["gateway_admission_wait_seconds"],
-            buckets=_WAIT_BUCKETS,
+            buckets=SECONDS_BUCKETS,
         ).labels()
         self._connection_errors = registry.counter(
             "gateway_connection_errors_total",

@@ -27,18 +27,24 @@ deployment).
 Lifecycle: SIGTERM (or :meth:`GatewayCluster.stop`) stops the accept
 loop, then each worker drains — queued admissions resolve as ``ERR
 shed: ...``, in-flight exchanges get a grace period — persists its
-shard's state snapshot into ``state_dir`` (when configured), ships its
-final metrics registry snapshot to the parent over the control
-channel, and exits 0.  The parent keeps that snapshot as the shard's
-view, so :meth:`GatewayCluster.metrics_snapshot` after ``stop()`` is
-the final cluster state, drain-time sheds included, and
+shard's state snapshot into ``state_dir`` (when configured), writes
+its recording and span partials, ships its final metrics registry
+snapshot to the parent over the control channel, and exits 0.  The
+parent keeps that snapshot as the shard's view, so
+:meth:`GatewayCluster.metrics_snapshot` after ``stop()`` is the final
+cluster state, drain-time sheds included, and
 :attr:`GatewayCluster.metrics_summary` is
-:func:`~repro.metrics.collector.gateway_summary` of it.
+:func:`~repro.metrics.collector.gateway_summary` of it; then it merges
+the partials into the files the options name.
+
+The control channel carries only connection fds, ``READY``, ``QUIT``
+and registry snapshots; every other artifact comes home as a file.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -46,11 +52,14 @@ import signal
 import socket
 import sys
 import threading
+import time
 from typing import Callable
 
 from repro.core.spec import FrameworkSpec
 from repro.metrics.collector import GatewayMetrics, gateway_summary
 from repro.net.gateway.server import (
+    _ACCEPT_EXHAUSTED,
+    ACCEPT_RETRY_DELAY,
     LISTEN_BACKLOG,
     GatewayOptions,
     GatewayServer,
@@ -67,15 +76,19 @@ from repro.state import (
 __all__ = [
     "GatewayCluster",
     "ShardWorker",
+    "build_front",
     "build_gateway",
     "make_shed_policy",
     "shard_trace_path",
 ]
 
 
-def shard_trace_path(record_path, shard: int, shards: int) -> str:
-    """Partial-trace path one worker records into before the merge."""
-    return f"{os.fspath(record_path)}.shard-{shard}-of-{shards}"
+def shard_trace_path(path, shard: int, shards: int) -> str:
+    """Partial path one worker writes its recording or spans to.
+
+    The parent merges the partials into ``path`` and removes them.
+    """
+    return f"{os.fspath(path)}.shard-{shard}-of-{shards}"
 
 #: Control-channel message tags (SOCK_SEQPACKET, one message per send).
 _READY = b"READY"
@@ -83,13 +96,11 @@ _CONN = b"C"
 _QUIT = b"QUIT"
 #: A worker's final registry snapshot; the last message it sends.
 _FINAL = b"M"
-#: A periodic registry snapshot (only with a metrics endpoint).
+#: A periodic registry snapshot.
 _SNAP = b"S"
-_SPANS = b"T"
-
-#: Spans shipped per control-channel message at shutdown; bounds each
-#: SEQPACKET message well under the socket buffer (a span is ~1 kB).
-_SPAN_CHUNK = 100
+#: Seconds between a worker's registry snapshot publications: how stale
+#: the parent's cluster-wide view may be while serving.
+PUBLISH_INTERVAL = 0.5
 
 
 def make_worker_store(options: GatewayOptions, registry=None):
@@ -135,14 +146,15 @@ def build_gateway(
     in-process server here (``shard=None``: the whole keyspace, shard 0
     of 1) and so does every cluster worker (``shard`` of ``shards``;
     its recorded request ids and span ids carry a ``w{shard}`` prefix,
-    and its recording is a partial trace the parent merges).  Store,
+    and its recording and spans are partials the parent merges).  Store,
     framework, state-dir restore, recorder, tracer and shed policy all
     come from ``spec`` and ``options``; the gateway metrics, the tracer
     and a networked store share one registry.
 
     Call the returned ``close()`` once the gateway has drained: it
-    writes the shard's state file back, dumps the recording and closes
-    the store.
+    writes the shard's state file back, dumps the recording and the
+    sampled spans (to ``record_path`` / ``trace_path``, or a worker's
+    :func:`shard_trace_path` partials of them) and closes the store.
     """
     metrics = GatewayMetrics()
     store = make_worker_store(options, registry=metrics.registry)
@@ -194,22 +206,61 @@ def build_gateway(
                 framework.snapshot(),
                 replicas=options.replicas,
             )
-        if recorder is not None:
-            import dataclasses
+        # One process writes the named files; a worker writes partials.
+        role = {"recorder": "serve"}
+        if shard is not None:
+            role.update(shard=shard, shards=shards)
 
+        def artifact(path) -> str:
+            return path if shard is None else shard_trace_path(
+                path, shard, shards
+            )
+
+        if recorder is not None:
             from repro.replay.recorder import spec_hash
 
-            path = options.record_path
-            meta = {"recorder": "serve", "spec": dataclasses.asdict(spec)}
-            if shard is not None:
-                path = shard_trace_path(path, shard, shards)
-                meta.update(shard=shard, shards=shards)
-            recorder.dump(path, config_hash=spec_hash(spec), meta=meta)
+            recorder.dump(
+                artifact(options.record_path),
+                config_hash=spec_hash(spec),
+                meta={**role, "spec": dataclasses.asdict(spec)},
+            )
+        if tracer is not None:
+            tracer.dump(
+                artifact(options.trace_path),
+                meta={**role, "sample_every": options.trace_every},
+            )
         close_store = getattr(store, "close", None)
         if close_store is not None:
             close_store()
 
     return gateway, close
+
+
+def build_front(
+    spec: FrameworkSpec,
+    options: GatewayOptions,
+    *,
+    workers: int | None = None,
+    host: str = "127.0.0.1",
+    port: int = 0,
+):
+    """The serving front for one process or N, and its teardown.
+
+    ``workers=None`` is the in-process gateway of :func:`build_gateway`;
+    a count is a :class:`GatewayCluster` of that many worker processes.
+    Either front is driven the same way: ``start()``, serve on
+    ``address``, read ``metrics_snapshot()`` / ``health()``, ``stop()``,
+    then ``close()``, after which the state directory, the recording
+    and the span dump are written.  A cluster's ``stop()`` already
+    merged its workers' partials, so its ``close()`` has nothing left
+    to do.
+    """
+    if workers is None:
+        return build_gateway(spec, options, host=host, port=port)
+    cluster = GatewayCluster(
+        spec, workers, host, port, **dataclasses.asdict(options)
+    )
+    return cluster, lambda: None
 
 
 class ShardWorker:
@@ -261,21 +312,16 @@ class ShardWorker:
         self.ctrl.setblocking(False)
         self.gateway.batcher.start()
         loop.add_reader(self.ctrl.fileno(), self._on_ctrl_readable, stop)
-        publisher: asyncio.Task | None = None
-        if self.options.publish_interval > 0:
-            publisher = loop.create_task(
-                self._publish_snapshots(self.options.publish_interval)
-            )
+        publisher = loop.create_task(self._publish_snapshots())
         try:
             await stop.wait()
         finally:
-            if publisher is not None:
-                publisher.cancel()
+            publisher.cancel()
             loop.remove_reader(self.ctrl.fileno())
             await self.gateway.drain(grace=self.options.drain_grace)
 
-    async def _publish_snapshots(self, interval: float) -> None:
-        """Ship registry snapshots to the parent on a fixed cadence.
+    async def _publish_snapshots(self) -> None:
+        """Ship registry snapshots to the parent every ``PUBLISH_INTERVAL``.
 
         The first snapshot goes out immediately so ``/metrics`` has
         data as soon as the cluster reports ready.  Sends are
@@ -293,7 +339,7 @@ class ShardWorker:
                 pass
             except OSError:
                 return
-            await asyncio.sleep(interval)
+            await asyncio.sleep(PUBLISH_INTERVAL)
 
     def _on_ctrl_readable(self, stop: asyncio.Event) -> None:
         """Drain control messages: connection fds, QUIT, or parent EOF."""
@@ -325,16 +371,9 @@ class ShardWorker:
         self.gateway.adopt(sock)
 
     def _ship_final(self) -> None:
-        """Send the sampled spans, then the final registry snapshot."""
+        """Send the final registry snapshot, the last control message."""
         try:
             self.ctrl.setblocking(True)
-            if self.gateway.tracer is not None:
-                spans = self.gateway.tracer.drain()
-                for start in range(0, len(spans), _SPAN_CHUNK):
-                    chunk = spans[start:start + _SPAN_CHUNK]
-                    self.ctrl.sendall(
-                        _SPANS + json.dumps(chunk).encode("utf-8")
-                    )
             self.ctrl.sendall(
                 _FINAL
                 + json.dumps(self.gateway.metrics_snapshot()).encode("utf-8")
@@ -378,9 +417,10 @@ class GatewayCluster:
         Per-worker gateway tuning (``shed_policy`` by CLI name so it
         crosses the process boundary).  These and ``state_dir``,
         ``state_server``, ``record_path``, ``drain_grace``,
-        ``replicas`` and ``trace_every`` are keywords collected into
-        the workers' :class:`~repro.net.gateway.server.GatewayOptions`,
-        which states their defaults and rejects a bad combination.
+        ``replicas``, ``trace_every`` and ``trace_path`` are keywords
+        collected into the workers'
+        :class:`~repro.net.gateway.server.GatewayOptions`, which states
+        their defaults and rejects a bad combination.
     state_dir:
         Directory of per-shard state snapshots: each worker restores
         its ``shard-I-of-N.json`` at boot (when present) and rewrites
@@ -398,8 +438,7 @@ class GatewayCluster:
         When set, every worker records its admission decisions
         (:class:`~repro.replay.TraceRecorder`) and writes a partial
         trace at graceful shutdown; the parent merges the partials
-        into one timestamp-ordered v2 trace at ``record_path``
-        (exposed as :attr:`recorded_trace`).
+        into one timestamp-ordered v2 trace at ``record_path``.
     drain_grace:
         Seconds each worker gives in-flight exchanges at shutdown.
     replicas:
@@ -411,27 +450,19 @@ class GatewayCluster:
         would see.
     startup_timeout:
         Seconds to wait for every worker's READY handshake.
-    metrics_port:
-        When set (0 picks a free port), the parent serves ``/metrics``,
-        ``/healthz`` and ``/summary`` on ``metrics_host:metrics_port``:
-        workers publish registry snapshots over the control channel
-        every ``publish_interval`` seconds and the parent merges the
-        latest snapshot per shard into one cluster-wide view (see
-        :attr:`metrics_url`).  With or without it, each worker's final
-        snapshot replaces its view at ``stop()``.
-    metrics_host:
-        Bind host for the introspection endpoint.
-    publish_interval:
-        Seconds between worker snapshot publications (only active when
-        ``metrics_port`` is set).
-    trace_every:
+    trace_every / trace_path:
         Sample every Nth request into a structured span per worker
-        (0 disables tracing).  Workers ship their spans to the parent
-        at graceful shutdown; the merged list lands in
-        :attr:`trace_spans` and — when ``trace_path`` is set — in a
-        spans JSONL file readable by ``repro trace``.
-    trace_path:
-        Destination file for the merged span dump.
+        (0 disables tracing).  Each worker writes its spans to a
+        partial at graceful shutdown; the parent merges them into one
+        spans JSONL file at ``trace_path``, readable by ``repro
+        trace``.
+
+    Workers publish registry snapshots over the control channel every
+    :data:`PUBLISH_INTERVAL` seconds, and :meth:`metrics_snapshot`
+    merges the latest one per shard; each worker's final snapshot
+    replaces its view at ``stop()``.  Serve it like a single gateway's:
+    ``MetricsHTTPServer(cluster.metrics_snapshot,
+    health_provider=cluster.health)``.
     """
 
     def __init__(
@@ -443,18 +474,10 @@ class GatewayCluster:
         *,
         start_method: str = "spawn",
         startup_timeout: float = 120.0,
-        metrics_port: int | None = None,
-        metrics_host: str = "127.0.0.1",
-        publish_interval: float = 0.5,
-        trace_path=None,
         **options,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if metrics_port is not None:
-            # Workers only pay for snapshot publication when something
-            # on the parent side is there to read it.
-            options["publish_interval"] = publish_interval
         self.options = GatewayOptions(**options)
         self.spec = spec
         self.workers = workers
@@ -463,19 +486,11 @@ class GatewayCluster:
         self.ring = HashRing(workers, replicas=self.options.replicas)
         self.start_method = start_method
         self.startup_timeout = startup_timeout
-        #: Merged decision trace after a graceful stop with recording on.
-        self.recorded_trace = None
-        self.metrics_port = metrics_port
-        self.metrics_host = metrics_host
-        self.trace_path = os.fspath(trace_path) if trace_path else None
-        #: Merged sampled spans after a graceful stop with tracing on.
-        self.trace_spans: list[dict] = []
         self._listener: socket.socket | None = None
         self._address: tuple[str, int] | None = None
         self._ctrls: list[socket.socket] = []
         self._procs: list = []
         self._accept_thread: threading.Thread | None = None
-        self._metrics_server = None
         self._snapshots: dict[int, dict] = {}
         self._snapshot_lock = threading.Lock()
         self._reader_stop = threading.Event()
@@ -497,19 +512,11 @@ class GatewayCluster:
         return self._address
 
     # -- introspection -------------------------------------------------
-    @property
-    def metrics_url(self) -> str | None:
-        """Base URL of the introspection endpoint (None when disabled)."""
-        if self._metrics_server is None:
-            return None
-        return self._metrics_server.url
-
     def metrics_snapshot(self) -> dict:
         """Cluster-wide registry snapshot: latest per-shard views merged.
 
-        While serving, a shard's view is its latest publication (none
-        without ``metrics_port``); after a graceful :meth:`stop` it is
-        the worker's final snapshot.
+        While serving, a shard's view is its latest publication; after
+        a graceful :meth:`stop` it is the worker's final snapshot.
         """
         from repro.obs.registry import merge_snapshots
 
@@ -532,8 +539,11 @@ class GatewayCluster:
 
         Runs on its own thread while the cluster serves; stopped (and
         joined) *before* the parent shuts the control channels down for
-        teardown, so the shutdown-time span/snapshot messages are left
-        for :meth:`_read_final` to consume in order.
+        teardown, so each worker's final snapshot is left for
+        :meth:`_read_final` to consume.  A worker stopped by a signal of
+        its own (Ctrl-C reaches the whole process group) ships its
+        final snapshot while this still runs; it is kept like any
+        publication.
         """
         import selectors
 
@@ -552,10 +562,11 @@ class GatewayCluster:
                         # Worker died; its last snapshot stays visible.
                         selector.unregister(key.fileobj)
                         continue
-                    if not message.startswith(_SNAP):
+                    if not message.startswith((_SNAP, _FINAL)):
                         continue
                     try:
-                        snapshot = json.loads(message[len(_SNAP):])
+                        # Both tags are one byte.
+                        snapshot = json.loads(message[1:])
                     except ValueError:  # pragma: no cover - torn message
                         continue
                     with self._snapshot_lock:
@@ -617,25 +628,16 @@ class GatewayCluster:
                         f"(exitcode {self._procs[shard].exitcode})"
                     )
                 ctrl.settimeout(None)
-            if self.metrics_port is not None:
-                from repro.obs.http import MetricsHTTPServer
-
-                self._reader_stop.clear()
-                self._reader_thread = threading.Thread(
-                    target=self._snapshot_reader,
-                    name="repro-cluster-snapshots",
-                    daemon=True,
-                )
-                self._reader_thread.start()
-                self._metrics_server = MetricsHTTPServer(
-                    self.metrics_snapshot,
-                    host=self.metrics_host,
-                    port=self.metrics_port,
-                    health_provider=self.health,
-                ).start()
         except BaseException:
             self._teardown(graceful=False)
             raise
+        self._reader_stop.clear()
+        self._reader_thread = threading.Thread(
+            target=self._snapshot_reader,
+            name="repro-cluster-snapshots",
+            daemon=True,
+        )
+        self._reader_thread.start()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-cluster-accept", daemon=True
         )
@@ -643,11 +645,24 @@ class GatewayCluster:
         return self
 
     def _accept_loop(self) -> None:
+        """Hand each accepted connection to its shard's worker.
+
+        Returns only once the listener is closed.  A failed ``accept``
+        on an open listener costs that connection, never the loop: a
+        peer that gave up in the backlog is skipped, and running out of
+        descriptors or buffers pauses accepting for
+        ``ACCEPT_RETRY_DELAY`` rather than spin.
+        """
+        listener = self._listener
         while True:
             try:
-                conn, addr = self._listener.accept()
-            except OSError:
-                return  # listener closed: shutting down
+                conn, addr = listener.accept()
+            except OSError as exc:
+                if listener.fileno() < 0:
+                    return  # listener closed: shutting down
+                if exc.errno in _ACCEPT_EXHAUSTED:
+                    time.sleep(ACCEPT_RETRY_DELAY)
+                continue
             shard = self.ring.shard_for(addr[0])
             try:
                 socket.send_fds(self._ctrls[shard], [_CONN], [conn.fileno()])
@@ -663,13 +678,10 @@ class GatewayCluster:
         self._teardown(graceful=True)
 
     def _teardown(self, graceful: bool) -> None:
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            self._metrics_server = None
         # The snapshot reader must be fully stopped before the control
-        # channels shut down: once workers see parent EOF they start
-        # shipping spans and the final snapshot, and those messages
-        # belong to _read_final, not the reader.
+        # channels shut down: once workers see parent EOF they ship
+        # their final snapshot, and that message belongs to
+        # _read_final, not the reader.
         self._reader_stop.set()
         if self._reader_thread is not None:
             self._reader_thread.join(timeout=10.0)
@@ -685,7 +697,6 @@ class GatewayCluster:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=10.0)
             self._accept_thread = None
-        spans: list[dict] = []
         for ctrl in self._ctrls:
             try:
                 ctrl.shutdown(socket.SHUT_WR)
@@ -693,7 +704,7 @@ class GatewayCluster:
                 pass
         for shard, (ctrl, proc) in enumerate(zip(self._ctrls, self._procs)):
             if graceful:
-                snapshot = self._read_final(ctrl, spans)
+                snapshot = self._read_final(ctrl)
                 if snapshot is not None:
                     with self._snapshot_lock:
                         self._snapshots[shard] = snapshot
@@ -709,77 +720,63 @@ class GatewayCluster:
         self._address = None
         if graceful:
             self.metrics_summary = gateway_summary(self.metrics_snapshot())
-            spans.sort(key=lambda span: span.get("accept_ts", 0.0))
-            self.trace_spans = spans
-            if self.trace_path is not None:
-                self._dump_spans(spans)
-            if self.options.record_path:
-                self.recorded_trace = self._merge_recordings()
+            self._merge_partials()
 
-    def _dump_spans(self, spans: list[dict]) -> None:
-        from repro.obs.tracing import write_spans
-
-        with open(self.trace_path, "w", encoding="utf-8") as handle:
-            write_spans(
-                handle,
-                spans,
-                meta={
-                    "recorder": "cluster",
-                    "workers": self.workers,
-                    "sample_every": self.options.trace_every,
-                },
-            )
-
-    def _merge_recordings(self):
-        """Merge per-shard partial traces into one file at record_path."""
-        from repro.traffic.trace import Trace, TraceHeader
-
-        entries = []
-        config_hash = ""
-        spec_mapping = None
+    def _gather(self, path, load) -> list:
+        """Each worker's partial of ``path``, read by ``load``, then removed."""
+        parts = []
         for shard in range(self.workers):
-            partial_path = shard_trace_path(
-                self.options.record_path, shard, self.workers
-            )
+            partial = shard_trace_path(path, shard, self.workers)
             try:
-                partial = Trace.load_jsonl(partial_path)
+                parts.append(load(partial))
             except OSError:  # pragma: no cover - worker died pre-dump
                 continue
-            entries.extend(partial.entries)
-            if partial.header is not None:
-                config_hash = partial.header.config_hash or config_hash
-                spec_mapping = (
-                    partial.header.meta.get("spec") or spec_mapping
-                )
-            os.unlink(partial_path)
+            os.unlink(partial)
+        return parts
+
+    def _merge_partials(self) -> None:
+        """Merge the workers' recordings and span dumps into one each."""
         meta = {"recorder": "cluster", "workers": self.workers}
-        if spec_mapping is not None:
-            meta["spec"] = spec_mapping
-        merged = Trace(
-            entries,
-            header=TraceHeader(config_hash=config_hash, meta=meta),
-        )
-        merged.dump_jsonl(self.options.record_path)
-        return merged
+        options = self.options
+        if options.record_path:
+            from repro.traffic.trace import Trace, TraceHeader
 
-    def _read_final(
-        self, ctrl: socket.socket, spans_out: list[dict]
-    ) -> dict | None:
-        """Read one worker's shutdown stream: span chunks, then snapshot.
+            partials = self._gather(options.record_path, Trace.load_jsonl)
+            header = TraceHeader(meta=meta)
+            if partials:  # every worker recorded under the one spec
+                first = partials[0].header
+                header = TraceHeader(
+                    config_hash=first.config_hash,
+                    meta={**meta, "spec": first.meta["spec"]},
+                )
+            Trace(
+                [entry for partial in partials for entry in partial],
+                header=header,
+            ).dump_jsonl(options.record_path)
+        if options.trace_path:
+            from repro.obs.tracing import load_spans, write_spans
 
-        Snapshot publications still in flight are skipped; ``T`` span
-        chunks accumulate into ``spans_out``; the ``M`` final snapshot
-        terminates the stream.
-        """
+            spans = [
+                span
+                for _meta, part in self._gather(options.trace_path, load_spans)
+                for span in part
+            ]
+            spans.sort(key=lambda span: span.get("accept_ts", 0.0))
+            with open(options.trace_path, "w", encoding="utf-8") as handle:
+                write_spans(
+                    handle,
+                    spans,
+                    meta={**meta, "sample_every": options.trace_every},
+                )
+
+    def _read_final(self, ctrl: socket.socket) -> dict | None:
+        """Read one worker's final snapshot, skipping late publications."""
         ctrl.settimeout(30.0)
         try:
             while True:
                 message = ctrl.recv(1 << 20)
                 if not message:
                     return None
-                if message.startswith(_SPANS):
-                    spans_out.extend(json.loads(message[len(_SPANS):]))
-                    continue
                 if message.startswith(_FINAL):
                     return json.loads(message[len(_FINAL):])
         except (socket.timeout, OSError, ValueError):

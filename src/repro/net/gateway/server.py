@@ -117,8 +117,8 @@ class GatewayOptions:
     drain_grace: float = 5.0
     #: Sample every Nth request into a span; 0 disables tracing.
     trace_every: int = 0
-    #: Seconds between worker snapshot publications; 0 disables them.
-    publish_interval: float = 0.0
+    #: Where the sampled spans are written (needed by ``trace_every``).
+    trace_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -127,6 +127,8 @@ class GatewayOptions:
             raise ValueError(
                 f"trace_every must be >= 0, got {self.trace_every}"
             )
+        if self.trace_every > 0 and not self.trace_path:
+            raise ValueError("trace_every > 0 needs a trace_path")
         if self.state_server and self.state_dir:
             raise ValueError(
                 "state_dir and state_server are mutually exclusive: with a "
@@ -282,6 +284,11 @@ class GatewayServer:
     def metrics_snapshot(self) -> dict:
         """Snapshot of the registry the gateway records into."""
         return self.metrics.registry.snapshot()
+
+    def health(self) -> dict:
+        """Liveness document for ``/healthz``: ok while the loop runs."""
+        alive = self._thread is not None and self._thread.is_alive()
+        return {"status": "ok" if alive else "stopped"}
 
     # ------------------------------------------------------------------
     # Connections and their deadlines (all on the event-loop thread)

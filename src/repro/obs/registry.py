@@ -41,7 +41,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "COUNT_BUCKETS",
     "METRIC_CATALOG",
+    "SECONDS_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -62,6 +64,19 @@ DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0,
     25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
 )
+#: Bucket bounds of every latency histogram in seconds: a gateway
+#: admission waits a few loop passes (tens of microseconds) when idle,
+#: a store round trip takes 0.1-1 ms on loopback, and waits under load,
+#: retries and timeouts reach seconds.
+SECONDS_BUCKETS = (
+    2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.05, 0.1, 0.5,
+    1.0, 5.0,
+)
+#: Bucket bounds of every size or depth histogram (gateway batches and
+#: queue depths, state-server batches): powers of two, matching how
+#: batches actually cluster.  Summary statistics read ``sum`` /
+#: ``count`` / ``max``, so they never depend on the bucketing.
+COUNT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 #: The documented metric names — DESIGN.md §1.7's table is tested
 #: against this mapping, so renaming an instrument here without

@@ -31,7 +31,6 @@ from repro.policies.dsl import (
 from repro.policies.error_range import ErrorRangePolicy, policy_3
 from repro.policies.exponential import ExponentialPolicy
 from repro.policies.fractional import FractionalLinearPolicy
-from repro.policies.retarget import RetargetingPolicy
 from repro.policies.linear import LinearPolicy, policy_1, policy_2
 from repro.policies.stepwise import StepwisePolicy
 from repro.policies.table import FixedPolicy, TablePolicy
@@ -44,7 +43,6 @@ __all__ = [
     "StepwisePolicy",
     "ExponentialPolicy",
     "FractionalLinearPolicy",
-    "RetargetingPolicy",
     "TablePolicy",
     "FixedPolicy",
     "LoadAdaptivePolicy",

@@ -32,7 +32,8 @@ from repro.replay.replayer import (
     feed_live,
     loopback_plan,
     parse_target,
-    replay_live_gateway,
+    record_live,
+    replay_live,
     spec_from_trace,
 )
 
@@ -49,7 +50,8 @@ __all__ = [
     "feed_live",
     "loopback_plan",
     "parse_target",
-    "replay_live_gateway",
+    "record_live",
+    "replay_live",
     "ScaleSpec",
     "run_campaign",
     "spec_from_trace",

@@ -10,7 +10,8 @@ Three in-process targets mirror the repo's serving tiers:
 * ``inproc``    — requests sharing a timestamp are admitted through
   :meth:`AIPoWFramework.challenge_batch`, exactly like the simulator;
 * ``gateway``   — requests are micro-batched by the gateway's
-  accumulator rules (``max_batch`` / ``batch_window``) against the
+  accumulator rules (the ``max_batch`` / ``batch_window`` defaults of
+  :class:`~repro.net.gateway.server.GatewayOptions`) against the
   recorded timestamps;
 * ``cluster:N`` — requests are routed by the same client-IP
   :class:`~repro.state.HashRing` the multi-worker gateway uses, each
@@ -24,17 +25,19 @@ Replay runs at full speed by default; ``speed=1.0`` paces requests at
 their recorded inter-arrival gaps (``speed=2.0`` twice as fast, ...),
 which is what the ``thr-replay`` experiment compares against.
 
-A fourth, live, path (:func:`replay_live_gateway`) drives the trace
-through a real :class:`~repro.net.gateway.server.GatewayServer` over
-TCP — sequentially, so the decision order stays deterministic — with
-each distinct recorded client mapped to its own loopback source
-address.
+A fourth, live, path (:func:`replay_live`) drives the trace through a
+real server over TCP, one gateway process or a cluster of N, the way
+``repro record`` captures a campaign (:func:`record_live`):
+sequentially, so the decision order stays deterministic, with each
+distinct recorded client mapped to its own loopback source address.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import socket
+import tempfile
 import time
 from typing import Sequence
 
@@ -50,7 +53,8 @@ __all__ = [
     "ReplayResult",
     "TraceReplayer",
     "parse_target",
-    "replay_live_gateway",
+    "record_live",
+    "replay_live",
     "feed_live",
     "loopback_plan",
     "spec_from_trace",
@@ -124,9 +128,6 @@ class TraceReplayer:
     speed:
         0 (default) replays as fast as the pipeline admits; a positive
         value paces requests at ``recorded_gap / speed`` seconds.
-    max_batch / batch_window:
-        Accumulator tuning for the ``gateway`` target, matching
-        :class:`~repro.net.gateway.accumulator.MicroBatcher` defaults.
     """
 
     def __init__(
@@ -137,8 +138,6 @@ class TraceReplayer:
         spec: FrameworkSpec | None = None,
         strict_config: bool = True,
         speed: float = 0.0,
-        max_batch: int = 64,
-        batch_window: float = 0.002,
     ) -> None:
         if speed < 0:
             raise ValueError(f"speed must be >= 0, got {speed}")
@@ -146,8 +145,6 @@ class TraceReplayer:
         self.kind, self.workers = parse_target(target)
         self.target = target
         self.speed = speed
-        self.max_batch = max_batch
-        self.batch_window = batch_window
         self.spec = spec if spec is not None else spec_from_trace(trace)
         header = trace.header
         if (
@@ -229,13 +226,15 @@ class TraceReplayer:
         replay is driven, never what it decides.
         """
         if self.kind == "gateway":
+            from repro.net.gateway.server import GatewayOptions
+
             batch: list[TraceEntry] = []
             window_start = 0.0
             for entry in entries:
                 t = entry.request.timestamp
                 if batch and (
-                    len(batch) >= self.max_batch
-                    or t - window_start > self.batch_window
+                    len(batch) >= GatewayOptions.max_batch
+                    or t - window_start > GatewayOptions.batch_window
                 ):
                     yield batch
                     batch = []
@@ -329,45 +328,65 @@ def loopback_plan(entries: Sequence[TraceEntry]) -> dict[str, str]:
     return plan
 
 
-def replay_live_gateway(
+def record_live(
+    entries: Sequence[TraceEntry],
+    spec: FrameworkSpec,
+    record_path,
+    *,
+    target: str = "gateway",
+) -> Trace:
+    """Serve ``target`` with recording on, feed it ``entries``, stop.
+
+    ``target`` is ``gateway`` (one in-process server) or ``cluster:N``;
+    either is built by :func:`~repro.net.gateway.cluster.build_front`
+    and fed by :func:`feed_live`.  The recording lands at
+    ``record_path`` with the serving tier's header, and is returned.
+    """
+    kind, workers = parse_target(target)
+    if kind == "inproc":
+        raise ValueError(
+            "live targets are gateway and cluster:N "
+            "(inproc is an in-process replay target)"
+        )
+    from repro.net.gateway.cluster import build_front
+    from repro.net.gateway.server import GatewayOptions
+
+    server, close = build_front(
+        spec,
+        GatewayOptions(record_path=os.fspath(record_path)),
+        workers=workers if kind == "cluster" else None,
+    )
+    with server:
+        feed_live(server.address, entries)
+    close()
+    return Trace.load_jsonl(record_path)
+
+
+def replay_live(
     trace: Trace,
     *,
+    target: str = "gateway",
     spec: FrameworkSpec | None = None,
-    max_batch: int = 64,
-    batch_window: float = 0.002,
-    timeout: float = 10.0,
 ) -> ReplayResult:
-    """Replay ``trace`` through a real :class:`GatewayServer` over TCP.
+    """Replay ``trace`` over TCP through a served ``target``.
 
-    Requests are fed sequentially (one connection each, challenge-only)
-    so the server-side decision order matches the trace order; each
-    distinct recorded client binds its own loopback source address per
-    :func:`loopback_plan`.  The decision stream comes from a server-side
-    recorder; its request ids are fresh (``rec-N``), so diff against
-    the recording with ``match_by="position"``, ignoring ``client_ip``
-    when the recorded addresses were not loopback.
+    :func:`record_live` into a temporary directory.  Requests go one
+    connection each, challenge-only, in trace order.  The server
+    assigns fresh request ids (``rec-N``, or ``wI-N`` per cluster
+    worker), so diff against the recording with ``match_by="position"``,
+    ignoring ``client_ip`` when the recorded addresses were not
+    loopback.
     """
-    from repro.net.gateway.server import GatewayServer
-
     spec = spec if spec is not None else spec_from_trace(trace)
     entries = list(trace)
-    framework = spec.build()
-    recorder = TraceRecorder().attach(framework.events)
     started = time.perf_counter()
-    with GatewayServer(
-        framework, max_batch=max_batch, batch_window=batch_window
-    ) as server:
-        feed_live(server.address, entries, timeout=timeout)
+    with tempfile.TemporaryDirectory(prefix="repro-live-") as tmp:
+        replayed = record_live(
+            entries, spec, os.path.join(tmp, "live.jsonl"), target=target
+        )
     elapsed = time.perf_counter() - started
-    replayed = recorder.trace(
-        config_hash=spec_hash(spec),
-        meta={
-            "replay_target": "gateway-live",
-            "spec": dataclasses.asdict(spec),
-        },
-    )
     return ReplayResult(
-        target="gateway-live",
+        target=f"{target}-live",
         decisions=replayed.decisions(),
         trace=replayed,
         requests=len(entries),

@@ -50,17 +50,14 @@ class _DropConnection(Exception):
     """Raised by a test fault hook to sever the connection mid-request."""
 
 
-#: Round trips are 0.1-1 ms on loopback; retries and timeouts reach seconds.
-_SECONDS_BUCKETS = (
-    5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-)
-_BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-
-
 def _instruments(registry):
     if registry is None:
         return None
-    from repro.obs.registry import METRIC_CATALOG
+    from repro.obs.registry import (
+        COUNT_BUCKETS,
+        METRIC_CATALOG,
+        SECONDS_BUCKETS,
+    )
 
     metrics = {
         name: registry.counter(name, METRIC_CATALOG[name], labels=labels)
@@ -73,8 +70,8 @@ def _instruments(registry):
         )
     }
     for name, labels, buckets in (
-        ("netstore_client_request_seconds", ("op",), _SECONDS_BUCKETS),
-        ("netstore_server_batch_ops", (), _BATCH_BUCKETS),
+        ("netstore_client_request_seconds", ("op",), SECONDS_BUCKETS),
+        ("netstore_server_batch_ops", (), COUNT_BUCKETS),
     ):
         metrics[name] = registry.histogram(
             name, METRIC_CATALOG[name], labels=labels, buckets=buckets

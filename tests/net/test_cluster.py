@@ -174,12 +174,18 @@ class TestBuildGateway:
     ):
         from repro.net.gateway.cluster import build_gateway, shard_trace_path
         from repro.net.gateway.server import GatewayOptions
+        from repro.obs.tracing import load_spans
         from repro.traffic.trace import Trace
 
         path = tmp_path / "t.jsonl"
+        spans_path = tmp_path / "spans.jsonl"
         gateway, close = build_gateway(
             SPEC,
-            GatewayOptions(record_path=str(path)),
+            GatewayOptions(
+                record_path=str(path),
+                trace_every=1,
+                trace_path=str(spans_path),
+            ),
             shard=shard,
             shards=shards,
         )
@@ -189,11 +195,24 @@ class TestBuildGateway:
             )
             assert result.ok, result
         close()
-        # One process owns the final file; a worker writes its partial.
+        # One process owns the final files; a worker writes partials.
         if shard is not None:
             path = shard_trace_path(path, shard, shards)
+            spans_path = shard_trace_path(spans_path, shard, shards)
         trace = Trace.load_jsonl(path)
         assert [entry.decision.request_id for entry in trace] == [request_id]
+        meta, spans = load_spans(spans_path)
+        assert meta["recorder"] == "serve"
+        assert meta["sample_every"] == 1
+        assert [span["span_id"].startswith("w") for span in spans] == [
+            shard is not None
+        ]
+
+    def test_tracing_needs_a_trace_path(self):
+        from repro.net.gateway.server import GatewayOptions
+
+        with pytest.raises(ValueError, match="trace_path"):
+            GatewayOptions(trace_every=10)
 
     def test_close_releases_the_state_server_connection(self, examples):
         from repro.net.gateway.cluster import build_gateway
@@ -289,6 +308,74 @@ class TestClusterValidation:
         cluster = GatewayCluster(SPEC, workers=2, state_dir=tmp_path)
         with pytest.raises(ValueError, match="re-split"):
             cluster.start()
+
+
+class _FlakyListener:
+    """A listener whose ``accept`` replays scripted errors, then one peer.
+
+    Once the script runs out it behaves like a closed socket.
+    """
+
+    def __init__(self, script: list) -> None:
+        self.script = script
+        self.closed = False
+
+    def accept(self):
+        import errno
+
+        if not self.script:
+            self.closed = True
+            raise OSError(errno.EBADF, "Bad file descriptor")
+        step = self.script.pop(0)
+        if isinstance(step, BaseException):
+            raise step
+        return step
+
+    def fileno(self) -> int:
+        return -1 if self.closed else 99
+
+
+class TestAcceptLoop:
+    def test_accept_errors_cost_a_connection_not_the_loop(
+        self, monkeypatch
+    ):
+        """An aborted peer is skipped, exhaustion backs off, and the
+        next connection is still handed to its worker; the loop ends
+        only when the listener is closed."""
+        import errno
+        import socket
+        import types
+
+        from repro.net.gateway import cluster as cluster_module
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(
+            cluster_module, "time", types.SimpleNamespace(sleep=sleeps.append)
+        )
+        accepted, peer = socket.socketpair()
+        ctrl, worker_end = socket.socketpair(
+            socket.AF_UNIX, socket.SOCK_SEQPACKET
+        )
+        cluster = GatewayCluster(SPEC, workers=1)
+        cluster._listener = _FlakyListener([
+            ConnectionAbortedError(errno.ECONNABORTED, "aborted"),
+            OSError(errno.EMFILE, "Too many open files"),
+            OSError(errno.ENOBUFS, "No buffer space available"),
+            (accepted, ("127.0.0.1", 40000)),
+        ])
+        cluster._ctrls = [ctrl]
+        try:
+            cluster._accept_loop()
+            assert sleeps == [cluster_module.ACCEPT_RETRY_DELAY] * 2
+            worker_end.settimeout(5.0)
+            message, fds, _flags, _addr = socket.recv_fds(worker_end, 64, 8)
+            assert message == b"C" and len(fds) == 1
+            with socket.socket(fileno=fds[0]) as handed:
+                handed.sendall(b"ping")
+                assert peer.recv(4) == b"ping"
+        finally:
+            for sock in (peer, ctrl, worker_end):
+                sock.close()
 
 
 @pytest.mark.slow
@@ -426,41 +513,43 @@ class TestClusterTelemetry:
     ):
         """One scrape sees all workers; one span sees the whole path.
 
-        Boots a 2-worker cluster with the introspection endpoint and
-        1-in-1 tracing, serves a few honest exchanges, then asserts
+        Boots a 2-worker cluster with 1-in-1 tracing and serves the
+        introspection endpoint over it the way ``repro serve`` does for
+        any worker count, serves a few honest exchanges, then asserts
         (a) /metrics renders valid Prometheus text whose admitted
         counter equals the cluster-wide total, (b) /healthz reports
         every worker alive, and (c) after shutdown each request's span
-        — shipped from the shard workers over the control channel —
-        reconstructs the full accept→respond pipeline.
+        — written by the shard workers as partials and merged by the
+        parent — reconstructs the full accept→respond pipeline.
         """
         import json
         import urllib.request
 
+        from repro.obs.http import MetricsHTTPServer
         from repro.obs.registry import validate_exposition
         from repro.obs.tracing import FULL_PATH, load_spans
 
         trace_path = tmp_path / "spans.jsonl"
         features = dict(examples[0].features)
         ips = [f"127.0.0.{i}" for i in range(1, 5)]
-        with GatewayCluster(
+        cluster = GatewayCluster(
             SPEC,
             workers=2,
-            metrics_port=0,
-            publish_interval=0.1,
             trace_every=1,
-            trace_path=trace_path,
-        ) as cluster:
-            url = cluster.metrics_url
-            assert url is not None
+            trace_path=str(trace_path),
+        )
+        with cluster, MetricsHTTPServer(
+            cluster.metrics_snapshot, port=0, health_provider=cluster.health
+        ) as endpoint:
+            url = endpoint.url
             for ip in ips:
                 result = LiveClient(
                     cluster.address, source_ip=ip
                 ).fetch("/index.html", features)
                 assert result.ok, (ip, result)
 
-            # Workers publish snapshots on publish_interval; wait for
-            # the scrape to converge on the cluster-wide total.
+            # Workers publish snapshots every PUBLISH_INTERVAL; wait
+            # for the scrape to converge on the cluster-wide total.
             text = ""
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
@@ -491,35 +580,46 @@ class TestClusterTelemetry:
 
         assert cluster.exit_codes == [0, 0]
         # The endpoint is gone with the cluster, but the merged worker
-        # summaries and the shipped spans survive it.
+        # summaries and the merged spans survive it.
         assert cluster.metrics_summary["admitted"] == len(ips)
-        spans = cluster.trace_spans
+        meta, spans = load_spans(trace_path)
+        assert meta == {"recorder": "cluster", "workers": 2, "sample_every": 1}
         assert len(spans) == len(ips)
         for span in spans:
             stages = [record["stage"] for record in span["stages"]]
             assert stages == list(FULL_PATH), stages
             assert span["outcome"] == "served"
         assert {span["client_ip"] for span in spans} == set(ips)
-
-        meta, loaded = load_spans(trace_path)
-        assert meta["recorder"] == "cluster"
-        assert meta["workers"] == 2
-        assert meta["sample_every"] == 1
-        assert [s["span_id"] for s in loaded] == [
-            s["span_id"] for s in spans
-        ]
+        accepts = [span["accept_ts"] for span in spans]
+        assert accepts == sorted(accepts)
         # Both shards traced: span ids carry the worker prefix.
-        assert {s["span_id"].split("-")[0] for s in loaded} == {"w0", "w1"}
+        assert {s["span_id"].split("-")[0] for s in spans} == {"w0", "w1"}
+        # The parent removed the partials it merged.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            trace_path.name
+        ]
 
-    def test_metrics_disabled_by_default(self, examples):
+    def test_metrics_disabled_by_default(
+        self, tmp_path, monkeypatch, examples
+    ):
+        """Nothing is served or written unless asked.
+
+        The cluster owns no endpoint (a caller serves its
+        ``metrics_snapshot``), and without record or trace paths no
+        worker writes a file.
+        """
+        from repro.metrics.collector import gateway_summary
+
+        monkeypatch.chdir(tmp_path)
         with GatewayCluster(SPEC, workers=1) as cluster:
-            assert cluster.metrics_url is None
             result = LiveClient(
                 cluster.address, source_ip="127.0.0.9"
             ).fetch("/index.html", dict(examples[0].features))
             assert result.ok
         assert cluster.exit_codes == [0]
-        assert cluster.trace_spans == []
+        assert not hasattr(cluster, "metrics_url")
+        assert list(tmp_path.iterdir()) == []
+        assert gateway_summary(cluster.metrics_snapshot())["admitted"] == 1
 
 
 @pytest.mark.slow
@@ -530,24 +630,29 @@ class TestClusterFinalSnapshot:
     ):
         """After ``stop()`` the merged snapshot is the final cluster state.
 
-        With or without a metrics endpoint, each worker's last control
-        message is its registry snapshot, taken after its drain: every
-        admission and every request shed because the gateway was
-        shutting down is in it, and ``metrics_summary`` is read from it.
+        With or without a metrics endpoint served over the cluster
+        (``metrics_port``), each worker's last control message is its
+        registry snapshot, taken after its drain: every admission and
+        every request shed because the gateway was shutting down is in
+        it, and ``metrics_summary`` is read from it.
         """
         import socket
         import threading
 
         from repro.metrics.collector import gateway_summary
         from repro.net.live import protocol
+        from repro.obs.http import MetricsHTTPServer
 
         features = dict(examples[0].features)
         ips = [f"127.0.0.{i}" for i in range(1, 5)]
         late_ip = "127.0.0.9"
-        cluster = GatewayCluster(
-            SPEC, workers=2, metrics_port=metrics_port,
-            publish_interval=0.1,
-        ).start()
+        cluster = GatewayCluster(SPEC, workers=2).start()
+        endpoint = None
+        if metrics_port is not None:
+            endpoint = MetricsHTTPServer(
+                cluster.metrics_snapshot, port=metrics_port,
+                health_provider=cluster.health,
+            ).start()
         stopper = threading.Thread(target=cluster.stop)
         late: list[socket.socket] = []
         replies: list[str] = []
@@ -587,6 +692,8 @@ class TestClusterFinalSnapshot:
             if stopper.ident is None:
                 stopper.start()
             stopper.join(timeout=120.0)
+            if endpoint is not None:
+                endpoint.close()
         assert not stopper.is_alive()
         assert cluster.exit_codes == [0, 0]
 
@@ -607,6 +714,34 @@ class TestClusterFinalSnapshot:
         assert summary["shed_reasons"] == {"gateway shutting down": sheds}
         assert summary["workers"] == 2
         assert len(summary["per_worker"]) == 2
+
+
+    def test_worker_stopped_by_its_own_signal_keeps_its_final_snapshot(
+        self, examples
+    ):
+        """Ctrl-C reaches every worker, not only the parent: a worker's
+        final snapshot may arrive while the parent still serves, and
+        must count like one read at ``stop()``."""
+        from repro.metrics.collector import gateway_summary
+
+        cluster = GatewayCluster(SPEC, workers=1).start()
+        try:
+            result = LiveClient(
+                cluster.address, source_ip="127.0.0.3"
+            ).fetch("/index.html", dict(examples[0].features))
+            assert result.ok, result
+            worker = cluster._procs[0]
+            os.kill(worker.pid, signal.SIGINT)
+            worker.join(timeout=60.0)
+            assert worker.exitcode == 0
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and gateway_summary(
+                cluster.metrics_snapshot()
+            )["admitted"] != 1:
+                time.sleep(0.05)
+        finally:
+            cluster.stop()
+        assert cluster.metrics_summary["admitted"] == 1
 
 
 @pytest.mark.slow

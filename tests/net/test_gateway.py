@@ -467,6 +467,13 @@ class TestGatewayServer:
             send_line(sock, "GIBBERISH")
             assert read_line(sock).startswith("ERR")
 
+    def test_health_follows_the_loop_thread(self):
+        server = GatewayServer(AIPoWFramework(ConstantModel(0.0), policy_1()))
+        assert server.health() == {"status": "stopped"}
+        with server:
+            assert server.health() == {"status": "ok"}
+        assert server.health() == {"status": "stopped"}
+
     def test_responses_recorded(self, gateway):
         LiveClient(gateway.address).fetch("/log-me", {})
         assert any(

@@ -10,7 +10,7 @@ from repro.replay import (
     diff_decisions,
     loopback_plan,
     parse_target,
-    replay_live_gateway,
+    replay_live,
     run_campaign,
     spec_from_trace,
     spec_hash,
@@ -145,15 +145,38 @@ class TestLiveReplay:
     def test_live_record_then_inproc_replay_bit_identical(self):
         """The acceptance loop: record a live gateway run, replay it
         against the same config in-process, get the identical stream."""
-        live = replay_live_gateway(
+        live = replay_live(
             run_campaign("benign-baseline").trace,
             spec=FrameworkSpec(feedback=False),
         )
         assert live.decisions, "live gateway recorded nothing"
         recorded = live.trace
+        # A live recording carries the serving tier's header.
+        assert recorded.header.meta["recorder"] == "serve"
         replayed = TraceReplayer(recorded).run()
         report = diff_decisions(recorded.decisions(), replayed.decisions)
         assert report.identical, report.render()
+
+    @pytest.mark.slow
+    def test_cluster_live_replay_matches_inproc(self, recorded):
+        """Two workers over TCP decide what one process decides."""
+        live = replay_live(recorded, target="cluster:2")
+        assert live.trace.header.meta["recorder"] == "cluster"
+        assert {d.request_id.split("-")[0] for d in live.decisions} == {
+            "w0", "w1"
+        }
+        inproc = TraceReplayer(recorded).run()
+        report = diff_decisions(
+            inproc.decisions,
+            live.decisions,
+            match_by="position",
+            ignore={"client_ip"},
+        )
+        assert report.identical, report.render()
+
+    def test_inproc_is_not_a_live_target(self, recorded):
+        with pytest.raises(ValueError, match="live targets"):
+            replay_live(recorded, target="inproc")
 
     def test_loopback_plan_distinct_and_stable(self, recorded):
         plan = loopback_plan(list(recorded))

@@ -210,6 +210,59 @@ class TestServeOneProcess:
         assert "--state-server" in capsys.readouterr().out
 
 
+class TestServeAnyWorkers:
+    """One worker or N: the same flags, the same files."""
+
+    @pytest.mark.slow
+    def test_metrics_snapshots_need_no_metrics_port(self, tmp_path):
+        import json
+
+        path = tmp_path / "snapshots.jsonl"
+        code, out = serve_one_exchange(
+            ["--workers", "2", "--metrics-snapshots", str(path)], tmp_path
+        )
+        assert code == 0, out
+        last = json.loads(path.read_text().splitlines()[-1])
+        admitted = next(
+            metric["series"][0]["value"]
+            for metric in last["snapshot"]["metrics"]
+            if metric["name"] == "gateway_admitted_total"
+        )
+        assert admitted >= 1
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        ("workers", "recorder"), [("1", "serve"), ("2", "cluster")]
+    )
+    def test_record_and_trace_out_leave_the_named_files(
+        self, tmp_path, workers, recorder
+    ):
+        from repro.obs.tracing import load_spans
+        from repro.traffic.trace import Trace
+
+        out = tmp_path / "out"
+        out.mkdir()
+        record, spans = out / "decisions.jsonl", out / "spans.jsonl"
+        code, text = serve_one_exchange(
+            [
+                "--workers", workers, "--record", str(record),
+                "--trace-out", str(spans), "--trace-every", "1",
+            ],
+            tmp_path,
+        )
+        assert code == 0, text
+        assert sorted(p.name for p in out.iterdir()) == [
+            "decisions.jsonl", "spans.jsonl"
+        ]
+        assert len(Trace.load_jsonl(record)) == 1
+        assert f"recorded 1 decisions -> {record}" in text
+        meta, loaded = load_spans(spans)
+        assert meta["recorder"] == recorder
+        assert meta["sample_every"] == 1
+        assert len(loaded) == 1
+        assert f"1 sampled spans -> {spans}" in text
+
+
 class TestCommands:
     def test_figure2_fast(self, capsys):
         code = main(["figure2", "--trials", "5", "--seed", "3"])

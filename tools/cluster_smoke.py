@@ -21,6 +21,11 @@ non-default ring, ``repro serve --workers 1 --state-dir --replicas 32``
    restart — the warmed reputation table survived — and every shard
    file to record the ring it was written under.
 
+A last leg, ``repro serve --workers 2 --trace-out FILE``, serves one
+client on each shard and requires ``load_spans`` to read the merged
+span file, spans from both workers in it, and no per-worker partial
+left behind.
+
 Exits non-zero on any failure, so it can gate CI directly:
 
 .. code-block:: bash
@@ -50,17 +55,11 @@ SHUTDOWN_TIMEOUT = 60.0
 class ServeProcess:
     """One foreground ``repro serve`` run with banner/exit handling."""
 
-    def __init__(
-        self, state_dir: pathlib.Path, workers: int, replicas: int
-    ) -> None:
+    def __init__(self, args: list[str]) -> None:
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--workers", str(workers), "--port", "0",
-                "--policy", "policy-1",
-                "--state-dir", str(state_dir),
-                "--replicas", str(replicas),
-                "--metrics-port", "0",
+                "--port", "0", "--policy", "policy-1", *args,
             ],
             cwd=REPO,
             env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -124,13 +123,14 @@ class ServeProcess:
                 url = line.split(" on ", 1)[1].strip()
                 return url.removesuffix("/metrics")
 
-    def terminate(self) -> int:
+    def terminate(self, exchanges: int = 1) -> int:
         """SIGTERM; the exit code, or 1 without the shutdown line."""
         from gateway_smoke import drain_shutdown
 
         self.proc.send_signal(signal.SIGTERM)
         code = self.proc.wait(timeout=SHUTDOWN_TIMEOUT)
-        if drain_shutdown(self.lines) and code == 0:
+        expect = f"admitted {exchanges} in {exchanges} batches"
+        if drain_shutdown(self.lines, expect) and code == 0:
             return 1
         return code
 
@@ -161,12 +161,14 @@ def run_state_snapshot(state_dir: pathlib.Path, out: pathlib.Path) -> None:
     )
 
 
-def round_trip(address: tuple[str, int]) -> None:
+def round_trip(address: tuple[str, int], source_ip: str | None = None) -> None:
     from repro.net.live.client import LiveClient
     from repro.reputation.features import FEATURE_NAMES
 
     features = {name: 0.0 for name in FEATURE_NAMES}
-    result = LiveClient(address).fetch("/healthz", features)
+    result = LiveClient(address, source_ip=source_ip).fetch(
+        "/healthz", features
+    )
     print(
         f"round-trip: ok={result.ok} difficulty={result.difficulty} "
         f"attempts={result.attempts} latency={result.latency:.3f}s"
@@ -180,8 +182,12 @@ def warm_restart(tmp: pathlib.Path, workers: int, replicas: int) -> int:
     print(f"-- --workers {workers} --replicas {replicas}")
     state_dir = tmp / f"state-{workers}"
     merged = tmp / f"merged-{workers}.json"
+    args = [
+        "--workers", str(workers), "--state-dir", str(state_dir),
+        "--replicas", str(replicas), "--metrics-port", "0",
+    ]
 
-    server = ServeProcess(state_dir, workers, replicas)
+    server = ServeProcess(args)
     try:
         address = server.wait_address()
         metrics_url = server.wait_metrics_url()
@@ -213,7 +219,7 @@ def warm_restart(tmp: pathlib.Path, workers: int, replicas: int) -> int:
         print("served exchange should have earned a negative offset")
         return 1
 
-    server = ServeProcess(state_dir, workers, replicas)
+    server = ServeProcess(args)
     try:
         round_trip(server.wait_address())
         code = server.terminate()
@@ -239,12 +245,59 @@ def warm_restart(tmp: pathlib.Path, workers: int, replicas: int) -> int:
     return 0
 
 
+def trace_leg(tmp: pathlib.Path) -> int:
+    """Two workers' spans come home as one file; 0 when they did."""
+    from repro.obs.tracing import load_spans
+    from repro.state import HashRing
+
+    print("-- --workers 2 --trace-out")
+    out = tmp / "traced"
+    out.mkdir()
+    spans_path = out / "spans.jsonl"
+    # One client per shard, picked with the ring the cluster routes by.
+    ring = HashRing(2)
+    by_shard: dict[int, str] = {}
+    octet = 1
+    while len(by_shard) < 2:
+        ip = f"127.0.8.{octet}"
+        by_shard.setdefault(ring.shard_for(ip), ip)
+        octet += 1
+    server = ServeProcess([
+        "--workers", "2", "--trace-out", str(spans_path),
+        "--trace-every", "1",
+    ])
+    try:
+        address = server.wait_address()
+        for ip in by_shard.values():
+            round_trip(address, source_ip=ip)
+        code = server.terminate(exchanges=2)
+        print("traced run exited with", code)
+        if code != 0:
+            return 1
+    finally:
+        server.kill()
+
+    meta, spans = load_spans(spans_path)
+    workers = sorted({span["span_id"].split("-")[0] for span in spans})
+    print(f"merged span file: {len(spans)} spans from {workers}, meta {meta}")
+    if meta.get("recorder") != "cluster" or workers != ["w0", "w1"]:
+        print("expected one cluster span file holding both workers' spans")
+        return 1
+    left = sorted(p.name for p in out.iterdir())
+    if left != [spans_path.name]:
+        print(f"per-worker partials left behind: {left}")
+        return 1
+    return 0
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     with tempfile.TemporaryDirectory(prefix="cluster-smoke-") as tmp:
         for workers, replicas in ((2, 64), (1, 32)):
             if warm_restart(pathlib.Path(tmp), workers, replicas):
                 return 1
+        if trace_leg(pathlib.Path(tmp)):
+            return 1
     print("cluster smoke OK")
     return 0
 

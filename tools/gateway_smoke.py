@@ -35,10 +35,11 @@ SHUTDOWN_TIMEOUT = 30.0
 SHUTDOWN_LINE = "admitted 1 in 1 batches"
 
 
-def drain_shutdown(lines: queue.Queue) -> int:
+def drain_shutdown(lines: queue.Queue, expect: str = SHUTDOWN_LINE) -> int:
     """Echo the exited child's remaining stdout; 0 if it summed up right.
 
-    ``lines`` is fed by a stdout pump thread that ends with ``None``.
+    ``lines`` is fed by a stdout pump thread that ends with ``None``;
+    one of them must start with ``expect``.
     """
     seen = False
     while True:
@@ -50,9 +51,9 @@ def drain_shutdown(lines: queue.Queue) -> int:
         if line is None:
             break
         print("serve:", line, end="")
-        seen = seen or line.startswith(SHUTDOWN_LINE)
+        seen = seen or line.startswith(expect)
     if not seen:
-        print(f"no {SHUTDOWN_LINE!r} line at shutdown")
+        print(f"no {expect!r} line at shutdown")
         return 1
     return 0
 
