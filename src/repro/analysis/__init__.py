@@ -12,7 +12,6 @@ from repro.analysis.synthesis import (
     price_out_policy,
     synthesize_table_policy,
 )
-from repro.analysis.traces import diff_audits, summarize_audit, summarize_trace
 
 __all__ = [
     "difficulty_distribution",
@@ -23,7 +22,4 @@ __all__ = [
     "difficulty_for_latency",
     "synthesize_table_policy",
     "price_out_policy",
-    "summarize_trace",
-    "summarize_audit",
-    "diff_audits",
 ]

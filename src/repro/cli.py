@@ -713,7 +713,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
         shutdown = _install_shutdown_signals()
         try:
             server.start()
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             print(exc)
             return 2
         metrics_server = None
@@ -787,7 +787,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
                     print("cannot remove the last node")
                     return 2
             report = store.apply_topology(target)
-        except (ConnectionError, OSError, ValueError) as exc:
+        except ValueError as exc:
             print(exc)
             return 2
         finally:
@@ -800,7 +800,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
     if args.state_command == "snapshot":
         try:
             shards = read_shard_files(args.state_dir)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             print(exc)
             return 2
         if not shards:
@@ -830,7 +830,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
             paths = write_shard_files(
                 args.state_dir, parts, replicas=args.replicas
             )
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             print(exc)
             return 2
         for path in paths:
@@ -860,7 +860,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
                 )]
             else:
                 documents = [("snapshot", document)]
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(exc)
         return 2
     for label, document in documents:
@@ -1085,9 +1085,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         meta, spans = load_spans(args.file)
-    except OSError as exc:
-        print(exc)
-        return 2
     except ValueError as exc:
         print(exc)
         return 2
@@ -1213,9 +1210,21 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one error boundary of every subcommand: a file that cannot be
+    read or written (``OSError``) or an input the library refuses
+    (``ReproError``) ends the command with its message on one line and
+    exit 2, never a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    from repro.core.errors import ReproError
+
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ReproError) as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

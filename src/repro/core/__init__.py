@@ -1,11 +1,5 @@
 """Core framework: the adaptive issuer pipeline and its contracts."""
 
-from repro.core.admission import (
-    AdmissionControl,
-    AdmissionDecision,
-    TokenBucket,
-)
-from repro.core.audit import AuditLog, AuditRecord, read_audit_log
 from repro.core.config import FrameworkConfig, PowConfig, TimingConfig
 from repro.core.errors import (
     ConfigError,
@@ -45,12 +39,6 @@ __all__ = [
     "AIPoWFramework",
     "Challenge",
     "FrameworkSpec",
-    "AdmissionControl",
-    "AdmissionDecision",
-    "TokenBucket",
-    "AuditLog",
-    "AuditRecord",
-    "read_audit_log",
     "FrameworkConfig",
     "PowConfig",
     "TimingConfig",

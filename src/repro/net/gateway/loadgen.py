@@ -5,10 +5,10 @@ gateway stress tests: opens many concurrent connections against a
 :class:`~repro.net.gateway.server.GatewayServer` or a
 :class:`~repro.net.gateway.cluster.GatewayCluster`, runs full
 request → puzzle → solve → redeem exchanges on each, and reports
-admission throughput plus latency quantiles.  Shed and
-admission-dropped replies (``ERR shed: ...`` / ``ERR admission: ...``)
-are counted separately from protocol errors so overload experiments
-can assert *graceful* degradation, not just degradation.
+admission throughput plus latency quantiles.  Shed replies
+(``ERR shed: ...``) are counted separately from protocol errors so
+overload experiments can assert *graceful* degradation, not just
+degradation.
 
 One event loop drives every connection, so the generator's own
 overhead is the same no matter which configuration is under test —
@@ -38,7 +38,6 @@ class LoadReport:
     attempted: int = 0
     served: int = 0
     shed: int = 0
-    admission_dropped: int = 0
     rejected: int = 0
     errors: int = 0
     #: Exchanges ended deliberately after the challenge (``solve=False``
@@ -54,10 +53,7 @@ class LoadReport:
     @property
     def completed(self) -> int:
         """Requests that got a definitive reply (served or shed)."""
-        return (
-            self.served + self.shed + self.admission_dropped
-            + self.rejected + self.challenged
-        )
+        return self.served + self.shed + self.rejected + self.challenged
 
     @property
     def throughput(self) -> float:
@@ -165,8 +161,6 @@ class LoadGenerator:
                 reason = reply[4:]
                 if reason.startswith("shed:"):
                     report.shed += 1
-                elif reason.startswith("admission:"):
-                    report.admission_dropped += 1
                 else:
                     report.errors += 1
                 return

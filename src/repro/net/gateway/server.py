@@ -49,7 +49,6 @@ import errno
 import socket
 import threading
 import time
-from collections import deque
 
 from repro.core.errors import ProtocolError, ReproError
 from repro.core.events import EventKind
@@ -161,10 +160,6 @@ class GatewayServer:
     max_batch / batch_window / queue_limit / shed_policy:
         Accumulator tuning; see
         :class:`~repro.net.gateway.accumulator.MicroBatcher`.
-    admission:
-        Optional :class:`~repro.core.admission.AdmissionControl`
-        pre-filter, checked before enqueueing; requests it drops get an
-        ``ERR admission: ...`` reply before any scoring happens.
     io_timeout:
         Seconds a connection may take to deliver each line, counted
         from when the server starts waiting for it; the deadline sweep
@@ -197,7 +192,6 @@ class GatewayServer:
         batch_window: float = GatewayOptions.batch_window,
         queue_limit: int = GatewayOptions.queue_limit,
         shed_policy: ShedPolicy | None = None,
-        admission=None,
         io_timeout: float = GatewayOptions.io_timeout,
         metrics: GatewayMetrics | None = None,
         recorder=None,
@@ -215,9 +209,7 @@ class GatewayServer:
         self.host = host
         self.port = port
         self.io_timeout = io_timeout
-        self.admission = admission
         self.metrics = metrics if metrics is not None else GatewayMetrics()
-        self.responses: deque = deque(maxlen=10_000)
         self._connections: set[_Connection] = set()
         self.batcher = MicroBatcher(
             framework.challenge_batch_or_errors,
@@ -723,13 +715,6 @@ class _Connection(asyncio.Protocol):
             raise
         peer = self.transport.get_extra_info("peername")
         client_ip = peer[0] if peer else "0.0.0.0"
-        if gateway.admission is not None:
-            decision = gateway.admission.check(client_ip, time.time())
-            if not decision.admitted:
-                self._finish(
-                    protocol.encode_err(f"admission: {decision.reason}")
-                )
-                return
         request = ClientRequest(
             client_ip=client_ip,
             resource=resource,
@@ -778,7 +763,6 @@ class _Connection(asyncio.Protocol):
             self._finish(protocol.encode_err(f"challenge: {exc}"))
             return
         gateway._flush_store_soon()
-        gateway.responses.append(response)
         if response.served:
             self._finish(protocol.encode_ok(response.body))
         else:

@@ -79,13 +79,6 @@ class PowMiddleware:
         environ → feature mapping; defaults to the JSON header.
     clock:
         Time source (injectable for tests).
-    admission:
-        Optional :class:`~repro.core.admission.AdmissionControl`
-        pre-filter — the same hook the TCP front-ends take, checked at
-        the same point in the exchange (on the challenge request,
-        before any scoring).  Dropped requests get ``429`` with a
-        ``Retry-After`` header and *no* puzzle, so both front-ends
-        shed identically.
     """
 
     def __init__(
@@ -94,7 +87,6 @@ class PowMiddleware:
         framework: AIPoWFramework,
         feature_extractor: FeatureExtractor | None = None,
         clock: Callable[[], float] | None = None,
-        admission=None,
     ) -> None:
         import time
 
@@ -102,7 +94,6 @@ class PowMiddleware:
         self.framework = framework
         self.extract = feature_extractor or _default_extractor
         self.clock = clock or time.time
-        self.admission = admission
 
     # ------------------------------------------------------------------
     def __call__(self, environ, start_response) -> Iterable[bytes]:
@@ -136,26 +127,6 @@ class PowMiddleware:
 
     def _challenge(self, environ, start_response) -> Iterable[bytes]:
         request = self._request_from(environ)
-        if self.admission is not None:
-            decision = self.admission.check(
-                request.client_ip, request.timestamp
-            )
-            if not decision.admitted:
-                import math
-
-                body = f"admission: {decision.reason}\n".encode("ascii")
-                start_response(
-                    "429 Too Many Requests",
-                    [
-                        ("Content-Type", "text/plain"),
-                        ("Content-Length", str(len(body))),
-                        (
-                            "Retry-After",
-                            str(max(1, math.ceil(decision.retry_after))),
-                        ),
-                    ],
-                )
-                return [body]
         challenge = self.framework.challenge(request, now=request.timestamp)
         body = (
             f"proof of work required: difficulty "
@@ -183,8 +154,11 @@ class PowMiddleware:
 
         request = self._request_from(environ)
         # Reconstruct a challenge for this puzzle.  The decision's score
-        # and policy are recomputed for audit purposes; verification
-        # itself depends only on the puzzle tag, which binds the IP.
+        # and policy are recomputed so the ServedResponse handed to
+        # RESPONSE_SERVED subscribers carries them; the re-score costs
+        # store frames (3 through a remote store) before the tag is
+        # checked.  Verification itself depends only on the puzzle tag,
+        # which binds the IP.
         from repro.core.framework import Challenge
         from repro.core.records import IssuerDecision
 

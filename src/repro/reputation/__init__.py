@@ -44,13 +44,6 @@ from repro.reputation.caching import CachedModel
 from repro.reputation.feedback import FeedbackConfig, FeedbackReputationModel
 from repro.reputation.knn import KNNReputationModel
 from repro.reputation.logistic import LogisticReputationModel
-from repro.reputation.persistence import (
-    dump_model,
-    load_model,
-    load_model_file,
-    save_model_file,
-)
-from repro.reputation.subnet import SubnetAggregateModel
 
 __all__ = [
     "DAbRModel",
@@ -59,11 +52,6 @@ __all__ = [
     "FeedbackReputationModel",
     "FeedbackConfig",
     "CachedModel",
-    "SubnetAggregateModel",
-    "dump_model",
-    "load_model",
-    "save_model_file",
-    "load_model_file",
     "BaseReputationModel",
     "clamp_score",
     "AverageEnsemble",

@@ -78,7 +78,7 @@ def model_chain(model):
     """Yield ``model`` and each wrapped model, outermost first.
 
     The one traversal rule for model wrapper chains (``.base`` for
-    feedback wrappers, ``.inner`` for caches and subnet blending),
+    feedback wrappers, ``.inner`` for caches),
     cycle-guarded, so chain inspections cannot drift apart.
     """
     node, seen = model, set()

@@ -4,7 +4,7 @@ A snapshot is the JSON-safe dict a store's ``snapshot()`` returns.
 This module adds the file and topology plumbing around it:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — one snapshot, one
-  auditable JSON file (no pickle, same policy as model persistence);
+  auditable JSON file (no pickle);
 * :func:`merge_snapshots` — N per-shard memory snapshots → one memory
   snapshot (``repro state snapshot`` collapses a state directory; a
   ring store's own snapshot is this merged document);

@@ -141,16 +141,3 @@ class TestLiveExchange:
             assert not ok
             # Either integrity (wrong seed) or invalid-solution rejection.
             assert reason
-
-
-class TestAdmission:
-    def test_allowlisted_client_never_limited(self):
-        from repro.core.admission import AdmissionControl
-
-        framework = AIPoWFramework(ConstantModel(0.0), policy_1())
-        control = AdmissionControl(
-            per_ip_rate=0.001, per_ip_burst=1.0, allowlist={"127.0.0.1"}
-        )
-        with GatewayServer(framework, admission=control) as server:
-            client = LiveClient(server.address)
-            assert all(client.fetch("/x", {}).ok for _ in range(4))

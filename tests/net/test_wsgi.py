@@ -160,48 +160,3 @@ class TestRedeemPhase:
         )
         assert status.startswith("400")
 
-
-class TestAdmissionPrefilter:
-    """The WSGI middleware sheds exactly like the TCP front-ends."""
-
-    def build(self, **admission_kwargs):
-        from repro.core.admission import AdmissionControl
-
-        framework = AIPoWFramework(ConstantModel(0.0), policy_1())
-        control = AdmissionControl(**admission_kwargs)
-        tester = WsgiTester(
-            PowMiddleware(protected_app, framework, admission=control)
-        )
-        return tester, control
-
-    def test_rate_limited_client_gets_429_retry_after(self):
-        tester, control = self.build(per_ip_rate=0.5, per_ip_burst=2.0)
-        first, headers1, _ = tester.request()
-        second, _, _ = tester.request()
-        assert first.startswith("429") and PUZZLE_HEADER in headers1
-        third, headers, body = tester.request()
-        assert third.startswith("429")
-        # Shed, not challenged: no puzzle, and a real retry hint.
-        assert PUZZLE_HEADER not in headers
-        assert int(headers["Retry-After"]) >= 1
-        assert b"admission:" in body
-        assert control.dropped_count == 1
-
-    def test_allowlisted_client_never_limited(self):
-        tester, _ = self.build(
-            per_ip_rate=0.001, per_ip_burst=1.0, allowlist={CLIENT_IP}
-        )
-        for _ in range(4):
-            status, headers, _ = tester.request()
-            assert status.startswith("429")
-            assert PUZZLE_HEADER in headers  # challenged, not shed
-
-    def test_solved_retry_not_double_charged(self):
-        """Redeeming a solved puzzle does not consume a second token."""
-        tester, control = self.build(per_ip_rate=0.001, per_ip_burst=1.0)
-        _, headers, _ = tester.request()
-        retry = solve_challenge_headers(headers[PUZZLE_HEADER], CLIENT_IP)
-        status, _, body = tester.request(headers=retry)
-        assert status.startswith("200")
-        assert body == b"secret resource"
-        assert control.dropped_count == 0

@@ -45,7 +45,6 @@ from repro.reputation.ensemble import (
 from repro.reputation.feedback import FeedbackReputationModel
 from repro.reputation.knn import KNNReputationModel
 from repro.reputation.logistic import LogisticReputationModel
-from repro.reputation.subnet import SubnetAggregateModel
 
 CORPUS = generate_corpus(size=1600, seed=7)
 TRAIN, TEST = CORPUS.split()
@@ -119,7 +118,6 @@ MODEL_FACTORIES = {
     "noisy": lambda: NoisyModel(DABR, epsilon=1.5, rng=random.Random(3)),
     "cached": lambda: CachedModel(DABR, ttl=100.0),
     "feedback": lambda: FeedbackReputationModel(DABR),
-    "subnet": lambda: SubnetAggregateModel(DABR),
     "scalar-only": lambda: ScalarOnlyModel(),
     "protocol-only": lambda: ProtocolOnlyModel(),
 }
@@ -144,7 +142,7 @@ POLICY_FACTORIES = {
 def test_challenge_batch_matches_scalar_loop(model_name, policy_name):
     """A loop of ``challenge`` (batches of one) equals one batch of n.
 
-    Stateful wrappers (cache, feedback, subnet, noisy RNG) and
+    Stateful wrappers (cache, feedback, noisy RNG) and
     randomized policies get a fresh instance per path with identical
     seeds, so both paths start from the same state.
     """

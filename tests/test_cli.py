@@ -339,6 +339,35 @@ class TestCommands:
         assert data["experiment_id"] == "cal31"
 
 
+class TestBadInputFiles:
+    """A bad input file ends a subcommand with one line and exit 2."""
+
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            (None, "No such file or directory"),
+            ("{not json", "invalid scenario JSON"),
+            ('{"duration": 5, "bogus": 1}', "unknown scenario keys"),
+        ],
+        ids=["missing", "invalid-json", "unknown-key"],
+    )
+    def test_scenario(self, tmp_path, capsys, content, message):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code = main(["scenario", str(path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("\n") == 1 and message in out
+
+    def test_replay_missing_trace(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        code = main(["replay", "--trace", str(missing)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("\n") == 1 and str(missing) in out
+
+
 class TestReplayCommands:
     def test_campaign_list(self, capsys):
         code = main(["campaign", "--list"])

@@ -33,7 +33,6 @@ from repro.reputation import (
     FeedbackReputationModel,
     KNNReputationModel,
     LogisticReputationModel,
-    SubnetAggregateModel,
     generate_corpus,
 )
 
@@ -71,7 +70,6 @@ def trained_models():
         "constant": ConstantModel(4.0),
         "cached-dabr": CachedModel(DAbRModel().fit(train)),
         "feedback-constant": FeedbackReputationModel(ConstantModel(4.0)),
-        "subnet-constant": SubnetAggregateModel(ConstantModel(4.0)),
         "ensemble": AverageEnsemble([dabr, ConstantModel(2.0)]),
     }
     return models, test
@@ -82,7 +80,7 @@ def trained_models():
     "model_name",
     [
         "dabr", "knn", "logistic", "constant",
-        "cached-dabr", "feedback-constant", "subnet-constant", "ensemble",
+        "cached-dabr", "feedback-constant", "ensemble",
     ],
 )
 def test_every_model_policy_pairing_serves(
