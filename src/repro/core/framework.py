@@ -346,11 +346,10 @@ class AIPoWFramework:
 
         After the stateless check, one awaited store call whatever the
         outcome: the replay claim (when the digest passed) with the
-        client's feedback entry.  The claim carries a unique token, so
-        a call re-sent after a lost reply still sees its own claim.
-        The folded offset of a tracked address is posted; a new
-        address's is a second call, which also counts the table (plus
-        one call per eviction).  Outcome events follow.
+        client's feedback entry and its partition's size.  The claim
+        carries a unique token, so a call re-sent after a lost reply
+        still sees its own claim.  The folded offset is posted (an
+        eviction past the cap costs calls).  Outcome events follow.
         """
         now = time.time() if now is None else now
         decision = challenge.decision
@@ -388,7 +387,7 @@ class AIPoWFramework:
                 else ResponseStatus.REPLAYED
             )
         if feedback is not None:
-            feedback.record(results[checked], status, ip, now)
+            feedback.record(results[checked:], status, ip, now)
 
         served = status is ResponseStatus.SERVED
         if served:

@@ -257,15 +257,12 @@ class GatewayServer:
         self.metrics.observe_flush(
             batch_size, queue_depth, admitted=admitted, waits=waits
         )
+        self._flush_store_soon()
 
     def _flush_store_soon(self) -> None:
-        """Flush the store once, after this loop pass's redemptions.
-
-        A redemption posts the folded offset of a tracked address; the
-        flush sends whatever is still held, so peer workers see it
-        within the pass.  In process it does nothing.
-        """
-        if not self._store_flush_due:
+        """Flush the store once after this loop pass: what its flushes and
+        redemptions posted reaches peer workers within it (never in process)."""
+        if not self._store_flush_due and self.framework.store.holds_posted:
             self._store_flush_due = True
             asyncio.get_running_loop().call_soon(self._flush_store)
 

@@ -20,8 +20,8 @@ JSON ``X-PoW-Features`` header (trusted-lab setting, as in the paper's
 evaluation); production deployments supply a callable that derives
 features from the environ (socket stats, headers, upstream intel).
 
-The middleware is stateless across requests except for the verifier's
-replay cache — exactly like the TCP server.
+The middleware keeps no state of its own across requests, and flushes
+the store's posted writes as each request ends.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ class PowMiddleware:
             return self._respond(
                 start_response, "500 Internal Server Error", str(exc)
             )
+        finally:
+            self.framework.store.flush()
 
     def _dispatch(self, environ, start_response) -> Iterable[bytes]:
         if _ENV_SOLUTION in environ:
@@ -156,7 +158,7 @@ class PowMiddleware:
         # Reconstruct a challenge for this puzzle.  The decision's score
         # and policy are recomputed so the ServedResponse handed to
         # RESPONSE_SERVED subscribers carries them; the re-score costs
-        # store frames (3 through a remote store) before the tag is
+        # a store frame (one through a remote store) before the tag is
         # checked.  Verification itself depends only on the puzzle tag,
         # which binds the IP.
         from repro.core.framework import Challenge

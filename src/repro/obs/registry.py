@@ -192,6 +192,16 @@ class Counter(_Metric):
         with self._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
+    def labels(self, **labels: object) -> Callable[[], None]:
+        """``inc()`` of one labelled series, its label key built once."""
+        key = _label_key(self.label_names, labels)
+
+        def inc() -> None:
+            with self._lock:
+                self._series[key] = self._series.get(key, 0) + 1
+
+        return inc
+
     def value(self, **labels: object) -> int | float:
         """Current value of one labelled series (0 when unseen)."""
         key = _label_key(self.label_names, labels)

@@ -137,10 +137,10 @@ class CachedModel(BatchModel):
         depend on the batch size under cache pressure either.  A batch
         of one writes its entry, then evicts the oldest down to the cap.
 
-        State access is *read set -> decide -> write set*: two
-        :meth:`~repro.state.AdmissionStateStore.execute` calls per
-        batch whatever its size, on every backend (plus one per
-        eviction).
+        State access is *read set -> decide -> write set*: one awaited
+        :meth:`~repro.state.AdmissionStateStore.execute` call per batch
+        whatever its size (plus one per eviction), the write set posted;
+        only an address read as absent grows the table.
         """
         # Read set: every address's entry, the table size and the
         # riders, one store call (one frame on a networked store).
@@ -151,8 +151,8 @@ class CachedModel(BatchModel):
              self._count, *reads]
         )
         riders = found[count + 1:]
-        crowded = found[count] + count > self.max_entries
-        if crowded and count > 1:
+        size = found[count]
+        if size + count > self.max_entries and count > 1:
             return np.concatenate(
                 [self.score_requests([request]) for request in requests]
             ), riders
@@ -162,7 +162,6 @@ class CachedModel(BatchModel):
         miss_waiters: list[list[int]] = []
         # ip -> (timestamp of the latest pending miss, its waiter list)
         pending: dict[str, tuple[float, list[int]]] = {}
-        rescored: set[int] = set()  # misses of an address already missed
         for i, (request, entry) in enumerate(zip(requests, found)):
             now = request.timestamp
             ip = request.client_ip
@@ -172,16 +171,16 @@ class CachedModel(BatchModel):
                     self.hits += 1
                     waiting[1].append(i)
                     continue
-                entry = None  # what was read is already replaced
-                rescored.add(i)
-            if entry is not None:
+                # What was read is already replaced: re-scored.
+            elif entry is None:
+                size += 1
+            else:
                 cached_at, score = entry
                 if now - cached_at <= self.ttl:
                     writes.append((name, "move_to_end", ip))
                     self.hits += 1
                     scores[i] = score
                     continue
-                writes.append((name, "delete", ip))
             self.misses += 1
             miss_indices.append(i)
             waiters: list[int] = []
@@ -196,21 +195,19 @@ class CachedModel(BatchModel):
                 ip = request.client_ip
                 score = float(value)
                 scores[i] = score
+                # An overwrite keeps its slot: the move places the entry,
+                # also when a re-sent frame applies the write set twice.
                 writes.append((name, "put", ip, [request.timestamp, score]))
-                if i in rescored:
-                    # Overwriting keeps the old slot; a re-scored
-                    # address moves to the back like any fresh entry.
-                    writes.append((name, "move_to_end", ip))
+                writes.append((name, "move_to_end", ip))
                 for j in waiters:
                     scores[j] = score
         # Write set, in arrival order; then evict the oldest down to the
         # cap (a batch of one at capacity, or another writer's entries).
         if writes:
-            writes.append(self._count)
-            size = self.store.execute(writes)[-1]
-            while size > self.max_entries:
-                self._cache.popitem(last=False)
-                size -= 1
+            self.store.post(writes)
+        while size > self.max_entries:
+            self._cache.popitem(last=False)
+            size -= 1
         return scores, riders
 
     def invalidate(self, client_ip: str | None = None) -> None:

@@ -95,9 +95,9 @@ class FeedbackReputationModel(BatchModel):
     config:
         Feedback tuning; defaults to :class:`FeedbackConfig`.
     max_tracked_ips:
-        Capacity bound on the offset table.  Past it, each new address
-        evicts the smallest |offset| among the :data:`EVICTION_PAGE`
-        oldest others.
+        Capacity bound on the offset table (on a ring store, on each
+        node's partition of it).  Past it, each new address evicts the
+        smallest |offset| among the :data:`EVICTION_PAGE` oldest others.
     store:
         Admission state store holding the offset table; a private
         in-memory store is created when omitted.
@@ -132,7 +132,6 @@ class FeedbackReputationModel(BatchModel):
         self.max_tracked_ips = max_tracked_ips
         self.store = store if store is not None else InMemoryStateStore()
         self._states = self.store.namespace(namespace)
-        self._tracked = (namespace, "len")
         self._listeners: list[Callable[[str], None]] = []
 
     @property
@@ -199,25 +198,26 @@ class FeedbackReputationModel(BatchModel):
         """Fold one terminal outcome into the client's offset."""
         ip = response.decision.request.client_ip
         when = response.decision.request.timestamp if now is None else now
-        (state,) = self.store.execute(self.read_ops(ip))
-        self.record(state, response.status, ip, when)
+        self.record(self.store.execute(self.read_ops(ip)), response.status,
+                    ip, when)
 
     # Read set -> decide -> write set, split so ``redeem`` reads the
     # entry in the same store call as the replay claim.
     def read_ops(self, client_ip: str) -> list[tuple]:
-        """The read set for one outcome: the address's offset entry."""
-        return [(self._states.name, "get", client_ip)]
+        """The read set for one outcome: the entry and its partition's size."""
+        name = self._states.name
+        return [(name, "get", client_ip), (name, "partition_len", client_ip)]
 
     def record(
-        self, state, status: ResponseStatus, client_ip: str, now: float
+        self, found: list, status: ResponseStatus, client_ip: str, now: float
     ) -> None:
-        """Fold ``status`` into ``state`` (read at ``now``) and write it.
+        """Fold ``status`` into the read set's results (read at ``now``).
 
         The write is an absolute put of ``[offset, now]`` (re-stamped
-        even when neutral).  For a tracked address no decision waits on
-        it, so it is posted (:meth:`~repro.state.AdmissionStateStore.post`);
-        a new address also counts the table in the same call, to cap it.
+        even when neutral) and posted: no decision waits on it.  The
+        size read, plus one for a new address, is trimmed to the cap.
         """
+        state, size = found
         current = 0.0 if state is None else self._decayed(state, now)
         if status in self._BAD:
             current = min(
@@ -227,11 +227,11 @@ class FeedbackReputationModel(BatchModel):
             current = max(
                 current - self.config.reward_step, -self.config.max_reward
             )
-        put = (self._states.name, "put", client_ip, [current, now])
-        if state is not None:
-            self.store.post([put])
-        elif self.store.execute([put, self._tracked])[1] > self.max_tracked_ips:
+        self.store.post([(self._states.name, "put", client_ip, [current, now])])
+        size += state is None
+        while size > self.max_tracked_ips:
             self._evict_smallest(keep=client_ip)
+            size -= 1
         # ABANDONED / EXPIRED are ambiguous (patience, network) — neutral.
         if status in self._BAD or status is ResponseStatus.SERVED:
             for listener in self._listeners:
@@ -249,19 +249,21 @@ class FeedbackReputationModel(BatchModel):
         self._listeners.append(listener)
 
     def _evict_smallest(self, keep: str) -> None:
-        """Drop the smallest |offset| among the table's oldest addresses.
+        """Drop the smallest |offset| among ``keep``'s partition's oldest.
 
-        Candidates: the first :data:`EVICTION_PAGE` entries in insertion
-        order, ``keep`` excluded; ties go to the oldest.  That is one
-        ``iter_batch`` frame over the wire, not a scan of the table per
-        new address, and the same victim on every backend.
+        Candidates: the partition's first :data:`EVICTION_PAGE` entries
+        in insertion order, ``keep`` excluded; ties go to the oldest.
+        That is one ``iter_batch`` frame over the wire, not a scan of
+        the table per new address, and the same victim on every backend.
         """
+        table = self._states.partition(keep)
         page = itertools.islice(
-            (entry for entry in self._states.items() if entry[0] != keep),
+            (entry for entry in table.items() if entry[0] != keep),
             EVICTION_PAGE,
         )
-        victim = min(page, key=lambda entry: abs(entry[1][_OFFSET]))[0]
-        del self._states[victim]
+        victim = min(page, key=lambda e: abs(e[1][_OFFSET]), default=None)
+        if victim is not None:  # None: another writer emptied the page
+            table.pop(victim[0], None)  # another may have taken it too
 
     def attach(self, framework) -> "FeedbackReputationModel":
         """Learn every outcome ``framework`` settles, before its bus does.

@@ -27,6 +27,7 @@ wire.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import pathlib
 import socket
@@ -114,7 +115,12 @@ class StateServer:
         self._requested_address = address
         self.address: str | None = None
         self.snapshot_path = snapshot_path
-        self._metrics = _instruments(registry)
+        self._metrics = metrics = _instruments(registry)
+        if metrics is not None:  # series resolved once, on first use
+            served = metrics["netstore_server_requests_total"]
+            batch = metrics["netstore_server_batch_ops"]
+            self._served = functools.cache(lambda op: served.labels(op=op))
+            self._batch_ops = functools.cache(lambda: batch.labels().observe)
         self._lock = threading.RLock()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -277,9 +283,7 @@ class StateServer:
         if self._metrics is not None:
             # Label by the op the server knows, never by what the peer
             # sent, or junk op names grow the series without bound.
-            self._metrics["netstore_server_requests_total"].inc(
-                op=op if handler is not None else "unknown"
-            )
+            self._served(op if handler is not None else "unknown")()
         if handler is None:
             raise ValueError(f"unknown state-server op {op!r}")
         with self._lock:
@@ -303,7 +307,7 @@ class StateServer:
             )
         check_ops(ops)
         if self._metrics is not None:
-            self._metrics["netstore_server_batch_ops"].observe(len(ops))
+            self._batch_ops()(len(ops))
         return {"ok": True, "values": self.store.execute(ops)}
 
     def _op_ping(self, request: dict) -> dict:
@@ -484,6 +488,9 @@ class RemoteNamespace:
     def __len__(self) -> int:
         return self._do("len")
 
+    def partition(self, key: str) -> "RemoteNamespace":
+        return self
+
     def __iter__(self) -> Iterator[str]:
         for key, _ in self.items():
             yield key
@@ -579,7 +586,12 @@ class RemoteStateStore(AdmissionStateStore):
         self.retry_base = retry_base
         self.retry_cap = retry_cap
         self.batch_size = batch_size
-        self._metrics = _instruments(registry)
+        self._metrics = metrics = _instruments(registry)
+        if metrics is not None:  # series resolved once per op, on first use
+            sent = metrics["netstore_client_requests_total"]
+            took = metrics["netstore_client_request_seconds"]
+            self._sent = functools.cache(lambda op: sent.labels(op=op))
+            self._took = functools.cache(lambda op: took.labels(op=op).observe)
         self._lock = threading.RLock()
         self._sock: socket.socket | None = None
         self._namespaces: dict[str, RemoteNamespace] = {}
@@ -635,7 +647,7 @@ class RemoteStateStore(AdmissionStateStore):
         while True:
             attempts += 1
             if self._metrics is not None:
-                self._metrics["netstore_client_requests_total"].inc(op=op)
+                self._sent(op)()
                 began = time.perf_counter()
             try:
                 with self._lock:
@@ -672,9 +684,7 @@ class RemoteStateStore(AdmissionStateStore):
                 time.sleep(delay)
                 continue
             if self._metrics is not None:
-                self._metrics["netstore_client_request_seconds"].observe(
-                    time.perf_counter() - began, op=op
-                )
+                self._took(op)(time.perf_counter() - began)
             self._note_epoch(response.get("epoch"))
             if not response.get("ok"):
                 kind = response.get("kind")
@@ -721,6 +731,10 @@ class RemoteStateStore(AdmissionStateStore):
         with self._lock:
             if self._posted:
                 self._send([])
+
+    @property
+    def holds_posted(self) -> bool:
+        return bool(self._posted)
 
     def _send(self, ops) -> tuple[list[Any], int]:
         """Results of keyed ops, and the most attempts a frame took.

@@ -26,7 +26,8 @@ is bit-identical.  *Aggregate* operations are where partitioning shows:
   order within a child) — not the global insertion order;
 * ``popitem(last=False)`` evicts the oldest entry of the *fullest*
   child, because "globally oldest" is exactly the cross-shard
-  coordination a sharded deployment avoids.
+  coordination a sharded deployment avoids; ``partition_len`` and
+  ``partition`` answer for the key's child alone (feedback's cap).
 
 Capacity-pressure eviction is therefore approximate under sharding —
 the documented trade: parity holds whenever capacity limits are not
@@ -88,33 +89,33 @@ class ShardedNamespace:
             store.namespace(self.name) for store in stores
         ]
 
-    def _table(self, key: str) -> StateNamespace:
+    def partition(self, key: str) -> StateNamespace:
         return self._tables[self._ring.shard_for(key)]
 
     # -- keyed operations (shard-local, parity-exact) ------------------
     def get(self, key: str, default: Any = None) -> Any:
-        return self._table(key).get(key, default)
+        return self.partition(key).get(key, default)
 
     def __getitem__(self, key: str) -> Any:
-        return self._table(key)[key]
+        return self.partition(key)[key]
 
     def __setitem__(self, key: str, value: Any) -> None:
-        self._table(key)[key] = value
+        self.partition(key)[key] = value
 
     def __delitem__(self, key: str) -> None:
-        del self._table(key)[key]
+        del self.partition(key)[key]
 
     def __contains__(self, key: str) -> bool:
-        return key in self._table(key)
+        return key in self.partition(key)
 
     def pop(self, key: str, *default: Any) -> Any:
-        return self._table(key).pop(key, *default)
+        return self.partition(key).pop(key, *default)
 
     def setdefault(self, key: str, default: Any) -> Any:
-        return self._table(key).setdefault(key, default)
+        return self.partition(key).setdefault(key, default)
 
     def move_to_end(self, key: str) -> None:
-        self._table(key).move_to_end(key)
+        self.partition(key).move_to_end(key)
 
     # -- aggregate operations (span shards) ----------------------------
     def __len__(self) -> int:
@@ -250,6 +251,10 @@ class ShardedStateStore(AdmissionStateStore):
     def flush(self) -> None:
         for store in self.stores:
             store.flush()
+
+    @property
+    def holds_posted(self) -> bool:
+        return any(store.holds_posted for store in self.stores)
 
     def __len__(self) -> int:
         return sum(len(store) for store in self.stores)

@@ -78,7 +78,7 @@ def _first(table) -> list | None:
 #: validator.  No op fails on a well-formed request, so a batch can be
 #: regrouped by owning node and re-sent after a lost reply: ``delete``
 #: and ``move_to_end`` answer whether the key was there, ``first`` the
-#: oldest ``[key, value]`` or ``None``.
+#: oldest ``[key, value]`` or ``None``, ``partition_len`` its key's partition's size.
 KEYED_OPS: dict[str, tuple[tuple[str, ...], int, str | Callable[..., Any]]] = {
     "get": (("key", "default"), 1, "get"),
     "put": (("key", "value"), 2, operator.setitem),
@@ -89,6 +89,7 @@ KEYED_OPS: dict[str, tuple[tuple[str, ...], int, str | Callable[..., Any]]] = {
     "move_to_end": (("key",), 1, _touch),
     "len": ((), 0, len),
     "first": ((), 0, _first),
+    "partition_len": (("key",), 1, lambda table, key: len(table)),
 }
 
 
@@ -166,6 +167,10 @@ class StateNamespace(OrderedDict):
         self.clear()
         for key, value in entries:
             self[str(key)] = copy.deepcopy(value)
+
+    def partition(self, key: str) -> "StateNamespace":
+        """The table holding ``key``: this one (on a ring, a child's)."""
+        return self
 
 
 class AdmissionStateStore:
@@ -252,9 +257,14 @@ class AdmissionStateStore:
     def flush(self) -> None:
         """Send every posted op still held; nothing is held here."""
 
+    #: Whether posted ops wait for a frame; never here.
+    holds_posted = False
+
 
 class InMemoryStateStore(AdmissionStateStore):
     """Process-local backend: namespaces over ordered dicts."""
+
+    post = AdmissionStateStore.execute  # nothing is held: one call less
 
     def __init__(self) -> None:
         self._namespaces: dict[str, StateNamespace] = {}

@@ -246,8 +246,8 @@ class TestBuildGateway:
     def test_a_tracked_clients_offset_reaches_the_state_server_live(
         self, examples
     ):
-        # The second redemption's offset is posted, not sent: only the
-        # gateway's flush after the loop pass carries it to the server.
+        # A redemption's offset is posted, not sent: only the gateway's
+        # flush after the loop pass carries it to the server.
         from repro.net.gateway.cluster import build_gateway
         from repro.net.gateway.server import GatewayOptions
         from repro.state import StateServer
@@ -270,6 +270,37 @@ class TestBuildGateway:
                             break
                         time.sleep(0.01)
                     assert offset == pytest.approx(-0.2, rel=1e-3)
+            finally:
+                close()
+
+
+    def test_a_challenge_flushs_cache_writes_reach_the_state_server_live(
+        self, examples
+    ):
+        # A challenge-only client sends nothing after its puzzle; the
+        # flush's posted cache writes leave with the gateway's pass flush.
+        import socket
+
+        from repro.net.gateway.cluster import build_gateway
+        from repro.net.gateway.server import GatewayOptions
+        from repro.net.live.protocol import encode_request, read_line, send_line
+        from repro.state import StateServer
+
+        with StateServer() as state:
+            gateway, close = build_gateway(
+                SPEC, GatewayOptions(state_server=state.address)
+            )
+            try:
+                with gateway:
+                    with socket.create_connection(gateway.address, 10) as sock:
+                        send_line(sock, encode_request(
+                            "/index.html", dict(examples[0].features)
+                        ))
+                        assert read_line(sock).startswith("PUZZLE")
+                    deadline = time.monotonic() + 5.0
+                    while state.store.get("score-cache", "127.0.0.1") is None:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
             finally:
                 close()
 

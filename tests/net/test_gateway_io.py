@@ -65,13 +65,14 @@ class TestLoopBudget:
     steps (wake, one pass holding the batch open) per exchange.  A
     challenge-only exchange then adds the ``REQUEST`` read, the
     admission future's done-callback and the EOF read; a benign one
-    reads its ``SOLUTION`` instead of an EOF and schedules one store
-    flush.  Measured once; asyncio's own transports ran 12 and 13
-    callbacks and armed 2 timers per exchange.
+    reads its ``SOLUTION`` instead of an EOF.  Nothing is posted to an
+    in-process store, so no store flush is scheduled.  Measured once;
+    asyncio's own transports ran 12 and 13 callbacks and armed 2 timers
+    per exchange.
     """
 
     CALLBACKS_CHALLENGE_ONLY = 6
-    CALLBACKS_BENIGN = 7
+    CALLBACKS_BENIGN = 6
     EXCHANGES = 20
 
     def test_callbacks_timers_and_pauses_per_exchange(self, monkeypatch):

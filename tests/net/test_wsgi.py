@@ -160,3 +160,34 @@ class TestRedeemPhase:
         )
         assert status.startswith("400")
 
+
+
+class TestRemoteStore:
+    def test_a_request_leaves_no_posted_write_behind(self):
+        # Over a state server, the writes a request posts (the score
+        # cache's, the folded offset) are sent when the request ends,
+        # not with some later request's frame: the server holds the
+        # served address's offset after a single redeem.
+        import math
+
+        from repro.core.spec import FrameworkSpec
+        from repro.reputation.features import FEATURE_NAMES
+        from repro.state import RemoteStateStore, StateServer
+
+        features = {FEATURES_HEADER: json.dumps(dict.fromkeys(FEATURE_NAMES, 0.5))}
+        with StateServer() as server:
+            store = RemoteStateStore(server.address)
+            try:
+                framework = FrameworkSpec(
+                    policy="policy-1", feedback_half_life=math.inf
+                ).build(store=store)
+                tester = WsgiTester(PowMiddleware(protected_app, framework))
+                _, headers, _ = tester.request(headers=features)
+                assert server.store.namespace("score-cache").get(CLIENT_IP)
+                retry = solve_challenge_headers(headers[PUZZLE_HEADER], CLIENT_IP)
+                status, _, _ = tester.request(headers={**features, **retry})
+                assert status.startswith("200")
+                offset, _ = server.store.namespace("feedback").get(CLIENT_IP)
+                assert offset == -framework.feedback.config.reward_step
+            finally:
+                store.close()

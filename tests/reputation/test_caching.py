@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.records import ClientRequest
 from repro.reputation.caching import CachedModel
 from repro.reputation.ensemble import ConstantModel
+from repro.state import InMemoryStateStore
 
 
 class CountingModel:
@@ -98,3 +101,45 @@ class TestCachedModel:
         from repro.core.interfaces import ReputationModel
 
         assert isinstance(CachedModel(ConstantModel(1.0)), ReputationModel)
+
+
+class _Captured(InMemoryStateStore):
+    """An in-memory store that keeps the write sets posted to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.posted = []
+
+    def post(self, ops):
+        self.posted.append(list(ops))
+        super().post(ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cached=st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 10.0)),
+                    max_size=6),
+    batch=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 10.0)),
+                   min_size=1, max_size=8),
+)
+def test_a_write_set_applied_twice_leaves_what_once_does(cached, batch):
+    # A frame re-sent after a lost reply applies its posted write set
+    # again; entries, values and LRU order must not notice.
+    store = _Captured()
+    table = store.namespace("score-cache")
+    for ip, at in cached:
+        table[f"10.0.0.{ip}"] = [at, 1.0]
+    before = table.dump()
+    model = CachedModel(ConstantModel(2.0), ttl=3.0, store=store)
+    at = 10.0
+    model.score_requests(
+        [request_at(at + offset, f"10.0.0.{ip}") for ip, offset in batch]
+    )
+    (writes,) = store.posted
+    once, twice = InMemoryStateStore(), InMemoryStateStore()
+    for copy in (once, twice):
+        copy.namespace("score-cache").load(before)
+    once.execute(writes)
+    twice.execute(writes + writes)
+    assert once.namespace("score-cache").dump() == table.dump()
+    assert twice.namespace("score-cache").dump() == table.dump()

@@ -104,6 +104,23 @@ class TestEviction:
             )
         assert model.tracked_ips <= 10
 
+    def test_a_ring_caps_each_partition_and_evicts_from_it(self):
+        # On a ring the count is the address's partition, so each node
+        # holds at most the cap and a victim comes from the same node.
+        from repro.state import ShardedStateStore
+
+        store = ShardedStateStore(2)
+        model = FeedbackReputationModel(
+            ConstantModel(5.0), max_tracked_ips=3, store=store
+        )
+        for i in range(40):
+            model.observe(
+                response_with(ResponseStatus.REJECTED, ip=f"110.0.0.{i + 1}")
+            )
+            sizes = [len(child.namespace("feedback")) for child in store.stores]
+            assert max(sizes) <= 3, i
+        assert sizes == [3, 3]
+
     def test_eviction_reads_one_page_and_agrees_across_backends(self):
         # Past the cap, a new address ranks only the oldest page: a
         # bounded frame count per new address over the wire whatever

@@ -11,15 +11,17 @@ way an operator would, end to end:
 3. run one full request → puzzle → solve → redeem round-trip with an
    unmodified :class:`~repro.net.live.client.LiveClient`, read the
    served client's offset off the state server while the cluster still
-   runs; SIGTERM the cluster and require exit 0;
+   runs — a first-time client's offset is posted like any other, so
+   this proves the gateway's once-per-pass store flush sends a new
+   address's write; SIGTERM the cluster and require exit 0;
 4. SIGTERM the state server (writes its snapshot), boot a *fresh*
    state server on the same snapshot, and check the served client's
    warmed feedback offset survived the restart;
 5. boot the cluster again against the new server, round-trip once
    more, and require the offset to have kept accumulating — read
-   while the cluster runs, since a tracked address's offset is posted
-   and only the gateway's once-per-pass store flush sends it — so
-   reputation is durable across both worker and state-server restarts;
+   while the cluster runs, since the folded offset is posted and only
+   the gateway's once-per-pass store flush sends it — so reputation is
+   durable across both worker and state-server restarts;
 6. boot a second state server and grow the ring onto it live
    (``repro state topology --nodes A --add B``): the warmed offset must
    read back through the 2-node ring, and every ``replay`` entry must
