@@ -26,73 +26,71 @@ Quickstart
 True
 """
 
-from repro.core import (
-    AIPoWFramework,
-    Challenge,
-    ClientRequest,
-    EventBus,
-    EventKind,
-    FrameworkConfig,
-    IssuerDecision,
-    PowConfig,
-    ResponseStatus,
-    ServedResponse,
-    TimingConfig,
-)
-from repro.policies import (
-    ErrorRangePolicy,
-    LinearPolicy,
-    build_policy,
-    paper_policies,
-    policy_1,
-    policy_2,
-    policy_3,
-)
-from repro.pow import (
-    HashSolver,
-    Puzzle,
-    PuzzleGenerator,
-    PuzzleVerifier,
-    SampledSolver,
-    Solution,
-)
-from repro.reputation import (
-    DAbRModel,
-    KNNReputationModel,
-    evaluate_model,
-    generate_corpus,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "AIPoWFramework",
-    "Challenge",
-    "FrameworkConfig",
-    "PowConfig",
-    "TimingConfig",
-    "ClientRequest",
-    "IssuerDecision",
-    "ResponseStatus",
-    "ServedResponse",
-    "EventBus",
-    "EventKind",
-    "DAbRModel",
-    "KNNReputationModel",
-    "generate_corpus",
-    "evaluate_model",
-    "LinearPolicy",
-    "ErrorRangePolicy",
-    "policy_1",
-    "policy_2",
-    "policy_3",
-    "paper_policies",
-    "build_policy",
-    "Puzzle",
-    "Solution",
-    "PuzzleGenerator",
-    "PuzzleVerifier",
-    "HashSolver",
-    "SampledSolver",
-]
+#: Public name -> the module that defines it.  Nothing here is imported
+#: until first use (module ``__getattr__``), so ``import repro`` and a
+#: process that only serves state load no framework and no numpy.
+_EXPORTS = {
+    "AIPoWFramework": "repro.core.framework",
+    "Challenge": "repro.core.framework",
+    "FrameworkConfig": "repro.core.config",
+    "PowConfig": "repro.core.config",
+    "TimingConfig": "repro.core.config",
+    "ClientRequest": "repro.core.records",
+    "IssuerDecision": "repro.core.records",
+    "ResponseStatus": "repro.core.records",
+    "ServedResponse": "repro.core.records",
+    "EventBus": "repro.core.events",
+    "EventKind": "repro.core.events",
+    "DAbRModel": "repro.reputation.dabr",
+    "KNNReputationModel": "repro.reputation.knn",
+    "generate_corpus": "repro.reputation.dataset",
+    "evaluate_model": "repro.reputation.evaluation",
+    "LinearPolicy": "repro.policies.linear",
+    "ErrorRangePolicy": "repro.policies.error_range",
+    "policy_1": "repro.policies.linear",
+    "policy_2": "repro.policies.linear",
+    "policy_3": "repro.policies.error_range",
+    "paper_policies": "repro.policies",
+    "build_policy": "repro.policies.dsl",
+    "Puzzle": "repro.pow.puzzle",
+    "Solution": "repro.pow.puzzle",
+    "PuzzleGenerator": "repro.pow.generator",
+    "PuzzleVerifier": "repro.pow.verifier",
+    "HashSolver": "repro.pow.solver",
+    "SampledSolver": "repro.pow.solver",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """``(__getattr__, __dir__)`` of a package re-exporting ``exports``.
+
+    A name is imported from its module on first access and then cached
+    in the package, so later lookups are plain attribute reads.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = namespace[name] = getattr(
+            importlib.import_module(module), name
+        )
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | exports.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -74,16 +74,17 @@ class FrameworkSpec:
         from repro.policies import POLICY_REGISTRY
         from repro.reputation.caching import CachedModel
         from repro.reputation.dabr import DAbRModel
-        from repro.reputation.dataset import generate_corpus
+        from repro.reputation.dataset import generate_corpus, train_rows
         from repro.reputation.feedback import (
             FeedbackConfig,
             FeedbackReputationModel,
         )
 
         store = store if store is not None else InMemoryStateStore()
-        train, _ = generate_corpus(
-            size=self.corpus_size, seed=self.corpus_seed
-        ).split()
+        # Only the training split's rows: the fit reads nothing else.
+        train = generate_corpus(
+            size=train_rows(self.corpus_size), seed=self.corpus_seed
+        )
         model = DAbRModel().fit(train)
         if self.cache_ttl is not None:
             model = CachedModel(

@@ -21,37 +21,25 @@ package existed — instrumentation is pay-for-what-you-attach, enforced
 by ``benchmarks/test_bench_obs.py``.
 """
 
-from repro.obs.http import MetricsHTTPServer, SnapshotWriter
-from repro.obs.registry import (
-    METRIC_CATALOG,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PhaseTimer,
-    merge_snapshots,
-    render_prometheus,
-    validate_exposition,
-)
-from repro.obs.tracing import (
-    RequestTracer,
-    load_spans,
-    render_spans,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "METRIC_CATALOG",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsHTTPServer",
-    "PhaseTimer",
-    "RequestTracer",
-    "SnapshotWriter",
-    "load_spans",
-    "merge_snapshots",
-    "render_prometheus",
-    "render_spans",
-    "validate_exposition",
-]
+#: Public name -> defining module, imported on first access.
+_EXPORTS = {
+    "METRIC_CATALOG": "repro.obs.registry",
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MetricsRegistry": "repro.obs.registry",
+    "MetricsHTTPServer": "repro.obs.http",
+    "PhaseTimer": "repro.obs.registry",
+    "RequestTracer": "repro.obs.tracing",
+    "SnapshotWriter": "repro.obs.http",
+    "load_spans": "repro.obs.tracing",
+    "merge_snapshots": "repro.obs.registry",
+    "render_prometheus": "repro.obs.registry",
+    "render_spans": "repro.obs.tracing",
+    "validate_exposition": "repro.obs.registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

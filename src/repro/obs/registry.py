@@ -36,9 +36,10 @@ import json
 import re
 import threading
 import time
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -283,12 +284,11 @@ class HistogramSeries:
     gateway size and depth series is).
     """
 
-    __slots__ = ("_bounds", "_edges", "counts", "sum", "count", "_min", "_max", "_lock")
+    __slots__ = ("_bounds", "counts", "sum", "count", "_min", "_max", "_lock")
 
-    def __init__(self, bounds: np.ndarray) -> None:
+    def __init__(self, bounds: tuple[float, ...]) -> None:
         self._bounds = bounds
-        self._edges = bounds.tolist()  # bisected by the scalar path
-        self.counts = np.zeros(bounds.size + 1, dtype=np.int64)
+        self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
         self._min: float | None = None
@@ -299,8 +299,7 @@ class HistogramSeries:
         value = float(value)
         # searchsorted(side="left") on a list; numpy sorts NaN past
         # every bound, where a NaN comparison would put it in bucket 0.
-        edges = self._edges
-        index = bisect.bisect_left(edges, value) if value == value else len(edges)
+        index = bisect.bisect_left(self._bounds, value) if value == value else len(self._bounds)
         with self._lock:
             self.counts[index] += 1
             self.sum += value
@@ -312,16 +311,18 @@ class HistogramSeries:
 
     def observe_array(self, values: np.ndarray) -> None:
         """Fold a whole cohort in O(1) numpy ops."""
+        import numpy as np  # the bulk path alone needs numpy
+
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
         indexes = np.searchsorted(self._bounds, values, side="left")
-        binned = np.bincount(indexes, minlength=self.counts.size)
+        binned = np.bincount(indexes, minlength=len(self.counts)).tolist()
         total = float(values.sum())
         low = float(values.min())
         high = float(values.max())
         with self._lock:
-            self.counts += binned
+            self.counts = [a + b for a, b in zip(self.counts, binned)]
             self.sum += total
             self.count += int(values.size)
             if self._min is None or low < self._min:
@@ -361,10 +362,10 @@ class Histogram(_Metric):
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> None:
         super().__init__(name, help, label_names)
-        bounds = np.asarray(sorted(float(b) for b in buckets))
-        if bounds.size == 0:
+        bounds = tuple(sorted(float(b) for b in buckets))
+        if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
-        if np.unique(bounds).size != bounds.size:
+        if len(set(bounds)) != len(bounds):
             raise ValueError(f"duplicate bucket bounds in {buckets}")
         self.bounds = bounds
 
@@ -391,7 +392,7 @@ class Histogram(_Metric):
                 rows.append(
                     {
                         "labels": self._labels_dict(key),
-                        "buckets": series.counts.tolist(),
+                        "buckets": list(series.counts),
                         "sum": series.sum,
                         "count": series.count,
                         "min": series._min,
@@ -481,7 +482,7 @@ class MetricsRegistry:
                 "series": metric._snapshot_series(),  # type: ignore[attr-defined]
             }
             if isinstance(metric, Histogram):
-                entry["bounds"] = metric.bounds.tolist()
+                entry["bounds"] = list(metric.bounds)
             if isinstance(metric, Gauge):
                 entry["agg"] = metric.agg
             out.append(entry)

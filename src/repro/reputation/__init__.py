@@ -2,7 +2,7 @@
 
 The canonical model is :class:`DAbRModel` — the Euclidean-distance
 scorer the paper uses — trained on a synthetic threat-intelligence
-corpus that substitutes for the proprietary feed (DESIGN.md §2):
+corpus that substitutes for the proprietary feed (DESIGN.md §3):
 
 >>> from repro.reputation import DAbRModel, generate_corpus
 >>> corpus = generate_corpus(size=3000, seed=7)

@@ -85,7 +85,8 @@ def model_chain(model):
     while node is not None and id(node) not in seen:
         seen.add(id(node))
         yield node
-        node = getattr(node, "base", None) or getattr(node, "inner", None)
+        link = getattr(node, "base", None)  # not ``or``: an empty cache is falsy
+        node = link if link is not None else getattr(node, "inner", None)
 
 
 class BatchModel:

@@ -5,7 +5,7 @@ that generates a reputation score for an IP address by learning from
 previously known malicious IP addresses and their attributes".  This
 implementation follows that recipe:
 
-1. **Learning** — vectorise the *malicious* training examples, normalise
+1. **Learning** — take the *malicious* rows of the training matrix, normalise
    each attribute into [0, 1], and summarise the malicious population by
    its centroid plus a distance scale (a high percentile of in-cluster
    distances).
@@ -89,14 +89,12 @@ class DAbRModel(BaseReputationModel):
     # BaseReputationModel hooks
     # ------------------------------------------------------------------
     def _fit(self, corpus: ThreatIntelCorpus) -> None:
-        malicious = corpus.malicious
-        if not malicious:
+        malicious = corpus.feature_matrix()[corpus.labels() == 1]
+        if not len(malicious):
             raise ValueError(
                 "DAbR learns from known-malicious IPs; corpus has none"
             )
-        matrix = self.schema.normalize(
-            self.schema.vectorize_many(e.features for e in malicious)
-        )
+        matrix = self.schema.normalize(malicious)
         self._centroid = matrix.mean(axis=0)
         distances = np.linalg.norm(matrix - self._centroid, axis=1)
         scale = float(np.percentile(distances, self.scale_percentile))

@@ -2,7 +2,7 @@
 
 DAbR was trained on attributes of previously-known malicious IPs from a
 commercial threat-intelligence feed — data we cannot redistribute.  This
-module generates a *structurally faithful* substitute (DESIGN.md §2):
+module generates a *structurally faithful* substitute (DESIGN.md §3):
 
 * each example models one IP address with a latent **maliciousness
   intensity** in [0, 1] (benign addresses cluster near 0, malicious near
@@ -20,6 +20,7 @@ Generation is fully deterministic given a seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Iterator, Sequence
 
@@ -35,6 +36,7 @@ __all__ = [
     "generate_corpus",
     "synthesize_features",
     "synthesize_feature_matrix",
+    "train_rows",
 ]
 
 
@@ -137,27 +139,34 @@ def synthesize_features(
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     schema = schema or DEFAULT_SCHEMA
-    features: dict[str, float] = {}
-    for spec in schema.specs:
-        weight = _FEATURE_WEIGHTS.get(spec.name, 0.7)
-        mean = spec.low + weight * intensity * spec.span
-        value = rng.gauss(mean, noise_sd)
-        features[spec.name] = min(max(value, spec.low), spec.high)
-    return features
+    return dict(zip(schema.names, _draw(intensity, rng, noise_sd, schema)))
+
+
+@functools.cache
+def _draw_specs(schema: FeatureSchema) -> tuple[tuple[float, ...], ...]:
+    """``(low, weight, span, high)`` per feature, in schema column order."""
+    return tuple(
+        (s.low, _FEATURE_WEIGHTS.get(s.name, 0.7), s.span, s.high) for s in schema.specs
+    )
+
+
+def _draw(intensity: float, rng: random.Random, noise_sd: float, schema) -> list[float]:
+    """The one draw rule: Gaussian around ``low + weight * intensity * span``, clipped."""
+    return [
+        min(max(rng.gauss(low + weight * intensity * span, noise_sd), low), high)
+        for low, weight, span, high in _draw_specs(schema)
+    ]
 
 
 def feature_weights(schema: FeatureSchema | None = None) -> np.ndarray:
     """Per-feature intensity weights in ``schema`` column order.
 
-    The vectorised counterpart of the lookup inside
-    :func:`synthesize_features`; unknown features use the same 0.7
-    default, so matrix synthesis describes the same world.
+    The weights :func:`synthesize_features` draws with (unknown
+    features use the same 0.7 default), so matrix synthesis describes
+    the same world.
     """
-    schema = schema or DEFAULT_SCHEMA
-    return np.array(
-        [_FEATURE_WEIGHTS.get(name, 0.7) for name in schema.names],
-        dtype=np.float64,
-    )
+    specs = _draw_specs(schema or DEFAULT_SCHEMA)
+    return np.array([weight for _, weight, _, _ in specs], dtype=np.float64)
 
 
 def synthesize_feature_matrix(
@@ -211,8 +220,28 @@ def _random_ip(rng: random.Random, malicious: bool) -> str:
     )
 
 
+def train_rows(size: int, train_fraction: float = 2 / 3) -> int:
+    """How many leading rows :meth:`ThreatIntelCorpus.split` trains on.
+
+    Row ``i`` of a seeded corpus never depends on its size, so
+    ``generate_corpus(train_rows(n), seed)`` is ``generate_corpus(n, seed).split()[0]``.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(
+            f"train_fraction must be in (0, 1), got {train_fraction}"
+        )
+    cut = int(round(size * train_fraction))
+    return min(max(cut, 1), size - 1)
+
+
 class ThreatIntelCorpus:
-    """A generated corpus with train/test split helpers."""
+    """A generated corpus with train/test split helpers.
+
+    Stored as read-only columns (addresses, a float64 feature matrix in
+    schema order, labels, true scores); examples are built on access.
+    Their feature dicts reuse the drawn floats (``_rows``), so a caller
+    that keeps them holds no more than when examples were stored.
+    """
 
     def __init__(
         self,
@@ -221,59 +250,81 @@ class ThreatIntelCorpus:
         params: CorpusParams,
         seed: int,
     ) -> None:
-        self._examples = tuple(examples)
-        self.schema = schema
-        self.params = params
-        self.seed = seed
+        examples = tuple(examples)
+        matrix = schema.vectorize_many(e.features for e in examples)
+        self._hold(
+            schema, params, seed, tuple(e.ip for e in examples), matrix.tolist(), matrix,
+            np.array([e.malicious for e in examples], dtype=int),
+            np.array([e.true_score for e in examples], dtype=np.float64),
+        )
+
+    @classmethod
+    def _from_columns(cls, *args) -> "ThreatIntelCorpus":
+        corpus = cls.__new__(cls)
+        corpus._hold(*args)
+        return corpus
+
+    def _hold(self, schema, params, seed, ips, rows, matrix, labels, true_scores) -> None:
+        for column in (matrix, labels, true_scores):
+            column.flags.writeable = False
+        self.schema, self.params, self.seed = schema, params, seed
+        self._ips, self._rows, self._matrix, self._labels, self._true_scores = (
+            ips, rows, matrix, labels, true_scores
+        )
 
     def __len__(self) -> int:
-        return len(self._examples)
+        return len(self._ips)
 
     def __iter__(self) -> Iterator[LabeledExample]:
-        return iter(self._examples)
+        return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, index: int) -> LabeledExample:
-        return self._examples[index]
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        return LabeledExample(
+            ip=self._ips[index],
+            features=dict(zip(self.schema.names, self._rows[index])),
+            malicious=bool(self._labels[index]),
+            true_score=float(self._true_scores[index]),
+        )
 
     @property
     def examples(self) -> tuple[LabeledExample, ...]:
-        return self._examples
+        return tuple(self)
 
     @property
     def malicious(self) -> tuple[LabeledExample, ...]:
         """Only the malicious examples (DAbR trains on these)."""
-        return tuple(e for e in self._examples if e.malicious)
+        return tuple(e for e in self if e.malicious)
 
     @property
     def benign(self) -> tuple[LabeledExample, ...]:
-        return tuple(e for e in self._examples if not e.malicious)
+        return tuple(e for e in self if not e.malicious)
 
     def split(self, train_fraction: float = 2 / 3) -> tuple[
         "ThreatIntelCorpus", "ThreatIntelCorpus"
     ]:
         """Deterministic train/test split preserving generation order."""
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {train_fraction}"
-            )
-        cut = int(round(len(self._examples) * train_fraction))
-        cut = min(max(cut, 1), len(self._examples) - 1)
-        make = lambda rows: ThreatIntelCorpus(  # noqa: E731 - local helper
-            rows, self.schema, self.params, self.seed
+        cut = train_rows(len(self), train_fraction)
+        return self._slice(slice(None, cut)), self._slice(slice(cut, None))
+
+    def _slice(self, rows: slice) -> "ThreatIntelCorpus":
+        return self._from_columns(
+            self.schema, self.params, self.seed, self._ips[rows], self._rows[rows],
+            self._matrix[rows], self._labels[rows], self._true_scores[rows],
         )
-        return make(self._examples[:cut]), make(self._examples[cut:])
 
     def feature_matrix(self) -> np.ndarray:
         """All examples vectorised per the schema, one row each."""
-        return self.schema.vectorize_many(e.features for e in self._examples)
+        return self._matrix
 
     def labels(self) -> np.ndarray:
         """Binary labels as an int array (1 = malicious)."""
-        return np.array([int(e.malicious) for e in self._examples])
+        return self._labels
 
     def true_scores(self) -> np.ndarray:
         """Ground-truth scores as a float array."""
-        return np.array([e.true_score for e in self._examples])
+        return self._true_scores
 
 
 def generate_corpus(
@@ -282,14 +333,17 @@ def generate_corpus(
     params: CorpusParams | None = None,
     schema: FeatureSchema | None = None,
 ) -> ThreatIntelCorpus:
-    """Generate ``size`` labelled examples, deterministically from ``seed``."""
+    """Generate ``size`` labelled examples, deterministically from ``seed``.
+
+    One ``random.Random(seed)`` stream, drawn row by row into columns.
+    """
     if size <= 0:
         raise ValueError(f"size must be > 0, got {size}")
     params = params or CorpusParams()
     schema = schema or DEFAULT_SCHEMA
     rng = random.Random(seed)
 
-    examples: list[LabeledExample] = []
+    ips, rows, labels, intensities = [], [], [], []
     for _ in range(size):
         malicious = rng.random() < params.malicious_fraction
         if malicious:
@@ -298,16 +352,11 @@ def generate_corpus(
             )
         else:
             intensity = rng.betavariate(params.benign_alpha, params.benign_beta)
-
-        features = synthesize_features(
-            intensity, rng, noise_sd=params.noise_sd, schema=schema
-        )
-        examples.append(
-            LabeledExample(
-                ip=_random_ip(rng, malicious),
-                features=features,
-                malicious=malicious,
-                true_score=10.0 * intensity,
-            )
-        )
-    return ThreatIntelCorpus(examples, schema, params, seed)
+        rows.append(_draw(intensity, rng, params.noise_sd, schema))
+        ips.append(_random_ip(rng, malicious))
+        labels.append(malicious)
+        intensities.append(intensity)
+    return ThreatIntelCorpus._from_columns(
+        schema, params, seed, tuple(ips), rows, np.array(rows, dtype=np.float64),
+        np.array(labels, dtype=int), 10.0 * np.array(intensities, dtype=np.float64),
+    )

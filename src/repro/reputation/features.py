@@ -3,7 +3,7 @@
 DAbR (Renjan et al., ISI 2018) scores an IP from threat-intelligence
 *attributes* of the address — not packet payloads.  The original system
 drew those attributes from a commercial feed; this reproduction defines a
-synthetic but structurally faithful schema (see DESIGN.md §2): ten
+synthetic but structurally faithful schema (see DESIGN.md §3): ten
 numeric attributes capturing the signals the DAbR paper describes
 (blacklist presence, spam volume, scanning behaviour, hosting reputation,
 traffic shape).

@@ -143,3 +143,14 @@ def test_a_write_set_applied_twice_leaves_what_once_does(cached, batch):
     twice.execute(writes + writes)
     assert once.namespace("score-cache").dump() == table.dump()
     assert twice.namespace("score-cache").dump() == table.dump()
+
+
+def test_the_wrapper_chain_passes_an_empty_cache():
+    from repro.reputation.base import model_chain
+    from repro.reputation.feedback import FeedbackReputationModel
+
+    inner = ConstantModel(2.0)
+    cache = CachedModel(inner, ttl=3.0)
+    outer = FeedbackReputationModel(cache)
+    assert len(cache) == 0
+    assert list(model_chain(outer)) == [outer, cache, inner]

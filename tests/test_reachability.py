@@ -7,7 +7,9 @@ statement is an edge, including imports inside functions (the CLI
 imports lazily).  ``from pkg import Name`` goes to the submodule that
 defines ``Name``, not to every sibling the package re-exports, so a
 module that only its package's ``__init__`` re-exports counts as
-unreached.  A package is reached, and its imports followed, only when
+unreached.  A package that re-exports lazily declares the module of
+each name in one literal ``_EXPORTS`` table, which the scan reads like
+an ``ImportFrom``.  A package is reached, and its imports followed, only when
 a name its ``__init__`` defines is imported; package ``__init__``
 files themselves are exempt from the check.
 
@@ -56,6 +58,17 @@ def _is_package(name: str) -> bool:
     return MODULES[name].name == "__init__.py"
 
 
+def _lazy_table(package: str) -> dict[str, str]:
+    """The ``_EXPORTS`` literal (name -> module) of a lazy package."""
+    for node in TREES[package].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_EXPORTS"
+            for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def _resolve(module: str, name: str, seen=frozenset()) -> str | None:
     """The module ``from module import name`` really reaches."""
     if f"{module}.{name}" in MODULES:
@@ -64,6 +77,13 @@ def _resolve(module: str, name: str, seen=frozenset()) -> str | None:
         return None  # outside src/repro
     if not _is_package(module) or module in seen:
         return module
+    lazy = _lazy_table(module).get(name)
+    if lazy is not None:
+        assert lazy in MODULES, (
+            f"{module}._EXPORTS sends {name!r} to {lazy}, which is not a "
+            "module under src/repro"
+        )
+        return _resolve(lazy, name, seen | {module})
     for node in ast.walk(TREES[module]):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
@@ -110,6 +130,36 @@ def test_every_module_is_reached_from_a_shipped_root():
     )
     stale = sorted(ALLOWED.keys() - unreached)
     assert not stale, f"allowlisted but reached or gone; drop them: {stale}"
+
+
+def _defines(module: str, name: str) -> bool:
+    """Whether ``module``'s top level binds ``name``."""
+    for node in TREES[module].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound = {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom):
+            bound = {a.asname or a.name for a in node.names}
+        else:
+            continue
+        if name in bound:
+            return True
+    return False
+
+
+def test_every_lazy_export_names_a_module_that_defines_it():
+    tables = {
+        name: _lazy_table(name) for name in MODULES if _is_package(name)
+    }
+    assert {name for name, table in tables.items() if table} == {
+        "repro", "repro.core", "repro.obs",
+    }
+    for package, table in tables.items():
+        for name in table:
+            target = _resolve(package, name)
+            assert _defines(target, name), f"{package}.{name} -> {target}"
 
 
 def test_the_scan_follows_reexports_to_their_defining_module():
