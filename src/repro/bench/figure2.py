@@ -9,10 +9,10 @@ Two measurement modes are provided:
 * ``modeled`` (default) — latency from the calibrated timing model:
   fixed network/framework overhead plus geometrically-sampled attempts
   at the calibrated hash rate.  Deterministic given the seed; this is
-  what the bench suite runs.
+  what the tests and ``repro export`` run.
 * ``grind`` — real :class:`~repro.pow.solver.HashSolver` wall-clock
   solves (no synthetic overhead beyond the configured constant).  Slower
-  but hardware-honest; used by the pytest-benchmark variant.
+  but hardware-honest (``repro figure2 --mode grind``).
 
 The paper's qualitative claims, which :func:`check_shape` verifies:
 

@@ -58,28 +58,10 @@ def _onset_result() -> ExperimentResult:
     return run_onset()
 
 
-def _batch_throughput_result() -> ExperimentResult:
-    from repro.bench.batch import run_batch_throughput
-
-    return run_batch_throughput()
-
-
 def _shard_throughput_result() -> ExperimentResult:
     from repro.bench.shard import run_shard_throughput
 
     return run_shard_throughput()
-
-
-def _replay_throughput_result() -> ExperimentResult:
-    from repro.bench.replay import run_replay_throughput
-
-    return run_replay_throughput()
-
-
-def _netstore_throughput_result() -> ExperimentResult:
-    from repro.bench.netstore import run_netstore_throughput
-
-    return run_netstore_throughput()
 
 
 def _kernels_result() -> ExperimentResult:
@@ -90,10 +72,7 @@ def _kernels_result() -> ExperimentResult:
 
 EXPERIMENTS["throttle"] = _throttle_result
 EXPERIMENTS["onset"] = _onset_result
-EXPERIMENTS["thr-batch"] = _batch_throughput_result
 EXPERIMENTS["thr-shard"] = _shard_throughput_result
-EXPERIMENTS["thr-replay"] = _replay_throughput_result
-EXPERIMENTS["thr-netshard"] = _netstore_throughput_result
 EXPERIMENTS["kernels"] = _kernels_result
 
 

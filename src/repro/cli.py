@@ -194,9 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     restore.add_argument("--snapshot", required=True, metavar="FILE",
                          help="merged snapshot produced by `state snapshot`")
     restore.add_argument("--state-dir", required=True, metavar="DIR")
-    restore.add_argument("--workers", type=int, default=1, metavar="N")
     restore.add_argument(
-        "--replicas", type=int, default=64, metavar="N",
+        "--workers", type=_positive_int, default=1, metavar="N"
+    )
+    restore.add_argument(
+        "--replicas", type=_positive_int, default=64, metavar="N",
         help="virtual nodes per shard on the split ring (recorded in "
              "the shard files; must match at `serve --state-dir` time)",
     )
@@ -368,11 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
              "available backend",
     )
     kernels.add_argument(
-        "--size", type=int, default=100_000, metavar="N",
+        "--size", type=_positive_int, default=100_000, metavar="N",
         help="elements per kernel invocation (default 100000)",
     )
     kernels.add_argument(
-        "--repeats", type=int, default=30, metavar="N",
+        "--repeats", type=_positive_int, default=30, metavar="N",
         help="timed repeats per kernel/backend; the minimum is "
              "reported (default 30)",
     )
@@ -383,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "experiment", metavar="EXPERIMENT-ID",
-        help="registered experiment id (fig2, thr-batch, kernels, ...)",
+        help="registered experiment id (fig2, thr-shard, kernels, ...)",
     )
     profile.add_argument(
-        "--top", type=int, default=20,
+        "--top", type=_positive_int, default=20,
         help="number of cumulative-time rows to print (default 20)",
     )
     profile.add_argument(
@@ -818,12 +820,6 @@ def _cmd_state(args: argparse.Namespace) -> int:
         return 0
 
     if args.state_command == "restore":
-        if args.workers < 1:
-            print(f"--workers must be >= 1, got {args.workers}")
-            return 2
-        if args.replicas < 1:
-            print(f"--replicas must be >= 1, got {args.replicas}")
-            return 2
         try:
             merged = load_snapshot(args.snapshot)
             parts = split_snapshot(merged, args.workers, args.replicas)
@@ -1113,9 +1109,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.bench.runner import EXPERIMENTS, run_experiment
     from repro.core.errors import ComponentNotFoundError
 
-    if args.top < 1:
-        print(f"--top must be >= 1, got {args.top}")
-        return 2
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -1141,12 +1134,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_kernels(args: argparse.Namespace) -> int:
     from repro.bench.kernels import KernelBenchConfig, run_kernel_microbench
 
-    if args.size < 1:
-        print(f"--size must be >= 1, got {args.size}")
-        return 2
-    if args.repeats < 1:
-        print(f"--repeats must be >= 1, got {args.repeats}")
-        return 2
     result = run_kernel_microbench(
         KernelBenchConfig(size=args.size, repeats=args.repeats)
     )

@@ -216,8 +216,8 @@ class AgentPopulation:
         """Materialise a fire schedule as an object-world ``Trace``.
 
         One :class:`~repro.traffic.trace.TraceEntry` per fire, with the
-        agent's fixed feature mapping — how the ``megasim`` benchmark
-        hands the *identical* workload to the callback reference engine
+        agent's fixed feature mapping — how the scale-workload tests
+        hand the *identical* workload to the callback reference engine
         (``tests/oracle``), or :meth:`FastSimulation.run
         <repro.net.sim.fastsim.FastSimulation.run>`.  Cost is
         linear in fires; intended for parity runs, not the hot path.

@@ -18,7 +18,7 @@ The cost contract: with no registry, tracer, or timer attached, the hot
 paths (framework batch admission, the vectorized simulator's cohort
 loop) execute the identical instruction stream they did before this
 package existed — instrumentation is pay-for-what-you-attach, enforced
-by ``benchmarks/test_bench_obs.py``.
+as clock-read counts by ``tests/net/test_scale_budget.py``.
 """
 
 from repro import _lazy_exports

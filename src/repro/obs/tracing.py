@@ -18,8 +18,8 @@ like the replay recorder's trace ids.
 
 Cost contract: an unattached tracer costs nothing (the bus skips event
 construction with no subscribers); an attached tracer costs one dict
-lookup per event for unsampled requests.  The overhead benchmark pins
-the 1-in-100 configuration within 10% of the uninstrumented gateway.
+lookup per event for unsampled requests, and one span per
+``sample_every`` requests; the gateway tests pin that span count.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ all three targets reproduce a recording made under any of them —
 that equivalence is what ``tests/replay/test_golden_parity.py`` gates.
 
 Replay runs at full speed by default; ``speed=1.0`` paces requests at
-their recorded inter-arrival gaps (``speed=2.0`` twice as fast, ...),
-which is what the ``thr-replay`` experiment compares against.
+their recorded inter-arrival gaps (``speed=2.0`` twice as fast, ...)
+by sleeping until each batch is due.
 
 A fourth, live, path (:func:`replay_live`) drives the trace through a
 real server over TCP, one gateway process or a cluster of N, the way

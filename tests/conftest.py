@@ -15,6 +15,8 @@ from repro.core.config import FrameworkConfig, PowConfig, TimingConfig
 from repro.core.framework import AIPoWFramework
 from repro.core.records import ClientRequest
 from repro.policies.linear import policy_2
+from repro.pow.difficulty import meets_difficulty
+from repro.pow.hashers import get_hasher
 from repro.reputation.dabr import DAbRModel
 from repro.reputation.dataset import generate_corpus
 
@@ -55,6 +57,28 @@ def framework(fitted_dabr, fast_pow_config):
     """A complete framework over the fitted model and Policy 2."""
     config = FrameworkConfig(pow=fast_pow_config, timing=TimingConfig())
     return AIPoWFramework(fitted_dabr, policy_2(), config)
+
+
+@pytest.fixture()
+def failing_nonce():
+    """``failing_nonce(puzzle, client_ip)``: the first nonce that misses.
+
+    Puzzle seeds are CSPRNG draws, so a fixed nonce such as 0 solves a
+    d-difficult puzzle with probability 2**-d.  Searching for a nonce
+    whose digest misses the target makes a bad-nonce test exact.
+    """
+
+    def search(puzzle, client_ip: str) -> int:
+        hasher = get_hasher(puzzle.algorithm)
+        prefix = puzzle.prefix(client_ip)
+        nonce = 0
+        while meets_difficulty(
+            hasher(prefix + nonce.to_bytes(4, "big")), puzzle.difficulty
+        ):
+            nonce += 1
+        return nonce
+
+    return search
 
 
 @pytest.fixture()

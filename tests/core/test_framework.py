@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import pytest
@@ -12,8 +13,10 @@ from repro.core.framework import AIPoWFramework
 from repro.core.records import ClientRequest, ResponseStatus
 from repro.policies.linear import LinearPolicy, policy_1, policy_2
 from repro.policies.table import FixedPolicy
+from repro.pow.generator import PuzzleGenerator
 from repro.pow.puzzle import Solution
 from repro.pow.solver import HashSolver
+from repro.reputation.dabr import DAbRModel
 from repro.reputation.ensemble import ConstantModel
 
 
@@ -93,18 +96,16 @@ class TestRedeem:
         assert response.body == "resource:/data"
         assert response.latency == pytest.approx(0.5)
 
-    def test_wrong_nonce_rejected(self, easy_framework):
+    def test_wrong_nonce_rejected(self, failing_nonce):
         request = make_request()
         framework = AIPoWFramework(ConstantModel(10.0), policy_2())
         challenge = framework.challenge(request, now=100.0)
-        bad = Solution(puzzle_seed=challenge.puzzle.seed, nonce=0)
-        # Nonce 0 is overwhelmingly unlikely to solve a 15-difficult
-        # puzzle; if it did, the verifier accepting it would be correct.
-        response = framework.redeem(challenge, bad, now=100.1)
-        assert response.status in (
-            ResponseStatus.REJECTED,
-            ResponseStatus.SERVED,
+        bad = Solution(
+            puzzle_seed=challenge.puzzle.seed,
+            nonce=failing_nonce(challenge.puzzle, request.client_ip),
         )
+        response = framework.redeem(challenge, bad, now=100.1)
+        assert response.status is ResponseStatus.REJECTED
         assert response.status is ResponseStatus.REJECTED
 
     def test_expired_solution(self, easy_framework):
@@ -184,7 +185,9 @@ class TestEvents:
             EventKind.RESPONSE_SERVED,
         ]
 
-    def test_rejection_emits_rejected_event(self, easy_framework):
+    def test_rejection_emits_rejected_event(
+        self, easy_framework, failing_nonce
+    ):
         kinds = []
         easy_framework.events.subscribe(lambda e: kinds.append(e.kind))
         framework = AIPoWFramework(
@@ -192,9 +195,10 @@ class TestEvents:
         )
         request = make_request()
         challenge = framework.challenge(request, now=100.0)
+        nonce = failing_nonce(challenge.puzzle, request.client_ip)
         framework.redeem(
             challenge,
-            Solution(puzzle_seed=challenge.puzzle.seed, nonce=1),
+            Solution(puzzle_seed=challenge.puzzle.seed, nonce=nonce),
             now=100.1,
         )
         assert EventKind.SOLUTION_REJECTED in kinds
@@ -217,3 +221,58 @@ class TestPolicyRandomisationDeterminism:
 
         assert run(1) == run(1)
         assert run(1) != run(2) or run(1) != run(3)
+
+
+class TestCallBudget:
+    """Why one batch of n is cheaper than n batches of one.
+
+    ``challenge_batch`` makes one call each to the model's batch
+    scorer, the policy's batch map and the generator's batch mint,
+    whatever n is; n ``challenge`` calls make n of each.  The decisions
+    are the same either way (``tests/test_batch_parity.py``); the
+    speed this buys is ``admit-inproc``'s number in perfbench.
+    """
+
+    STAGES = (
+        (DAbRModel, "score_requests"),
+        (LinearPolicy, "difficulty_batch"),
+        (PuzzleGenerator, "generate_batch"),
+    )
+
+    def count_stage_calls(self, monkeypatch) -> collections.Counter:
+        calls: collections.Counter = collections.Counter()
+        for owner, name in self.STAGES:
+            original = getattr(owner, name)
+
+            def counted(self, *args, _original=original, _name=name, **kw):
+                calls[_name] += 1
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_one_batch_scores_maps_and_mints_once(
+        self, monkeypatch, fitted_dabr, corpus_split, n
+    ):
+        _, test = corpus_split
+        requests = [
+            ClientRequest(
+                client_ip=example.ip,
+                resource="/index.html",
+                timestamp=0.0,
+                features=example.features,
+            )
+            for example in test[:n]
+        ]
+        framework = AIPoWFramework(fitted_dabr, policy_2())
+        calls = self.count_stage_calls(monkeypatch)
+
+        assert len(framework.challenge_batch(requests, now=0.0)) == n
+        stages = [name for _, name in self.STAGES]
+        assert calls == dict.fromkeys(stages, 1)
+
+        calls.clear()
+        for request in requests:
+            framework.challenge(request, now=0.0)
+        assert calls == dict.fromkeys(stages, n)

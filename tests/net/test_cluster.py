@@ -23,11 +23,16 @@ import pytest
 from repro.core.records import ClientRequest
 from repro.core.spec import FrameworkSpec
 from repro.net.gateway.cluster import GatewayCluster, make_shed_policy
+from repro.net.gateway.loadgen import LoadGenerator
 from repro.net.live.client import LiveClient
-from repro.pow.puzzle import Solution
 from repro.pow.solver import HashSolver
-from repro.reputation.dataset import generate_corpus
 from repro.state import HashRing
+from tests.exchanges import (
+    build_trace,
+    hostile_solution,
+    replay_trace,
+    spread_examples,
+)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -41,68 +46,7 @@ SPEC = FrameworkSpec(
 
 @pytest.fixture(scope="module")
 def examples():
-    _, test = generate_corpus(size=1200, seed=7).split()
-    ranked = sorted(test, key=lambda example: example.true_score)
-    # A spread of reputations, but low enough that honest solving in
-    # the live tests stays fast.
-    return ranked[:: max(1, len(ranked) // 8)][:6]
-
-
-def hostile_solution(challenge) -> Solution:
-    """A solution that is *deterministically* rejected.
-
-    Naming a different puzzle seed fails the integrity check on every
-    run; a merely-wrong nonce would accidentally satisfy a low
-    difficulty with probability ``2**-d``, making outcomes depend on
-    the (random) puzzle seed.
-    """
-    wrong_seed = "00" * (len(challenge.puzzle.seed) // 2)
-    if wrong_seed == challenge.puzzle.seed:  # pragma: no cover
-        wrong_seed = "ff" * (len(challenge.puzzle.seed) // 2)
-    return Solution(
-        puzzle_seed=wrong_seed, nonce=0, attempts=1, elapsed=0.0
-    )
-
-
-def replay_trace(framework, trace):
-    """Drive (ip, features, honest) exchanges; return the decisions.
-
-    ``honest`` exchanges are solved for real (SERVED feeds the reward
-    path); dishonest ones submit a guaranteed-invalid solution
-    (REJECTED feeds the penalty path).  Returns one
-    (score, difficulty) pair per request — exact floats, no rounding.
-    """
-    solver = HashSolver()
-    decisions = []
-    for index, (ip, features, honest) in enumerate(trace):
-        request = ClientRequest(
-            client_ip=ip,
-            resource="/index.html",
-            timestamp=1_000.0 + index,
-            features=features,
-        )
-        challenge = framework.challenge(request, now=request.timestamp)
-        decision = challenge.decision
-        decisions.append(
-            (decision.reputation_score, decision.difficulty)
-        )
-        if honest and challenge.puzzle.difficulty <= 12:
-            solution = solver.solve(challenge.puzzle, ip)
-        else:
-            solution = hostile_solution(challenge)
-        framework.redeem(challenge, solution, now=request.timestamp + 0.5)
-    return decisions
-
-
-def build_trace(examples, rounds=4):
-    """Per-IP request sequences with mixed honest/hostile behaviour."""
-    trace = []
-    for round_index in range(rounds):
-        for client, example in enumerate(examples):
-            ip = f"10.42.0.{client + 1}"
-            honest = (client + round_index) % 3 != 0
-            trace.append((ip, example.features, honest))
-    return trace
+    return spread_examples()
 
 
 class TestInProcessShardParity:
@@ -491,6 +435,36 @@ class TestClusterLive:
         # match each other *and* the in-process single framework.
         assert drive(1) == expected
         assert drive(4) == expected
+
+    def test_every_worker_admits_a_share_and_nothing_is_lost(self, examples):
+        """What ``thr-shard``'s scaling ratio rests on, as counts.
+
+        32 source addresses spread over 4 workers by the ring: every
+        worker admits some, the totals equal the requests sent, and
+        nothing errors or sheds.  The ratio itself is ``repro export``'s
+        ``thr-shard`` table.
+        """
+        connections, per_connection = 32, 4
+        bind_ips = [f"127.0.9.{i}" for i in range(1, connections + 1)]
+        with GatewayCluster(SPEC, workers=4, queue_limit=4096) as cluster:
+            report = LoadGenerator(
+                cluster.address,
+                connections=connections,
+                requests_per_connection=per_connection,
+                features=dict(examples[0].features),
+                bind_ips=bind_ips,
+                solve=False,
+            ).run()
+        assert cluster.exit_codes == [0] * 4
+
+        sent = connections * per_connection
+        assert (report.attempted, report.completed) == (sent, sent)
+        assert (report.errors, report.shed) == (0, 0)
+        summary = cluster.metrics_summary
+        assert (summary["admitted"], summary["shed"]) == (sent, 0)
+        admitted = [worker["admitted"] for worker in summary["per_worker"]]
+        assert len(admitted) == 4 and min(admitted) > 0, admitted
+        assert sum(admitted) == sent
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
 import time
 
@@ -23,6 +24,7 @@ from repro.net.gateway.shedding import (
 )
 from repro.net.live.client import LiveClient
 from repro.net.live.protocol import read_line, send_line
+from repro.obs.tracing import RequestTracer
 from repro.policies.linear import policy_1
 from repro.reputation.ensemble import ConstantModel
 
@@ -525,6 +527,28 @@ class TestGatewayServer:
 # ----------------------------------------------------------------------
 # Concurrency stress: >=32 connections, exact accounting, parity
 # ----------------------------------------------------------------------
+class TestTracingBudget:
+    def test_one_in_100_tracing_records_ceil_n_over_100_spans(self):
+        """Sampled tracing's cost is the spans it records: 1 per 100.
+
+        128 requests through a live gateway open spans for the 1st and
+        the 101st only; every other request costs the tracer a lookup
+        per event.  Traced throughput is perfbench's
+        ``traced.throughput_per_s``.
+        """
+        framework = AIPoWFramework(ConstantModel(3.0), policy_1())
+        tracer = RequestTracer(sample_every=100)
+        total = 64 * 2
+        with GatewayServer(framework, io_timeout=20.0, tracer=tracer) as server:
+            report = LoadGenerator(
+                server.address, connections=64, requests_per_connection=2
+            ).run()
+        assert report.served == total
+        spans = tracer.drain()
+        assert len(spans) == math.ceil(total / 100) == 2
+        assert [span["outcome"] for span in spans] == ["served"] * 2
+
+
 class TestGatewayStress:
     def test_stress_no_lost_replies_and_scalar_parity(self):
         """Every request gets exactly one reply; decisions match scalar."""

@@ -107,7 +107,6 @@ class TestLiveExchange:
         assert result.body == "resource:/index.html"
         assert result.difficulty == 1  # constant score 0 + policy-1
         assert result.attempts >= 1
-        assert result.latency > 0
 
     def test_multiple_sequential_fetches(self, gateway):
         client = LiveClient(gateway.address)

@@ -114,14 +114,17 @@ class TestRedeemPhase:
         assert status.startswith("200")
         assert body == b"secret resource"
 
-    def test_bad_nonce_forbidden(self):
+    def test_bad_nonce_forbidden(self, failing_nonce):
         framework = AIPoWFramework(ConstantModel(0.0), FixedPolicy(16))
         tester = WsgiTester(PowMiddleware(protected_app, framework))
         _, headers, _ = tester.request()
         from repro.pow.puzzle import Puzzle, Solution
 
         puzzle = Puzzle.from_wire(headers[PUZZLE_HEADER])
-        bad = Solution(puzzle_seed=puzzle.seed, nonce=1)
+        bad = Solution(
+            puzzle_seed=puzzle.seed,
+            nonce=failing_nonce(puzzle, CLIENT_IP),
+        )
         status, _, body = tester.request(
             headers={
                 PUZZLE_HEADER: headers[PUZZLE_HEADER],

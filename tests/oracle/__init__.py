@@ -3,12 +3,12 @@
 The shipped simulator is :class:`~repro.net.sim.fastsim.FastSimulation`.
 These are the same model written the slow, obvious way — one Python
 closure per event over a binary heap (:class:`EventEngine`) — kept only
-so the tests and benchmarks can check the fast engine against them:
+so the tests can check the fast engine against them:
 
 * :class:`Simulation` — open-loop traces
   (``tests/replay/test_fastsim_parity.py``,
-  ``tests/replay/test_links_parity.py``, the ``megasim`` / ``netsim``
-  ratio gates under ``benchmarks/``);
+  ``tests/replay/test_links_parity.py``, the scale-workload aggregates
+  in ``tests/net/test_scale_budget.py``);
 * :class:`ClosedLoopSimulation` — closed-loop sessions, against
   :meth:`FastSimulation.run_sessions
   <repro.net.sim.fastsim.FastSimulation.run_sessions>`;

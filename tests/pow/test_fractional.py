@@ -74,22 +74,22 @@ class TestFractionalSolveVerify:
         assert verify_fractional(puzzle, solution, CLIENT, difficulty)
 
     def test_wrong_difficulty_rejected(self):
-        generator = PuzzleGenerator()
+        generator = PuzzleGenerator(seed_source=SequentialSeedSource())
         puzzle = generator.issue(CLIENT, 0, now=0.0)
         solution = FractionalSolver().solve(puzzle, CLIENT, 2.0)
-        # A 2.0-difficulty solution will essentially never satisfy 16.0.
+        # A fixed puzzle: this 2.0-difficulty solution misses 16.0.
         with pytest.raises(SolutionInvalidError):
             verify_fractional(puzzle, solution, CLIENT, 16.0)
 
     def test_wrong_client_rejected(self):
-        generator = PuzzleGenerator()
+        generator = PuzzleGenerator(seed_source=SequentialSeedSource())
         puzzle = generator.issue(CLIENT, 0, now=0.0)
         solution = FractionalSolver().solve(puzzle, CLIENT, 12.0)
         with pytest.raises(SolutionInvalidError):
             verify_fractional(puzzle, solution, "198.51.100.56", 12.0)
 
     def test_exhaustion(self):
-        generator = PuzzleGenerator()
+        generator = PuzzleGenerator(seed_source=SequentialSeedSource())
         puzzle = generator.issue(CLIENT, 0, now=0.0)
         solver = FractionalSolver(max_attempts=5)
         with pytest.raises(NonceSpaceExhaustedError):

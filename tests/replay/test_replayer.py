@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.spec import FrameworkSpec
+from repro.replay import replayer as replayer_module
 from repro.replay import (
     TraceReplayer,
     diff_decisions,
@@ -16,6 +17,21 @@ from repro.replay import (
     spec_hash,
 )
 from repro.traffic.trace import Trace
+
+
+class VirtualClock:
+    """The replayer's ``time``: stands still until asked to sleep."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.sleeps: list[float] = []
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +66,6 @@ class TestReplay:
         result = TraceReplayer(recorded).run()
         assert result.requests == len(recorded)
         assert len(result.decisions) == len(recorded)
-        assert result.elapsed > 0
-        assert result.throughput > 0
 
     def test_decisions_preserve_request_ids(self, recorded):
         result = TraceReplayer(recorded).run()
@@ -84,14 +98,40 @@ class TestReplay:
         # Scores come from the same model either way.
         assert "score" not in fields
 
-    def test_pacing_slows_replay(self, recorded):
-        fast = TraceReplayer(recorded).run()
-        # Pace the recording at 20x so the test stays quick: a 4 s
-        # workload must still take >= ~0.2 s, dwarfing the fast run.
+    def test_pacing_slows_replay(self, recorded, monkeypatch):
+        """Pacing at ``speed`` sleeps out each recorded gap divided by
+        ``speed``: one sleep per inter-batch gap, summing to the
+        trace's span over ``speed``, with the recorded decisions.
+        """
+        clock = VirtualClock()
+        monkeypatch.setattr(replayer_module, "time", clock)
         paced = TraceReplayer(recorded, speed=20.0).run()
-        floor = recorded.duration() / 20.0
-        assert paced.elapsed >= floor * 0.9
-        assert paced.elapsed > fast.elapsed
+        instants = {entry.request.timestamp for entry in recorded}
+        assert len(clock.sleeps) == len(instants) - 1
+        assert sum(clock.sleeps) == pytest.approx(recorded.duration() / 20.0)
+        assert diff_decisions(recorded.decisions(), paced.decisions).identical
+
+    def test_accelerated_replay_vs_recorded_pacing(self, recorded, monkeypatch):
+        """Recorded-time pacing sleeps out the trace; full speed never
+        sleeps; both replays decide exactly what was recorded.
+
+        The replayer's clock is virtual (only sleeps advance it), so
+        the requested sleeps are exact: one per inter-batch gap,
+        summing to the trace's span.
+        """
+        clock = VirtualClock()
+        monkeypatch.setattr(replayer_module, "time", clock)
+        fast = TraceReplayer(recorded).run()
+        assert clock.sleeps == []
+
+        paced = TraceReplayer(recorded, speed=1.0).run()
+        instants = {entry.request.timestamp for entry in recorded}
+        assert len(clock.sleeps) == len(instants) - 1
+        assert sum(clock.sleeps) == pytest.approx(recorded.duration())
+
+        reference = recorded.decisions()
+        assert diff_decisions(reference, fast.decisions).identical
+        assert diff_decisions(reference, paced.decisions).identical
 
     def test_empty_trace_replays(self):
         result = TraceReplayer(Trace([])).run()

@@ -179,7 +179,9 @@ class TestEviction:
 
 
 class TestFrameworkIntegration:
-    def test_attacker_difficulty_escalates_across_exchanges(self):
+    def test_attacker_difficulty_escalates_across_exchanges(
+        self, failing_nonce
+    ):
         """A client submitting junk solutions gets harder puzzles."""
         model = FeedbackReputationModel(
             ConstantModel(4.0), FeedbackConfig(penalty_step=2.0)
@@ -192,7 +194,10 @@ class TestFrameworkIntegration:
             request = request_at(float(i))
             challenge = framework.challenge(request, now=float(i))
             difficulties.append(challenge.decision.difficulty)
-            junk = Solution(puzzle_seed=challenge.puzzle.seed, nonce=0)
+            junk = Solution(
+                puzzle_seed=challenge.puzzle.seed,
+                nonce=failing_nonce(challenge.puzzle, request.client_ip),
+            )
             framework.redeem(challenge, junk, now=float(i) + 0.1)
 
         assert difficulties[0] < difficulties[-1]

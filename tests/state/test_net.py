@@ -1366,7 +1366,6 @@ class TestInstrumentation:
         # The single get is a multi frame of one: no keyed op is a frame.
         assert seconds.labels(op="multi").count == 2
         assert seconds.labels(op="get").count == 0
-        assert 0 < seconds.labels(op="multi").sum < 5.0
         batch = registry.get("netstore_server_batch_ops")
         assert (batch.labels().count, batch.labels().sum) == (2, 4)
 

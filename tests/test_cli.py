@@ -47,13 +47,39 @@ class TestParser:
             ["campaign", "--scenario", "flash-crowd-1m"],
             ["serve", "--gateway", "--record", "t.jsonl"],
             ["profile", "abl-econ"],
-            ["profile", "megasim", "--top", "5", "--out", "s.prof"],
+            ["profile", "thr-shard", "--top", "5", "--out", "s.prof"],
             ["all"],
         ],
     )
     def test_known_subcommands_parse(self, argv):
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernels", "--size", "0"],
+            ["kernels", "--repeats", "0"],
+            ["profile", "abl-econ", "--top", "0"],
+            [
+                "state", "restore", "--snapshot", "f",
+                "--state-dir", "d", "--workers", "0",
+            ],
+            [
+                "state", "restore", "--snapshot", "f",
+                "--state-dir", "d", "--replicas", "0",
+            ],
+        ],
+        ids=[
+            "kernels-size", "kernels-repeats", "profile-top",
+            "restore-workers", "restore-replicas",
+        ],
+    )
+    def test_counts_reject_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
@@ -452,10 +478,6 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert "unknown experiment" in out
-
-    def test_profile_rejects_bad_top(self, capsys):
-        code = main(["profile", "abl-econ", "--top", "0"])
-        assert code == 2
 
     def test_profile_out_writes_pstats_dump(self, tmp_path, capsys):
         out_file = tmp_path / "stats.prof"

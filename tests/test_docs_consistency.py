@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import pathlib
 import re
 
@@ -224,10 +225,32 @@ class TestExperimentsDoc:
         text = read("EXPERIMENTS.md")
         for command in re.findall(r"python -m repro (\w[\w-]*)", text):
             assert command in _COMMANDS
-        for bench in re.findall(r"benchmarks/(test_bench_\w+\.py)", text):
-            assert (REPO / "benchmarks" / bench).exists(), (
-                f"EXPERIMENTS.md references missing benchmarks/{bench}"
-            )
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+    def test_no_retired_benchmark_stack_or_unknown_experiment(self, doc):
+        """Speed is measured by perfbench alone; docs name only live ids.
+
+        No ``benchmarks/`` path or ``BENCH_baseline.json`` (the retired
+        pytest-benchmark stack), and every experiment id a doc names —
+        a hyphenated ``thr-*`` / ``abl-*`` id, a ``repro profile``
+        target, or an EXPERIMENTS.md section heading that is not a
+        perfbench workload — is registered.
+        """
+        from repro.bench.runner import EXPERIMENTS
+
+        text = read(doc)
+        assert "benchmarks/" not in text, f"{doc} cites benchmarks/"
+        assert "BENCH_baseline.json" not in text, doc
+        named = set(re.findall(r"\b((?:thr|abl)-[a-z]+)\b", text))
+        named.update(re.findall(r"repro profile ([\w-]+)", text))
+        workloads = {
+            workload["name"]
+            for workload in json.loads(read("BENCHMARK.json"))["workloads"]
+        }
+        headings = re.findall(r"^### `([\w-]+)`", text, re.M)
+        named.update(set(headings) - workloads)
+        unknown = sorted(named - set(EXPERIMENTS))
+        assert not unknown, f"{doc} names unregistered experiments {unknown}"
 
 
 class TestExamplesCompile:
