@@ -499,11 +499,6 @@ class GatewayCluster:
         self.metrics_summary: dict = {}
         self.exit_codes: list[int | None] = []
 
-    # -- routing -------------------------------------------------------
-    def shard_for(self, client_ip: str) -> int:
-        """The worker index a client's connections are routed to."""
-        return self.ring.shard_for(client_ip)
-
     @property
     def address(self) -> tuple[str, int]:
         """The (host, port) the cluster listener is bound to."""

@@ -263,40 +263,40 @@ class _OutcomeBuffers:
             )
 
     def fill(self, collector: MetricsCollector) -> MetricsCollector:
-        """Bulk-fill a :class:`MetricsCollector` from the buffers.
+        """Bulk-fill a :class:`MetricsCollector`, emptying the buffers.
 
         Chunks are concatenated per (class, status) first so each
         accumulator sees a handful of large arrays instead of one call
         per cohort — at a million outcomes the difference is the whole
-        report cost.
+        report cost.  The fill streams: each chunk list is popped as its
+        class folds and moves to its status's overall part, which is
+        dropped once folded, and a fold joins one column at a time, so
+        above the buffers it holds the retained samples and one column.
         """
         overall: dict[int, list[tuple]] = {}
-        for (name, code), chunks in self._chunks.items():
-            merged = tuple(
-                np.concatenate([chunk[j] for chunk in chunks])
-                for j in range(4)
-            )
-            overall.setdefault(code, []).append(merged)
-            self._fill_one(collector.for_class(name), code, merged)
-        for code, parts in overall.items():
-            merged = tuple(
-                np.concatenate([part[j] for part in parts])
-                for j in range(4)
-            )
-            self._fill_one(collector.overall, code, merged)
+        for key in list(self._chunks):
+            chunks = self._chunks.pop(key)
+            self._fill_one(collector.for_class(key[0]), key[1], chunks)
+            overall.setdefault(key[1], []).extend(chunks)
+        for code in list(overall):
+            self._fill_one(collector.overall, code, overall.pop(code))
         return collector
 
     @staticmethod
-    def _fill_one(metrics, code: int, merged: tuple) -> None:
-        latency, scores, difficulties, attempts = merged
+    def _fill_one(metrics, code: int, chunks: list[tuple]) -> None:
+        def column(j: int) -> np.ndarray:
+            return np.concatenate([chunk[j] for chunk in chunks])
+
         status = _STATUS_CODES[code]
+        latency = column(0)
         metrics.outcomes[status] += int(latency.size)
         metrics.latencies.extend_array(latency)
         if status is ResponseStatus.SERVED:
             metrics.served_latencies.extend_array(latency)
-        metrics.scores.add_array(scores)
-        metrics.difficulties.add_array(difficulties)
-        metrics.attempts.add_array(attempts)
+        del latency
+        metrics.scores.add_array(column(1))
+        metrics.difficulties.add_array(column(2))
+        metrics.attempts.add_array(column(3))
 
 
 def collector_from_buffers(buffers: _OutcomeBuffers) -> MetricsCollector:

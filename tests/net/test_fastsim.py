@@ -20,6 +20,7 @@ from repro.net.sim.agents import AgentPopulation
 from repro.net.sim.fastsim import (
     FastFeedback,
     FastSimulation,
+    _OutcomeBuffers,
     sample_attempts_array,
 )
 from repro.policies.linear import policy_2
@@ -507,7 +508,7 @@ class TestOneLoop:
         finally:
             gc.enable()
 
-    def test_stepped_run_equals_run_fires(self):
+    def test_stepped_run_equals_run_fires(self, monkeypatch):
         """start_fires + step(bounds) + finish == run_fires, bit for bit.
 
         On a linked, feedback-carrying schedule, so every event kind
@@ -532,6 +533,19 @@ class TestOneLoop:
             backoff=0.1,
         )
 
+        folded = []
+        fill = _OutcomeBuffers.fill
+
+        def kept_fill(buffers, collector):
+            # The report's fill empties the buffers: keep what it folds.
+            folded.append({
+                key: [[col.tolist() for col in chunk] for chunk in chunks]
+                for key, chunks in buffers._chunks.items()
+            })
+            return fill(buffers, collector)
+
+        monkeypatch.setattr(_OutcomeBuffers, "fill", kept_fill)
+
         def outcome(drive):
             sim = FastSimulation(
                 AIPoWFramework(ConstantModel(4.0), policy_2()),
@@ -544,10 +558,7 @@ class TestOneLoop:
             feedback = FastFeedback(len(population))
             report = drive(sim, feedback)
             return (
-                {
-                    key: [[col.tolist() for col in chunk] for chunk in chunks]
-                    for key, chunks in sim._buffers._chunks.items()
-                },
+                folded.pop(),
                 report.events_processed,
                 report.link_stats.as_dict(),
                 sim.decisions,
