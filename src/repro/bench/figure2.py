@@ -79,9 +79,6 @@ class Figure2Result:
     samples: dict[tuple[str, int], SampleSet]
     """Raw per-(policy, score) latency samples in seconds."""
 
-    def series_for(self, policy_name: str) -> list[float]:
-        return self.medians_ms[policy_name]
-
     def to_experiment_result(self) -> ExperimentResult:
         rows = [
             [score] + [self.medians_ms[name][i] for name in self.medians_ms]

@@ -3,10 +3,8 @@
 After vectorization the fastsim hot loop bottoms out in a handful of
 small per-cohort kernels (:mod:`repro.net.sim.kernels`): the FIFO
 running sum, geometric solve sampling, and the patience/TTL comparison
-masks.  This experiment times each kernel on every available backend —
-pure numpy always; the numba-jitted variants when numba imports and
-passes its import-time parity assertion — so a backend swap's win (or
-absence) is a measured number, not a guess.
+masks.  This experiment times each kernel, so a change to one is a
+measured number, not a guess.
 
 Timings report the *minimum* over ``repeats`` invocations: the floor
 is the cost of the work itself, everything above it is scheduler noise,
@@ -65,7 +63,7 @@ def _kernel_inputs(config: KernelBenchConfig) -> dict[str, tuple]:
 def run_kernel_microbench(
     config: KernelBenchConfig | None = None,
 ) -> ExperimentResult:
-    """Time every kernel on every available backend; tabulate all."""
+    """Time every kernel; tabulate all."""
     config = config or KernelBenchConfig()
     inputs = _kernel_inputs(config)
     rows = []
@@ -73,7 +71,7 @@ def run_kernel_microbench(
     for kernel_name, backends in kernels.backends().items():
         args = inputs[kernel_name]
         for backend_name, fn in backends.items():
-            fn(*args)  # warm up (numba compiles on first call)
+            fn(*args)  # warm up
             best = min(
                 _timed(fn, args) for _ in range(config.repeats)
             )
@@ -90,20 +88,15 @@ def run_kernel_microbench(
     notes = [
         f"{config.size:,} elements per call, min over "
         f"{config.repeats} repeats",
-        f"active backend: {kernels.active_backend()} "
-        f"(numba importable: {kernels.NUMBA_AVAILABLE})",
-        "jitted variants are bit-parity-asserted against numpy at "
-        "import; a mismatch or compile failure keeps numpy",
     ]
     return ExperimentResult(
         experiment_id="kernels",
-        title="Per-cohort kernel microbench - numpy vs optional numba",
+        title="Per-cohort kernel microbench",
         headers=["kernel", "backend", "elements", "best_us", "elements_per_s"],
         rows=rows,
         notes=notes,
         extra={
             "active_backend": kernels.active_backend(),
-            "numba_available": kernels.NUMBA_AVAILABLE,
             "best_seconds": timings,
         },
     )

@@ -26,8 +26,7 @@ interactive modes:
   vectorized engine and record no trace);
 * ``trace``     — render a sampled-span dump (from ``serve --trace-out``
   or ``campaign --trace-out``) as a per-stage waterfall;
-* ``kernels``   — microbench the residual per-cohort array kernels on
-  every available backend (numpy always; numba when importable);
+* ``kernels``   — microbench the residual per-cohort array kernels;
 * ``profile``   — run any registered experiment under cProfile and
   print the top cumulative hotspots;
 * ``all``       — every experiment, in DESIGN.md order.
@@ -366,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kernels = sub.add_parser(
         "kernels",
-        help="microbench the per-cohort array kernels on every "
-             "available backend",
+        help="microbench the per-cohort array kernels",
     )
     kernels.add_argument(
         "--size", type=_positive_int, default=100_000, metavar="N",
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kernels.add_argument(
         "--repeats", type=_positive_int, default=30, metavar="N",
-        help="timed repeats per kernel/backend; the minimum is "
+        help="timed repeats per kernel; the minimum is "
              "reported (default 30)",
     )
 
@@ -662,7 +660,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if snapshot_writer is not None:
             snapshot_writer.close()
             print(
-                f"{snapshot_writer.lines} metric snapshots -> "
+                f"{snapshot_writer.lines} metric snapshots "
+                f"({snapshot_writer.errors} failed writes) -> "
                 f"{args.metrics_snapshots}"
             )
     # The stop drained the server: queued admissions resolved as shed,

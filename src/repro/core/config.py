@@ -191,10 +191,6 @@ class FrameworkConfig:
             f"{self.min_difficulty}",
         )
 
-    def clamp_difficulty(self, difficulty: int) -> int:
-        """Clamp a raw policy output into the configured difficulty range."""
-        return max(self.min_difficulty, min(self.pow.max_difficulty, difficulty))
-
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "FrameworkConfig":
         known = {f.name for f in dataclasses.fields(cls)}

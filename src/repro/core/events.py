@@ -75,16 +75,6 @@ class EventBus:
         for kind in kinds:
             self._by_kind.setdefault(kind, []).append(subscriber)
 
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        """Remove ``subscriber`` from all registrations (idempotent).
-
-        Equality (not identity) comparison, so bound methods — which
-        are recreated on each attribute access — unsubscribe cleanly.
-        """
-        self._global = [s for s in self._global if s != subscriber]
-        for kind, subs in self._by_kind.items():
-            self._by_kind[kind] = [s for s in subs if s != subscriber]
-
     def has_subscribers(self, kind: EventKind) -> bool:
         """True when an event of ``kind`` would reach at least one subscriber.
 
@@ -113,10 +103,3 @@ class EventBus:
                 subscriber(event)
             except Exception:  # noqa: BLE001 - observer isolation by design
                 logger.exception("event subscriber %r failed", subscriber)
-
-    def subscriber_count(self, kind: EventKind | None = None) -> int:
-        """Number of subscribers that would see an event of ``kind``."""
-        if kind is None:
-            per_kind = sum(len(subs) for subs in self._by_kind.values())
-            return len(self._global) + per_kind
-        return len(self._global) + len(self._by_kind.get(kind, []))

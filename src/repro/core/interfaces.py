@@ -36,18 +36,9 @@ __all__ = [
     "PuzzleIssuer",
     "PuzzleVerifier",
     "PuzzleSolver",
-    "SupportsName",
     "batch_scores",
     "batch_difficulties",
 ]
-
-
-@runtime_checkable
-class SupportsName(Protocol):
-    """Anything exposing a stable human-readable ``name`` attribute."""
-
-    @property
-    def name(self) -> str: ...
 
 
 @runtime_checkable

@@ -56,15 +56,6 @@ class Registry(Generic[T]):
             raise DuplicateComponentError(self._kind, name)
         self._factories[name] = factory
 
-    def decorator(self, name: str) -> Callable[[Callable[..., T]], Callable[..., T]]:
-        """Class/function decorator form of :meth:`register`."""
-
-        def wrap(factory: Callable[..., T]) -> Callable[..., T]:
-            self.register(name, factory)
-            return factory
-
-        return wrap
-
     def create(self, name: str, /, *args: object, **kwargs: object) -> T:
         """Instantiate the component registered under ``name``."""
         try:

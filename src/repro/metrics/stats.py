@@ -99,11 +99,6 @@ class StreamingStats:
         return self._m2 / self._count if self._count >= 2 else 0.0
 
     @property
-    def sample_variance(self) -> float:
-        """Bessel-corrected variance; 0.0 with fewer than two observations."""
-        return self._m2 / (self._count - 1) if self._count >= 2 else 0.0
-
-    @property
     def stdev(self) -> float:
         return math.sqrt(self.variance)
 

@@ -126,9 +126,6 @@ class TimelineCollector:
             store[cls] = TimeSeries(self.window)
         return store[cls]
 
-    def classes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._requests))
-
     def served_rate(self, cls: str) -> list[tuple[float, float]]:
         """(window_start, served/second) for ``cls``."""
         return self._series(self._served, cls).rates()

@@ -15,14 +15,12 @@ from repro.net.sim import (
     FixedDelayChannel,
     ServerModel,
     SimulationReport,
-    SolveTimeModel,
 )
 
 __all__ = [
     "FastSimulation",
     "SimulationReport",
     "ServerModel",
-    "SolveTimeModel",
     "FixedDelayChannel",
     "LiveClient",
     "GatewayServer",

@@ -60,11 +60,6 @@ class LoadReport:
         """Completed exchanges per second of wall-clock run time."""
         return self.completed / self.elapsed if self.elapsed > 0 else 0.0
 
-    @property
-    def served_throughput(self) -> float:
-        """Successfully served exchanges per second."""
-        return self.served / self.elapsed if self.elapsed > 0 else 0.0
-
     def latency_quantile(self, q: float) -> float:
         """End-to-end latency quantile over served requests (seconds)."""
         return self.latencies.quantile(q)

@@ -13,7 +13,6 @@ import socket
 import time
 from typing import Mapping
 
-from repro.core.errors import ProtocolError
 from repro.net.live import protocol
 from repro.pow.puzzle import Puzzle
 from repro.pow.solver import HashSolver
@@ -98,25 +97,3 @@ class LiveClient:
             attempts=solution.attempts,
             solve_seconds=solution.elapsed,
         )
-
-    def fetch_raw(
-        self,
-        resource: str,
-        features: Mapping[str, float],
-        solution_line: str,
-    ) -> tuple[bool, str]:
-        """Send a request but submit ``solution_line`` verbatim.
-
-        Test hook for failure injection (bad nonces, tampered frames);
-        returns the parsed (ok, body/reason) reply.
-        """
-        with self._connect() as sock:
-            protocol.send_line(
-                sock, protocol.encode_request(resource, features)
-            )
-            Puzzle.from_wire(protocol.read_line(sock))  # consume the puzzle
-            protocol.send_line(sock, solution_line)
-            try:
-                return protocol.parse_reply(protocol.read_line(sock))
-            except ProtocolError:
-                return False, "connection closed"

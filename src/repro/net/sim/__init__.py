@@ -26,7 +26,6 @@ from repro.net.sim.fastsim import (
     SessionSpec,
     SimulationReport,
 )
-from repro.net.sim.solvetime import SolveSample, SolveTimeModel
 
 __all__ = [
     "CalendarQueue",
@@ -34,8 +33,6 @@ __all__ = [
     "FixedDelayChannel",
     "UniformJitterChannel",
     "LognormalChannel",
-    "SolveTimeModel",
-    "SolveSample",
     "AgentPopulation",
     "FastFeedback",
     "FastSimulation",

@@ -9,10 +9,7 @@ of every array describes agent ``i``.
 
 Agents carry no Python identity on the hot path; IP strings are
 materialised lazily (:meth:`ip_strings`) only when something needs
-interop with the object world — recording a trace, or building a
-:class:`~repro.traffic.trace.Trace` so the callback reference engine
-the tests keep (``tests/oracle``) can run the identical workload
-(:meth:`to_trace`).
+interop with the object world, such as recording a trace.
 """
 
 from __future__ import annotations
@@ -134,18 +131,6 @@ class AgentPopulation:
     def profile_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.profiles)
 
-    def per_agent(self, attribute: str) -> np.ndarray:
-        """Broadcast a numeric profile attribute onto agents.
-
-        ``population.per_agent("hash_rate")`` is the ``float64[n]``
-        vector of each agent's profile hash rate; same for
-        ``patience`` and ``request_rate``.
-        """
-        table = np.array(
-            [float(getattr(p, attribute)) for p in self.profiles]
-        )
-        return table[self.profile_id]
-
     def score_with(self, model) -> np.ndarray:
         """Model scores for every agent in one vectorised pass.
 
@@ -211,43 +196,6 @@ class AgentPopulation:
             packed = bases[self.profile_id[i]] + int(self.ip_index[i])
             out.append(str(ipaddress.ip_address(packed)))
         return out
-
-    def to_trace(self, fire_times: np.ndarray, fire_agents: np.ndarray):
-        """Materialise a fire schedule as an object-world ``Trace``.
-
-        One :class:`~repro.traffic.trace.TraceEntry` per fire, with the
-        agent's fixed feature mapping — how the scale-workload tests
-        hand the *identical* workload to the callback reference engine
-        (``tests/oracle``), or :meth:`FastSimulation.run
-        <repro.net.sim.fastsim.FastSimulation.run>`.  Cost is
-        linear in fires; intended for parity runs, not the hot path.
-        """
-        from repro.core.records import ClientRequest
-        from repro.traffic.trace import Trace, TraceEntry
-
-        ips = self.ip_strings()
-        names = self.schema.names
-        rows = self.features
-        true = self.true_scores
-        profile_names = self.profile_names
-        entries = []
-        for order, (when, agent) in enumerate(
-            zip(fire_times.tolist(), fire_agents.tolist()), start=1
-        ):
-            entries.append(
-                TraceEntry(
-                    request=ClientRequest(
-                        client_ip=ips[agent],
-                        resource="/index.html",
-                        timestamp=float(when),
-                        features=dict(zip(names, rows[agent].tolist())),
-                        request_id=f"fire-{order}",
-                    ),
-                    profile=profile_names[self.profile_id[agent]],
-                    true_score=float(true[agent]),
-                )
-            )
-        return Trace(entries)
 
 
 def _sample_host_offsets(

@@ -144,11 +144,6 @@ class SimulationReport:
     def served(self) -> int:
         return self.metrics.overall.served
 
-    @property
-    def goodput(self) -> float:
-        """Served responses per second of simulated time."""
-        return self.served / self.duration if self.duration > 0 else 0.0
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SessionSpec:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping
 
@@ -184,7 +183,9 @@ class SnapshotWriter:
 
     One line per interval: ``{"t": <wall clock>, "snapshot": {...}}``.
     :meth:`close` writes one final line so short runs (a campaign that
-    finishes inside the first interval) still produce a record.
+    finishes inside the first interval) still produce a record.  A
+    failed interval write (provider or file) does not stop the thread;
+    it is counted in ``errors``.
     """
 
     def __init__(
@@ -203,6 +204,7 @@ class SnapshotWriter:
         self._handle = open(path, "w", encoding="utf-8")
         self._lock = threading.Lock()
         self.lines = 0
+        self.errors = 0
 
     def _write_line(self) -> None:
         line = dump_snapshot_line(self._provider())
@@ -218,7 +220,7 @@ class SnapshotWriter:
             try:
                 self._write_line()
             except Exception:  # noqa: BLE001 - keep the soak run alive
-                pass
+                self.errors += 1
 
     def start(self) -> "SnapshotWriter":
         if self._thread is not None:

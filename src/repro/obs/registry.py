@@ -261,9 +261,6 @@ class Gauge(_Metric):
         with self._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
-    def dec(self, amount: int | float = 1, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> int | float:
         key = _label_key(self.label_names, labels)
         with self._lock:

@@ -129,9 +129,6 @@ class RequestTracer:
         bus.subscribe(self._on_event, kinds=self.KINDS)
         return self
 
-    def detach(self, bus: EventBus) -> None:
-        bus.unsubscribe(self._on_event)
-
     # -- event handling ------------------------------------------------
     def _on_event(self, event: FrameworkEvent) -> None:
         request = _request_of(event)

@@ -85,7 +85,6 @@ class TraceRecorder:
         self.id_prefix = id_prefix
         self.entries: list[TraceEntry] = []
         self._next_id = 1
-        self._bus: EventBus | None = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -96,14 +95,7 @@ class TraceRecorder:
             self._on_event,
             kinds=[EventKind.PUZZLE_ISSUED, EventKind.REQUEST_SHED],
         )
-        self._bus = bus
         return self
-
-    def detach(self) -> None:
-        """Unsubscribe from the bus attached via :meth:`attach`."""
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
-            self._bus = None
 
     def register_source(
         self, client_ip: str, profile: str, true_score: float

@@ -125,11 +125,6 @@ class BaseReputationModel(BatchModel):
         """Registry-friendly model name."""
         return self.model_name
 
-    @property
-    def fitted(self) -> bool:
-        """True once :meth:`fit` has completed."""
-        return self._fitted
-
     def fit(self, corpus: ThreatIntelCorpus) -> "BaseReputationModel":
         """Train on ``corpus``; returns self for chaining."""
         if len(corpus) == 0:

@@ -74,13 +74,6 @@ class DAbRModel(BaseReputationModel):
     # Fitted state introspection (used by tests and calibration)
     # ------------------------------------------------------------------
     @property
-    def centroid(self) -> np.ndarray:
-        """The learned malicious centroid in normalised feature space."""
-        if self._centroid is None:
-            raise AttributeError("model is not fitted")
-        return self._centroid.copy()
-
-    @property
     def scale(self) -> float:
         """Distance at which the score crosses 5.0."""
         return self._scale

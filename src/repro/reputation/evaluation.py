@@ -60,11 +60,6 @@ class ConfusionMatrix:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if (p + r) else 0.0
 
-    @property
-    def false_positive_rate(self) -> float:
-        denom = self.fp + self.tn
-        return self.fp / denom if denom else 0.0
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class EvaluationReport:

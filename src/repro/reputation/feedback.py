@@ -138,11 +138,6 @@ class FeedbackReputationModel(BatchModel):
     def name(self) -> str:
         return f"feedback({self.base.name})"
 
-    @property
-    def tracked_ips(self) -> int:
-        """Number of IPs with a live behavioural offset."""
-        return len(self._states)
-
     # ------------------------------------------------------------------
     # ReputationModel protocol
     # ------------------------------------------------------------------
@@ -181,12 +176,6 @@ class FeedbackReputationModel(BatchModel):
     # ------------------------------------------------------------------
     # Feedback plumbing
     # ------------------------------------------------------------------
-    def offset_for(self, client_ip: str, now: float) -> float:
-        """The client's current offset, after decay (read-only)."""
-        state = self._states.get(client_ip)
-        if state is None:
-            return 0.0
-        return self._decayed(state, now)
 
     def _decayed(self, state: list, now: float) -> float:
         elapsed = max(0.0, now - state[_UPDATED_AT])

@@ -597,7 +597,6 @@ class RemoteStateStore(AdmissionStateStore):
         self._namespaces: dict[str, RemoteNamespace] = {}
         self._posted: list = []
         self.epoch: int | None = None
-        self._epoch_listeners: list[Callable[[int], None]] = []
 
     # -- connection management ----------------------------------------
     def _connected(self) -> socket.socket:
@@ -628,12 +627,6 @@ class RemoteStateStore(AdmissionStateStore):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def subscribe_epoch_changes(
-        self, listener: Callable[[int], None]
-    ) -> None:
-        """Call ``listener(epoch)`` when the server's topology moves."""
-        self._epoch_listeners.append(listener)
 
     # -- request engine -----------------------------------------------
     def _request(self, op: str, **fields) -> tuple[dict, int]:
@@ -699,15 +692,8 @@ class RemoteStateStore(AdmissionStateStore):
             return response, attempts
 
     def _note_epoch(self, epoch) -> None:
-        if epoch is None:
-            return
-        epoch = int(epoch)
-        if self.epoch is not None and epoch != self.epoch:
-            self.epoch = epoch
-            for listener in self._epoch_listeners:
-                listener(epoch)
-        else:
-            self.epoch = epoch
+        if epoch is not None:
+            self.epoch = int(epoch)
 
     def execute(self, ops) -> list[Any]:
         """The whole op list as one ``multi`` frame, one lock hold.
@@ -768,9 +754,6 @@ class RemoteStateStore(AdmissionStateStore):
         return results[len(posted):], attempts
 
     # -- store surface -------------------------------------------------
-    def ping(self) -> bool:
-        self._request("ping")
-        return True
 
     def namespace(self, name: str) -> RemoteNamespace:
         table = self._namespaces.get(name)

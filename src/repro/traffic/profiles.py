@@ -58,12 +58,6 @@ class ClientProfile:
         if self.patience <= 0:
             raise ValueError(f"patience must be > 0, got {self.patience}")
 
-    @property
-    def mean_intensity(self) -> float:
-        """Mean of the profile's intensity distribution."""
-        return self.intensity_alpha / (self.intensity_alpha + self.intensity_beta)
-
-
 #: Ordinary users: low maliciousness, human-paced request rates.  The
 #: default hash rate (≈37 k evaluations/s) matches the calibrated
 #: 27 µs/attempt of TimingConfig.

@@ -219,13 +219,6 @@ class Trace:
             - self._entries[0].request.timestamp
         )
 
-    def by_profile(self) -> dict[str, list[TraceEntry]]:
-        """Entries grouped by generating profile name."""
-        groups: dict[str, list[TraceEntry]] = {}
-        for entry in self._entries:
-            groups.setdefault(entry.profile, []).append(entry)
-        return groups
-
     def decisions(self) -> list[DecisionRecord]:
         """The recorded decision stream, in trace order (v2 traces)."""
         return [

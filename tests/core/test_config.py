@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import FrameworkConfig, PowConfig, TimingConfig
 from repro.core.errors import ConfigError
+from repro.core.framework import AIPoWFramework
+from repro.policies.table import FixedPolicy
+from repro.reputation.ensemble import ConstantModel
+
+
+def clamped(config: FrameworkConfig, policy) -> int:
+    """The difficulty the framework issues for ``policy``'s raw output."""
+    framework = AIPoWFramework(ConstantModel(5.0), policy, config=config)
+    scores = np.array([0.0, 5.0, 10.0])
+    (difficulty,) = set(framework.difficulties_for_scores(scores).tolist())
+    return difficulty
 
 
 class TestPowConfig:
@@ -79,17 +91,19 @@ class TestFrameworkConfig:
         config = FrameworkConfig()
         assert config.min_difficulty == 0
 
+    # The config's range is enforced by the framework's decision core,
+    # ``AIPoWFramework.difficulties_for_scores``.
     def test_clamp_below(self):
         config = FrameworkConfig(min_difficulty=2)
-        assert config.clamp_difficulty(0) == 2
+        assert clamped(config, FixedPolicy(0)) == 2
 
     def test_clamp_above(self):
         config = FrameworkConfig()
-        assert config.clamp_difficulty(10_000) == config.pow.max_difficulty
+        assert clamped(config, FixedPolicy(10_000)) == config.pow.max_difficulty
 
     def test_clamp_identity_inside_range(self):
         config = FrameworkConfig()
-        assert config.clamp_difficulty(7) == 7
+        assert clamped(config, FixedPolicy(7)) == 7
 
     def test_min_above_max_rejected(self):
         with pytest.raises(ConfigError, match="min_difficulty"):

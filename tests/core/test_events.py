@@ -50,25 +50,6 @@ def test_failing_subscriber_does_not_break_others():
     assert len(seen) == 1
 
 
-def test_unsubscribe_removes_everywhere():
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
-    bus.subscribe(seen.append, kinds=[EventKind.SCORED])
-    bus.unsubscribe(seen.append)
-    bus.emit(EventKind.SCORED, 1.0)
-    assert seen == []
-
-
-def test_subscriber_count():
-    bus = EventBus()
-    bus.subscribe(lambda e: None)
-    bus.subscribe(lambda e: None, kinds=[EventKind.SCORED])
-    assert bus.subscriber_count() == 2
-    assert bus.subscriber_count(EventKind.SCORED) == 2
-    assert bus.subscriber_count(EventKind.PUZZLE_ISSUED) == 1
-
-
 def test_multiple_kind_registration_single_call():
     bus = EventBus()
     seen = []

@@ -59,13 +59,3 @@ def test_container_protocol():
     assert list(registry) == ["a", "b"]
     assert len(registry) == 2
     assert registry.names() == ("a", "b")
-
-
-def test_decorator_registration():
-    registry: Registry[object] = Registry("thing")
-
-    @registry.decorator("made")
-    class Widget:
-        pass
-
-    assert isinstance(registry.create("made"), Widget)

@@ -50,9 +50,6 @@ class TestStreamingStats:
         assert stats.variance == pytest.approx(
             np.var(values), rel=1e-6, abs=1e-4
         )
-        assert stats.sample_variance == pytest.approx(
-            np.var(values, ddof=1), rel=1e-6, abs=1e-4
-        )
         assert stats.min == min(values)
         assert stats.max == max(values)
 

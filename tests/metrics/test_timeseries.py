@@ -97,9 +97,3 @@ class TestTimelineCollector:
         )
         means = dict(timeline.latency_means("c"))
         assert means[0.0] == pytest.approx(0.1)
-
-    def test_classes(self):
-        timeline = TimelineCollector()
-        timeline.observe("b", make_response(), at=0.1)
-        timeline.observe("a", make_response(), at=0.2)
-        assert timeline.classes() == ("a", "b")

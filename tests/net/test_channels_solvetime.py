@@ -12,7 +12,7 @@ from repro.net.sim.channel import (
     LognormalChannel,
     UniformJitterChannel,
 )
-from repro.net.sim.solvetime import SolveTimeModel
+from tests.oracle.solvetime import SolveTimeModel
 
 
 class TestChannels:

@@ -29,6 +29,7 @@ from repro.reputation.ensemble import ConstantModel
 from repro.traffic.generator import WorkloadGenerator
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
 from tests.oracle import ClosedLoopSimulation, Simulation
+from tests.oracle.simulation import fires_to_trace
 
 
 def make_trace(seed=42, benign=5, malicious=5, duration=5.0):
@@ -621,7 +622,9 @@ class TestAgentPopulation:
         assert population.intensity.min() >= 0.0
         assert population.intensity.max() <= 1.0
         assert (population.true_scores == 10.0 * population.intensity).all()
-        rates = population.per_agent("request_rate")
+        rates = np.array(
+            [p.request_rate for p in population.profiles]
+        )[population.profile_id]
         assert rates[:500].max() == BENIGN_PROFILE.request_rate
         assert rates[500:].min() == MALICIOUS_PROFILE.request_rate
 
@@ -661,7 +664,7 @@ class TestAgentPopulation:
     def test_to_trace_round_trip(self):
         population = AgentPopulation.make([(BENIGN_PROFILE, 10)], seed=8)
         times = np.linspace(0.0, 1.0, 10)
-        trace = population.to_trace(times, np.arange(10))
+        trace = fires_to_trace(population, times, np.arange(10))
         assert len(trace) == 10
         assert {e.profile for e in trace} == {"benign"}
         schema_names = set(population.schema.names)

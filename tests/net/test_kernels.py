@@ -1,11 +1,9 @@
-"""Per-cohort kernel contracts: bit-exact numpy reference, safe dispatch.
+"""Per-cohort kernel contracts: bit-exact numpy, the bench's table.
 
 The kernels feed decision-relevant arithmetic (FIFO completion times,
 TTL/patience comparisons, geometric solve sampling), so their contract
 is bit-exactness against the inline expressions they replaced — not
-just numerical closeness.  The numba backend is absent in this
-environment; these tests pin the numpy fallback as the tested default
-and check the dispatch/bench surfaces degrade gracefully without it.
+just numerical closeness.
 """
 
 from __future__ import annotations
@@ -69,10 +67,6 @@ class TestNumpyReference:
 
 class TestDispatch:
     def test_numpy_is_default_without_numba(self):
-        # The container ships no numba; the auto-selection must land on
-        # the pure-numpy backend (and say so).
-        if kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba present: backend may legitimately differ")
         assert kernels.active_backend() == "numpy"
 
     def test_backends_always_include_numpy(self):
@@ -90,7 +84,7 @@ class TestDispatch:
     def test_sample_attempts_array_owns_rng_consumption(self):
         # The fastsim sampler draws uniforms itself and hands them to
         # the kernel: identical generator state in, identical attempts
-        # out — the invariant that makes backends stream-free.
+        # out.
         from repro.net.sim.fastsim import sample_attempts_array
 
         d = np.array([0.0, 4.0, 8.0, 0.0, 12.0])

@@ -21,7 +21,24 @@ from repro.net.live.protocol import (
 )
 from repro.policies.linear import policy_1
 from repro.policies.table import FixedPolicy
+from repro.pow.puzzle import Puzzle
 from repro.reputation.ensemble import ConstantModel
+
+
+def fetch_raw(address, resource, features, solution_line):
+    """Send a request but submit ``solution_line`` verbatim.
+
+    Failure injection (bad nonces, tampered frames); returns the parsed
+    ``(ok, body/reason)`` reply.
+    """
+    with socket.create_connection(address, timeout=10.0) as sock:
+        send_line(sock, encode_request(resource, features))
+        Puzzle.from_wire(read_line(sock))  # consume the puzzle
+        send_line(sock, solution_line)
+        try:
+            return parse_reply(read_line(sock))
+        except ProtocolError:
+            return False, "connection closed"
 
 
 @pytest.fixture()
@@ -133,9 +150,8 @@ class TestLiveExchange:
     def test_bad_solution_rejected(self):
         framework = AIPoWFramework(ConstantModel(9.0), FixedPolicy(18))
         with GatewayServer(framework) as hard_server:
-            hard_client = LiveClient(hard_server.address)
-            ok, reason = hard_client.fetch_raw(
-                "/x", {}, "SOLUTION 00 12345 1"
+            ok, reason = fetch_raw(
+                hard_server.address, "/x", {}, "SOLUTION 00 12345 1"
             )
             assert not ok
             # Either integrity (wrong seed) or invalid-solution rejection.

@@ -48,6 +48,7 @@ from repro.reputation.dabr import DAbRModel
 from repro.reputation.dataset import generate_corpus
 from repro.traffic.profiles import BENIGN_PROFILE, MALICIOUS_PROFILE
 from tests.oracle import Simulation
+from tests.oracle.simulation import fires_to_trace
 
 SEED = 0xF457
 TICK = 0.01
@@ -142,7 +143,7 @@ def run_callback(model, agents: int, links=None):
         hash_rates={p.name: p.hash_rate for p in population.profiles},
         patiences={p.name: p.patience for p in population.profiles},
         links=links,
-    ).run(population.to_trace(fire_times, fire_agents))
+    ).run(fires_to_trace(population, fire_times, fire_agents))
 
 
 def assert_same_decisions(callback, fast) -> None:

@@ -191,7 +191,7 @@ class TestReportMetrics:
     def test_goodput_computation(self):
         trace, _ = make_trace(duration=5.0)
         report = Simulation(fixed_framework(1), seed=12).run(trace)
-        assert report.goodput == pytest.approx(
-            report.served / report.duration
+        assert report.metrics.overall.goodput_fraction == pytest.approx(
+            report.served / report.requests
         )
         assert report.events_processed > report.requests

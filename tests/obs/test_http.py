@@ -156,9 +156,10 @@ class TestSnapshotWriter:
             while writer.lines < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
         # First provider call raised inside the thread; the writer kept
-        # going and recorded later snapshots anyway.
+        # going, counted the failure and recorded later snapshots anyway.
         assert calls["n"] >= 3
         assert writer.lines >= 2
+        assert writer.errors == 1
 
     def test_invalid_interval_rejected(self, registry, tmp_path):
         with pytest.raises(ValueError, match="interval"):

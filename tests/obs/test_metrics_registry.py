@@ -87,7 +87,7 @@ class TestGauge:
         gauge = Gauge("depth", "")
         gauge.set(5)
         gauge.inc(2)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value() == 6
 
     def test_unknown_aggregation_rejected(self):

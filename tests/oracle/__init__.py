@@ -14,7 +14,9 @@ so the tests can check the fast engine against them:
   <repro.net.sim.fastsim.FastSimulation.run_sessions>`;
 * :mod:`tests.oracle.cohorts` — the always-sort, pairwise cohort
   grouping the fast engine's shortcuts are held to
-  (``tests/net/test_cohort_grouping.py``).
+  (``tests/net/test_cohort_grouping.py``);
+* :mod:`tests.oracle.solvetime` — the scalar solve-time sampler both
+  callback engines draw from.
 
 Every keyword these constructors take is a ``FastSimulation`` keyword
 too, so one workload drives either.  Nothing under ``src/`` may import

@@ -32,8 +32,9 @@ from repro.core.records import ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
 from repro.net.sim import ClosedLoopReport, ServerModel, SessionSpec
 from repro.net.sim.channel import Channel, FixedDelayChannel
-from repro.net.sim.solvetime import SolveTimeModel
 from tests.oracle.engine import EventEngine
+from tests.oracle.simulation import link_of
+from tests.oracle.solvetime import SolveTimeModel
 
 __all__ = ["ClosedLoopSimulation"]
 
@@ -102,7 +103,7 @@ class ClosedLoopSimulation:
         if self.links is None:
             return 0.0
         client = session.client
-        return self.links.link_of(client.profile.name, client.ip)[1]
+        return link_of(self.links, client.profile.name, client.ip)[1]
 
     def _server_complete(self, arrival: float, cost: float) -> float:
         start = max(arrival, self._server_busy_until)

@@ -14,7 +14,7 @@ ships, written one closure per event (DESIGN.md §2):
   puzzle cannot simultaneously grind another, which is exactly how PoW
   throttles flooding sources;
 * **solving** — geometric attempt sampling via
-  :class:`~repro.net.sim.solvetime.SolveTimeModel`.
+  :class:`~tests.oracle.solvetime.SolveTimeModel`.
 
 Clients abandon puzzles exceeding their profile's patience, and
 per-profile *solve deciders* let attack models refuse puzzles outright
@@ -42,24 +42,78 @@ per seed).
 
 from __future__ import annotations
 
+import ipaddress
 import random
 from typing import Callable, Mapping
 
+import numpy as np
+
 from repro.core.framework import AIPoWFramework, Challenge
-from repro.core.records import ResponseStatus, ServedResponse
+from repro.core.records import ClientRequest, ResponseStatus, ServedResponse
 from repro.metrics.collector import MetricsCollector
 from repro.net.sim import ServerModel, SimulationReport
+from repro.net.sim.agents import AgentPopulation
 from repro.net.sim.channel import Channel, FixedDelayChannel
 from repro.net.sim.links import LinkSet
-from repro.net.sim.solvetime import SolveTimeModel
 from repro.policies.adaptive import LoadAdaptivePolicy
 from repro.traffic.trace import Trace, TraceEntry
 from tests.oracle.engine import EventEngine
+from tests.oracle.solvetime import SolveTimeModel
 
-__all__ = ["Simulation"]
+__all__ = ["Simulation", "fires_to_trace", "link_of"]
 
 #: Decides whether a client solves a puzzle of the given difficulty.
 SolveDecider = Callable[[int], bool]
+
+
+def link_of(links: LinkSet, profile: str, ip: str) -> tuple[int, float]:
+    """``(queue_id, base_delay)`` of one client — the scalar engines' lookup.
+
+    Evaluates :meth:`LinkSet.queue_ids` and :meth:`LinkSet.base_delays`
+    on one-element arrays, so a callback engine's per-client delay is
+    bit-identical to the SoA path's by construction.
+    """
+    qids = links.queue_ids([profile])
+    packed = np.array([int(ipaddress.ip_address(ip))], dtype=np.int64)
+    return int(qids[0]), float(links.base_delays(packed, qids)[0])
+
+
+def fires_to_trace(
+    population: AgentPopulation,
+    fire_times: np.ndarray,
+    fire_agents: np.ndarray,
+) -> Trace:
+    """A fire schedule as an object-world ``Trace``, one entry per fire.
+
+    Each entry carries the agent's fixed feature mapping, so the
+    callback engine (or :meth:`FastSimulation.run
+    <repro.net.sim.fastsim.FastSimulation.run>`) runs the identical
+    workload that ``run_fires`` runs.
+    """
+    ips = population.ip_strings()
+    names = population.schema.names
+    entries = []
+    for order, (when, agent) in enumerate(
+        zip(fire_times.tolist(), fire_agents.tolist()), start=1
+    ):
+        entries.append(
+            TraceEntry(
+                request=ClientRequest(
+                    client_ip=ips[agent],
+                    resource="/index.html",
+                    timestamp=float(when),
+                    features=dict(
+                        zip(names, population.features[agent].tolist())
+                    ),
+                    request_id=f"fire-{order}",
+                ),
+                profile=population.profile_names[
+                    population.profile_id[agent]
+                ],
+                true_score=float(population.true_scores[agent]),
+            )
+        )
+    return Trace(entries)
 
 
 class Simulation:
@@ -148,6 +202,7 @@ class Simulation:
         self.load_reference = load_reference
         self.recorder = recorder
         self.links = links
+        self._links_of: dict[tuple[str, str], tuple[int, float]] = {}
         self._link_session = links.session() if links is not None else None
         self._entry_rids: dict[int, int] = {}
         self._next_rid = 0
@@ -194,7 +249,11 @@ class Simulation:
         """``(queue_id, base_delay)`` of one client (``-1, 0.0`` = no link)."""
         if self.links is None:
             return -1, 0.0
-        return self.links.link_of(profile, ip)
+        key = (profile, ip)
+        hit = self._links_of.get(key)
+        if hit is None:
+            hit = self._links_of[key] = link_of(self.links, profile, ip)
+        return hit
 
     def _finish(
         self,

@@ -1,11 +1,13 @@
-"""Client solve-time model for the simulator.
+"""Client solve-time model for the callback reference engines.
 
 The number of hash evaluations needed to solve a ``d``-difficult puzzle
 is geometric with mean ``2**d`` (see :mod:`repro.pow.difficulty`); solve
 time is attempts divided by the client's hash rate.  Sampling this
 distribution instead of grinding real hashes is what lets the simulator
 run thousands of high-difficulty exchanges per second while preserving
-the latency distribution exactly (DESIGN.md §2).
+the latency distribution exactly (DESIGN.md §2).  The shipped engine
+samples the same distribution in bulk
+(:func:`repro.net.sim.fastsim.sample_attempts_array`).
 """
 
 from __future__ import annotations

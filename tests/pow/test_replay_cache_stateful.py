@@ -29,6 +29,7 @@ from repro.pow.verifier import PuzzleVerifier, ReplayCache
 from repro.reputation.ensemble import ConstantModel
 from repro.reputation.feedback import FeedbackConfig, FeedbackReputationModel
 from repro.state import InMemoryStateStore, RemoteStateStore, StateServer
+from tests.reputation.test_feedback import offset_for
 
 TTL = 100.0
 
@@ -242,7 +243,7 @@ def test_redemptions_agree_across_in_memory_and_remote_stores(
             ]
             assert statuses[0] is statuses[1], (kind, now)
             offsets = [
-                framework.feedback.offset_for(ip, now=now)
+                offset_for(framework.feedback, ip, now=now)
                 for framework in frameworks
             ]
             assert offsets[0] == offsets[1], (kind, now)

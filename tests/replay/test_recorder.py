@@ -61,14 +61,6 @@ class TestFrameworkCapture:
         assert ids == ["w3-1", "w3-2"]
         assert [e.decision.request_id for e in recorder.entries] == ids
 
-    def test_detach_stops_capture(self):
-        framework = AIPoWFramework(ConstantModel(2.0), policy_1())
-        recorder = TraceRecorder().attach(framework.events)
-        framework.challenge(make_request(), now=1.0)
-        recorder.detach()
-        framework.challenge(make_request(), now=2.0)
-        assert len(recorder) == 1
-
     def test_capture_error(self):
         recorder = TraceRecorder()
         recorder.capture_error(make_request(), "schema mismatch")

@@ -146,7 +146,7 @@ def test_the_built_framework_fits_the_same_dabr_model():
     assert len(built) == 1
     fitted = DAbRModel().fit(generate_corpus(4000, 7).split()[0])
     for model in (built[0], fitted):
-        assert model.centroid.tobytes() == centroid.tobytes()
+        assert model._centroid.tobytes() == centroid.tobytes()
         assert model.scale == scale
 
 

@@ -20,6 +20,17 @@ from repro.reputation.feedback import FeedbackConfig, FeedbackReputationModel
 IP = "110.4.5.6"
 
 
+def offset_for(model: FeedbackReputationModel, client_ip: str, now: float):
+    """The client's current offset after decay, read without writing."""
+    state = model._states.get(client_ip)
+    return 0.0 if state is None else model._decayed(state, now)
+
+
+def tracked_ips(model: FeedbackReputationModel) -> int:
+    """Number of IPs with a live behavioural offset."""
+    return len(model._states)
+
+
 def request_at(t: float, ip: str = IP) -> ClientRequest:
     return ClientRequest(
         client_ip=ip, resource="/r", timestamp=t, features={}
@@ -40,7 +51,7 @@ def response_with(status: ResponseStatus, t: float = 0.0, ip: str = IP):
 class TestOffsets:
     def test_fresh_ip_has_zero_offset(self):
         model = FeedbackReputationModel(ConstantModel(5.0))
-        assert model.offset_for(IP, now=0.0) == 0.0
+        assert offset_for(model, IP, now=0.0) == 0.0
         assert model.score_request(request_at(0.0)) == 5.0
 
     def test_bad_outcomes_raise_score(self):
@@ -56,29 +67,29 @@ class TestOffsets:
         model = FeedbackReputationModel(ConstantModel(5.0), config)
         for i in range(10):
             model.observe(response_with(ResponseStatus.REPLAYED, t=float(i)))
-        assert model.offset_for(IP, now=9.0) <= 3.0 + 1e-9
+        assert offset_for(model, IP, now=9.0) <= 3.0 + 1e-9
 
     def test_served_outcomes_earn_trust(self):
         config = FeedbackConfig(reward_step=0.5, max_reward=2.0)
         model = FeedbackReputationModel(ConstantModel(5.0), config)
         for i in range(10):
             model.observe(response_with(ResponseStatus.SERVED, t=float(i)))
-        assert model.offset_for(IP, now=9.0) == pytest.approx(-2.0)
+        assert offset_for(model, IP, now=9.0) == pytest.approx(-2.0)
         assert model.score_request(request_at(9.0)) == pytest.approx(3.0)
 
     def test_neutral_outcomes_ignored(self):
         model = FeedbackReputationModel(ConstantModel(5.0))
         model.observe(response_with(ResponseStatus.ABANDONED))
         model.observe(response_with(ResponseStatus.EXPIRED))
-        assert model.offset_for(IP, now=1.0) == 0.0
+        assert offset_for(model, IP, now=1.0) == 0.0
 
     def test_decay_halves_offset_per_half_life(self):
         config = FeedbackConfig(penalty_step=4.0, half_life=100.0)
         model = FeedbackReputationModel(ConstantModel(0.0), config)
         model.observe(response_with(ResponseStatus.REJECTED, t=0.0))
-        assert model.offset_for(IP, now=0.0) == pytest.approx(4.0)
-        assert model.offset_for(IP, now=100.0) == pytest.approx(2.0)
-        assert model.offset_for(IP, now=300.0) == pytest.approx(0.5)
+        assert offset_for(model, IP, now=0.0) == pytest.approx(4.0)
+        assert offset_for(model, IP, now=100.0) == pytest.approx(2.0)
+        assert offset_for(model, IP, now=300.0) == pytest.approx(0.5)
 
     def test_score_clamped_to_scale(self):
         model = FeedbackReputationModel(ConstantModel(9.0))
@@ -89,8 +100,8 @@ class TestOffsets:
     def test_offsets_are_per_ip(self):
         model = FeedbackReputationModel(ConstantModel(5.0))
         model.observe(response_with(ResponseStatus.REJECTED, ip="110.1.1.1"))
-        assert model.offset_for("110.2.2.2", now=1.0) == 0.0
-        assert model.offset_for("110.1.1.1", now=0.0) > 0.0
+        assert offset_for(model, "110.2.2.2", now=1.0) == 0.0
+        assert offset_for(model, "110.1.1.1", now=0.0) > 0.0
 
 
 class TestEviction:
@@ -102,7 +113,7 @@ class TestEviction:
             model.observe(
                 response_with(ResponseStatus.REJECTED, ip=f"110.0.0.{i + 1}")
             )
-        assert model.tracked_ips <= 10
+        assert tracked_ips(model) <= 10
 
     def test_a_ring_caps_each_partition_and_evicts_from_it(self):
         # On a ring the count is the address's partition, so each node
@@ -165,7 +176,7 @@ class TestEviction:
                         store.namespace("feedback").dump() for store in stores
                     )
                     assert wired == local, i
-                assert [model.tracked_ips for model in models] == [cap, cap]
+                assert [tracked_ips(model) for model in models] == [cap, cap]
             finally:
                 remote.close()
 
@@ -228,7 +239,7 @@ class TestFrameworkIntegration:
         assert model.attach(framework) is model
         assert framework.feedback is model
         assert model.store is framework.store
-        assert model.offset_for(IP, now=0.0) == pytest.approx(1.0)
+        assert offset_for(model, IP, now=0.0) == pytest.approx(1.0)
         assert [ip for ip, _ in framework.store.namespace("feedback").dump()] == [IP]
 
     def test_name_composes(self):

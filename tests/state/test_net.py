@@ -25,6 +25,7 @@ from repro.state import (
 from repro.obs.registry import MetricsRegistry
 from repro.state import protocol
 from repro.state.net import _DropConnection
+from tests.reputation.test_feedback import offset_for, tracked_ips
 
 
 @pytest.fixture()
@@ -452,21 +453,13 @@ class TestRemoteStoreSurface:
 # ----------------------------------------------------------------------
 class TestTopologyEpochs:
     def test_every_response_piggybacks_the_epoch(self, client, server):
-        client.ping()
+        client._request("ping")
         assert client.epoch == 0
         client.set_topology(
             {"epoch": 3, "nodes": [server.address], "replicas": 64}
         )
-        client.ping()
+        client._request("ping")
         assert client.epoch == 3
-
-    def test_epoch_change_notifies_subscribers(self, client):
-        seen: list[int] = []
-        client.subscribe_epoch_changes(seen.append)
-        client.ping()
-        client.set_topology({"epoch": 1, "nodes": [], "replicas": 64})
-        client.ping()
-        assert seen == [1]
 
     def test_stale_topology_rejected(self, client):
         client.set_topology({"epoch": 5, "nodes": [], "replicas": 64})
@@ -644,7 +637,7 @@ class TestClientFaults:
         assert first.status is ResponseStatus.SERVED
         assert [frame["op"] for frame in lost] == ["multi"]
         feedback = framework.feedback
-        assert feedback.offset_for(ip, now=1_000.5) == (
+        assert offset_for(feedback, ip, now=1_000.5) == (
             -feedback.config.reward_step
         )
         assert [frame["op"] for frame in lost] == ["multi", "multi"]
@@ -1092,7 +1085,7 @@ def _redeem_stream(frameworks, seed=11, steps=40):
             for framework, seen in zip(frameworks, statuses):
                 seen.append(framework.redeem(challenge, answer, now=now).status)
             ip = challenge.decision.request.client_ip
-            offsets = [f.feedback.offset_for(ip, now=now) for f in frameworks]
+            offsets = [offset_for(f.feedback, ip, now=now) for f in frameworks]
             assert all(offset == offsets[0] for offset in offsets)
     return statuses
 
@@ -1407,7 +1400,7 @@ class TestInstrumentation:
             try:
                 assert registry.render() == expected.render()
                 store.execute([("t", "put", "a", 1), ("t", "len")])
-                store.ping()
+                store._request("ping")
                 store.execute([("t", "get", "a")])
                 sock = protocol.connect(server.address, timeout=5.0)
                 try:
@@ -1938,10 +1931,10 @@ class TestMultiNodeStore:
                     clock += 1.0
 
             for ip in ips:
-                assert live.offset_for(ip, now=clock) == pytest.approx(
-                    control.offset_for(ip, now=clock)
+                assert offset_for(live, ip, now=clock) == pytest.approx(
+                    offset_for(control, ip, now=clock)
                 )
-            assert live.tracked_ips == control.tracked_ips
+            assert tracked_ips(live) == tracked_ips(control)
         finally:
             _teardown(servers, store)
 

