@@ -76,11 +76,11 @@ class LiveClient:
     ) -> FetchResult:
         """Run one full request/solve/redeem exchange."""
         started = time.perf_counter()
-        with self._connect() as sock:
+        with self._connect() as sock, sock.makefile("rb") as lines:
             protocol.send_line(
                 sock, protocol.encode_request(resource, features)
             )
-            puzzle = Puzzle.from_wire(protocol.read_line(sock))
+            puzzle = Puzzle.from_wire(protocol.read_line(lines))
 
             # The server binds the puzzle to the address it sees; use the
             # same one (our side of this connection).
@@ -88,7 +88,7 @@ class LiveClient:
             solution = self.solver.solve(puzzle, my_ip)
             protocol.send_line(sock, solution.to_wire())
 
-            ok, body = protocol.parse_reply(protocol.read_line(sock))
+            ok, body = protocol.parse_reply(protocol.read_line(lines))
         return FetchResult(
             ok=ok,
             body=body,

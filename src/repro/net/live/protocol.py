@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-from typing import Mapping
+from typing import BinaryIO, Mapping
 
 from repro.core.errors import ProtocolError
 
@@ -95,26 +95,21 @@ def parse_reply(line: str) -> tuple[bool, str]:
     raise ProtocolError(f"malformed reply frame: {line[:80]!r}")
 
 
-def read_line(sock: socket.socket, max_bytes: int = MAX_LINE_BYTES) -> str:
-    """Read one ``\\n``-terminated line from ``sock``.
+def read_line(stream: BinaryIO, max_bytes: int = MAX_LINE_BYTES) -> str:
+    """Read one ``\\n``-terminated line from the connection's one reader.
 
-    Raises :class:`ProtocolError` on EOF mid-line or when the cap is
-    exceeded.
+    ``stream`` is ``sock.makefile("rb")``: one ``recv`` per arriving
+    segment, not per byte.  Raises :class:`ProtocolError` on EOF before
+    or inside a line and when the line exceeds ``max_bytes``.
     """
-    chunks: list[bytes] = []
-    total = 0
-    while True:
-        byte = sock.recv(1)
-        if not byte:
-            if total == 0:
-                raise ProtocolError("connection closed before frame")
-            raise ProtocolError("connection closed mid-frame")
-        if byte == b"\n":
-            return b"".join(chunks).decode("ascii", "replace")
-        chunks.append(byte)
-        total += 1
-        if total > max_bytes:
-            raise ProtocolError(f"frame exceeds {max_bytes} bytes")
+    line = stream.readline(max_bytes + 1)
+    if line.endswith(b"\n"):
+        return line[:-1].decode("ascii", "replace")
+    if len(line) > max_bytes:
+        raise ProtocolError(f"frame exceeds {max_bytes} bytes")
+    if not line:
+        raise ProtocolError("connection closed before frame")
+    raise ProtocolError("connection closed mid-frame")
 
 
 def send_line(sock: socket.socket, line: str) -> None:
@@ -129,10 +124,9 @@ async def read_line_async(
 ) -> str:
     """Read one ``\\n``-terminated line from an asyncio stream.
 
-    The asyncio counterpart of :func:`read_line`, used by the gateway:
-    same frames, same cap, same :class:`ProtocolError` on EOF mid-frame
-    or when the cap is exceeded — but buffered reads instead of the
-    blocking byte-at-a-time loop.
+    The asyncio counterpart of :func:`read_line`, used by the load
+    generator: same frames, same cap, same :class:`ProtocolError` on EOF
+    mid-frame or when the cap is exceeded.
     """
     try:
         raw = await reader.readuntil(b"\n")

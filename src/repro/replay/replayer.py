@@ -434,11 +434,11 @@ def _challenge_only(
     source = (bind_ip, 0) if bind_ip else None
     with socket.create_connection(
         address, timeout=timeout, source_address=source
-    ) as sock:
+    ) as sock, sock.makefile("rb") as lines:
         protocol.send_line(
             sock,
             protocol.encode_request(
                 request.resource, dict(request.features)
             ),
         )
-        protocol.read_line(sock)
+        protocol.read_line(lines)

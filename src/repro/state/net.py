@@ -236,10 +236,11 @@ class StateServer:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # AF_UNIX
+        frames = protocol.FrameReader(conn)
         try:
             while not self._stopping.is_set():
                 try:
-                    request = protocol.read_frame(conn)
+                    request = frames.read()
                 except (ConnectionError, OSError):
                     break
                 if request is None:
@@ -593,25 +594,23 @@ class RemoteStateStore(AdmissionStateStore):
             self._sent = functools.cache(lambda op: sent.labels(op=op))
             self._took = functools.cache(lambda op: took.labels(op=op).observe)
         self._lock = threading.RLock()
-        self._sock: socket.socket | None = None
+        self._conn: protocol.FrameReader | None = None
         self._namespaces: dict[str, RemoteNamespace] = {}
         self._posted: list = []
-        self.epoch: int | None = None
 
     # -- connection management ----------------------------------------
-    def _connected(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = protocol.connect(
-                self.address, timeout=self.connect_timeout
-            )
-            self._sock.settimeout(self.request_timeout)
-        return self._sock
+    def _connected(self) -> protocol.FrameReader:
+        if self._conn is None:
+            sock = protocol.connect(self.address, timeout=self.connect_timeout)
+            sock.settimeout(self.request_timeout)
+            self._conn = protocol.FrameReader(sock)
+        return self._conn
 
     def _disconnect(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
             try:
-                sock.close()
+                conn.sock.close()
             except OSError:  # pragma: no cover - already closed
                 pass
 
@@ -644,9 +643,9 @@ class RemoteStateStore(AdmissionStateStore):
                 began = time.perf_counter()
             try:
                 with self._lock:
-                    sock = self._connected()
-                    protocol.write_frame(sock, message)
-                    response = protocol.read_frame(sock)
+                    conn = self._connected()
+                    protocol.write_frame(conn.sock, message)
+                    response = conn.read()
                 if response is None:
                     raise ConnectionError("server closed the connection")
             except protocol.ProtocolError:
@@ -678,7 +677,6 @@ class RemoteStateStore(AdmissionStateStore):
                 continue
             if self._metrics is not None:
                 self._took(op)(time.perf_counter() - began)
-            self._note_epoch(response.get("epoch"))
             if not response.get("ok"):
                 kind = response.get("kind")
                 error = response.get("error", "")
@@ -690,10 +688,6 @@ class RemoteStateStore(AdmissionStateStore):
                     f"state server error on {op!r}: {error}"
                 )
             return response, attempts
-
-    def _note_epoch(self, epoch) -> None:
-        if epoch is not None:
-            self.epoch = int(epoch)
 
     def execute(self, ops) -> list[Any]:
         """The whole op list as one ``multi`` frame, one lock hold.

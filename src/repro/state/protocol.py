@@ -3,8 +3,14 @@
 One frame = a 4-byte big-endian unsigned length prefix followed by
 that many bytes of UTF-8 JSON.  Requests and responses are single
 JSON objects and a connection carries one request/response exchange at
-a time, which keeps both ends a loop over
-:func:`read_frame`/:func:`write_frame`.  What a caller batches is the
+a time, which keeps both ends a loop over :func:`write_frame` and the
+connection's :class:`FrameReader`.
+
+A frame costs one encode, one decode and, when it arrives whole, one
+``recv`` on each end: :func:`encode_frame` calls a C encoder built once
+at import, and a :class:`FrameReader` buffers a connection's bytes and
+decodes with ``raw_decode``, falling back to ``json.loads``; the bytes
+and what is refused stay ``json``'s own.  What a caller batches is the
 *content* of a frame: a ``multi`` request carries a whole read or
 write set and costs one round trip.  Writes that no decision waits on
 are *posted* instead of sent: the client holds them and puts them at
@@ -60,6 +66,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 __all__ = [
@@ -68,7 +75,7 @@ __all__ = [
     "MAX_MULTI_OPS",
     "ProtocolError",
     "FrameTooLarge",
-    "read_frame",
+    "FrameReader",
     "write_frame",
     "encode_frame",
     "parse_address",
@@ -91,9 +98,23 @@ MAX_MULTI_OPS = 4096
 
 _LENGTH = struct.Struct(">I")
 
-#: One encoder for every frame: ``json.dumps`` with ``separators``
-#: would build a new one per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: ``JSONEncoder.encode`` builds a new C encoder per call; _C_ENCODER is
+#: that encoder built once (``None`` without ``_json``: the fallback
+#: writes the same bytes).  Frames are trees, so no circular check: one
+#: ``markers`` dict shared by all threads would be unsafe, and a cycle
+#: still fails, with ``RecursionError``.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_C_ENCODER = None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
+_DECODER = json.JSONDecoder()
+
+#: Most one ``recv`` of a :class:`FrameReader` asks for, at a frame's
+#: start and while completing a longer frame.
+_RECV_BYTES = 64 * 1024
+_FILL_BYTES = 1 << 20
 
 #: Frame ops safe to retry after a lost response: re-applying them
 #: cannot change the outcome the caller observes.  ``multi`` is one of
@@ -134,7 +155,11 @@ class FrameTooLarge(ProtocolError):
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """One message as length-prefixed wire bytes."""
-    payload = _ENCODER.encode(message).encode("utf-8")
+    if _C_ENCODER is not None:
+        text = "".join(_C_ENCODER(message, 0))
+    else:
+        text = _ENCODER.encode(message)
+    payload = text.encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameTooLarge(
             f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}"
@@ -142,54 +167,83 @@ def encode_frame(message: dict[str, Any]) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-def write_frame(sock: socket.socket, message: dict[str, Any]) -> int:
-    """Send one message; returns the bytes written."""
-    data = encode_frame(message)
-    sock.sendall(data)
-    return len(data)
+def write_frame(sock: socket.socket, message: dict[str, Any]) -> None:
+    """Send one message."""
+    sock.sendall(encode_frame(message))
 
 
-class _ClosedBeforeFirstByte(ConnectionError):
-    """The peer closed without sending any of the bytes asked for."""
+def _decode(payload: bytes) -> dict[str, Any]:
+    """A payload as a message; accepts and refuses what ``json.loads`` does.
 
-
-def _read_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            kind = (
-                _ClosedBeforeFirstByte if remaining == count
-                else ConnectionError
-            )
-            raise kind(
-                f"peer closed mid-frame ({count - remaining}/{count} bytes)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> dict[str, Any] | None:
-    """Read one message; ``None`` on a clean close between frames."""
+    ``raw_decode`` takes a payload that is exactly one value; anything
+    else (whitespace around it, a BOM, trailing data) goes to ``json.loads``.
+    """
     try:
-        prefix = _read_exact(sock, _LENGTH.size)
-    except _ClosedBeforeFirstByte:
-        return None  # clean close at a frame boundary
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(
-            f"frame announces {length} bytes, limit {MAX_FRAME_BYTES}"
-        )
-    payload = _read_exact(sock, length)
-    try:
-        message = json.loads(payload.decode("utf-8"))
+        text = payload.decode("utf-8")
+        try:
+            message, end = _DECODER.raw_decode(text)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(text):
+            message = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"unparseable frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("frame payload must be a JSON object")
     return message
+
+
+class FrameReader:
+    """One connection's frames, read through one buffer.
+
+    ``recv`` takes whatever has arrived, so a frame that arrives whole
+    costs one call and bytes past it wait for the next :meth:`read`; a
+    longer frame is completed up to its announced size, never past it.
+    A new connection gets a new reader, so a reply cut short never
+    reaches the next one.  After an error the reader is done.
+    """
+
+    __slots__ = ("sock", "_pending")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._pending = b""
+
+    def read(self) -> dict[str, Any] | None:
+        """The next message; ``None`` on a clean close between frames."""
+        data = self._pending
+        while len(data) < _LENGTH.size:
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                if not data:
+                    return None  # clean close at a frame boundary
+                raise ConnectionError(
+                    f"peer closed mid-frame ({len(data)}/4 prefix bytes)"
+                )
+            data = data + chunk if data else chunk
+        (length,) = _LENGTH.unpack_from(data)
+        if length > MAX_FRAME_BYTES:
+            raise FrameTooLarge(
+                f"frame announces {length} bytes, limit {MAX_FRAME_BYTES}"
+            )
+        end = _LENGTH.size + length
+        if len(data) < end:
+            data = self._fill(data, end)
+        self._pending = data[end:]
+        return _decode(data[_LENGTH.size:end])
+
+    def _fill(self, head: bytes, end: int) -> bytearray:
+        # Grown as bytes arrive, never sized from the prefix: a peer that
+        # announces the cap and sends nothing must not cost the cap.
+        frame = bytearray(head)
+        while len(frame) < end:
+            chunk = self.sock.recv(min(end - len(frame), _FILL_BYTES))
+            if not chunk:
+                raise ConnectionError(
+                    f"peer closed mid-frame ({len(frame)}/{end} bytes)"
+                )
+            frame += chunk
+        return frame
 
 
 def parse_address(address: str) -> tuple[int, Any]:

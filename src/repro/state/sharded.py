@@ -347,10 +347,10 @@ class MultiNodeStateStore(ShardedStateStore):
            keeps the slice it still owns, and returns only the moved
            slices;
         2. moved slices are merge-restored into their new owners;
-        3. the new topology document (epoch+1) is pushed to every node
-           involved — including decommissioned ones, so clients that
-           still talk to them learn the new layout from the epoch
-           piggyback on their next response;
+        3. the new topology document (one past the highest epoch the
+           current nodes hold) is pushed to every node involved —
+           including decommissioned ones, whose every response then
+           piggybacks the new epoch (no client acts on it yet);
         4. the store adopts the new ring, and every namespace view it
            handed out follows.
 
@@ -368,9 +368,7 @@ class MultiNodeStateStore(ShardedStateStore):
         old_nodes = list(self.stores)
         old_addresses = [node.address for node in old_nodes]
         replicas = self.ring.replicas
-        epoch = max(
-            (node.epoch or 0 for node in old_nodes), default=0
-        ) + 1
+        epoch = max(node.topology()["epoch"] for node in old_nodes) + 1
 
         by_address = {node.address: node for node in old_nodes}
         # Explicit None checks: RemoteStateStore defines __len__, so a

@@ -236,11 +236,13 @@ class TestBuildGateway:
             )
             try:
                 with gateway:
-                    with socket.create_connection(gateway.address, 10) as sock:
+                    with socket.create_connection(
+                        gateway.address, 10
+                    ) as sock, sock.makefile("rb") as lines:
                         send_line(sock, encode_request(
                             "/index.html", dict(examples[0].features)
                         ))
-                        assert read_line(sock).startswith("PUZZLE")
+                        assert read_line(lines).startswith("PUZZLE")
                     deadline = time.monotonic() + 5.0
                     while state.store.get("score-cache", "127.0.0.1") is None:
                         assert time.monotonic() < deadline
@@ -689,7 +691,8 @@ class TestClusterFinalSnapshot:
                 if not (replies and replies[-1].startswith("ERR shed")):
                     time.sleep(0.25)
                 protocol.send_line(sock, line)
-                replies.append(protocol.read_line(sock))
+                with sock.makefile("rb") as lines:
+                    replies.append(protocol.read_line(lines))
                 sock.close()
         finally:
             for sock in late:

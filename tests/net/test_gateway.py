@@ -455,19 +455,23 @@ class TestGatewayServer:
         result = LiveClient(gateway.address).fetch("/solo", {})
         assert result.ok
         host, port = gateway.address
-        with socket.create_connection((host, port), timeout=5) as sock:
+        with socket.create_connection(
+            (host, port), timeout=5
+        ) as sock, sock.makefile("rb") as lines:
             send_line(sock, "REQUEST /x {}")
-            read_line(sock)  # the puzzle
+            read_line(lines)  # the puzzle
             send_line(sock, "SOLUTION 00 1 1")
-            reply = read_line(sock)
+            reply = read_line(lines)
             assert reply.startswith("ERR")
-            assert sock.recv(1) == b""  # EOF: no duplicate replies
+            assert lines.read(1) == b""  # EOF: no duplicate replies
 
     def test_bad_request_gets_err(self, gateway):
         host, port = gateway.address
-        with socket.create_connection((host, port), timeout=5) as sock:
+        with socket.create_connection(
+            (host, port), timeout=5
+        ) as sock, sock.makefile("rb") as lines:
             send_line(sock, "GIBBERISH")
-            assert read_line(sock).startswith("ERR")
+            assert read_line(lines).startswith("ERR")
 
     def test_health_follows_the_loop_thread(self):
         server = GatewayServer(AIPoWFramework(ConstantModel(0.0), policy_1()))
@@ -485,15 +489,19 @@ class TestGatewayServer:
             framework, io_timeout=0.2, metrics=metrics
         ) as server:
             assert LiveClient(server.address).fetch("/fine", {}).ok
-            with socket.create_connection(server.address, timeout=5) as sock:
+            with socket.create_connection(
+                server.address, timeout=5
+            ) as sock, sock.makefile("rb") as lines:
                 send_line(sock, "GIBBERISH")
-                assert read_line(sock).startswith("ERR")
+                assert read_line(lines).startswith("ERR")
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(b"REQUEST /never-finished")
                 assert sock.recv(1) == b""  # closed at the deadline
-            with socket.create_connection(server.address, timeout=5) as sock:
+            with socket.create_connection(
+                server.address, timeout=5
+            ) as sock, sock.makefile("rb") as lines:
                 send_line(sock, "REQUEST /abandoned {}")
-                read_line(sock)  # takes the puzzle, never answers
+                read_line(lines)  # takes the puzzle, never answers
         counted = metrics.registry.get("gateway_connection_errors_total")
         assert counted.as_dict() == {"protocol": 1, "timeout": 1, "reset": 1}
         text = render_prometheus(metrics.registry.snapshot())
@@ -608,9 +616,11 @@ class TestGatewayStress:
 
             def bad_request():
                 host, port = server.address
-                with socket.create_connection((host, port), timeout=20) as s:
+                with socket.create_connection(
+                    (host, port), timeout=20
+                ) as s, s.makefile("rb") as lines:
                     send_line(s, "REQUEST /bad {}")
-                    return read_line(s)
+                    return read_line(lines)
 
             with concurrent.futures.ThreadPoolExecutor(max_workers=5) as pool:
                 bad = pool.submit(bad_request)

@@ -52,9 +52,11 @@ def wait_until(condition, timeout: float = 10.0) -> None:
 
 def challenge_only(server: GatewayServer) -> str:
     """Send a REQUEST, take the puzzle, hang up."""
-    with socket.create_connection(server.address, timeout=10) as sock:
+    with socket.create_connection(
+        server.address, timeout=10
+    ) as sock, sock.makefile("rb") as lines:
         send_line(sock, encode_request("/c", {}))
-        return read_line(sock)
+        return read_line(lines)
 
 
 class TestLoopBudget:
@@ -307,9 +309,11 @@ class TestErrorKinds:
                 seen.append(error_counts(server))
 
             def malformed():
-                with socket.create_connection(server.address) as sock:
+                with socket.create_connection(
+                    server.address
+                ) as sock, sock.makefile("rb") as lines:
                     send_line(sock, "GIBBERISH")
-                    assert read_line(sock).startswith("ERR malformed")
+                    assert read_line(lines).startswith("ERR malformed")
 
             def oversize():
                 with socket.create_connection(server.address) as sock:

@@ -31,12 +31,14 @@ def fetch_raw(address, resource, features, solution_line):
     Failure injection (bad nonces, tampered frames); returns the parsed
     ``(ok, body/reason)`` reply.
     """
-    with socket.create_connection(address, timeout=10.0) as sock:
+    with socket.create_connection(
+        address, timeout=10.0
+    ) as sock, sock.makefile("rb") as lines:
         send_line(sock, encode_request(resource, features))
-        Puzzle.from_wire(read_line(sock))  # consume the puzzle
+        Puzzle.from_wire(read_line(lines))  # consume the puzzle
         send_line(sock, solution_line)
         try:
-            return parse_reply(read_line(sock))
+            return parse_reply(read_line(lines))
         except ProtocolError:
             return False, "connection closed"
 
@@ -82,7 +84,10 @@ class TestProtocolFrames:
         a, b = socket.socketpair()
         try:
             send_line(a, "hello world")
-            assert read_line(b) == "hello world"
+            send_line(a, "second")
+            with b.makefile("rb") as lines:
+                assert read_line(lines) == "hello world"
+                assert read_line(lines) == "second"
         finally:
             a.close()
             b.close()
@@ -91,17 +96,42 @@ class TestProtocolFrames:
         a, b = socket.socketpair()
         a.close()
         try:
-            with pytest.raises(ProtocolError):
-                read_line(b)
+            with b.makefile("rb") as lines:
+                with pytest.raises(ProtocolError, match="before frame"):
+                    read_line(lines)
+        finally:
+            b.close()
+
+    def test_read_line_eof_mid_line_raises(self):
+        a, b = socket.socketpair()
+        a.sendall(b"PUZZLE 1 ab")
+        a.close()
+        try:
+            with b.makefile("rb") as lines:
+                with pytest.raises(ProtocolError, match="mid-frame"):
+                    read_line(lines)
         finally:
             b.close()
 
     def test_read_line_cap_enforced(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(b"x" * 128)
-            with pytest.raises(ProtocolError, match="exceeds"):
-                read_line(b, max_bytes=64)
+            a.sendall(b"x" * 64 + b"\n" + b"x" * 128)
+            with b.makefile("rb") as lines:
+                assert read_line(lines, max_bytes=64) == "x" * 64
+                with pytest.raises(ProtocolError, match="exceeds"):
+                    read_line(lines, max_bytes=64)
+        finally:
+            a.close()
+            b.close()
+
+    def test_read_line_keeps_the_socket_timeout(self):
+        a, b = socket.socketpair()
+        b.settimeout(0.05)
+        try:
+            a.sendall(b"no newline yet")
+            with b.makefile("rb") as lines, pytest.raises(TimeoutError):
+                read_line(lines)
         finally:
             a.close()
             b.close()
@@ -140,6 +170,40 @@ class TestLiveExchange:
             ]
             results = [f.result(timeout=30) for f in futures]
         assert all(r.ok for r in results)
+
+    def test_a_fetch_reads_each_reply_line_in_one_recv(
+        self, gateway, monkeypatch
+    ):
+        # The PUZZLE and OK lines each arrive in one segment and are read
+        # through one buffered reader: one ``recv`` per line, two more
+        # allowed for a line split across segments (was one per byte,
+        # 126 for this exchange).
+        calls = []
+
+        class CountingSocket(socket.socket):
+            __slots__ = ()
+
+            def recv(self, *args):
+                calls.append("recv")
+                return super().recv(*args)
+
+            def recv_into(self, *args):
+                calls.append("recv_into")
+                return super().recv_into(*args)
+
+        connect = LiveClient._connect
+
+        def counted(client):
+            sock = connect(client)
+            timeout = sock.gettimeout()
+            counting = CountingSocket(fileno=sock.detach())
+            counting.settimeout(timeout)
+            return counting
+
+        monkeypatch.setattr(LiveClient, "_connect", counted)
+        result = LiveClient(gateway.address).fetch("/index.html", {})
+        assert result.ok and result.body == "resource:/index.html"
+        assert 2 <= len(calls) <= 4, calls
 
     def test_score_drives_difficulty_live(self):
         framework = AIPoWFramework(ConstantModel(7.0), policy_1())

@@ -45,15 +45,20 @@ def client(server):
 
 @pytest.fixture()
 def wire(server):
-    """A raw socket to the server, for frames no client would send."""
-    sock = protocol.connect(server.address, timeout=5.0)
-    yield sock
-    sock.close()
+    """A raw connection to the server, for frames no client would send."""
+    conn = _connect(server)
+    yield conn
+    conn.sock.close()
 
 
-def _ask(sock, message):
-    protocol.write_frame(sock, message)
-    return protocol.read_frame(sock)
+def _connect(server):
+    """A raw connection to ``server``: its socket and frame reader."""
+    return protocol.FrameReader(protocol.connect(server.address, timeout=5.0))
+
+
+def _ask(conn, message):
+    protocol.write_frame(conn.sock, message)
+    return conn.read()
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +73,7 @@ class TestProtocol:
                 "ops": [["feedback", "put", "10.0.0.9", [1.5, 2.0]]],
             }
             protocol.write_frame(left, message)
-            assert protocol.read_frame(right) == message
+            assert protocol.FrameReader(right).read() == message
         finally:
             left.close()
             right.close()
@@ -78,8 +83,9 @@ class TestProtocol:
         try:
             protocol.write_frame(left, {"op": "ping"})
             left.close()
-            assert protocol.read_frame(right) == {"op": "ping"}
-            assert protocol.read_frame(right) is None
+            frames = protocol.FrameReader(right)
+            assert frames.read() == {"op": "ping"}
+            assert frames.read() is None
         finally:
             right.close()
 
@@ -90,7 +96,7 @@ class TestProtocol:
             left.sendall(frame[: len(frame) - 2])  # truncate the body
             left.close()
             with pytest.raises(ConnectionError):
-                protocol.read_frame(right)
+                protocol.FrameReader(right).read()
         finally:
             right.close()
 
@@ -100,7 +106,7 @@ class TestProtocol:
             length = protocol.MAX_FRAME_BYTES + 1
             left.sendall(length.to_bytes(4, "big"))
             with pytest.raises(protocol.FrameTooLarge):
-                protocol.read_frame(right)
+                protocol.FrameReader(right).read()
         finally:
             left.close()
             right.close()
@@ -316,15 +322,15 @@ class TestMultiFrame:
         server = _shared_servers()[0]
         server.store.restore(_SEEDED)
         before = protocol.encode_frame(server.store.snapshot())
-        sock = protocol.connect(server.address, timeout=5.0)
+        conn = _connect(server)
         try:
-            answer = _ask(sock, frame)
+            answer = _ask(conn, frame)
             assert (answer["ok"], answer["kind"]) == (False, "value")
             after = protocol.encode_frame(server.store.snapshot())
             assert after == before
-            assert _ask(sock, {"op": "ping"})["ok"] is True
+            assert _ask(conn, {"op": "ping"})["ok"] is True
         finally:
-            sock.close()
+            conn.sock.close()
 
     def test_pages_concatenate_to_the_table_in_order(self, wire, server):
         table = server.store.namespace("t")
@@ -452,14 +458,15 @@ class TestRemoteStoreSurface:
 # Topology epochs
 # ----------------------------------------------------------------------
 class TestTopologyEpochs:
-    def test_every_response_piggybacks_the_epoch(self, client, server):
-        client._request("ping")
-        assert client.epoch == 0
-        client.set_topology(
-            {"epoch": 3, "nodes": [server.address], "replicas": 64}
-        )
-        client._request("ping")
-        assert client.epoch == 3
+    def test_every_response_piggybacks_the_epoch(self, wire, server):
+        assert _ask(wire, {"op": "ping"})["epoch"] == 0
+        answer = _ask(wire, {
+            "op": "topology_set",
+            "topology": {"epoch": 3, "nodes": [server.address], "replicas": 64},
+        })
+        assert answer["epoch"] == 3
+        assert _ask(wire, {"op": "ping"})["epoch"] == 3
+        assert _ask(wire, {"op": "nope"})["epoch"] == 3  # failures too
 
     def test_stale_topology_rejected(self, client):
         client.set_topology({"epoch": 5, "nodes": [], "replicas": 64})
@@ -1367,14 +1374,14 @@ class TestInstrumentation:
         registry = MetricsRegistry()
         with StateServer(registry=registry) as server:
             known = len(server._handlers)
-            sock = protocol.connect(server.address, timeout=5.0)
+            conn = _connect(server)
             try:
                 for index in range(500):
-                    answer = _ask(sock, {"op": f"junk-{index}"})
+                    answer = _ask(conn, {"op": f"junk-{index}"})
                     assert answer["kind"] == "value"
-                assert _ask(sock, {"op": "ping"})["ok"] is True
+                assert _ask(conn, {"op": "ping"})["ok"] is True
             finally:
-                sock.close()
+                conn.sock.close()
         series = registry.get("netstore_server_requests_total").as_dict()
         assert len(series) <= known + 1
         assert series == {"unknown": 500, "ping": 1}
@@ -1402,11 +1409,11 @@ class TestInstrumentation:
                 store.execute([("t", "put", "a", 1), ("t", "len")])
                 store._request("ping")
                 store.execute([("t", "get", "a")])
-                sock = protocol.connect(server.address, timeout=5.0)
+                conn = _connect(server)
                 try:
-                    assert _ask(sock, {"op": "junk"})["kind"] == "value"
+                    assert _ask(conn, {"op": "junk"})["kind"] == "value"
                 finally:
-                    sock.close()
+                    conn.sock.close()
             finally:
                 store.close()
         for op, ops in (("multi", 2), ("ping", 0), ("multi", 1)):
@@ -1432,10 +1439,9 @@ class TestServerLifecycle:
         # A long-lived server behind reconnecting workers must not keep
         # one thread object per connection it ever accepted.
         for _ in range(300):
-            sock = protocol.connect(server.address, timeout=5.0)
-            protocol.write_frame(sock, {"op": "ping"})
-            assert protocol.read_frame(sock)["ok"] is True
-            sock.close()
+            conn = _connect(server)
+            assert _ask(conn, {"op": "ping"})["ok"] is True
+            conn.sock.close()
         # Pruning happens on accept, so the list holds the threads that
         # were still winding down at the last one — never hundreds.
         assert len(server._conn_threads) < 30
@@ -1814,6 +1820,29 @@ class TestMultiNodeStore:
             # Every node (old and new) got the epoch push.
             for srv in servers + [extra]:
                 assert srv._topology["epoch"] == 1
+        finally:
+            extra.stop()
+            _teardown(servers, store)
+
+    def test_a_new_client_reshards_past_the_epoch_the_nodes_hold(self):
+        # The next epoch comes from the nodes, not from what this client
+        # last saw: a client that has sent nothing yet would otherwise
+        # push epoch 1 to nodes at 2 and be refused after moving data.
+        servers, store = _cluster(2)
+        extra = StateServer().start()
+        try:
+            store.apply_topology(list(store.addresses) + [extra.address])
+            store.apply_topology(list(store.addresses)[:-1])
+            store.namespace("feedback")["10.3.0.1"] = 1.0
+            store.close()
+            store = MultiNodeStateStore([srv.address for srv in servers])
+            report = store.apply_topology(
+                list(store.addresses) + [extra.address]
+            )
+            assert report.epoch == 3
+            for srv in servers + [extra]:
+                assert srv._topology["epoch"] == 3
+            assert store.namespace("feedback")["10.3.0.1"] == 1.0
         finally:
             extra.stop()
             _teardown(servers, store)

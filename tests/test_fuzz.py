@@ -343,22 +343,26 @@ class TestGatewayFuzz:
     )
     def test_malformed_first_frames_fail_closed(self, server, payload):
         host, port = server.address
-        with socket.create_connection((host, port), timeout=5) as sock:
+        with socket.create_connection(
+            (host, port), timeout=5
+        ) as sock, sock.makefile("rb") as lines:
             sock.sendall(payload)
             try:
-                reply = read_line(sock)
+                reply = read_line(lines)
             except ProtocolError:
                 return  # server closed the connection: acceptable
         assert reply.startswith("ERR")
 
     def test_garbage_solution_frame_drops_connection(self, server):
         host, port = server.address
-        with socket.create_connection((host, port), timeout=5) as sock:
+        with socket.create_connection(
+            (host, port), timeout=5
+        ) as sock, sock.makefile("rb") as lines:
             send_line(sock, 'REQUEST /r {}')
-            read_line(sock)  # the puzzle
+            read_line(lines)  # the puzzle
             sock.sendall(b"GARBAGE FRAME\n")
             with pytest.raises(ProtocolError):
-                read_line(sock)
+                read_line(lines)
 
     def test_server_survives_abusive_clients(self, server):
         """After a barrage of bad peers, honest clients still work."""
